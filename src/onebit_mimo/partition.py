@@ -3,9 +3,11 @@ per-node centroid weights, observation-driven candidate pruning, and the
 analytic complexity model.
 
 The tree is built once per coherence block from the active spatial code and
-is immutable afterwards; pruning walks it per observation keeping the q_l
-best-scoring nodes per level and returns the union of surviving leaf member
-sets as a sorted candidate index array.
+is immutable afterwards.  Each level is also stored as arrays (parent index,
+centroids, weights and their linear form), so pruning one observation costs
+one matrix-vector product per level: it keeps the q_l best-scoring nodes per
+level and returns the codewords of the surviving leaves as a sorted
+candidate index array.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .spatial_code import SpatialCode
+from .spatial_code import SpatialCode, mismatch_form
 
 KMEANS_MAX_ITER = 100
 
@@ -181,15 +183,52 @@ class PartitionNode:
     children: list = field(default_factory=list)
 
 
+@dataclass(frozen=True, eq=False)
+class LevelArrays:
+    """One tree level as arrays; row j is the node of path rank j.
+
+    Children are appended in path order, so a node's row is the rank of its
+    path among the level's paths, and ``parent`` indexes the previous
+    level's rows (all 0 on the first level, whose parent is the root).
+    ``base + gain @ r`` is each node's weighted Hamming distance to a 0/1
+    observation r, within ``tol / 4`` of the reference sum (see preprocess).
+    """
+
+    parent: np.ndarray  # (n,) int64
+    centroids: np.ndarray  # (n, N) uint8
+    betas: np.ndarray  # (n, N) float64
+    base: np.ndarray  # (n,)
+    gain: np.ndarray  # (n, N)
+    tol: float
+
+
 @dataclass(eq=False)
 class PartitionTree:
     root: PartitionNode
     params: PartitionParams
     levels: list  # levels[l] = list of nodes at depth l+1, in path order
+    arrays: list  # arrays[l] = LevelArrays of levels[l]
+    leaf_of: np.ndarray  # (M,) row in arrays[-1] of each codeword's leaf
 
     @property
     def leaves(self) -> list:
         return self.levels[-1]
+
+
+def _level_arrays(nodes: list, parents: list, length: int) -> LevelArrays:
+    centroids = np.array([nd.centroid for nd in nodes], dtype=np.uint8)
+    betas = np.array([nd.beta for nd in nodes], dtype=np.float64)
+    base, gain = mismatch_form(betas, centroids)
+    # four times the per-node error bound 2*N*eps*sum(beta) proved in preprocess
+    tol = 8.0 * length * np.finfo(np.float64).eps * float(betas.sum(axis=1).max())
+    return LevelArrays(
+        parent=np.array(parents, dtype=np.int64),
+        centroids=centroids,
+        betas=betas,
+        base=base,
+        gain=gain,
+        tol=tol,
+    )
 
 
 def build_partition_tree(
@@ -199,10 +238,10 @@ def build_partition_tree(
     require_valid_params(params)
     root = PartitionNode(path=(), members=np.arange(code.size))
     frontier = [root]
-    levels = []
+    levels, arrays = [], []
     for k_l in params.k:
-        next_frontier = []
-        for node in frontier:
+        next_frontier, parents = [], []
+        for row, node in enumerate(frontier):
             result = kmeans_hamming(node.members, code, k_l, rng)
             for i, (cluster, centroid) in enumerate(zip(result.clusters, result.centroids)):
                 child = PartitionNode(
@@ -213,24 +252,19 @@ def build_partition_tree(
                 )
                 node.children.append(child)
                 next_frontier.append(child)
+                parents.append(row)
         frontier = next_frontier
         levels.append(frontier)
-    return PartitionTree(root=root, params=params, levels=levels)
+        arrays.append(_level_arrays(frontier, parents, code.length))
+    leaf_of = np.empty(code.size, dtype=np.int64)
+    for row, leaf in enumerate(frontier):
+        leaf_of[leaf.members] = row
+    return PartitionTree(root=root, params=params, levels=levels, arrays=arrays, leaf_of=leaf_of)
 
 
-def preprocess(r: np.ndarray, tree: PartitionTree, params=None) -> np.ndarray:
-    """Sorted candidate indices surviving the per-level centroid pruning.
-
-    At each level the children of surviving nodes are scored by the weighted
-    Hamming distance between their centroid and the observation (each with
-    its own weight vector); the q_l best survive, ties resolved toward the
-    lexicographically smallest path.  ``params`` optionally overrides the
-    survivor counts (as a PartitionParams sharing the tree's children counts,
-    or a bare q tuple) so one tree serves several pruning budgets.
-    """
-    if params is None:
-        survivors_q = tree.params.q
-    elif isinstance(params, PartitionParams):
+def _survivor_counts(tree: PartitionTree, params) -> tuple:
+    """The per-level q of an override (PartitionParams or bare q tuple)."""
+    if isinstance(params, PartitionParams):
         if params.k != tree.params.k:
             raise ConfigurationError(
                 f"override children counts {params.k} differ from the tree's {tree.params.k}"
@@ -241,15 +275,71 @@ def preprocess(r: np.ndarray, tree: PartitionTree, params=None) -> np.ndarray:
     if len(survivors_q) != tree.params.levels:
         raise ConfigurationError("survivor counts must cover every level")
     require_valid_params(PartitionParams(k=tree.params.k, q=survivors_q))
+    return survivors_q
+
+
+def _select(level: LevelArrays, r: np.ndarray, f: np.ndarray, q: int) -> np.ndarray:
+    """Boolean mask of the q nodes ranked first by (reference score, row).
+
+    ``f`` holds the linear scores, +inf for nodes outside the race.  Nodes
+    farther than ``level.tol`` from the q-th smallest score c are decided by
+    f alone; when the band within tol of c holds more nodes than places left,
+    the band is ranked by the reference score and row.
+    """
+    c = np.partition(f, q - 1)[q - 1]
+    keep = f <= c + level.tol
+    if np.count_nonzero(keep) > q:
+        band = np.flatnonzero(keep & (f >= c - level.tol))
+        keep[band] = False
+        need = q - np.count_nonzero(keep)
+        exact = [float(level.betas[j][level.centroids[j] != r].sum()) for j in band]
+        keep[band[np.lexsort((band, exact))[:need]]] = True
+    return keep
+
+
+def preprocess(r: np.ndarray, tree: PartitionTree, params=None) -> np.ndarray:
+    """Sorted candidate indices surviving the per-level centroid pruning.
+
+    At each level the children of surviving nodes are scored by the weighted
+    Hamming distance between their centroid and the 0/1 observation (each
+    with its own weight vector); the q_l best survive, ties resolved toward
+    the lexicographically smallest path.  ``params`` optionally overrides the
+    survivor counts (as a PartitionParams sharing the tree's children counts,
+    or a bare q tuple) so one tree serves several pruning budgets.
+
+    The reference score of a node is ``beta[centroid != r].sum()``, a sum of
+    at most N nonnegative terms of total at most B = sum(beta).  Each level
+    scores all its nodes at once as f = base + gain @ r instead.  With unit
+    roundoff u = eps/2 and g = (N-1)u/(1-(N-1)u), any summation order of n
+    <= N terms errs by at most g times the sum of their magnitudes, so the
+    exact mismatch sum S differs from the reference by at most g*B, from
+    base (products v*c exact) and from gain @ r (products exact, r being
+    0/1) by at most g*B each, and the final addition adds at most
+    u*(1 + 2g)*B.  Hence |f - reference| <= 3g*B + u*(1 + 2g)*B
+    <= e = 2*N*eps*max B for N*u <= 0.01.  The q-th smallest f, c, is then
+    within e of the q-th smallest reference score s_q, so with
+    tol = 8*N*eps*max B >= 2e a node with f < c - tol has a reference score
+    below s_q and one with f > c + tol a score above it; only the nodes
+    within tol of c are ranked by their reference score and path.
+    """
+    survivors_q = tree.params.q if params is None else _survivor_counts(tree, params)
     r = np.asarray(r)
-    survivors = [tree.root]
-    for q_l in survivors_q:
-        nodes = [child for node in survivors for child in node.children]
-        scored = sorted(
-            nodes, key=lambda nd: (float(nd.beta[nd.centroid != r].sum()), nd.path)
-        )
-        survivors = scored[: min(q_l, len(scored))]
-    return np.sort(np.concatenate([node.members for node in survivors]))
+    length = tree.arrays[0].centroids.shape[1]
+    if r.shape != (length,):
+        raise ValueError(f"observation has shape {r.shape}, but the code has length {length}")
+    rf = r.astype(np.float64)
+    alive = np.ones(1, dtype=bool)
+    for level, q_l in zip(tree.arrays, survivors_q):
+        racing = alive[level.parent]
+        n_racing = np.count_nonzero(racing)
+        if q_l >= n_racing:
+            alive = racing
+            continue
+        f = level.base + level.gain @ rf
+        if n_racing < racing.size:
+            f[~racing] = np.inf
+        alive = _select(level, r, f, q_l)
+    return np.flatnonzero(alive[tree.leaf_of])
 
 
 def estimate_complexity(params: PartitionParams | None, m: int, K: int):

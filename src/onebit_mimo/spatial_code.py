@@ -20,6 +20,17 @@ from .core import Constellation, all_message_digits, bit_table, modulate, q_func
 EPS_FLOOR = 1e-300  # keeps -log(eps) finite when Q underflows
 
 
+def mismatch_form(v: np.ndarray, bits: np.ndarray):
+    """(base, gain) with sum_i v_i 1{r_i != c_i} = base + gain @ r per row c.
+
+    For a 0/1 observation r the mismatch indicator expands as
+    1{r_i != c_i} = c_i + (1-2c_i) r_i, so base = sum_i v_i c_i and
+    gain = v * (1-2c); every product is exact since c_i and r_i are 0 or 1.
+    """
+    c = bits.astype(np.float64)
+    return (v * c).sum(axis=1), v * (1.0 - 2.0 * c)
+
+
 @dataclass(eq=False)
 class SpatialCode:
     m: int
@@ -43,15 +54,10 @@ class SpatialCode:
         return self.K * np.log2(self.m) / self.length
 
     def _linear_form(self, key: str):
-        """Cached (base, gain) with score(r) = base + gain @ r per codeword.
-
-        The mismatch indicator expands as 1{r_i != c_i} = c_i + (1-2c_i) r_i,
-        so any per-bit weighting v gives score = sum_i v_i c_i + (v*(1-2c)) @ r.
-        """
+        """Cached (base, gain) with score(r) = base + gain @ r per codeword."""
         cached = self._linear.get(key)
         if cached is not None:
             return cached
-        c = self.codewords.astype(np.float64)
         if key == "wh":
             v = self.weights
             const = np.zeros(self.size)
@@ -64,10 +70,9 @@ class SpatialCode:
             const = np.log1p(-self.crossover).sum(axis=1)
         else:
             raise KeyError(key)
-        base = const + (v * c).sum(axis=1)
-        gain = v * (1.0 - 2.0 * c)
-        self._linear[key] = (base, gain)
-        return base, gain
+        base, gain = mismatch_form(v, self.codewords)
+        self._linear[key] = (const + base, gain)
+        return self._linear[key]
 
     def wh_distances(self, r: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         """d_wh(r, c_ell; alpha_ell) for each candidate index."""

@@ -324,6 +324,97 @@ def test_preprocess_override_validation():
         preprocess(r, tree, params=(2, 64))  # violates the q-chain
 
 
+def node_walk(r, tree, survivors_q):
+    """Reference pruning: sort each level's racing nodes by (score, path)."""
+    survivors = [tree.root]
+    for q_l in survivors_q:
+        nodes = [child for node in survivors for child in node.children]
+        scored = sorted(
+            nodes, key=lambda nd: (float(nd.beta[nd.centroid != r].sum()), nd.path)
+        )
+        survivors = scored[: min(q_l, len(scored))]
+    return np.sort(np.concatenate([node.members for node in survivors]))
+
+
+@st.composite
+def q_chains(draw, k):
+    """A valid survivor chain for children counts k."""
+    q, prev = [], 1
+    for k_l in k:
+        prev = draw(st.integers(1, prev * k_l))
+        q.append(prev)
+    return tuple(q)
+
+
+@st.composite
+def pruning_cases(draw):
+    """(code, tree, survivor override, survivor counts it implies).
+
+    Codebooks hold at most 4096 codewords (m=16 stops at K=3); k up to 9 on
+    short codes leaves deep levels with fewer members than k, so k-means
+    drops empty clusters.
+    """
+    m = draw(st.sampled_from((4, 16)))
+    K = draw(st.integers(1, 4 if m == 4 else 3))
+    code = random_code(
+        K=K,
+        n_r=draw(st.integers(1, 6)),
+        m=m,
+        snr_db=draw(st.sampled_from((0.0, 10.0))),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    k = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=3)))
+    params = PartitionParams(k, draw(q_chains(k)))
+    tree = build_partition_tree(code, params, np.random.default_rng(draw(st.integers(0, 2**16))))
+    form = draw(st.sampled_from(("default", "tuple", "params")))
+    if form == "default":
+        return code, tree, None, params.q
+    q = draw(q_chains(k))
+    return code, tree, (q if form == "tuple" else PartitionParams(k, q)), q
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=pruning_cases(), obs_seed=st.integers(0, 2**16))
+def test_preprocess_matches_node_walk(case, obs_seed):
+    code, tree, override, survivors_q = case
+    rng = np.random.default_rng(obs_seed)
+    noisy = [rng.integers(0, 2, code.length).astype(np.uint8) for _ in range(8)]
+    clean = [code.codewords[ell] for ell in rng.integers(0, code.size, 8)]
+    for r in noisy + clean:
+        np.testing.assert_array_equal(
+            preprocess(r, tree, params=override), node_walk(r, tree, survivors_q)
+        )
+
+
+def test_preprocess_exact_tie_goes_to_smaller_path():
+    # Singleton clusters all weigh log 2 per bit, so leaves a and b, both at
+    # Hamming distance 4 from r, tie exactly; q=2 keeps r's own leaf and one
+    # of them.  Their linear scores differ by rounding in the order that
+    # would pick the wrong one, which the tolerance band must catch.
+    r = np.array([1, 1, 1, 0, 0, 1, 0, 0], dtype=np.uint8)
+    a = np.array([0, 0, 0, 0, 0, 0, 0, 1], dtype=np.uint8)
+    b = np.array([1, 1, 0, 0, 1, 0, 1, 1], dtype=np.uint8)
+    code = pattern_code([r, a, b, 1 - r], m=4, K=1)
+    tree = build_partition_tree(code, PartitionParams((4,), (2,)), np.random.default_rng(0))
+    leaf = {int(nd.members[0]): nd for nd in tree.leaves}
+    score = {i: float(leaf[i].beta[leaf[i].centroid != r].sum()) for i in (1, 2)}
+    assert score[1] == score[2]
+    winner, loser = sorted((1, 2), key=lambda i: leaf[i].path)
+    level = tree.arrays[0]
+    f = level.base + level.gain @ r.astype(np.float64)
+    assert f[tree.leaf_of[loser]] < f[tree.leaf_of[winner]]
+    np.testing.assert_array_equal(preprocess(r, tree), sorted([0, winner]))
+
+
+def test_preprocess_rejects_wrong_observation_length():
+    code = random_code(K=2, n_r=8, seed=0)
+    tree = build_partition_tree(
+        code, PartitionParams((4, 4), (2, 4)), np.random.default_rng(0)
+    )
+    with pytest.raises(ValueError, match=r"\(1,\).*length 16"):
+        preprocess(np.zeros(1, dtype=np.uint8), tree)
+
+
 # ---------------------------------------------------------------------------
 # complexity model
 

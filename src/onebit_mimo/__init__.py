@@ -9,7 +9,6 @@ in a reproducible Monte Carlo harness.
 
 from .channel import (
     NOISE_STD,
-    FrameStructure,
     estimate_channel_zf,
     generate_pilots,
     quantize,
@@ -29,15 +28,12 @@ from .core import (
     Constellation,
     all_message_digits,
     bit_table,
-    bits_to_message,
-    m_ary_compose,
     m_ary_expansion,
     message_to_bits,
     modulate,
     q_function,
     qam_constellation,
     real_channel_matrix,
-    real_decompose,
     real_stack,
 )
 from .detector import (
@@ -46,7 +42,6 @@ from .detector import (
     compute_llrs,
     md_decode,
     ml_decode,
-    weighted_hamming,
     wmd_decode,
     zf_detect,
 )
@@ -83,7 +78,14 @@ from .sim import (
     run_uncoded,
     write_results,
 )
-from .spatial_code import SpatialCode, build_code, dump_code, exact_likelihood, subcode
+from .spatial_code import (
+    MismatchScore,
+    SpatialCode,
+    build_code,
+    exact_likelihood,
+    subcode,
+    weighted_hamming,
+)
 
 __version__ = "0.1.0"
 
@@ -93,8 +95,8 @@ __all__ = [
     "CSV_HEADER",
     "SWEEP_CSV_HEADER",
     "Constellation",
-    "FrameStructure",
     "SpatialCode",
+    "MismatchScore",
     "PartitionParams",
     "PartitionTree",
     "LdpcCode",
@@ -105,16 +107,13 @@ __all__ = [
     "DegeneratePosteriorError",
     "CodeConstructionError",
     "m_ary_expansion",
-    "m_ary_compose",
     "all_message_digits",
-    "bits_to_message",
     "message_to_bits",
     "bit_table",
     "qam_constellation",
     "modulate",
     "real_stack",
     "real_channel_matrix",
-    "real_decompose",
     "q_function",
     "sample_rayleigh",
     "quantize",
@@ -125,7 +124,6 @@ __all__ = [
     "build_code",
     "exact_likelihood",
     "subcode",
-    "dump_code",
     "weighted_hamming",
     "wmd_decode",
     "md_decode",

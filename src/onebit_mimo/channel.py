@@ -8,31 +8,12 @@ Q(|h_i^T x| / NOISE_STD).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Constellation, modulate, real_stack
 from .errors import ConfigurationError
 
 NOISE_STD = 1.0 / np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class FrameStructure:
-    """Coherence block of t_c slots: t_t training followed by t_d data."""
-
-    t_c: int
-    t_t: int
-    t_d: int
-
-    def __post_init__(self):
-        if self.t_c != self.t_t + self.t_d:
-            raise ConfigurationError(
-                f"t_c={self.t_c} must equal t_t+t_d={self.t_t + self.t_d}"
-            )
-        if min(self.t_c, self.t_d) < 1 or self.t_t < 0:
-            raise ConfigurationError("frame lengths must be positive")
 
 
 def sample_rayleigh(K: int, n_r: int, rng: np.random.Generator) -> np.ndarray:

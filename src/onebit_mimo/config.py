@@ -16,10 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .partition import PartitionParams, validate_params
+from .partition import PartitionParams, require_valid_params
 
 DETECTORS = ("wmd", "soft-wmd", "md", "ml", "zf")
 CSIR_MODES = ("perfect", "estimated")
+
+# Largest codebook, in codewords times bits (m**n_users * 2*n_rx): the code
+# build holds several float64 arrays of this many entries, 128 MiB each at
+# the bound.
+MAX_CODEBOOK_ENTRIES = 2**24
 
 CSV_HEADER = "snr_db,detector,metric,rate,errors,trials,denominator,mean_candidates"
 SWEEP_CSV_HEADER = (
@@ -48,11 +53,19 @@ def parse_partition(value) -> PartitionParams | None:
         params = PartitionParams(k=tuple(value[0]), q=tuple(value[1]))
     else:
         raise ConfigurationError(f"unrecognized partition spec: {value!r}")
-    violations = validate_params(params)
-    if violations:
-        detail = "; ".join(f"level {v.level}: {v.message}" for v in violations)
-        raise ConfigurationError(f"invalid partition parameters: {detail}")
+    require_valid_params(params)
     return params
+
+
+def require_ldpc_fit(n: int, m: int, t_d: int) -> None:
+    """Reject an LDPC blocklength that is not whole symbols within t_d slots."""
+    q = m.bit_length() - 1
+    if n % q:
+        raise ConfigurationError(
+            f"LDPC blocklength {n} is not a multiple of the {q} bits per symbol"
+        )
+    if n // q > t_d:
+        raise ConfigurationError(f"one codeword spans {n // q} slots but t_d={t_d}")
 
 
 def partition_to_json(params: PartitionParams | None):
@@ -100,6 +113,17 @@ class SimConfig:
             raise ConfigurationError("n_users and n_rx must be positive")
         if self.m < 4 or (self.m & (self.m - 1)) or (self.m.bit_length() - 1) % 2:
             raise ConfigurationError(f"m must be an even power of 2 and >= 4, got {self.m}")
+        # log2 of the codeword count; testing it first keeps a huge n_users
+        # from building a huge integer
+        codeword_bits = self.n_users * (self.m.bit_length() - 1)
+        if (
+            codeword_bits >= MAX_CODEBOOK_ENTRIES.bit_length()
+            or (1 << codeword_bits) * 2 * self.n_rx > MAX_CODEBOOK_ENTRIES
+        ):
+            raise ConfigurationError(
+                f"codebook of {self.m}**{self.n_users} codewords x {2 * self.n_rx} bits "
+                f"exceeds {MAX_CODEBOOK_ENTRIES} entries"
+            )
         if not self.snr_db:
             raise ConfigurationError("snr_db must list at least one operating point")
         if self.detector not in DETECTORS:
@@ -108,6 +132,10 @@ class SimConfig:
             raise ConfigurationError(f"csir must be one of {CSIR_MODES}, got {self.csir!r}")
         if self.csir == "estimated" and self.t_t < self.n_users:
             raise ConfigurationError("estimated CSIR needs t_t >= n_users pilot slots")
+        if self.t_t < 0 or self.t_d < 1:
+            raise ConfigurationError(
+                f"need t_t >= 0 and t_d >= 1, got t_t={self.t_t}, t_d={self.t_d}"
+            )
         if self.t_c != self.t_t + self.t_d:
             raise ConfigurationError(
                 f"coherence block must split exactly: t_c={self.t_c} != "
@@ -118,27 +146,16 @@ class SimConfig:
         if self.workers < 1 or self.wave < 1:
             raise ConfigurationError("workers and wave must be positive")
         if self.partition is not None:
-            violations = validate_params(self.partition)
-            if violations:
-                detail = "; ".join(f"level {v.level}: {v.message}" for v in violations)
-                raise ConfigurationError(f"invalid partition parameters: {detail}")
+            require_valid_params(self.partition)
         if coded:
             if self.detector == "zf":
                 raise ConfigurationError("zf detection is uncoded-only")
             if self.frames_per_block is not None and self.frames_per_block < 1:
                 raise ConfigurationError("frames_per_block must be >= 1 when set")
-            q = self.m.bit_length() - 1
             # with an external alist the blocklength comes from the file and
-            # is re-checked once the matrix is loaded
+            # is checked once the matrix is loaded
             if self.ldpc_alist is None:
-                if self.ldpc_n % q:
-                    raise ConfigurationError(
-                        f"ldpc_n={self.ldpc_n} must be a multiple of the {q} bits per symbol"
-                    )
-                if self.ldpc_n // q > self.t_d:
-                    raise ConfigurationError(
-                        f"one codeword spans {self.ldpc_n // q} slots but t_d={self.t_d}"
-                    )
+                require_ldpc_fit(self.ldpc_n, self.m, self.t_d)
         elif self.detector == "soft-wmd":
             raise ConfigurationError("soft-wmd produces LLRs and needs a coded run")
 

@@ -26,25 +26,10 @@ def m_ary_expansion(k: int, m: int, length: int) -> np.ndarray:
     return digits
 
 
-def m_ary_compose(digits: np.ndarray, m: int) -> int:
-    """Inverse of :func:`m_ary_expansion`."""
-    digits = np.asarray(digits)
-    if digits.size and (digits.min() < 0 or digits.max() >= m):
-        raise ValueError("digit outside [0, m)")
-    return int(np.dot(digits, m ** np.arange(len(digits), dtype=np.int64)))
-
-
 def all_message_digits(m: int, K: int) -> np.ndarray:
     """(m**K, K) table whose row ell is the m-ary expansion of ell."""
     ell = np.arange(m**K, dtype=np.int64)
     return (ell[:, None] // m ** np.arange(K, dtype=np.int64)) % m
-
-
-def bits_to_message(bits) -> int:
-    """Symbol value of an MSB-first bit tuple: sum_i b_i * 2^(q-i)."""
-    bits = np.asarray(bits)
-    q = len(bits)
-    return int(np.dot(bits, 2 ** np.arange(q - 1, -1, -1, dtype=np.int64)))
 
 
 def message_to_bits(w: int, q: int) -> np.ndarray:
@@ -124,17 +109,6 @@ def real_channel_matrix(h_complex: np.ndarray) -> np.ndarray:
     return np.block(
         [[h_complex.real, -h_complex.imag], [h_complex.imag, h_complex.real]]
     )
-
-
-def real_decompose(h_complex: np.ndarray, x_complex: np.ndarray):
-    """Real representation (H, x) with H @ x = [Re(H~ x~); Im(H~ x~)]."""
-    h_complex = np.asarray(h_complex)
-    x_complex = np.asarray(x_complex)
-    if h_complex.ndim != 2 or h_complex.shape[1] != x_complex.shape[0]:
-        raise ValueError(
-            f"shape mismatch: {h_complex.shape} matrix vs {x_complex.shape} vector"
-        )
-    return real_channel_matrix(h_complex), real_stack(x_complex)
 
 
 def q_function(x):

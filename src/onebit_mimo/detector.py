@@ -1,9 +1,10 @@
 """Hard and soft detection over a (possibly reduced) candidate set.
 
-Decoders score each codeword with its own weight vector and break ties
-toward the lowest codeword index.  LLRs follow the convention
-L = log(P(bit=0) / P(bit=1)) and are clamped to +-LLR_CLAMP before handoff
-to a channel decoder.
+Every decoder and soft output scores codewords through one cached
+``MismatchScore`` of the code; the hard decoders take the smallest score,
+with exact ties resolved to the lowest codeword index.  LLRs follow the
+convention L = log(P(bit=0) / P(bit=1)) and are clamped to +-LLR_CLAMP
+before handoff to a channel decoder.
 """
 
 from __future__ import annotations
@@ -13,51 +14,44 @@ from scipy.special import logsumexp
 
 from .core import Constellation
 from .errors import DegeneratePosteriorError
-from .spatial_code import SpatialCode, symbol_bit_masks
+from .spatial_code import SpatialCode
 
 LLR_CLAMP = 60.0
 
 APP_MODES = ("exact-sum", "wh-sum", "wh-max")
 
 
-def weighted_hamming(x: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
-    """sum_i alpha_i * 1{x_i != y_i}."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    alpha = np.asarray(alpha)
-    if not x.shape == y.shape == alpha.shape:
-        raise ValueError("x, y and alpha must have equal length")
-    return float(alpha[x != y].sum())
-
-
-def _candidate_array(code: SpatialCode, candidates) -> np.ndarray:
+def _candidate_array(candidates):
+    """Sorted candidate indices, or None for the whole codebook."""
     if candidates is None:
-        return np.arange(code.size)
+        return None
     candidates = np.asarray(candidates, dtype=np.int64)
     if candidates.size == 0:
         raise ValueError("candidate set must be nonempty")
     return np.sort(candidates)
 
 
+def _nearest(r: np.ndarray, code: SpatialCode, candidates, metric: str) -> int:
+    """Candidate index of the smallest score, ties to the lowest index."""
+    cand = _candidate_array(candidates)
+    score = code.score(metric)
+    pos = int(score.smallest(r, score(r, cand), 1, cand).argmax())
+    return pos if cand is None else int(cand[pos])
+
+
 def wmd_decode(r: np.ndarray, code: SpatialCode, candidates=None) -> int:
     """Index minimizing the per-codeword weighted Hamming distance to r."""
-    cand = _candidate_array(code, candidates)
-    d = code.wh_distances(r, cand)
-    return int(cand[np.argmin(d)])
+    return _nearest(r, code, candidates, "wh")
 
 
 def md_decode(r: np.ndarray, code: SpatialCode, candidates=None) -> int:
     """Plain minimum-Hamming-distance baseline (all weights equal)."""
-    cand = _candidate_array(code, candidates)
-    d = code.hamming_distances(r, cand)
-    return int(cand[np.argmin(d)])
+    return _nearest(r, code, candidates, "hamming")
 
 
 def ml_decode(r: np.ndarray, code: SpatialCode, candidates=None) -> int:
-    """Exact maximum-likelihood decision, computed in the log domain."""
-    cand = _candidate_array(code, candidates)
-    ll = code.log_likelihoods(r, cand)
-    return int(cand[np.argmax(ll)])
+    """Exact maximum-likelihood decision: the smallest -log P(r | ell)."""
+    return _nearest(r, code, candidates, "nll")
 
 
 def zf_detect(r: np.ndarray, h_real: np.ndarray, constellation: Constellation) -> np.ndarray:
@@ -91,13 +85,10 @@ def compute_app(
         raise ValueError(f"unknown APP mode {mode!r}")
     if candidates is not None and len(candidates) == 0:
         raise DegeneratePosteriorError("empty candidate set leaves no posterior mass")
-    cand = _candidate_array(code, candidates)
-    if mode == "exact-sum":
-        score = code.log_likelihoods(r, cand)
-    else:
-        score = -code.wh_distances(r, cand)
+    cand = _candidate_array(candidates)
+    score = -code.score("nll" if mode == "exact-sum" else "wh")(r, cand)
 
-    digits = code.digits[cand]  # (n_cand, K)
+    digits = code.digits if cand is None else code.digits[cand]  # (n_cand, K)
     log_mass = np.full((code.K, code.m), -np.inf)
     for k in range(code.K):
         for j in range(code.m):
@@ -124,9 +115,9 @@ def compute_llrs(r: np.ndarray, code: SpatialCode, candidates=None) -> np.ndarra
     """
     if candidates is not None and len(candidates) == 0:
         raise DegeneratePosteriorError("empty candidate set leaves no posterior mass")
-    cand = _candidate_array(code, candidates)
-    d = code.wh_distances(r, cand)
-    bits = symbol_bit_masks(code, cand)  # (n_cand, K, q)
+    cand = _candidate_array(candidates)
+    d = code.score("wh")(r, cand)
+    bits = code.label_bits if cand is None else code.label_bits[cand]  # (n_cand, K, q)
     d3 = d[:, None, None]
     min1 = np.min(np.where(bits, d3, np.inf), axis=0)
     min0 = np.min(np.where(~bits, d3, np.inf), axis=0)

@@ -3,11 +3,11 @@ per-node centroid weights, observation-driven candidate pruning, and the
 analytic complexity model.
 
 The tree is built once per coherence block from the active spatial code and
-is immutable afterwards.  Each level is also stored as arrays (parent index,
-centroids, weights and their linear form), so pruning one observation costs
-one matrix-vector product per level: it keeps the q_l best-scoring nodes per
-level and returns the codewords of the surviving leaves as a sorted
-candidate index array.
+is immutable afterwards.  Each level is also stored as a parent index array
+and one ``MismatchScore`` over its centroids and weights, so pruning one
+observation costs one matrix-vector product per level: it keeps the q_l
+best-scoring nodes per level and returns the codewords of the surviving
+leaves as a sorted candidate index array.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .spatial_code import SpatialCode, mismatch_form
+from .spatial_code import MismatchScore, SpatialCode
 
 KMEANS_MAX_ITER = 100
 
@@ -183,52 +183,20 @@ class PartitionNode:
     children: list = field(default_factory=list)
 
 
-@dataclass(frozen=True, eq=False)
-class LevelArrays:
-    """One tree level as arrays; row j is the node of path rank j.
-
-    Children are appended in path order, so a node's row is the rank of its
-    path among the level's paths, and ``parent`` indexes the previous
-    level's rows (all 0 on the first level, whose parent is the root).
-    ``base + gain @ r`` is each node's weighted Hamming distance to a 0/1
-    observation r, within ``tol / 4`` of the reference sum (see preprocess).
-    """
-
-    parent: np.ndarray  # (n,) int64
-    centroids: np.ndarray  # (n, N) uint8
-    betas: np.ndarray  # (n, N) float64
-    base: np.ndarray  # (n,)
-    gain: np.ndarray  # (n, N)
-    tol: float
-
-
 @dataclass(eq=False)
 class PartitionTree:
     root: PartitionNode
     params: PartitionParams
     levels: list  # levels[l] = list of nodes at depth l+1, in path order
-    arrays: list  # arrays[l] = LevelArrays of levels[l]
+    # arrays[l] = (parent, score) of levels[l]: row j is the node of path rank
+    # j, parent[j] its row in the previous level (0 under the root) and score
+    # the MismatchScore of the centroids under their weights
+    arrays: list
     leaf_of: np.ndarray  # (M,) row in arrays[-1] of each codeword's leaf
 
     @property
     def leaves(self) -> list:
         return self.levels[-1]
-
-
-def _level_arrays(nodes: list, parents: list, length: int) -> LevelArrays:
-    centroids = np.array([nd.centroid for nd in nodes], dtype=np.uint8)
-    betas = np.array([nd.beta for nd in nodes], dtype=np.float64)
-    base, gain = mismatch_form(betas, centroids)
-    # four times the per-node error bound 2*N*eps*sum(beta) proved in preprocess
-    tol = 8.0 * length * np.finfo(np.float64).eps * float(betas.sum(axis=1).max())
-    return LevelArrays(
-        parent=np.array(parents, dtype=np.int64),
-        centroids=centroids,
-        betas=betas,
-        base=base,
-        gain=gain,
-        tol=tol,
-    )
 
 
 def build_partition_tree(
@@ -255,7 +223,11 @@ def build_partition_tree(
                 parents.append(row)
         frontier = next_frontier
         levels.append(frontier)
-        arrays.append(_level_arrays(frontier, parents, code.length))
+        score = MismatchScore(
+            np.array([nd.centroid for nd in frontier], dtype=np.uint8),
+            np.array([nd.beta for nd in frontier], dtype=np.float64),
+        )
+        arrays.append((np.array(parents, dtype=np.int64), score))
     leaf_of = np.empty(code.size, dtype=np.int64)
     for row, leaf in enumerate(frontier):
         leaf_of[leaf.members] = row
@@ -278,25 +250,6 @@ def _survivor_counts(tree: PartitionTree, params) -> tuple:
     return survivors_q
 
 
-def _select(level: LevelArrays, r: np.ndarray, f: np.ndarray, q: int) -> np.ndarray:
-    """Boolean mask of the q nodes ranked first by (reference score, row).
-
-    ``f`` holds the linear scores, +inf for nodes outside the race.  Nodes
-    farther than ``level.tol`` from the q-th smallest score c are decided by
-    f alone; when the band within tol of c holds more nodes than places left,
-    the band is ranked by the reference score and row.
-    """
-    c = np.partition(f, q - 1)[q - 1]
-    keep = f <= c + level.tol
-    if np.count_nonzero(keep) > q:
-        band = np.flatnonzero(keep & (f >= c - level.tol))
-        keep[band] = False
-        need = q - np.count_nonzero(keep)
-        exact = [float(level.betas[j][level.centroids[j] != r].sum()) for j in band]
-        keep[band[np.lexsort((band, exact))[:need]]] = True
-    return keep
-
-
 def preprocess(r: np.ndarray, tree: PartitionTree, params=None) -> np.ndarray:
     """Sorted candidate indices surviving the per-level centroid pruning.
 
@@ -307,38 +260,27 @@ def preprocess(r: np.ndarray, tree: PartitionTree, params=None) -> np.ndarray:
     survivor counts (as a PartitionParams sharing the tree's children counts,
     or a bare q tuple) so one tree serves several pruning budgets.
 
-    The reference score of a node is ``beta[centroid != r].sum()``, a sum of
-    at most N nonnegative terms of total at most B = sum(beta).  Each level
-    scores all its nodes at once as f = base + gain @ r instead.  With unit
-    roundoff u = eps/2 and g = (N-1)u/(1-(N-1)u), any summation order of n
-    <= N terms errs by at most g times the sum of their magnitudes, so the
-    exact mismatch sum S differs from the reference by at most g*B, from
-    base (products v*c exact) and from gain @ r (products exact, r being
-    0/1) by at most g*B each, and the final addition adds at most
-    u*(1 + 2g)*B.  Hence |f - reference| <= 3g*B + u*(1 + 2g)*B
-    <= e = 2*N*eps*max B for N*u <= 0.01.  The q-th smallest f, c, is then
-    within e of the q-th smallest reference score s_q, so with
-    tol = 8*N*eps*max B >= 2e a node with f < c - tol has a reference score
-    below s_q and one with f > c + tol a score above it; only the nodes
-    within tol of c are ranked by their reference score and path.
+    Children are appended in path order, so a level's row order is path
+    order and ``MismatchScore.smallest`` resolves ties exactly, by the
+    reference score and then path.
     """
     survivors_q = tree.params.q if params is None else _survivor_counts(tree, params)
     r = np.asarray(r)
-    length = tree.arrays[0].centroids.shape[1]
+    length = tree.arrays[0][1].rows.shape[1]
     if r.shape != (length,):
         raise ValueError(f"observation has shape {r.shape}, but the code has length {length}")
     rf = r.astype(np.float64)
     alive = np.ones(1, dtype=bool)
-    for level, q_l in zip(tree.arrays, survivors_q):
-        racing = alive[level.parent]
+    for (parent, score), q_l in zip(tree.arrays, survivors_q):
+        racing = alive[parent]
         n_racing = np.count_nonzero(racing)
         if q_l >= n_racing:
             alive = racing
             continue
-        f = level.base + level.gain @ rf
+        f = score(rf)
         if n_racing < racing.size:
             f[~racing] = np.inf
-        alive = _select(level, r, f, q_l)
+        alive = score.smallest(r, f, q_l)
     return np.flatnonzero(alive[tree.leaf_of])
 
 

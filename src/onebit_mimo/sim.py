@@ -31,7 +31,7 @@ from .channel import (
     transmit,
     transmit_pilots,
 )
-from .config import ResultRow, SimConfig, SweepRow, parse_partition
+from .config import ResultRow, SimConfig, SweepRow, parse_partition, require_ldpc_fit
 from .core import bit_table, qam_constellation, real_channel_matrix
 from .detector import compute_llrs, md_decode, ml_decode, wmd_decode, zf_detect
 from .errors import ConfigurationError
@@ -249,15 +249,8 @@ def run_coded(cfg: SimConfig) -> list:
     cfg.validate(coded=True)
     cfg.require_seed()
     ldpc = _get_ldpc(cfg)  # built once here; forked workers inherit the cache
-    q = int(np.log2(cfg.m))
-    if ldpc.n % q:
-        raise ConfigurationError(
-            f"LDPC blocklength {ldpc.n} is not a multiple of the {q} bits per symbol"
-        )
-    if ldpc.n // q > cfg.t_d:
-        raise ConfigurationError(
-            f"one codeword spans {ldpc.n // q} slots but t_d={cfg.t_d}"
-        )
+    if cfg.ldpc_alist is not None:
+        require_ldpc_fit(ldpc.n, cfg.m, cfg.t_d)
     return _run(cfg, _coded_block, "fer")
 
 

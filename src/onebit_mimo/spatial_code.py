@@ -20,15 +20,92 @@ from .core import Constellation, all_message_digits, bit_table, modulate, q_func
 EPS_FLOOR = 1e-300  # keeps -log(eps) finite when Q underflows
 
 
-def mismatch_form(v: np.ndarray, bits: np.ndarray):
-    """(base, gain) with sum_i v_i 1{r_i != c_i} = base + gain @ r per row c.
+def weighted_hamming(x: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
+    """sum_i alpha_i * 1{x_i != y_i}."""
+    x = np.asarray(x)
+    y = np.asarray(y)
+    alpha = np.asarray(alpha)
+    if not x.shape == y.shape == alpha.shape:
+        raise ValueError("x, y and alpha must have equal length")
+    return float(alpha[x != y].sum())
 
-    For a 0/1 observation r the mismatch indicator expands as
-    1{r_i != c_i} = c_i + (1-2c_i) r_i, so base = sum_i v_i c_i and
+
+@dataclass(frozen=True, eq=False)
+class MismatchScore:
+    """Scores ``const + sum_i v_i 1{r_i != c_i}`` of rows c against a 0/1 observation r.
+
+    Weighted and plain Hamming distances, negative log-likelihoods and
+    partition-centroid distances are all of this form.  For a 0/1 r the
+    mismatch indicator expands as 1{r_i != c_i} = c_i + (1-2c_i) r_i, so every
+    row scores ``base + gain @ r`` with base = const + sum_i v_i c_i and
     gain = v * (1-2c); every product is exact since c_i and r_i are 0 or 1.
+    The exact reference of a row is ``const + weighted_hamming(r, c, v)``.
+
+    Rounding bound: for one row let B = sum_i |v_i|, A = |const| + B,
+    u = eps/2 and g = (N-1)u/(1-(N-1)u).  Any summation order of n <= N
+    terms errs by at most g times the sum of their magnitudes.  So base errs
+    from its exact value by at most g*B + u*(A + g*B), gain @ r by at most
+    g*B, and the final addition by at most u*(A + 2g*B) + u^2*(A + g*B);
+    the reference errs from the exact score by at most g*B + u*(A + g*B).
+    A linear score and the reference thus differ by at most
+    (3g + 3u)(1 + 2u)*A <= e = 2*N*eps*A when N*u <= 0.01.  The q-th
+    smallest linear score c is then within max e of the q-th smallest
+    reference s_q, so with ``tol = 8*N*eps*max A >= 2 max e`` a row scoring
+    below c - tol has a reference below s_q and one scoring above c + tol
+    a reference above s_q.
     """
-    c = bits.astype(np.float64)
-    return (v * c).sum(axis=1), v * (1.0 - 2.0 * c)
+
+    rows: np.ndarray  # (n, N) 0/1 patterns c
+    weights: np.ndarray  # (n, N) v >= 0
+    const: np.ndarray | None = None  # (n,) per-row constant
+    base: np.ndarray = field(init=False, repr=False)
+    gain: np.ndarray = field(init=False, repr=False)
+    tol: float = field(init=False)
+
+    def __post_init__(self):
+        c = self.rows.astype(np.float64)
+        base = (self.weights * c).sum(axis=1)
+        scale = np.abs(self.weights).sum(axis=1)
+        if self.const is not None:
+            base = self.const + base
+            scale = scale + np.abs(self.const)
+        eps = np.finfo(np.float64).eps
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "gain", self.weights * (1.0 - 2.0 * c))
+        object.__setattr__(self, "tol", 8.0 * c.shape[1] * eps * float(scale.max(initial=0.0)))
+
+    def __call__(self, r: np.ndarray, rows=None) -> np.ndarray:
+        """Linear scores of ``rows`` (every row when None) against r."""
+        rf = np.asarray(r, dtype=np.float64)
+        if rows is None:
+            return self.base + self.gain @ rf
+        return self.base[rows] + self.gain[rows] @ rf
+
+    def reference(self, r: np.ndarray, row: int) -> float:
+        """The exact reference score of one row."""
+        d = weighted_hamming(r, self.rows[row], self.weights[row])
+        return d if self.const is None else float(self.const[row] + d)
+
+    def smallest(self, r: np.ndarray, f: np.ndarray, q: int, rows=None) -> np.ndarray:
+        """Boolean mask of the q entries of f ranked first by (reference, position).
+
+        ``f`` holds the linear scores of ``rows`` (every row when None), +inf
+        for entries outside the race.  Entries farther than ``tol`` from the
+        q-th smallest score c are decided by f alone (see the class
+        docstring); when the band within tol of c holds more entries than
+        places left, the band is ranked by the reference and then position.
+        """
+        # a plain min costs less than a partial sort for the hard decoders' q = 1
+        c = f.min() if q == 1 else np.partition(f, q - 1)[q - 1]
+        keep = f <= c + self.tol
+        if np.count_nonzero(keep) > q:
+            band = np.flatnonzero(keep & (f >= c - self.tol))
+            keep[band] = False
+            need = q - np.count_nonzero(keep)
+            at = band if rows is None else rows[band]
+            exact = [self.reference(r, j) for j in at]
+            keep[band[np.lexsort((band, exact))[:need]]] = True
+        return keep
 
 
 @dataclass(eq=False)
@@ -39,7 +116,12 @@ class SpatialCode:
     crossover: np.ndarray  # (M, N) eps in (0, 0.5]
     weights: np.ndarray  # (M, N) alpha = -log(eps)
     digits: np.ndarray  # (M, K) message digit of each codeword per user
-    _linear: dict = field(default_factory=dict, repr=False)
+    label_bits: np.ndarray = field(init=False, repr=False)  # (M, K, q) bool
+    _scores: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        # label bit i (MSB first) of each codeword's user-k digit
+        self.label_bits = bit_table(self.m).astype(bool)[self.digits]
 
     @property
     def size(self) -> int:
@@ -53,40 +135,31 @@ class SpatialCode:
     def rate(self) -> float:
         return self.K * np.log2(self.m) / self.length
 
-    def _linear_form(self, key: str):
-        """Cached (base, gain) with score(r) = base + gain @ r per codeword."""
-        cached = self._linear.get(key)
+    def score(self, metric: str) -> MismatchScore:
+        """Cached score of every codeword under one metric.
+
+        "wh" is the weighted Hamming distance under the weights alpha,
+        "hamming" the plain Hamming distance and "nll" -log P(r | ell)
+        = -sum_i log(1-eps_i) + sum_i 1{r_i != c_i} log((1-eps_i)/eps_i),
+        negated so that ML is a min.  Each of its terms is the exact negation
+        of the log-likelihood's, so -score(r) is log P(r | ell) bit for bit.
+        """
+        cached = self._scores.get(metric)
         if cached is not None:
             return cached
-        if key == "wh":
-            v = self.weights
-            const = np.zeros(self.size)
-        elif key == "hamming":
-            v = np.ones_like(self.weights)
-            const = np.zeros(self.size)
-        elif key == "loglik":
-            # log P(r | ell) = sum_i log(1-eps) + mismatch * (log eps - log(1-eps))
-            v = np.log(self.crossover) - np.log1p(-self.crossover)
-            const = np.log1p(-self.crossover).sum(axis=1)
+        if metric == "wh":
+            cached = MismatchScore(self.codewords, self.weights)
+        elif metric == "hamming":
+            cached = MismatchScore(self.codewords, np.ones_like(self.weights))
+        elif metric == "nll":
+            log_keep = np.log1p(-self.crossover)
+            cached = MismatchScore(
+                self.codewords, log_keep - np.log(self.crossover), -log_keep.sum(axis=1)
+            )
         else:
-            raise KeyError(key)
-        base, gain = mismatch_form(v, self.codewords)
-        self._linear[key] = (const + base, gain)
-        return self._linear[key]
-
-    def wh_distances(self, r: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-        """d_wh(r, c_ell; alpha_ell) for each candidate index."""
-        base, gain = self._linear_form("wh")
-        return base[candidates] + gain[candidates] @ r.astype(np.float64)
-
-    def hamming_distances(self, r: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-        base, gain = self._linear_form("hamming")
-        return base[candidates] + gain[candidates] @ r.astype(np.float64)
-
-    def log_likelihoods(self, r: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-        """log P(r | ell) for each candidate index."""
-        base, gain = self._linear_form("loglik")
-        return base[candidates] + gain[candidates] @ r.astype(np.float64)
+            raise KeyError(metric)
+        self._scores[metric] = cached
+        return cached
 
 
 def build_code(
@@ -140,18 +213,3 @@ def subcode(k: int, j: int, K: int, m: int) -> np.ndarray:
         raise ValueError(f"symbol {j} outside [0, {m})")
     ell = np.arange(m**K, dtype=np.int64)
     return ell[(ell // m ** (k - 1)) % m == j]
-
-
-def symbol_bit_masks(code: SpatialCode, candidates: np.ndarray) -> np.ndarray:
-    """(n_cand, K, q) boolean array: label bit i of user k's digit, MSB first."""
-    lut = bit_table(code.m).astype(bool)  # (m, q)
-    return lut[code.digits[candidates]]  # fancy-indexes to (n_cand, K, q)
-
-
-def dump_code(code: SpatialCode) -> str:
-    """Text dump: one codeword per line, bits then tab-separated weights."""
-    lines = []
-    for bits, alpha in zip(code.codewords, code.weights):
-        row = "".join(str(int(b)) for b in bits)
-        lines.append(row + "\t" + "\t".join(repr(float(a)) for a in alpha))
-    return "\n".join(lines) + "\n"

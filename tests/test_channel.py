@@ -4,7 +4,6 @@ import pytest
 from onebit_mimo import (
     NOISE_STD,
     ConfigurationError,
-    FrameStructure,
     all_message_digits,
     build_code,
     estimate_channel_zf,
@@ -19,20 +18,6 @@ from onebit_mimo import (
     transmit,
     transmit_pilots,
 )
-
-
-class TestFrameStructure:
-    def test_arithmetic_holds(self):
-        fs = FrameStructure(t_c=1000, t_t=25, t_d=975)
-        assert fs.t_c == fs.t_t + fs.t_d
-
-    def test_violation_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FrameStructure(t_c=1000, t_t=30, t_d=975)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FrameStructure(t_c=0, t_t=-5, t_d=5)
 
 
 class TestRayleigh:

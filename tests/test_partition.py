@@ -400,8 +400,8 @@ def test_preprocess_exact_tie_goes_to_smaller_path():
     score = {i: float(leaf[i].beta[leaf[i].centroid != r].sum()) for i in (1, 2)}
     assert score[1] == score[2]
     winner, loser = sorted((1, 2), key=lambda i: leaf[i].path)
-    level = tree.arrays[0]
-    f = level.base + level.gain @ r.astype(np.float64)
+    _, level_score = tree.arrays[0]
+    f = level_score(r)
     assert f[tree.leaf_of[loser]] < f[tree.leaf_of[winner]]
     np.testing.assert_array_equal(preprocess(r, tree), sorted([0, winner]))
 

@@ -7,11 +7,13 @@ import pytest
 
 from onebit_mimo.config import (
     CSV_HEADER,
+    MAX_CODEBOOK_ENTRIES,
     SWEEP_CSV_HEADER,
     SimConfig,
     parse_partition,
 )
 from onebit_mimo.errors import ConfigurationError
+from onebit_mimo.ldpc import construct_code, save_alist
 from onebit_mimo.partition import PartitionParams
 from onebit_mimo.sim import (
     partition_report,
@@ -118,6 +120,30 @@ def test_config_validation_errors():
     small_uncoded().validate()  # baseline passes
 
 
+def test_config_rejects_unsplit_frame():
+    with pytest.raises(ConfigurationError):
+        small_uncoded(t_c=1000, t_t=30, t_d=975).validate()  # 30 + 975 != 1000
+    small_uncoded(t_c=1000, t_t=25, t_d=975).validate()
+
+
+def test_config_rejects_negative_frame_lengths():
+    with pytest.raises(ConfigurationError):
+        small_uncoded(t_c=0, t_t=-5, t_d=5).validate()
+    with pytest.raises(ConfigurationError):
+        small_uncoded(t_c=0, t_d=0).validate()  # an empty block never fills the budget
+
+
+def test_config_bounds_codebook_size():
+    # checked by arithmetic only: running a config above the bound would
+    # allocate gigabytes
+    with pytest.raises(ConfigurationError, match="codebook"):
+        small_uncoded(n_users=11, m=4, n_rx=32).validate()
+    with pytest.raises(ConfigurationError, match="codebook"):
+        small_uncoded(n_users=10**9).validate()
+    assert 4**9 * 2 * 32 == MAX_CODEBOOK_ENTRIES
+    small_uncoded(n_users=9, m=4, n_rx=32).validate()  # exactly at the bound
+
+
 def test_config_requires_seed():
     with pytest.raises(ConfigurationError):
         small_uncoded(seed=None).require_seed()
@@ -221,6 +247,16 @@ def test_coded_default_fills_coherence_block():
 def test_coded_rejects_misaligned_blocklength():
     cfg = small_coded(m=16, n_rx=4, ldpc_n=126, t_c=256, t_d=256)
     with pytest.raises(ConfigurationError):
+        run_coded(cfg)
+
+
+def test_coded_rejects_misaligned_alist_blocklength(tmp_path):
+    # the blocklength of a loaded matrix is checked once it is known
+    path = tmp_path / "n126.alist"
+    save_alist(construct_code(126, 0.5, 3).h, path)
+    cfg = small_coded(m=16, n_rx=4, ldpc_alist=str(path), t_c=256, t_d=256)
+    cfg.validate(coded=True)
+    with pytest.raises(ConfigurationError, match="multiple of the 4 bits"):
         run_coded(cfg)
 
 

@@ -7,7 +7,6 @@ from onebit_mimo import (
     NOISE_STD,
     all_message_digits,
     build_code,
-    dump_code,
     exact_likelihood,
     modulate,
     q_function,
@@ -147,16 +146,3 @@ class TestSubcode:
         members = subcode(k, j, K=3, m=4)
         digits = all_message_digits(4, 3)
         assert (ell in members) == (digits[ell, k - 1] == j)
-
-
-class TestDump:
-    def test_round_trip_shape(self, small_code):
-        text = dump_code(small_code)
-        lines = text.strip().split("\n")
-        assert len(lines) == small_code.size
-        bits, *weights = lines[0].split("\t")
-        assert len(bits) == small_code.length
-        assert len(weights) == small_code.length
-        assert np.allclose(
-            [float(w) for w in weights], small_code.weights[0], rtol=0, atol=0
-        )

@@ -31,7 +31,6 @@ def main() -> int:
         t_c=128,
         t_d=128,
         ldpc_n=args.ldpc_n,
-        frames_per_block=2,
         trials=args.trials,
         target_errors=10**9,
         workers=args.workers,

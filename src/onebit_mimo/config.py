@@ -57,15 +57,22 @@ def parse_partition(value) -> PartitionParams | None:
     return params
 
 
-def require_ldpc_fit(n: int, m: int, t_d: int) -> None:
-    """Reject an LDPC blocklength that is not whole symbols within t_d slots."""
+def require_ldpc_fit(n: int, m: int, t_d: int, frames_per_block: int | None) -> None:
+    """Reject an LDPC blocklength that is not whole symbols, or frames that overrun t_d.
+
+    ``frames_per_block`` None means the default, as many whole frames as fit
+    in t_d and at least one.
+    """
     q = m.bit_length() - 1
     if n % q:
         raise ConfigurationError(
             f"LDPC blocklength {n} is not a multiple of the {q} bits per symbol"
         )
-    if n // q > t_d:
-        raise ConfigurationError(f"one codeword spans {n // q} slots but t_d={t_d}")
+    frames = frames_per_block or 1
+    if frames * (n // q) > t_d:
+        raise ConfigurationError(
+            f"{frames} frame(s) of {n // q} slots span {frames * (n // q)} slots but t_d={t_d}"
+        )
 
 
 def partition_to_json(params: PartitionParams | None):
@@ -155,7 +162,7 @@ class SimConfig:
             # with an external alist the blocklength comes from the file and
             # is checked once the matrix is loaded
             if self.ldpc_alist is None:
-                require_ldpc_fit(self.ldpc_n, self.m, self.t_d)
+                require_ldpc_fit(self.ldpc_n, self.m, self.t_d, self.frames_per_block)
         elif self.detector == "soft-wmd":
             raise ConfigurationError("soft-wmd produces LLRs and needs a coded run")
 

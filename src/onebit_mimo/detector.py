@@ -111,14 +111,18 @@ def compute_llrs(r: np.ndarray, code: SpatialCode, candidates=None) -> np.ndarra
 
     Entry (k, i) is the LLR of label bit i (MSB first) of user k+1's symbol:
     min weighted distance over the bit=1 subcode union minus the bit=0 one.
-    A side emptied by pruning saturates the LLR at the clamp.
+    Codewords outside the candidate set score +inf, so one gather through
+    ``code.bit_sides`` and one min give both sides of every bit; a side
+    emptied by pruning saturates the LLR at the clamp.
     """
     if candidates is not None and len(candidates) == 0:
         raise DegeneratePosteriorError("empty candidate set leaves no posterior mass")
     cand = _candidate_array(candidates)
-    d = code.score("wh")(r, cand)
-    bits = code.label_bits if cand is None else code.label_bits[cand]  # (n_cand, K, q)
-    d3 = d[:, None, None]
-    min1 = np.min(np.where(bits, d3, np.inf), axis=0)
-    min0 = np.min(np.where(~bits, d3, np.inf), axis=0)
-    return np.clip(min1 - min0, -LLR_CLAMP, LLR_CLAMP)
+    score = code.score("wh")
+    if cand is None:
+        d = score(r)
+    else:
+        d = np.full(code.size, np.inf)
+        d[cand] = score(r, cand)
+    side_min = d[code.bit_sides].min(axis=2)  # (2, K*q)
+    return (side_min[1] - side_min[0]).clip(-LLR_CLAMP, LLR_CLAMP).reshape(code.K, -1)

@@ -167,11 +167,11 @@ def _coded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
     for _ in range(frames):
         msgs = rng_data.integers(0, 2, size=(cfg.n_users, ldpc.k))
         cws = np.array([encode(ldpc, msgs[u]) for u in range(cfg.n_users)])
+        symbols = (cws.reshape(cfg.n_users, slots_per_frame, q) @ pos).T  # (slots, K)
         frame_llrs = np.empty((cfg.n_users, ldpc.n))
         frame_bits = np.empty((cfg.n_users, ldpc.n), dtype=np.uint8)
         for t in range(slots_per_frame):
-            w = cws[:, t * q : (t + 1) * q] @ pos
-            r = transmit(h_true, w, const, rng_data)
+            r = transmit(h_true, symbols[t], const, rng_data)
             cand = preprocess(r, tree) if tree is not None else None
             stats.cand_sum += cand.size if cand is not None else code.size
             stats.cand_slots += 1
@@ -248,9 +248,10 @@ def run_coded(cfg: SimConfig) -> list:
     """FER with the LDPC outer code, one ResultRow per SNR point."""
     cfg.validate(coded=True)
     cfg.require_seed()
-    ldpc = _get_ldpc(cfg)  # built once here; forked workers inherit the cache
+    # an alist's blocklength is known only once it is loaded; every process,
+    # this one and each worker, builds its own code lazily in _get_ldpc
     if cfg.ldpc_alist is not None:
-        require_ldpc_fit(ldpc.n, cfg.m, cfg.t_d)
+        require_ldpc_fit(_get_ldpc(cfg).n, cfg.m, cfg.t_d, cfg.frames_per_block)
     return _run(cfg, _coded_block, "fer")
 
 

@@ -11,6 +11,7 @@ lowest index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -108,6 +109,24 @@ class MismatchScore:
         return keep
 
 
+@cache
+def _bit_sides(m: int, K: int) -> np.ndarray:
+    """(2, K*q, m**K / 2) read-only table of codeword indices.
+
+    Row ``[b, k*q + i]`` lists, ascending, the codewords whose user-(k+1)
+    label bit i (MSB first) equals b.  Every bit splits the m symbols in
+    half, so each side holds exactly half of the codebook.  Indices are
+    intp: numpy converts any other index type on every gather.
+    """
+    q = m.bit_length() - 1
+    bits = bit_table(m)[all_message_digits(m, K)].reshape(m**K, K * q)
+    # a stable sort of each bit column puts its 0-side, then its 1-side, in index order
+    order = np.argsort(bits.T, axis=1, kind="stable")
+    table = np.ascontiguousarray(order.reshape(K * q, 2, -1).transpose(1, 0, 2))
+    table.setflags(write=False)
+    return table
+
+
 @dataclass(eq=False)
 class SpatialCode:
     m: int
@@ -116,12 +135,17 @@ class SpatialCode:
     crossover: np.ndarray  # (M, N) eps in (0, 0.5]
     weights: np.ndarray  # (M, N) alpha = -log(eps)
     digits: np.ndarray  # (M, K) message digit of each codeword per user
-    label_bits: np.ndarray = field(init=False, repr=False)  # (M, K, q) bool
     _scores: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        # label bit i (MSB first) of each codeword's user-k digit
-        self.label_bits = bit_table(self.m).astype(bool)[self.digits]
+        # bit_sides is shared per (m, K), so codeword ell must carry message ell
+        if not np.array_equal(self.digits, all_message_digits(self.m, self.K)):
+            raise ValueError("digits must be all_message_digits(m, K)")
+
+    @property
+    def bit_sides(self) -> np.ndarray:
+        """(2, K*q, M/2) codeword indices per label bit value, built once per (m, K)."""
+        return _bit_sides(self.m, self.K)
 
     @property
     def size(self) -> int:

@@ -174,6 +174,19 @@ def test_invalid_partition_chain_is_config_error(capsys):
     assert code == 2
 
 
+def test_frames_overrunning_block_is_config_error(capsys):
+    code, _, err = run_cli(
+        capsys,
+        [
+            "coded", "--n_users", "2", "--n_rx", "8", "--t_c", "128", "--t_d", "128",
+            "--ldpc_n", "128", "--frames_per_block", "10", "--trials", "20",
+            "--seed", "2", "--detector", "soft-wmd",
+        ],
+    )
+    assert code == 2
+    assert "t_d=128" in err
+
+
 def test_bad_config_file_is_config_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

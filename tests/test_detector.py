@@ -360,6 +360,33 @@ def test_llrs_subset_with_both_argmins_is_equivalent():
     )
 
 
+def test_llrs_single_candidate_saturates_at_its_label_bits():
+    # with one candidate every bit has one empty side
+    code = random_code(K=3, n_r=4, seed=17)
+    rng = np.random.default_rng(11)
+    r = rng.integers(0, 2, code.length).astype(np.uint8)
+    for ell in (0, 37, 63):
+        labels = bit_table(code.m)[code.digits[ell]]  # (K, q), MSB first
+        np.testing.assert_array_equal(
+            compute_llrs(r, code, candidates=[ell]),
+            np.where(labels == 1, -LLR_CLAMP, LLR_CLAMP),
+        )
+
+
+def test_llrs_duplicate_candidates_match_deduplicated():
+    # integer weights keep every distance exact, whatever rows share a product
+    rng = np.random.default_rng(12)
+    cw = rng.integers(0, 2, (16, 10))
+    code = manual_code(cw, rng.integers(1, 8, (16, 10)), m=4, K=2)
+    for _ in range(20):
+        r = rng.integers(0, 2, code.length).astype(np.uint8)
+        cand = rng.integers(0, code.size, 6)
+        dup = np.concatenate([cand, cand[::-1], cand[:2]])
+        np.testing.assert_array_equal(
+            compute_llrs(r, code, dup), compute_llrs(r, code, np.unique(cand))
+        )
+
+
 def test_llrs_empty_candidates_raise():
     code = random_code(K=2, n_r=4, seed=16)
     with pytest.raises(DegeneratePosteriorError):

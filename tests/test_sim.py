@@ -1,10 +1,13 @@
 """Configuration handling and the Monte Carlo BER/FER harness."""
 
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from onebit_mimo import sim
 from onebit_mimo.config import (
     CSV_HEADER,
     MAX_CODEBOOK_ENTRIES,
@@ -233,7 +236,8 @@ def test_coded_hard_path_error_free_at_high_snr():
 
 
 def test_coded_frames_per_block_honored():
-    row = run_coded(small_coded(frames_per_block=3, trials=6))[0]
+    # 3 frames of 64 slots fill t_d = 192
+    row = run_coded(small_coded(frames_per_block=3, trials=6, t_c=192, t_d=192))[0]
     # one block of 3 frames x 2 users crosses the 6-trial budget exactly
     assert row.trials == 6
 
@@ -260,6 +264,21 @@ def test_coded_rejects_misaligned_alist_blocklength(tmp_path):
         run_coded(cfg)
 
 
+def test_coded_rejects_frames_overrunning_block():
+    # 10 frames of 64 slots cannot share one 128-slot coherence block
+    with pytest.raises(ConfigurationError, match="t_d=128"):
+        run_coded(small_coded(frames_per_block=10, trials=20))
+
+
+def test_coded_rejects_frames_overrunning_block_with_alist(tmp_path):
+    path = tmp_path / "n128.alist"
+    save_alist(construct_code(128, 0.5, 3).h, path)
+    cfg = small_coded(ldpc_alist=str(path), frames_per_block=3)
+    cfg.validate(coded=True)  # the length is only known once the file is read
+    with pytest.raises(ConfigurationError, match="span 192 slots"):
+        run_coded(cfg)
+
+
 def test_coded_soft_beats_hard_at_matched_noise():
     # same channels and payloads; BP on LLRs should not lose to bit flipping
     soft = run_coded(small_coded(snr_db=(4.0,), trials=40, wave=2))[0]
@@ -272,6 +291,20 @@ def test_coded_soft_beats_hard_at_matched_noise():
 def test_coded_reproduces_across_workers(tmp_path):
     kw = dict(snr_db=(6.0,), trials=16, wave=2)
     seq = render_csv(run_coded(small_coded(**kw)), CSV_HEADER)
+    par = render_csv(run_coded(small_coded(workers=2, **kw)), CSV_HEADER)
+    assert seq == par
+
+
+def test_coded_workers_match_under_spawn(monkeypatch):
+    # spawned workers start without the parent's LDPC cache and build their own
+    kw = dict(snr_db=(6.0,), trials=16, wave=2)
+    seq = render_csv(run_coded(small_coded(**kw)), CSV_HEADER)
+    ctx = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(
+        sim,
+        "_make_executor",
+        lambda cfg: ProcessPoolExecutor(max_workers=cfg.workers, mp_context=ctx),
+    )
     par = render_csv(run_coded(small_coded(workers=2, **kw)), CSV_HEADER)
     assert seq == par
 

@@ -16,7 +16,8 @@ from onebit_mimo import (
     sample_rayleigh,
     subcode,
 )
-from onebit_mimo.spatial_code import EPS_FLOOR
+from onebit_mimo.core import bit_table
+from onebit_mimo.spatial_code import EPS_FLOOR, SpatialCode, _bit_sides
 
 from conftest import random_code
 
@@ -146,3 +147,36 @@ class TestSubcode:
         members = subcode(k, j, K=3, m=4)
         digits = all_message_digits(4, 3)
         assert (ell in members) == (digits[ell, k - 1] == j)
+
+
+class TestBitSides:
+    @pytest.mark.parametrize("m,K", [(m, K) for m in (4, 16) for K in range(1, 5)])
+    def test_rows_split_codebook_by_label_bit(self, m, K):
+        sides = _bit_sides(m, K)
+        q = m.bit_length() - 1
+        M = m**K
+        assert sides.shape == (2, K * q, M // 2)
+        assert not sides.flags.writeable
+        labels = bit_table(m)[all_message_digits(m, K)].reshape(M, K * q)
+        for j in range(K * q):
+            for b in (0, 1):
+                assert np.all(np.diff(sides[b, j]) > 0)  # ascending, no repeats
+                np.testing.assert_array_equal(sides[b, j], np.flatnonzero(labels[:, j] == b))
+            np.testing.assert_array_equal(np.sort(sides[:, j].ravel()), np.arange(M))
+
+    def test_shared_per_m_and_K(self):
+        a = random_code(K=2, n_r=4, seed=1)
+        b = random_code(K=2, n_r=6, seed=2)
+        assert a.bit_sides is b.bit_sides
+
+    def test_rejects_reordered_digits(self):
+        code = random_code(K=2, n_r=2)
+        with pytest.raises(ValueError, match="all_message_digits"):
+            SpatialCode(
+                m=4,
+                K=2,
+                codewords=code.codewords,
+                crossover=code.crossover,
+                weights=code.weights,
+                digits=code.digits[::-1],
+            )

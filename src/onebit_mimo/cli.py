@@ -18,7 +18,14 @@ import sys
 
 import numpy as np
 
-from .config import CSV_HEADER, SWEEP_CSV_HEADER, SimConfig
+from .config import (
+    CSV_HEADER,
+    FLOAT_FIELDS,
+    INT_FIELDS,
+    STR_FIELDS,
+    SWEEP_CSV_HEADER,
+    SimConfig,
+)
 from .errors import CodeConstructionError, ConfigurationError, DegeneratePosteriorError
 from .partition import estimate_complexity
 from .sim import (
@@ -29,26 +36,6 @@ from .sim import (
     run_uncoded,
     write_results,
 )
-
-_INT_FIELDS = (
-    "n_users",
-    "n_rx",
-    "m",
-    "t_c",
-    "t_t",
-    "t_d",
-    "ldpc_n",
-    "ldpc_seed",
-    "ldpc_max_iter",
-    "frames_per_block",
-    "trials",
-    "target_errors",
-    "seed",
-    "workers",
-    "wave",
-)
-_FLOAT_FIELDS = ("ldpc_rate",)
-_STR_FIELDS = ("csir", "detector", "ldpc_alist", "output")
 
 
 def _parse_snr_list(text: str) -> tuple:
@@ -63,11 +50,11 @@ def _parse_snr_list(text: str) -> tuple:
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags below override it")
-    for name in _INT_FIELDS:
+    for name in INT_FIELDS:
         p.add_argument(f"--{name}", type=int)
-    for name in _FLOAT_FIELDS:
+    for name in FLOAT_FIELDS:
         p.add_argument(f"--{name}", type=float)
-    for name in _STR_FIELDS:
+    for name in STR_FIELDS:
         p.add_argument(f"--{name}")
     p.add_argument("--snr_db", type=_parse_snr_list, help="comma-separated dB values")
     p.add_argument("--partition", help="'full' or JSON like {\"k\":[8,8],\"q\":[4,16]}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -25,6 +26,30 @@ CSIR_MODES = ("perfect", "estimated")
 # build holds several float64 arrays of this many entries, 128 MiB each at
 # the bound.
 MAX_CODEBOOK_ENTRIES = 2**24
+
+# Scalar fields by type: SimConfig.validate checks them and the CLI types
+# its same-name flags by them.  Integer fields take an int (not a bool),
+# ldpc_rate a real number, string fields a str; OPTIONAL_FIELDS also take None.
+INT_FIELDS = (
+    "n_users",
+    "n_rx",
+    "m",
+    "t_c",
+    "t_t",
+    "t_d",
+    "ldpc_n",
+    "ldpc_seed",
+    "ldpc_max_iter",
+    "frames_per_block",
+    "trials",
+    "target_errors",
+    "seed",
+    "workers",
+    "wave",
+)
+FLOAT_FIELDS = ("ldpc_rate",)
+STR_FIELDS = ("csir", "detector", "ldpc_alist", "output")
+OPTIONAL_FIELDS = ("frames_per_block", "seed", "ldpc_alist", "output")
 
 CSV_HEADER = "snr_db,detector,metric,rate,errors,trials,denominator,mean_candidates"
 SWEEP_CSV_HEADER = (
@@ -75,6 +100,27 @@ def require_ldpc_fit(n: int, m: int, t_d: int, frames_per_block: int | None) -> 
         )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def require_field_types(cfg) -> None:
+    """Reject a scalar field whose value has the wrong type, e.g. a float m."""
+    for names, kind, accepts in (
+        (INT_FIELDS, "an integer", _is_int),
+        (FLOAT_FIELDS, "a number", _is_real),
+        (STR_FIELDS, "a string", lambda v: isinstance(v, str)),
+    ):
+        for name in names:
+            value = getattr(cfg, name)
+            if not (accepts(value) or (value is None and name in OPTIONAL_FIELDS)):
+                raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
+
+
 def partition_to_json(params: PartitionParams | None):
     if params is None:
         return None
@@ -109,13 +155,16 @@ class SimConfig:
     output: str | None = None
 
     def __post_init__(self):
-        if isinstance(self.snr_db, (int, float)):
-            self.snr_db = (float(self.snr_db),)
-        else:
-            self.snr_db = tuple(float(v) for v in self.snr_db)
+        values = (self.snr_db,) if _is_real(self.snr_db) else self.snr_db
+        if not isinstance(values, (list, tuple, np.ndarray)) or not all(map(_is_real, values)):
+            raise ConfigurationError(
+                f"snr_db must be a number or a list of numbers, got {self.snr_db!r}"
+            )
+        self.snr_db = tuple(float(v) for v in values)
         self.partition = parse_partition(self.partition)
 
     def validate(self, coded: bool = False) -> None:
+        require_field_types(self)
         if self.n_users < 1 or self.n_rx < 1:
             raise ConfigurationError("n_users and n_rx must be positive")
         if self.m < 4 or (self.m & (self.m - 1)) or (self.m.bit_length() - 1) % 2:
@@ -154,6 +203,10 @@ class SimConfig:
             raise ConfigurationError("workers and wave must be positive")
         if self.partition is not None:
             require_valid_params(self.partition)
+            if self.detector == "zf":
+                raise ConfigurationError(
+                    "zf detection searches no codebook, so it takes no partition"
+                )
         if coded:
             if self.detector == "zf":
                 raise ConfigurationError("zf detection is uncoded-only")

@@ -21,19 +21,22 @@ LLR_CLAMP = 60.0
 APP_MODES = ("exact-sum", "wh-sum", "wh-max")
 
 
-def _candidate_array(candidates):
-    """Sorted candidate indices, or None for the whole codebook."""
+def _candidate_array(candidates, sort: bool = True):
+    """Candidate indices, sorted unless ``sort`` is False, or None for the whole codebook."""
     if candidates is None:
         return None
     candidates = np.asarray(candidates, dtype=np.int64)
     if candidates.size == 0:
         raise ValueError("candidate set must be nonempty")
-    return np.sort(candidates)
+    return np.sort(candidates) if sort else candidates
 
 
 def _nearest(r: np.ndarray, code: SpatialCode, candidates, metric: str) -> int:
-    """Candidate index of the smallest score, ties to the lowest index."""
-    cand = _candidate_array(candidates)
+    """Candidate index of the smallest score, ties to the lowest index.
+
+    ``smallest`` breaks ties by codeword index, so the candidates need no sort.
+    """
+    cand = _candidate_array(candidates, sort=False)
     score = code.score(metric)
     pos = int(score.smallest(r, score(r, cand), 1, cand).argmax())
     return pos if cand is None else int(cand[pos])

@@ -80,29 +80,50 @@ def require_valid_params(params: PartitionParams) -> None:
 class KmeansResult:
     clusters: list  # member index arrays (absolute codeword indices)
     centroids: np.ndarray  # (n_clusters, N) uint8
+    weights: np.ndarray  # (n_clusters, N) centroid_weights of each cluster
     objective: list  # within-cluster Hamming distance sum per iteration
 
 
-def _pairwise_hamming(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Mismatch counts between binary row sets, via the dot-product identity."""
-    p = points.astype(np.float64)
-    c = centroids.astype(np.float64)
-    return p.sum(axis=1)[:, None] + c.sum(axis=1)[None, :] - 2.0 * (p @ c.T)
+def _pairwise_hamming(p: np.ndarray, p_ones: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Mismatch counts between float 0/1 row sets, via the dot-product identity.
+
+    ``p_ones`` holds the row sums of ``p``; every entry is an exact integer.
+    """
+    return p_ones[:, None] + c.sum(axis=1) - 2.0 * (p @ c.T)
 
 
-def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _seed_centroids(
+    p: np.ndarray, p_ones: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
     """Distance-weighted (farthest-point flavored) seeding under Hamming."""
-    n = len(points)
+    n = len(p)
+
+    def dist_to(seed: int) -> np.ndarray:
+        return p_ones + p_ones[seed] - 2.0 * (p @ p[seed])
+
     seeds = [int(rng.integers(n))]
-    d_min = _pairwise_hamming(points, points[seeds[-1]][None, :])[:, 0]
+    d_min = dist_to(seeds[-1])
     while len(seeds) < k:
         total = d_min.sum()
         if total == 0:
             seeds.append(int(rng.integers(n)))
         else:
             seeds.append(int(rng.choice(n, p=d_min / total)))
-        d_min = np.minimum(d_min, _pairwise_hamming(points, points[seeds[-1]][None, :])[:, 0])
-    return points[seeds].copy()
+        d_min = np.minimum(d_min, dist_to(seeds[-1]))
+    return p[seeds]
+
+
+def _mismatch_weights(
+    centroids: np.ndarray, ones: np.ndarray, sizes: np.ndarray
+) -> np.ndarray:
+    """``centroid_weights`` of every cluster from its member and one-bit counts.
+
+    The mismatch count is exact and divided once, so this is bitwise equal
+    to the mean of the boolean mismatches that ``centroid_weights`` takes.
+    """
+    size = sizes[:, None].astype(np.float64)
+    mismatches = np.where(centroids == 1, size - ones, ones)
+    return -np.log(np.maximum(mismatches / size, 1.0 / (2.0 * size)))
 
 
 def kmeans_hamming(
@@ -116,46 +137,62 @@ def kmeans_hamming(
 
     Deterministic given the rng: assignment ties go to the lowest centroid
     index, coordinate majority ties resolve to 0, and empty clusters are
-    re-seeded with the member farthest from its current centroid.  Surplus
-    clusters (k > number of members) are dropped from the result.
+    re-seeded in index order with the member farthest from its current
+    centroid (a cluster emptied by an earlier move is not revisited).
+    Surplus clusters (k > number of members) are dropped from the result.
+
+    Each step is whole-array: cluster sizes are one bincount, the per-cluster
+    one-bit counts one one-hot matrix product, and the distances after the
+    centroid update serve both as the iteration's objective and as the next
+    assignment step.  Every distance and count is a small exact integer.
     """
     members = np.asarray(members, dtype=np.int64)
     if members.size == 0:
         raise ValueError("members must be nonempty")
-    points = code.codewords[members]
+    p = code.codewords[members].astype(np.float64)
+    p_ones = p.sum(axis=1)
     n = len(members)
     k_eff = min(k, n)
-    centroids = _seed_centroids(points, k_eff, rng)
+    rows = np.arange(n)
+    centroids = _seed_centroids(p, p_ones, k_eff, rng)
+    dist = _pairwise_hamming(p, p_ones, centroids)
 
     assign = np.full(n, -1)
+    sizes = np.zeros(k_eff, dtype=np.int64)
+    ones = np.zeros_like(centroids)
     objective = []
     for _ in range(max_iter):
-        dist = _pairwise_hamming(points, centroids)
-        new_assign = np.argmin(dist, axis=1)
-        own = dist[np.arange(n), new_assign].copy()
+        new_assign = dist.argmin(axis=1)
+        own = dist[rows, new_assign]
+        counts = np.bincount(new_assign, minlength=k_eff).tolist()
         # re-seed empty clusters with the worst-placed member
         for c in range(k_eff):
-            if np.any(new_assign == c):
+            if counts[c]:
                 continue
-            far = int(np.argmax(own))
+            far = int(own.argmax())
             if own[far] == 0:
                 break  # every member already coincides with a centroid
+            counts[new_assign[far]] -= 1
+            counts[c] += 1
             new_assign[far] = c
             own[far] = 0.0
-        if np.array_equal(new_assign, assign):
+        if (new_assign == assign).all():
             break
         assign = new_assign
-        for c in range(k_eff):
-            sel = points[assign == c]
-            if len(sel):
-                centroids[c] = (2 * sel.sum(axis=0) > len(sel)).astype(np.uint8)
-        objective.append(float(_pairwise_hamming(points, centroids)[np.arange(n), assign].sum()))
+        sizes = np.array(counts)
+        ones = (assign[:, None] == np.arange(k_eff)).T @ p
+        filled = sizes > 0
+        centroids[filled] = 2.0 * ones[filled] > sizes[filled, None]
+        dist = _pairwise_hamming(p, p_ones, centroids)
+        objective.append(float(dist[rows, assign].sum()))
 
-    clusters = [members[assign == c] for c in range(k_eff)]
-    keep = [i for i, cl in enumerate(clusters) if len(cl)]
+    keep = np.flatnonzero(sizes)
+    grouped = members[np.argsort(assign, kind="stable")]
+    ends = np.cumsum(sizes).tolist()
     return KmeansResult(
-        clusters=[clusters[i] for i in keep],
-        centroids=centroids[keep],
+        clusters=[grouped[ends[c] - sizes[c] : ends[c]] for c in keep],
+        centroids=centroids[keep].astype(np.uint8),
+        weights=_mismatch_weights(centroids[keep], ones[keep], sizes[keep]),
         objective=objective,
     )
 
@@ -208,15 +245,16 @@ def build_partition_tree(
     frontier = [root]
     levels, arrays = [], []
     for k_l in params.k:
-        next_frontier, parents = [], []
+        next_frontier, parents, results = [], [], []
         for row, node in enumerate(frontier):
             result = kmeans_hamming(node.members, code, k_l, rng)
-            for i, (cluster, centroid) in enumerate(zip(result.clusters, result.centroids)):
+            results.append(result)
+            for i, cluster in enumerate(result.clusters):
                 child = PartitionNode(
                     path=node.path + (i,),
                     members=cluster,
-                    centroid=centroid,
-                    beta=centroid_weights(cluster, centroid, code),
+                    centroid=result.centroids[i],
+                    beta=result.weights[i],
                 )
                 node.children.append(child)
                 next_frontier.append(child)
@@ -224,8 +262,8 @@ def build_partition_tree(
         frontier = next_frontier
         levels.append(frontier)
         score = MismatchScore(
-            np.array([nd.centroid for nd in frontier], dtype=np.uint8),
-            np.array([nd.beta for nd in frontier], dtype=np.float64),
+            np.concatenate([res.centroids for res in results]),
+            np.concatenate([res.weights for res in results]),
         )
         arrays.append((np.array(parents, dtype=np.int64), score))
     leaf_of = np.empty(code.size, dtype=np.int64)

@@ -119,28 +119,38 @@ class BlockStats:
 
 
 def _uncoded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
-    """Simulate one coherence block of t_d uncoded slots; count bit errors."""
+    """Simulate one coherence block of t_d uncoded slots; count bit errors.
+
+    The sent and decided symbols are collected per slot and the bit errors
+    counted once for the whole block.
+    """
     rng_channel, rng_tree, rng_data = _block_rngs(cfg.seed, snr_idx, block)
     const, h_true, h_est, code, tree = _block_setup(
         cfg, cfg.snr_db[snr_idx], rng_channel, rng_tree
     )
-    lut = bit_table(cfg.m)
     decoder = _HARD_DECODERS.get(cfg.detector)
-    stats = BlockStats()
-    for _ in range(cfg.t_d):
-        w = rng_data.integers(0, cfg.m, size=cfg.n_users)
-        r = transmit(h_true, w, const, rng_data)
-        if cfg.detector == "zf":
-            w_hat = zf_detect(r, h_est, const)
-            n_cand = 0
-        else:
-            cand = preprocess(r, tree) if tree is not None else None
-            n_cand = cand.size if cand is not None else code.size
-            w_hat = code.digits[decoder(r, code, cand)].astype(np.int64)
-        stats.errors += int((lut[w] ^ lut[w_hat]).sum())
-        stats.cand_sum += n_cand
-        stats.cand_slots += 1
-    stats.trials = cfg.t_d
+    sent = np.empty((cfg.t_d, cfg.n_users), dtype=np.int64)
+    stats = BlockStats(trials=cfg.t_d, cand_slots=cfg.t_d)
+    if cfg.detector == "zf":
+        w_hat = np.empty_like(sent)
+        for t in range(cfg.t_d):
+            sent[t] = w = rng_data.integers(0, cfg.m, size=cfg.n_users)
+            w_hat[t] = zf_detect(transmit(h_true, w, const, rng_data), h_est, const)
+    else:
+        picked = np.empty(cfg.t_d, dtype=np.int64)
+        if tree is None:
+            stats.cand_sum = cfg.t_d * code.size
+        for t in range(cfg.t_d):
+            sent[t] = w = rng_data.integers(0, cfg.m, size=cfg.n_users)
+            r = transmit(h_true, w, const, rng_data)
+            cand = None
+            if tree is not None:
+                cand = preprocess(r, tree)
+                stats.cand_sum += cand.size
+            picked[t] = decoder(r, code, cand)
+        w_hat = code.digits[picked]
+    lut = bit_table(cfg.m)
+    stats.errors = int((lut[sent] ^ lut[w_hat]).sum())
     stats.denominator = cfg.t_d * cfg.n_users * const.bits_per_symbol
     return stats
 
@@ -264,10 +274,12 @@ def run_partition_sweep(cfg: SimConfig, sweep) -> list:
     """
     if not sweep:
         raise ConfigurationError("partition sweep needs at least one spec")
+    arms = [dataclasses.replace(cfg, partition=parse_partition(spec)) for spec in sweep]
+    for arm in arms:  # reject a bad arm before any arm runs
+        arm.validate(coded=False)
     rows = []
-    for spec in sweep:
-        params = parse_partition(spec)
-        arm = dataclasses.replace(cfg, partition=params)
+    for arm in arms:
+        params = arm.partition
         n_pre, n_wmd, n_total = estimate_complexity(params, cfg.m, cfg.n_users)
         for row in run_uncoded(arm):
             rows.append(

@@ -88,13 +88,14 @@ class MismatchScore:
         return d if self.const is None else float(self.const[row] + d)
 
     def smallest(self, r: np.ndarray, f: np.ndarray, q: int, rows=None) -> np.ndarray:
-        """Boolean mask of the q entries of f ranked first by (reference, position).
+        """Boolean mask of the q entries of f ranked first by (reference, row id).
 
         ``f`` holds the linear scores of ``rows`` (every row when None), +inf
         for entries outside the race.  Entries farther than ``tol`` from the
         q-th smallest score c are decided by f alone (see the class
         docstring); when the band within tol of c holds more entries than
-        places left, the band is ranked by the reference and then position.
+        places left, the band is ranked by the reference and then by row id,
+        so exact ties go to the lowest row whatever the order of ``rows``.
         """
         # a plain min costs less than a partial sort for the hard decoders' q = 1
         c = f.min() if q == 1 else np.partition(f, q - 1)[q - 1]
@@ -105,7 +106,7 @@ class MismatchScore:
             need = q - np.count_nonzero(keep)
             at = band if rows is None else rows[band]
             exact = [self.reference(r, j) for j in at]
-            keep[band[np.lexsort((band, exact))[:need]]] = True
+            keep[band[np.lexsort((at, exact))[:need]]] = True
         return keep
 
 

@@ -202,6 +202,34 @@ def test_bad_config_file_is_config_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "field, value", [("m", 4.0), ("n_users", "2"), ("trials", True), ("snr_db", "10")]
+)
+def test_wrongly_typed_config_value_is_config_error(capsys, tmp_path, field, value):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"n_users": 2, "n_rx": 8, "seed": 1, field: value}))
+    code, _, err = run_cli(capsys, ["uncoded", "--config", str(path)])
+    assert code == 2
+    assert field in err
+
+
+def test_zf_with_partition_is_config_error(capsys):
+    code, _, err = run_cli(
+        capsys, ["uncoded", *SMALL, "--detector", "zf", "--partition", '{"k": [4], "q": [2]}']
+    )
+    assert code == 2
+    assert "zf" in err
+    code, out, err = run_cli(
+        capsys,
+        [
+            "partition-sweep", *SMALL, "--detector", "zf",
+            "--sweep", '["full", {"k": [4], "q": [2]}]',
+        ],
+    )
+    assert code == 2
+    assert "zf" in err and out == ""
+
+
 def test_bad_sweep_is_config_error(capsys):
     code, _, _ = run_cli(capsys, ["partition-sweep", *SMALL, "--sweep", "not json"])
     assert code == 2

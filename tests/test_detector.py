@@ -512,3 +512,28 @@ def test_one_scorer_matches_references(case):
         np.testing.assert_array_equal(
             compute_app(r, code, cand, mode=mode), app_oracle_bitwise(r, code, order, mode)
         )
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=scoring_cases(), order_seed=st.integers(0, 2**16))
+def test_hard_decisions_ignore_candidate_order_and_duplicates(case, order_seed):
+    code, r, cand = case
+    if cand is None:
+        cand = np.arange(code.size)
+    rng = np.random.default_rng(order_seed)
+    shuffled = rng.permutation(np.concatenate([cand, rng.choice(cand, size=len(cand))]))
+    for decode in (wmd_decode, md_decode, ml_decode):
+        want = decode(r, code, np.sort(cand))
+        assert decode(r, code, shuffled) == want, decode.__name__
+        assert decode(r, code, shuffled[::-1]) == want, decode.__name__
+
+
+def test_hard_tie_between_twins_goes_to_lowest_index_in_any_order():
+    # codewords 1, 2 and 3 are exact twins with equal weights; 0 is farther
+    cw = np.array([[1, 1, 1, 1], [0, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1]])
+    code = manual_code(cw, np.tile([1.3, 1.7, 0.9, 2.2], (4, 1)), m=4, K=1)
+    r = np.array([0, 1, 0, 0], dtype=np.uint8)
+    for cand in ([3, 2, 1, 0], [3, 3, 2, 0, 2], [2, 3], [0, 3, 1, 1, 2]):
+        want = min(set(cand) - {0})
+        for decode in (wmd_decode, md_decode, ml_decode):
+            assert decode(r, code, np.array(cand)) == want, (decode.__name__, cand)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from onebit_mimo.core import all_message_digits
 from onebit_mimo.errors import ConfigurationError
 from onebit_mimo.partition import (
+    KMEANS_MAX_ITER,
     PartitionParams,
     build_partition_tree,
     centroid_weights,
@@ -152,6 +153,148 @@ def test_kmeans_rejects_empty_members():
         kmeans_hamming(np.array([], dtype=int), code, 2, np.random.default_rng(0))
 
 
+def oracle_pairwise_hamming(points, centroids):
+    p = points.astype(np.float64)
+    c = centroids.astype(np.float64)
+    return p.sum(axis=1)[:, None] + c.sum(axis=1)[None, :] - 2.0 * (p @ c.T)
+
+
+def oracle_kmeans(members, code, k, rng, max_iter=KMEANS_MAX_ITER, moves=None):
+    """Reference Lloyd loop: per-cluster emptiness checks and majority votes.
+
+    ``moves``, when a list, records each re-seed as (empty cluster, member).
+    """
+    members = np.asarray(members, dtype=np.int64)
+    points = code.codewords[members]
+    n = len(members)
+    k_eff = min(k, n)
+    seeds = [int(rng.integers(n))]
+    d_min = oracle_pairwise_hamming(points, points[seeds[-1]][None, :])[:, 0]
+    while len(seeds) < k_eff:
+        total = d_min.sum()
+        if total == 0:
+            seeds.append(int(rng.integers(n)))
+        else:
+            seeds.append(int(rng.choice(n, p=d_min / total)))
+        d_min = np.minimum(d_min, oracle_pairwise_hamming(points, points[seeds[-1]][None, :])[:, 0])
+    centroids = points[seeds].copy()
+    assign = np.full(n, -1)
+    objective = []
+    for _ in range(max_iter):
+        dist = oracle_pairwise_hamming(points, centroids)
+        new_assign = np.argmin(dist, axis=1)
+        own = dist[np.arange(n), new_assign].copy()
+        for c in range(k_eff):
+            if np.any(new_assign == c):
+                continue
+            far = int(np.argmax(own))
+            if own[far] == 0:
+                break
+            if moves is not None:
+                moves.append((c, far))
+            new_assign[far] = c
+            own[far] = 0.0
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for c in range(k_eff):
+            sel = points[assign == c]
+            if len(sel):
+                centroids[c] = (2 * sel.sum(axis=0) > len(sel)).astype(np.uint8)
+        objective.append(
+            float(oracle_pairwise_hamming(points, centroids)[np.arange(n), assign].sum())
+        )
+    clusters = [members[assign == c] for c in range(k_eff)]
+    keep = [i for i, cl in enumerate(clusters) if len(cl)]
+    return [clusters[i] for i in keep], centroids[keep], objective
+
+
+@st.composite
+def kmeans_cases(draw):
+    """(code, members, k, max_iter, rng seed) over short codes with twins."""
+    m = draw(st.sampled_from((4, 16)))
+    K = draw(st.integers(1, 4 if m == 4 else 3))
+    code = random_code(
+        K=K,
+        n_r=draw(st.integers(1, 8)),
+        m=m,
+        snr_db=draw(st.sampled_from((0.0, 10.0))),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    if draw(st.booleans()):
+        members = np.arange(code.size)
+    else:
+        picked = draw(st.sets(st.integers(0, code.size - 1), min_size=1, max_size=code.size))
+        members = np.array(sorted(picked), dtype=np.int64)
+        if draw(st.booleans()):
+            members = np.random.default_rng(len(picked)).permutation(members)
+    k = draw(st.integers(1, 20))
+    max_iter = draw(st.sampled_from((1, 2, KMEANS_MAX_ITER)))
+    return code, members, k, max_iter, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=kmeans_cases())
+def test_kmeans_matches_per_cluster_oracle(case):
+    code, members, k, max_iter, seed = case
+    got = kmeans_hamming(members, code, k, np.random.default_rng(seed), max_iter=max_iter)
+    clusters, centroids, objective = oracle_kmeans(
+        members, code, k, np.random.default_rng(seed), max_iter
+    )
+    assert len(got.clusters) == len(clusters)
+    for a, b in zip(got.clusters, clusters):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(got.centroids, centroids)
+    assert got.centroids.dtype == np.uint8
+    assert got.objective == objective
+    assert got.weights.shape == centroids.shape
+    for cluster, centroid, beta in zip(clusters, centroids, got.weights):
+        np.testing.assert_array_equal(beta, centroid_weights(cluster, centroid, code))
+
+
+@pytest.mark.parametrize(
+    "patterns, k, seed",
+    [
+        ("01101 10111 00110 10000 10000 00110 01111 01010 10001 01000", 3, 678),
+        ("001000 010011 001001 101000 001111 110100 000010 011110", 6, 7634),
+    ],
+)
+def test_kmeans_reseeds_a_cluster_emptied_by_the_update(patterns, k, seed):
+    # Two centroids meet after a majority vote, so the higher one loses every
+    # member and takes the farthest member instead.  Such draws are rare
+    # (about 1 in 6000 random 5- and 6-bit sets); these two were found by
+    # search.  No search found a move that empties a lower cluster.
+    rows = [[int(b) for b in word] for word in patterns.split()]
+    cw = np.zeros((16, len(rows[0])), dtype=np.uint8)
+    cw[: len(rows)] = rows
+    code = pattern_code(cw, m=4, K=2)
+    members = np.arange(len(rows))
+    moves = []
+    clusters, centroids, objective = oracle_kmeans(
+        members, code, k, np.random.default_rng(seed), moves=moves
+    )
+    assert moves
+    got = kmeans_hamming(members, code, k, np.random.default_rng(seed))
+    assert [c.tolist() for c in got.clusters] == [c.tolist() for c in clusters]
+    np.testing.assert_array_equal(got.centroids, centroids)
+    assert got.objective == objective
+
+
+def test_kmeans_reseeds_empty_clusters_of_twins():
+    # eight codewords, four distinct patterns: k=6 leaves clusters empty that
+    # can only be re-seeded until every member sits on a centroid
+    cw = np.repeat(np.array([[0, 0, 0], [1, 1, 1], [0, 1, 1], [1, 0, 0]]), 4, axis=0)
+    code = pattern_code(cw, m=4, K=2)
+    for seed in range(20):
+        got = kmeans_hamming(np.arange(16), code, 6, np.random.default_rng(seed))
+        clusters, centroids, objective = oracle_kmeans(
+            np.arange(16), code, 6, np.random.default_rng(seed)
+        )
+        assert [c.tolist() for c in got.clusters] == [c.tolist() for c in clusters]
+        np.testing.assert_array_equal(got.centroids, centroids)
+        assert got.objective == objective
+
+
 # ---------------------------------------------------------------------------
 # centroid weights
 
@@ -219,6 +362,48 @@ def test_tree_invariants_over_many_random_codes():
             code, PartitionParams((4, 4), (2, 4)), np.random.default_rng(seed)
         )
         check_level_partitions(tree, code.size)
+
+
+def oracle_tree_arrays(code, params, rng):
+    """Per-level (parent, centroids, weights) and leaf_of, built with the oracles."""
+    frontier = [np.arange(code.size)]
+    levels = []
+    for k_l in params.k:
+        parents, centroids, weights, next_frontier = [], [], [], []
+        for row, members in enumerate(frontier):
+            clusters, cents, _ = oracle_kmeans(members, code, k_l, rng)
+            for cluster, centroid in zip(clusters, cents):
+                parents.append(row)
+                centroids.append(centroid)
+                weights.append(centroid_weights(cluster, centroid, code))
+                next_frontier.append(cluster)
+        frontier = next_frontier
+        levels.append((np.array(parents), np.array(centroids), np.array(weights)))
+    leaf_of = np.empty(code.size, dtype=np.int64)
+    for row, members in enumerate(frontier):
+        leaf_of[members] = row
+    return levels, leaf_of
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.sampled_from((4, 16)),
+    K=st.integers(1, 3),
+    n_r=st.integers(1, 8),
+    k=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_tree_arrays_match_oracle_build(m, K, n_r, k, seed):
+    code = random_code(K=K, n_r=n_r, m=m, seed=seed)
+    params = PartitionParams(tuple(k), tuple([1] * len(k)))
+    tree = build_partition_tree(code, params, np.random.default_rng(seed))
+    levels, leaf_of = oracle_tree_arrays(code, params, np.random.default_rng(seed))
+    assert len(tree.arrays) == len(levels)
+    for (parent, score), (o_parent, o_centroids, o_weights) in zip(tree.arrays, levels):
+        np.testing.assert_array_equal(parent, o_parent)
+        np.testing.assert_array_equal(score.rows, o_centroids)
+        np.testing.assert_array_equal(score.weights, o_weights)
+    np.testing.assert_array_equal(tree.leaf_of, leaf_of)
 
 
 def test_tree_rejects_invalid_params():

@@ -147,6 +147,52 @@ def test_config_bounds_codebook_size():
     small_uncoded(n_users=9, m=4, n_rx=32).validate()  # exactly at the bound
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("m", 4.0), ("n_users", "2"), ("trials", True), ("ldpc_rate", "0.5"), ("detector", None)],
+)
+def test_config_rejects_wrongly_typed_fields(field, value):
+    cfg = SimConfig.from_dict({**small_uncoded().to_dict(), field: value})
+    with pytest.raises(ConfigurationError, match=field):
+        cfg.validate()
+    with pytest.raises(ConfigurationError, match=field):
+        run_uncoded(cfg)
+
+
+@pytest.mark.parametrize("value", ["10", None, [True], ["5"], [[1.0]]])
+def test_config_rejects_wrongly_typed_snr(value):
+    # a string used to be split into characters: "10" ran at 1 and 0 dB
+    with pytest.raises(ConfigurationError, match="snr_db"):
+        SimConfig.from_dict({"snr_db": value})
+
+
+def test_config_accepts_snr_sequences():
+    assert SimConfig(snr_db=[0, 2.5]).snr_db == (0.0, 2.5)
+    assert SimConfig(snr_db=np.array([1.0, 3.0])).snr_db == (1.0, 3.0)
+
+
+def test_config_accepts_optional_fields_unset_and_integer_rate():
+    small_uncoded(frames_per_block=None, ldpc_alist=None, output=None).validate()
+    small_coded(ldpc_rate=1).validate(coded=True)  # an int is a real number
+
+
+def test_config_rejects_zf_with_partition():
+    cfg = small_uncoded(detector="zf", partition={"k": [4], "q": [2]})
+    with pytest.raises(ConfigurationError, match="zf"):
+        cfg.validate()
+    with pytest.raises(ConfigurationError, match="zf"):
+        run_uncoded(cfg)
+    small_uncoded(detector="zf").validate()
+
+
+def test_partition_sweep_rejects_zf_before_running_any_arm(monkeypatch):
+    calls = []
+    monkeypatch.setattr(sim, "run_uncoded", lambda arm: calls.append(arm) or [])
+    with pytest.raises(ConfigurationError, match="zf"):
+        run_partition_sweep(small_uncoded(detector="zf"), ["full", {"k": [4], "q": [2]}])
+    assert calls == []
+
+
 def test_config_requires_seed():
     with pytest.raises(ConfigurationError):
         small_uncoded(seed=None).require_seed()
@@ -208,6 +254,38 @@ def test_uncoded_estimated_csir_runs():
     cfg = small_uncoded(csir="estimated", t_t=8, t_c=108, snr_db=(15.0,), trials=100)
     rows = run_uncoded(cfg)
     assert rows[0].denominator > 0
+
+
+# CSVs of tiny runs rendered before the per-block error count: twin
+# codewords at n_rx=3 make exact ties, and the k4-q2 arms prune.
+PINNED_UNCODED = {
+    ("wmd", None): "0,wmd,ber,0.240625,77,80,320,16\n6,wmd,ber,0.065625,21,80,320,16\n",
+    ("wmd", "k4-q2"): "0,wmd,ber,0.246875,79,80,320,7.0375\n6,wmd,ber,0.1,32,80,320,6.7375\n",
+    ("md", None): "0,md,ber,0.2875,92,80,320,16\n6,md,ber,0.134375,43,80,320,16\n",
+    ("md", "k4-q2"): "0,md,ber,0.2875,92,80,320,7.0375\n6,md,ber,0.14375,46,80,320,6.7375\n",
+    ("ml", None): "0,ml,ber,0.18125,58,80,320,16\n6,ml,ber,0.059375,19,80,320,16\n",
+    ("ml", "k4-q2"): "0,ml,ber,0.1625,52,80,320,7.0375\n6,ml,ber,0.090625,29,80,320,6.7375\n",
+    ("zf", None): "0,zf,ber,0.2,64,80,320,0\n6,zf,ber,0.10625,34,80,320,0\n",
+}
+
+
+@pytest.mark.parametrize("detector, partition", sorted(PINNED_UNCODED, key=str))
+def test_uncoded_csv_pinned(detector, partition):
+    cfg = SimConfig(
+        n_users=2,
+        n_rx=3,
+        m=4,
+        snr_db=(0.0, 6.0),
+        t_c=40,
+        t_d=40,
+        detector=detector,
+        partition={"k": [4], "q": [2]} if partition else None,
+        trials=80,
+        wave=2,
+        seed=5,
+    )
+    want = CSV_HEADER + "\n" + PINNED_UNCODED[detector, partition]
+    assert render_csv(run_uncoded(cfg), CSV_HEADER) == want
 
 
 def test_error_target_stops_early():

@@ -116,6 +116,7 @@ def _cmd_partition_stats(args: argparse.Namespace) -> int:
 
 def _cmd_complexity(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
+    cfg.validate()
     n_pre, n_wmd, n_total = estimate_complexity(cfg.partition, cfg.m, cfg.n_users)
     label = cfg.partition.label() if cfg.partition is not None else "full"
     _emit_text(

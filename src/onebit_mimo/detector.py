@@ -2,9 +2,11 @@
 
 Every decoder and soft output scores codewords through one cached
 ``MismatchScore`` of the code; the hard decoders take the smallest score,
-with exact ties resolved to the lowest codeword index.  LLRs follow the
-convention L = log(P(bit=0) / P(bit=1)) and are clamped to +-LLR_CLAMP
-before handoff to a channel decoder.
+with exact ties resolved to the lowest codeword index; the soft outputs
+reduce every codeword's score, +inf outside the candidates, over the rows of
+a per-(m, K) index table.  LLRs follow the convention
+L = log(P(bit=0) / P(bit=1)) and are clamped to +-LLR_CLAMP before handoff
+to a channel decoder.
 """
 
 from __future__ import annotations
@@ -74,6 +76,19 @@ def zf_detect(r: np.ndarray, h_real: np.ndarray, constellation: Constellation) -
     return np.argmin(dist, axis=1)
 
 
+def _masked_scores(r: np.ndarray, code: SpatialCode, candidates, metric: str) -> np.ndarray:
+    """(M,) scores under ``metric``, gathered for the sorted candidates, +inf elsewhere."""
+    if candidates is not None and len(candidates) == 0:
+        raise DegeneratePosteriorError("empty candidate set leaves no posterior mass")
+    cand = _candidate_array(candidates)
+    score = code.score(metric)
+    if cand is None:
+        return score(r)
+    d = np.full(code.size, np.inf)
+    d[cand] = score(r, cand)
+    return d
+
+
 def compute_app(
     r: np.ndarray, code: SpatialCode, candidates=None, mode: str = "wh-max"
 ) -> np.ndarray:
@@ -82,30 +97,16 @@ def compute_app(
     exact-sum marginalizes exact likelihoods over each symbol's subcode;
     wh-sum replaces the likelihood by exp(-d_wh), which is tight when every
     crossover probability is small; wh-max keeps only the nearest codeword
-    per subcode.  Symbols whose subcode was fully pruned get zero mass.
+    per subcode.  Pruned codewords carry log mass -inf, so one gather
+    through ``code.digit_sides`` and one max or logsumexp per row give every
+    subcode's mass, and a fully pruned subcode gets none.
     """
     if mode not in APP_MODES:
         raise ValueError(f"unknown APP mode {mode!r}")
-    if candidates is not None and len(candidates) == 0:
-        raise DegeneratePosteriorError("empty candidate set leaves no posterior mass")
-    cand = _candidate_array(candidates)
-    score = -code.score("nll" if mode == "exact-sum" else "wh")(r, cand)
-
-    digits = code.digits if cand is None else code.digits[cand]  # (n_cand, K)
-    log_mass = np.full((code.K, code.m), -np.inf)
-    for k in range(code.K):
-        for j in range(code.m):
-            sel = score[digits[:, k] == j]
-            if sel.size == 0:
-                continue
-            log_mass[k, j] = sel.max() if mode == "wh-max" else logsumexp(sel)
-
-    rows_max = log_mass.max(axis=1)
-    if np.any(np.isneginf(rows_max)):
-        raise DegeneratePosteriorError(
-            "all candidates pruned for every symbol of some user"
-        )
-    table = np.exp(log_mass - rows_max[:, None])
+    log_p = -_masked_scores(r, code, candidates, "nll" if mode == "exact-sum" else "wh")
+    per_symbol = log_p[code.digit_sides]  # (K, m, M/m)
+    log_mass = per_symbol.max(axis=2) if mode == "wh-max" else logsumexp(per_symbol, axis=2)
+    table = np.exp(log_mass - log_mass.max(axis=1, keepdims=True))
     return table / table.sum(axis=1, keepdims=True)
 
 
@@ -118,14 +119,6 @@ def compute_llrs(r: np.ndarray, code: SpatialCode, candidates=None) -> np.ndarra
     ``code.bit_sides`` and one min give both sides of every bit; a side
     emptied by pruning saturates the LLR at the clamp.
     """
-    if candidates is not None and len(candidates) == 0:
-        raise DegeneratePosteriorError("empty candidate set leaves no posterior mass")
-    cand = _candidate_array(candidates)
-    score = code.score("wh")
-    if cand is None:
-        d = score(r)
-    else:
-        d = np.full(code.size, np.inf)
-        d[cand] = score(r, cand)
+    d = _masked_scores(r, code, candidates, "wh")
     side_min = d[code.bit_sides].min(axis=2)  # (2, K*q)
     return (side_min[1] - side_min[0]).clip(-LLR_CLAMP, LLR_CLAMP).reshape(code.K, -1)

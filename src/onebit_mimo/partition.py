@@ -3,16 +3,18 @@ per-node centroid weights, observation-driven candidate pruning, and the
 analytic complexity model.
 
 The tree is built once per coherence block from the active spatial code and
-is immutable afterwards.  Each level is also stored as a parent index array
-and one ``MismatchScore`` over its centroids and weights, so pruning one
-observation costs one matrix-vector product per level: it keeps the q_l
-best-scoring nodes per level and returns the codewords of the surviving
-leaves as a sorted candidate index array.
+is immutable afterwards.  It is one set of per-level arrays in path order:
+each level holds its clusters' member codewords, a parent index array and
+one ``MismatchScore`` over the clusters' centroids and weights.  A
+codeword-to-leaf map completes it.  Pruning one observation thus costs one
+matrix-vector product per level: it keeps the q_l best-scoring nodes per
+level and returns the codewords of the surviving leaves as a sorted
+candidate index array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -211,105 +213,72 @@ def centroid_weights(members: np.ndarray, centroid: np.ndarray, code: SpatialCod
     return -np.log(np.maximum(frac, floor))
 
 
-@dataclass(eq=False)
-class PartitionNode:
-    path: tuple
+@dataclass(frozen=True, eq=False)
+class Cluster:
+    """One subcode of a partition level: its codeword indices."""
+
     members: np.ndarray
-    centroid: np.ndarray | None = None
-    beta: np.ndarray | None = None
-    children: list = field(default_factory=list)
 
 
 @dataclass(eq=False)
 class PartitionTree:
-    root: PartitionNode
     params: PartitionParams
-    levels: list  # levels[l] = list of nodes at depth l+1, in path order
-    # arrays[l] = (parent, score) of levels[l]: row j is the node of path rank
-    # j, parent[j] its row in the previous level (0 under the root) and score
-    # the MismatchScore of the centroids under their weights
+    # levels[l][j] is the cluster of path rank j at depth l+1, and arrays[l]
+    # = (parent, score) the same level: parent[j] is row j's row in the
+    # previous level (0 under the root), and score the MismatchScore of the
+    # centroids under their weights
+    levels: list
     arrays: list
     leaf_of: np.ndarray  # (M,) row in arrays[-1] of each codeword's leaf
-
-    @property
-    def leaves(self) -> list:
-        return self.levels[-1]
 
 
 def build_partition_tree(
     code: SpatialCode, params: PartitionParams, rng: np.random.Generator
 ) -> PartitionTree:
-    """Recursively cluster the codebook into params.levels tiers of subcodes."""
+    """Cluster the codebook into params.levels tiers of subcodes, rows in path order."""
     require_valid_params(params)
-    root = PartitionNode(path=(), members=np.arange(code.size))
-    frontier = [root]
+    frontier = [np.arange(code.size)]
     levels, arrays = [], []
     for k_l in params.k:
-        next_frontier, parents, results = [], [], []
-        for row, node in enumerate(frontier):
-            result = kmeans_hamming(node.members, code, k_l, rng)
-            results.append(result)
-            for i, cluster in enumerate(result.clusters):
-                child = PartitionNode(
-                    path=node.path + (i,),
-                    members=cluster,
-                    centroid=result.centroids[i],
-                    beta=result.weights[i],
-                )
-                node.children.append(child)
-                next_frontier.append(child)
-                parents.append(row)
-        frontier = next_frontier
-        levels.append(frontier)
+        results = [kmeans_hamming(members, code, k_l, rng) for members in frontier]
+        frontier = [cluster for res in results for cluster in res.clusters]
+        parent = np.repeat(np.arange(len(results)), [len(res.clusters) for res in results])
         score = MismatchScore(
             np.concatenate([res.centroids for res in results]),
             np.concatenate([res.weights for res in results]),
         )
-        arrays.append((np.array(parents, dtype=np.int64), score))
+        levels.append([Cluster(members) for members in frontier])
+        arrays.append((parent, score))
     leaf_of = np.empty(code.size, dtype=np.int64)
-    for row, leaf in enumerate(frontier):
-        leaf_of[leaf.members] = row
-    return PartitionTree(root=root, params=params, levels=levels, arrays=arrays, leaf_of=leaf_of)
+    for row, members in enumerate(frontier):
+        leaf_of[members] = row
+    return PartitionTree(params=params, levels=levels, arrays=arrays, leaf_of=leaf_of)
 
 
-def _survivor_counts(tree: PartitionTree, params) -> tuple:
-    """The per-level q of an override (PartitionParams or bare q tuple)."""
-    if isinstance(params, PartitionParams):
-        if params.k != tree.params.k:
-            raise ConfigurationError(
-                f"override children counts {params.k} differ from the tree's {tree.params.k}"
-            )
-        survivors_q = params.q
-    else:
-        survivors_q = tuple(int(v) for v in params)
-    if len(survivors_q) != tree.params.levels:
-        raise ConfigurationError("survivor counts must cover every level")
-    require_valid_params(PartitionParams(k=tree.params.k, q=survivors_q))
-    return survivors_q
-
-
-def preprocess(r: np.ndarray, tree: PartitionTree, params=None) -> np.ndarray:
+def preprocess(r: np.ndarray, tree: PartitionTree, q=None) -> np.ndarray:
     """Sorted candidate indices surviving the per-level centroid pruning.
 
     At each level the children of surviving nodes are scored by the weighted
     Hamming distance between their centroid and the 0/1 observation (each
     with its own weight vector); the q_l best survive, ties resolved toward
-    the lexicographically smallest path.  ``params`` optionally overrides the
-    survivor counts (as a PartitionParams sharing the tree's children counts,
-    or a bare q tuple) so one tree serves several pruning budgets.
+    the lexicographically smallest path.  ``q`` optionally overrides the
+    per-level survivor counts, so one tree serves several pruning budgets.
 
-    Children are appended in path order, so a level's row order is path
-    order and ``MismatchScore.smallest`` resolves ties exactly, by the
-    reference score and then path.
+    A level's row order is path order, so ``MismatchScore.smallest``
+    resolves ties exactly, by the reference score and then path.
     """
-    survivors_q = tree.params.q if params is None else _survivor_counts(tree, params)
+    if q is None:
+        q = tree.params.q
+    else:
+        q = tuple(int(v) for v in q)
+        require_valid_params(PartitionParams(k=tree.params.k, q=q))
     r = np.asarray(r)
     length = tree.arrays[0][1].rows.shape[1]
     if r.shape != (length,):
         raise ValueError(f"observation has shape {r.shape}, but the code has length {length}")
     rf = r.astype(np.float64)
     alive = np.ones(1, dtype=bool)
-    for (parent, score), q_l in zip(tree.arrays, survivors_q):
+    for (parent, score), q_l in zip(tree.arrays, q):
         racing = alive[parent]
         n_racing = np.count_nonzero(racing)
         if q_l >= n_racing:
@@ -341,7 +310,7 @@ def estimate_complexity(params: PartitionParams | None, m: int, K: int):
 
 def tree_stats(tree: PartitionTree) -> str:
     """Plain-text report: per-level node count and member-size spread."""
-    lines = [f"codewords: {tree.root.members.size}"]
+    lines = [f"codewords: {tree.leaf_of.size}"]
     for depth, nodes in enumerate(tree.levels, start=1):
         sizes = np.array([n.members.size for n in nodes])
         lines.append(

@@ -110,22 +110,41 @@ class MismatchScore:
         return keep
 
 
+def _column_sides(columns: np.ndarray, n_values: int, axes=(0, 1, 2)) -> np.ndarray:
+    """Read-only (C, n_values, M / n_values) codeword indices, axes permuted by ``axes``.
+
+    A stable sort of each column of the (M, C) table lists the codewords of
+    value 0, then of value 1 and so on, each in index order; every value
+    fills M / n_values entries.  Indices are intp: numpy converts any other
+    index type on every gather.
+    """
+    order = np.argsort(columns.T, axis=1, kind="stable").reshape(columns.shape[1], n_values, -1)
+    table = np.ascontiguousarray(order.transpose(axes))
+    table.setflags(write=False)
+    return table
+
+
 @cache
 def _bit_sides(m: int, K: int) -> np.ndarray:
     """(2, K*q, m**K / 2) read-only table of codeword indices.
 
     Row ``[b, k*q + i]`` lists, ascending, the codewords whose user-(k+1)
     label bit i (MSB first) equals b.  Every bit splits the m symbols in
-    half, so each side holds exactly half of the codebook.  Indices are
-    intp: numpy converts any other index type on every gather.
+    half, so each side holds exactly half of the codebook.
     """
     q = m.bit_length() - 1
     bits = bit_table(m)[all_message_digits(m, K)].reshape(m**K, K * q)
-    # a stable sort of each bit column puts its 0-side, then its 1-side, in index order
-    order = np.argsort(bits.T, axis=1, kind="stable")
-    table = np.ascontiguousarray(order.reshape(K * q, 2, -1).transpose(1, 0, 2))
-    table.setflags(write=False)
-    return table
+    return _column_sides(bits, 2, (1, 0, 2))
+
+
+@cache
+def _digit_sides(m: int, K: int) -> np.ndarray:
+    """(K, m, m**(K-1)) read-only table of codeword indices.
+
+    Row ``[k, j]`` lists, ascending, the codewords whose user-(k+1) digit is
+    j, i.e. ``subcode(k + 1, j, K, m)``.
+    """
+    return _column_sides(all_message_digits(m, K), m)
 
 
 @dataclass(eq=False)
@@ -139,7 +158,7 @@ class SpatialCode:
     _scores: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        # bit_sides is shared per (m, K), so codeword ell must carry message ell
+        # the side tables are shared per (m, K), so codeword ell must carry message ell
         if not np.array_equal(self.digits, all_message_digits(self.m, self.K)):
             raise ValueError("digits must be all_message_digits(m, K)")
 
@@ -147,6 +166,11 @@ class SpatialCode:
     def bit_sides(self) -> np.ndarray:
         """(2, K*q, M/2) codeword indices per label bit value, built once per (m, K)."""
         return _bit_sides(self.m, self.K)
+
+    @property
+    def digit_sides(self) -> np.ndarray:
+        """(K, m, M/m) codeword indices per user and symbol, built once per (m, K)."""
+        return _digit_sides(self.m, self.K)
 
     @property
     def size(self) -> int:

@@ -1,12 +1,16 @@
 """Command-line interface: flags, config files, outputs and exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import onebit_mimo
 from onebit_mimo.cli import main
 from onebit_mimo.config import CSV_HEADER, SWEEP_CSV_HEADER
 from onebit_mimo.ldpc import save_alist
@@ -55,6 +59,22 @@ def test_complexity_three_levels(capsys):
     )
     assert code == 0
     assert out.splitlines()[1] == "k32x4x4-q8x8x8,96,1024,1120"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--m", "8"], "m must be an even power of 2"),
+        (["--n_users", "0"], "n_users and n_rx must be positive"),
+        (["--n_users", "5000", "--partition", '{"k": [4], "q": [2]}'], "codebook"),
+        (["--n_users", "10000"], "codebook"),
+    ],
+)
+def test_complexity_rejects_invalid_config(capsys, argv, message):
+    code, out, err = run_cli(capsys, ["complexity", *argv])
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +228,10 @@ def test_bad_config_file_is_config_error(capsys, tmp_path):
 def test_wrongly_typed_config_value_is_config_error(capsys, tmp_path, field, value):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"n_users": 2, "n_rx": 8, "seed": 1, field: value}))
-    code, _, err = run_cli(capsys, ["uncoded", "--config", str(path)])
-    assert code == 2
-    assert field in err
+    for command in ("uncoded", "complexity"):
+        code, _, err = run_cli(capsys, [command, "--config", str(path)])
+        assert code == 2, command
+        assert field in err, command
 
 
 def test_zf_with_partition_is_config_error(capsys):
@@ -270,18 +291,22 @@ def test_rank_deficient_alist_is_numerical_failure(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# installed console script
+# console script, or the package run as a module
 
 
 def test_console_script_runs():
+    # without an installed script, run this copy of the package as a module
     exe = shutil.which("onebit-mimo")
-    if exe is None:
-        pytest.skip("console script not installed")
+    cmd = [exe] if exe is not None else [sys.executable, "-m", "onebit_mimo"]
+    src = str(Path(onebit_mimo.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
-        [exe, "complexity", "--n_users", "8", "--m", "4"],
+        [*cmd, "complexity", "--n_users", "8", "--m", "4"],
         capture_output=True,
         text=True,
         timeout=60,
+        env=env,
     )
     assert proc.returncode == 0
     assert "full,0,65536,65536" in proc.stdout

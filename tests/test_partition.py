@@ -337,9 +337,10 @@ def test_tree_levels_partition_the_codebook():
     assert len(tree.levels) == 2
     check_level_partitions(tree, code.size)
     # children split exactly their parent's member set
-    for node in tree.levels[0]:
-        merged = np.sort(np.concatenate([c.members for c in node.children]))
-        np.testing.assert_array_equal(merged, np.sort(node.members))
+    parent, _ = tree.arrays[1]
+    for row, node in enumerate(tree.levels[0]):
+        children = [tree.levels[1][j].members for j in np.flatnonzero(parent == row)]
+        np.testing.assert_array_equal(np.sort(np.concatenate(children)), np.sort(node.members))
 
 
 def test_tree_nodes_have_weights_and_paths():
@@ -347,12 +348,16 @@ def test_tree_nodes_have_weights_and_paths():
     tree = build_partition_tree(
         code, PartitionParams((4, 2), (2, 4)), np.random.default_rng(1)
     )
-    for depth, nodes in enumerate(tree.levels, start=1):
-        for node in nodes:
-            assert len(node.path) == depth
-            assert node.beta.shape == (code.length,)
-            assert np.all(np.isfinite(node.beta)) and np.all(node.beta >= 0)
-    assert tree.leaves is tree.levels[-1]
+    n_prev = 1  # the root
+    for nodes, (parent, score) in zip(tree.levels, tree.arrays):
+        n = len(nodes)
+        assert score.rows.shape == score.weights.shape == (n, code.length)
+        assert np.all(np.isfinite(score.weights)) and np.all(score.weights >= 0)
+        # rows in path order: every node of the previous level has children,
+        # and siblings are contiguous in their parent's order
+        np.testing.assert_array_equal(np.unique(parent), np.arange(n_prev))
+        assert np.all(np.diff(parent) >= 0)
+        n_prev = n
 
 
 def test_tree_invariants_over_many_random_codes():
@@ -479,20 +484,9 @@ def test_preprocess_last_level_budget_nests():
     rng = np.random.default_rng(6)
     for _ in range(20):
         r = rng.integers(0, 2, code.length).astype(np.uint8)
-        small = preprocess(r, tree, params=(4, 4))
-        large = preprocess(r, tree, params=(4, 16))
+        small = preprocess(r, tree, q=(4, 4))
+        large = preprocess(r, tree, q=(4, 16))
         assert set(small) <= set(large)
-
-
-def test_preprocess_override_forms_agree():
-    code = random_code(K=3, n_r=8, seed=9)
-    tree = build_partition_tree(
-        code, PartitionParams((8, 8), (4, 8)), np.random.default_rng(7)
-    )
-    r = np.random.default_rng(8).integers(0, 2, code.length).astype(np.uint8)
-    via_tuple = preprocess(r, tree, params=(2, 6))
-    via_params = preprocess(r, tree, params=PartitionParams((8, 8), (2, 6)))
-    np.testing.assert_array_equal(via_tuple, via_params)
 
 
 def test_preprocess_override_validation():
@@ -502,23 +496,26 @@ def test_preprocess_override_validation():
     )
     r = code.codewords[0]
     with pytest.raises(ConfigurationError):
-        preprocess(r, tree, params=PartitionParams((2, 8), (2, 4)))  # wrong k
+        preprocess(r, tree, q=(2,))  # wrong number of levels
     with pytest.raises(ConfigurationError):
-        preprocess(r, tree, params=(2,))  # wrong number of levels
-    with pytest.raises(ConfigurationError):
-        preprocess(r, tree, params=(2, 64))  # violates the q-chain
+        preprocess(r, tree, q=(2, 64))  # violates the q-chain
 
 
 def node_walk(r, tree, survivors_q):
-    """Reference pruning: sort each level's racing nodes by (score, path)."""
-    survivors = [tree.root]
-    for q_l in survivors_q:
-        nodes = [child for node in survivors for child in node.children]
-        scored = sorted(
-            nodes, key=lambda nd: (float(nd.beta[nd.centroid != r].sum()), nd.path)
+    """Reference pruning: sort each level's racing rows by (score, row).
+
+    A level's rows are in path order (``test_tree_arrays_match_oracle_build``
+    pins that), so the row breaks ties toward the smaller path.
+    """
+    survivors = {0}  # the root
+    for (parent, score), q_l in zip(tree.arrays, survivors_q):
+        racing = [j for j in range(len(parent)) if parent[j] in survivors]
+        ranked = sorted(
+            racing,
+            key=lambda j: (float(score.weights[j][score.rows[j] != r].sum()), j),
         )
-        survivors = scored[: min(q_l, len(scored))]
-    return np.sort(np.concatenate([node.members for node in survivors]))
+        survivors = set(ranked[:q_l])
+    return np.sort(np.concatenate([tree.levels[-1][j].members for j in survivors]))
 
 
 @st.composite
@@ -533,7 +530,7 @@ def q_chains(draw, k):
 
 @st.composite
 def pruning_cases(draw):
-    """(code, tree, survivor override, survivor counts it implies).
+    """(code, tree, survivor override or None, survivor counts it implies).
 
     Codebooks hold at most 4096 codewords (m=16 stops at K=3); k up to 9 on
     short codes leaves deep levels with fewer members than k, so k-means
@@ -551,11 +548,10 @@ def pruning_cases(draw):
     k = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=3)))
     params = PartitionParams(k, draw(q_chains(k)))
     tree = build_partition_tree(code, params, np.random.default_rng(draw(st.integers(0, 2**16))))
-    form = draw(st.sampled_from(("default", "tuple", "params")))
-    if form == "default":
+    if draw(st.booleans()):
         return code, tree, None, params.q
     q = draw(q_chains(k))
-    return code, tree, (q if form == "tuple" else PartitionParams(k, q)), q
+    return code, tree, q, q
 
 
 @settings(max_examples=150, deadline=None)
@@ -567,7 +563,7 @@ def test_preprocess_matches_node_walk(case, obs_seed):
     clean = [code.codewords[ell] for ell in rng.integers(0, code.size, 8)]
     for r in noisy + clean:
         np.testing.assert_array_equal(
-            preprocess(r, tree, params=override), node_walk(r, tree, survivors_q)
+            preprocess(r, tree, q=override), node_walk(r, tree, survivors_q)
         )
 
 
@@ -581,13 +577,14 @@ def test_preprocess_exact_tie_goes_to_smaller_path():
     b = np.array([1, 1, 0, 0, 1, 0, 1, 1], dtype=np.uint8)
     code = pattern_code([r, a, b, 1 - r], m=4, K=1)
     tree = build_partition_tree(code, PartitionParams((4,), (2,)), np.random.default_rng(0))
-    leaf = {int(nd.members[0]): nd for nd in tree.leaves}
-    score = {i: float(leaf[i].beta[leaf[i].centroid != r].sum()) for i in (1, 2)}
-    assert score[1] == score[2]
-    winner, loser = sorted((1, 2), key=lambda i: leaf[i].path)
     _, level_score = tree.arrays[0]
+    rows, weights = level_score.rows, level_score.weights
+    leaf = {int(nd.members[0]): row for row, nd in enumerate(tree.levels[0])}
+    score = {i: float(weights[leaf[i]][rows[leaf[i]] != r].sum()) for i in (1, 2)}
+    assert score[1] == score[2]
+    winner, loser = sorted((1, 2), key=leaf.get)  # rows are in path order
     f = level_score(r)
-    assert f[tree.leaf_of[loser]] < f[tree.leaf_of[winner]]
+    assert f[leaf[loser]] < f[leaf[winner]]
     np.testing.assert_array_equal(preprocess(r, tree), sorted([0, winner]))
 
 

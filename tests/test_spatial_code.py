@@ -17,7 +17,7 @@ from onebit_mimo import (
     subcode,
 )
 from onebit_mimo.core import bit_table
-from onebit_mimo.spatial_code import EPS_FLOOR, SpatialCode, _bit_sides
+from onebit_mimo.spatial_code import EPS_FLOOR, SpatialCode, _bit_sides, _digit_sides
 
 from conftest import random_code
 
@@ -180,3 +180,21 @@ class TestBitSides:
                 weights=code.weights,
                 digits=code.digits[::-1],
             )
+
+
+class TestDigitSides:
+    @pytest.mark.parametrize("m,K", [(4, K) for K in range(1, 5)] + [(16, K) for K in range(1, 4)])
+    def test_rows_are_subcodes(self, m, K):
+        sides = _digit_sides(m, K)
+        assert sides.shape == (K, m, m ** (K - 1))
+        assert sides.dtype == np.intp
+        assert not sides.flags.writeable
+        for k in range(K):
+            for j in range(m):
+                np.testing.assert_array_equal(sides[k, j], subcode(k + 1, j, K, m))
+
+    def test_shared_per_m_and_K(self):
+        a = random_code(K=2, n_r=4, seed=1)
+        b = random_code(K=2, n_r=6, seed=2)
+        assert a.digit_sides is b.digit_sides
+        assert a.digit_sides is _digit_sides(4, 2)

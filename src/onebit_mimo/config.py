@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from numbers import Real
 
@@ -70,14 +71,14 @@ def parse_partition(value) -> PartitionParams | None:
             raise ConfigurationError(f"cannot parse partition spec {value!r}: {exc}") from exc
         return parse_partition(value)
     if isinstance(value, dict):
-        try:
-            params = PartitionParams(k=tuple(value["k"]), q=tuple(value["q"]))
-        except (KeyError, TypeError) as exc:
-            raise ConfigurationError(f"partition mapping needs k and q lists: {value!r}") from exc
+        k, q = value.get("k"), value.get("q")
     elif isinstance(value, (list, tuple)) and len(value) == 2:
-        params = PartitionParams(k=tuple(value[0]), q=tuple(value[1]))
+        k, q = value
     else:
         raise ConfigurationError(f"unrecognized partition spec: {value!r}")
+    if not all(isinstance(v, (list, tuple)) and all(map(_is_int, v)) for v in (k, q)):
+        raise ConfigurationError(f"partition k and q must be lists of integers: {value!r}")
+    params = PartitionParams(k=tuple(k), q=tuple(q))
     require_valid_params(params)
     return params
 
@@ -106,6 +107,13 @@ def _is_int(value) -> bool:
 
 def _is_real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    try:
+        return _is_real(value) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def require_field_types(cfg) -> None:
@@ -156,9 +164,11 @@ class SimConfig:
 
     def __post_init__(self):
         values = (self.snr_db,) if _is_real(self.snr_db) else self.snr_db
-        if not isinstance(values, (list, tuple, np.ndarray)) or not all(map(_is_real, values)):
+        if not isinstance(values, (list, tuple, np.ndarray)) or not all(
+            map(_is_finite_real, values)
+        ):
             raise ConfigurationError(
-                f"snr_db must be a number or a list of numbers, got {self.snr_db!r}"
+                f"snr_db must be a finite number or a list of them, got {self.snr_db!r}"
             )
         self.snr_db = tuple(float(v) for v in values)
         self.partition = parse_partition(self.partition)

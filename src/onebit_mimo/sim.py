@@ -5,7 +5,12 @@ Every coherence block owns three RNG streams derived from
 (and pilot noise), 1 seeds the partition clustering, 2 draws payload data and
 data noise.  Detector or partition choices therefore never shift the channel
 or data realizations, which keeps A/B comparisons paired and makes results
-independent of how blocks are distributed over worker processes.
+independent of how blocks are distributed over worker processes.  Purpose 2
+is drawn in slot order: an uncoded slot draws its K digits (``integers``)
+and then its N noise samples (``normal``); a coded frame draws its K
+message rows once, then N noise samples per slot.  Every data slot of every
+run kind goes through one detection step, ``_detect_slot``: transmit, then
+ZF, or pruning (when a tree exists) and a hard decoder or the soft LLRs.
 
 Blocks are scheduled in fixed-size waves: a whole wave is simulated and
 merged before the stopping rule (trial budget or error target) is evaluated,
@@ -32,7 +37,7 @@ from .channel import (
     transmit_pilots,
 )
 from .config import ResultRow, SimConfig, SweepRow, parse_partition, require_ldpc_fit
-from .core import bit_table, qam_constellation, real_channel_matrix
+from .core import Constellation, bit_table, qam_constellation, real_channel_matrix
 from .detector import compute_llrs, md_decode, ml_decode, wmd_decode, zf_detect
 from .errors import ConfigurationError
 from .ldpc import (
@@ -43,8 +48,14 @@ from .ldpc import (
     encode,
     load_alist,
 )
-from .partition import build_partition_tree, estimate_complexity, preprocess, tree_stats
-from .spatial_code import build_code
+from .partition import (
+    PartitionTree,
+    build_partition_tree,
+    estimate_complexity,
+    preprocess,
+    tree_stats,
+)
+from .spatial_code import SpatialCode, build_code
 
 try:
     from importlib.metadata import version as _pkg_version
@@ -70,32 +81,36 @@ def _get_ldpc(cfg: SimConfig):
     return code
 
 
-def _block_rngs(seed: int, snr_idx: int, block: int):
-    return tuple(
-        np.random.default_rng([seed, snr_idx, block, purpose]) for purpose in range(3)
-    )
+@dataclass(frozen=True)
+class Block:
+    """One coherence block: its channel, code, optional tree and data stream."""
+
+    const: Constellation
+    h_true: np.ndarray
+    h_est: np.ndarray
+    code: SpatialCode
+    tree: PartitionTree | None
+    rng_data: np.random.Generator
 
 
-def _block_setup(cfg: SimConfig, snr_db: float, rng_channel, rng_tree):
+def _setup_block(cfg: SimConfig, snr_idx: int, block: int) -> Block:
     """Channel draw, optional pilot-based estimation, code and tree build."""
-    snr = 10.0 ** (snr_db / 10.0)
+    rng_channel, rng_tree, rng_data = (
+        np.random.default_rng([cfg.seed, snr_idx, block, purpose]) for purpose in range(3)
+    )
+    snr = 10.0 ** (cfg.snr_db[snr_idx] / 10.0)
     const = qam_constellation(cfg.m, snr)
     h_c = sample_rayleigh(cfg.n_users, cfg.n_rx, rng_channel)
     h_true = real_channel_matrix(h_c)
     if cfg.csir == "estimated":
         pilots = generate_pilots(cfg.n_users, cfg.t_t, snr)
-        obs = transmit_pilots(h_true, pilots, rng_channel)
-        h_est_c = estimate_channel_zf(obs, pilots)
+        h_est_c = estimate_channel_zf(transmit_pilots(h_true, pilots, rng_channel), pilots)
     else:
         h_est_c = h_c
     h_est = real_channel_matrix(h_est_c)
     code = build_code(h_est, const)
-    tree = (
-        build_partition_tree(code, cfg.partition, rng_tree)
-        if cfg.partition is not None
-        else None
-    )
-    return const, h_true, h_est, code, tree
+    tree = None if cfg.partition is None else build_partition_tree(code, cfg.partition, rng_tree)
+    return Block(const, h_true, h_est, code, tree, rng_data)
 
 
 @dataclass
@@ -118,40 +133,40 @@ class BlockStats:
         return self.cand_sum / self.cand_slots if self.cand_slots else 0.0
 
 
+def _detect_slot(cfg: SimConfig, blk: Block, w: np.ndarray, stats: BlockStats) -> np.ndarray:
+    """Send the digits w over one data slot and detect them.
+
+    Returns the decided digits (K,), or with soft-wmd the MSB-first LLRs
+    (K, q).  Every candidate count reaches the stats here; ZF searches no
+    codebook and counts none.
+    """
+    r = transmit(blk.h_true, w, blk.const, blk.rng_data)
+    stats.cand_slots += 1
+    if cfg.detector == "zf":
+        return zf_detect(r, blk.h_est, blk.const)
+    cand = preprocess(r, blk.tree) if blk.tree is not None else None
+    stats.cand_sum += blk.code.size if cand is None else cand.size
+    if cfg.detector == "soft-wmd":
+        return compute_llrs(r, blk.code, cand)
+    return blk.code.digits[_HARD_DECODERS[cfg.detector](r, blk.code, cand)]
+
+
 def _uncoded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
     """Simulate one coherence block of t_d uncoded slots; count bit errors.
 
-    The sent and decided symbols are collected per slot and the bit errors
+    The sent and decided digits are collected per slot and the bit errors
     counted once for the whole block.
     """
-    rng_channel, rng_tree, rng_data = _block_rngs(cfg.seed, snr_idx, block)
-    const, h_true, h_est, code, tree = _block_setup(
-        cfg, cfg.snr_db[snr_idx], rng_channel, rng_tree
-    )
-    decoder = _HARD_DECODERS.get(cfg.detector)
+    blk = _setup_block(cfg, snr_idx, block)
     sent = np.empty((cfg.t_d, cfg.n_users), dtype=np.int64)
-    stats = BlockStats(trials=cfg.t_d, cand_slots=cfg.t_d)
-    if cfg.detector == "zf":
-        w_hat = np.empty_like(sent)
-        for t in range(cfg.t_d):
-            sent[t] = w = rng_data.integers(0, cfg.m, size=cfg.n_users)
-            w_hat[t] = zf_detect(transmit(h_true, w, const, rng_data), h_est, const)
-    else:
-        picked = np.empty(cfg.t_d, dtype=np.int64)
-        if tree is None:
-            stats.cand_sum = cfg.t_d * code.size
-        for t in range(cfg.t_d):
-            sent[t] = w = rng_data.integers(0, cfg.m, size=cfg.n_users)
-            r = transmit(h_true, w, const, rng_data)
-            cand = None
-            if tree is not None:
-                cand = preprocess(r, tree)
-                stats.cand_sum += cand.size
-            picked[t] = decoder(r, code, cand)
-        w_hat = code.digits[picked]
+    decided = np.empty_like(sent)
+    stats = BlockStats(trials=cfg.t_d)
+    for t in range(cfg.t_d):
+        sent[t] = w = blk.rng_data.integers(0, cfg.m, size=cfg.n_users)
+        decided[t] = _detect_slot(cfg, blk, w, stats)
     lut = bit_table(cfg.m)
-    stats.errors = int((lut[sent] ^ lut[w_hat]).sum())
-    stats.denominator = cfg.t_d * cfg.n_users * const.bits_per_symbol
+    stats.errors = int((lut[sent] ^ lut[decided]).sum())
+    stats.denominator = cfg.t_d * cfg.n_users * blk.const.bits_per_symbol
     return stats
 
 
@@ -159,46 +174,30 @@ def _coded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
     """Simulate LDPC frames within one coherence block; count frame errors.
 
     Within each symbol's group of coded bits the last bit is the label MSB,
-    so the symbol value is the group dotted with ascending powers of two and
-    per-slot LLR rows (MSB first) are reversed back into frame order.
+    so the symbol value is the group dotted with ascending powers of two, and
+    the slots' MSB-first rows (LLRs, or hard digits through ``bit_table``)
+    are reversed back into frame order.
     """
-    rng_channel, rng_tree, rng_data = _block_rngs(cfg.seed, snr_idx, block)
-    const, h_true, h_est, code, tree = _block_setup(
-        cfg, cfg.snr_db[snr_idx], rng_channel, rng_tree
-    )
+    blk = _setup_block(cfg, snr_idx, block)
     ldpc = _get_ldpc(cfg)
-    q = const.bits_per_symbol
+    q = blk.const.bits_per_symbol
     slots_per_frame = ldpc.n // q
     frames = cfg.frames_per_block or max(1, cfg.t_d // slots_per_frame)
     soft = cfg.detector == "soft-wmd"
-    decoder = _HARD_DECODERS.get(cfg.detector)
-    pos = 2 ** np.arange(q)
-    stats = BlockStats()
+    decoder = decode_bp if soft else decode_bit_flipping
+    lut = bit_table(cfg.m)
+    stats = BlockStats(trials=frames * cfg.n_users, denominator=frames * cfg.n_users)
     for _ in range(frames):
-        msgs = rng_data.integers(0, 2, size=(cfg.n_users, ldpc.k))
+        msgs = blk.rng_data.integers(0, 2, size=(cfg.n_users, ldpc.k))
         cws = np.array([encode(ldpc, msgs[u]) for u in range(cfg.n_users)])
-        symbols = (cws.reshape(cfg.n_users, slots_per_frame, q) @ pos).T  # (slots, K)
-        frame_llrs = np.empty((cfg.n_users, ldpc.n))
-        frame_bits = np.empty((cfg.n_users, ldpc.n), dtype=np.uint8)
-        for t in range(slots_per_frame):
-            r = transmit(h_true, symbols[t], const, rng_data)
-            cand = preprocess(r, tree) if tree is not None else None
-            stats.cand_sum += cand.size if cand is not None else code.size
-            stats.cand_slots += 1
-            if soft:
-                llr = compute_llrs(r, code, cand)
-                frame_llrs[:, t * q : (t + 1) * q] = llr[:, ::-1]
-            else:
-                w_hat = code.digits[decoder(r, code, cand)].astype(np.int64)
-                frame_bits[:, t * q : (t + 1) * q] = (w_hat[:, None] >> np.arange(q)) & 1
+        symbols = (cws.reshape(cfg.n_users, slots_per_frame, q) @ 2 ** np.arange(q)).T
+        rows = np.array([_detect_slot(cfg, blk, w, stats) for w in symbols])
+        if not soft:
+            rows = lut[rows]
+        frame = rows[:, :, ::-1].transpose(1, 0, 2).reshape(cfg.n_users, ldpc.n)
         for u in range(cfg.n_users):
-            if soft:
-                decoded, _ = decode_bp(frame_llrs[u], ldpc, cfg.ldpc_max_iter)
-            else:
-                decoded, _ = decode_bit_flipping(frame_bits[u], ldpc, cfg.ldpc_max_iter)
+            decoded, _ = decoder(frame[u], ldpc, cfg.ldpc_max_iter)
             stats.errors += int(np.any(decoded != cws[u]))
-        stats.trials += cfg.n_users
-        stats.denominator += cfg.n_users
     return stats
 
 
@@ -300,14 +299,13 @@ def partition_report(cfg: SimConfig) -> str:
     cfg.require_seed()
     if cfg.partition is None:
         raise ConfigurationError("partition-stats needs a partition spec")
-    rng_channel, rng_tree, _ = _block_rngs(cfg.seed, 0, 0)
-    _, _, _, code, tree = _block_setup(cfg, cfg.snr_db[0], rng_channel, rng_tree)
+    blk = _setup_block(cfg, 0, 0)
     n_pre, n_wmd, n_total = estimate_complexity(cfg.partition, cfg.m, cfg.n_users)
     lines = [
-        f"partition {cfg.partition.label()} over {code.size} codewords",
-        tree_stats(tree).rstrip("\n"),
+        f"partition {cfg.partition.label()} over {blk.code.size} codewords",
+        tree_stats(blk.tree).rstrip("\n"),
         f"predicted comparisons: n_pre={n_pre} n_wmd={n_wmd} n_total={n_total} "
-        f"(full search {code.size})",
+        f"(full search {blk.code.size})",
     ]
     return "\n".join(lines) + "\n"
 

@@ -290,6 +290,53 @@ def test_rank_deficient_alist_is_numerical_failure(capsys, tmp_path):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "[16, 8]",
+        '{"k": ["a"], "q": [1]}',
+        '{"k": [4.7], "q": [1.9]}',
+        '{"k": [true], "q": [true]}',
+        '{"k": 4, "q": [2]}',
+    ],
+)
+def test_partition_spec_with_non_integer_entries_is_config_error(capsys, spec):
+    code, out, err = run_cli(
+        capsys, ["complexity", "--n_users", "2", "--m", "4", "--partition", spec]
+    )
+    assert code == 2
+    assert out == ""
+    assert "partition" in err
+
+
+def test_sweep_arm_with_non_integer_entries_is_config_error(capsys):
+    code, out, err = run_cli(capsys, ["partition-sweep", *SMALL, "--sweep", "[[16, 8]]"])
+    assert code == 2
+    assert out == ""
+    assert "partition" in err
+
+
+@pytest.mark.parametrize(
+    "run", [["uncoded"], ["coded", "--detector", "soft-wmd", "--ldpc_n", "64"]]
+)
+@pytest.mark.parametrize("snr", ["nan", "inf", "-inf", "1e400", "0,nan"])
+def test_non_finite_snr_is_config_error(capsys, run, snr):
+    code, out, err = run_cli(capsys, [*run, *SMALL, f"--snr_db={snr}"])
+    assert code == 2
+    assert out == ""
+    assert "snr_db" in err
+
+
+def test_non_finite_snr_in_config_file_is_config_error(capsys, tmp_path):
+    # Python's JSON parser reads NaN and Infinity, and 1e400 as inf
+    for text in ("NaN", "[0, Infinity]", "1e400"):
+        path = tmp_path / "c.json"
+        path.write_text(f'{{"n_users": 2, "n_rx": 8, "seed": 1, "snr_db": {text}}}')
+        code, out, err = run_cli(capsys, ["uncoded", "--config", str(path)])
+        assert code == 2, text
+        assert "snr_db" in err, text
+
+
 # ---------------------------------------------------------------------------
 # console script, or the package run as a module
 
@@ -310,3 +357,17 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "full,0,65536,65536" in proc.stdout
+
+
+def test_cli_module_runs():
+    src = str(Path(onebit_mimo.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "onebit_mimo.cli", "complexity", "--m", "4", "--n_users", "2"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["partition,n_pre,n_wmd,n_total", "full,0,16,16"]

@@ -45,7 +45,7 @@ from .detector import (
     wmd_decode,
     zf_detect,
 )
-from .errors import CodeConstructionError, ConfigurationError, DegeneratePosteriorError
+from .errors import CodeConstructionError, ConfigurationError
 from .ldpc import (
     LdpcCode,
     code_from_parity_check,
@@ -104,7 +104,6 @@ __all__ = [
     "ResultRow",
     "SweepRow",
     "ConfigurationError",
-    "DegeneratePosteriorError",
     "CodeConstructionError",
     "m_ary_expansion",
     "all_message_digits",

@@ -26,7 +26,7 @@ from .config import (
     SWEEP_CSV_HEADER,
     SimConfig,
 )
-from .errors import CodeConstructionError, ConfigurationError, DegeneratePosteriorError
+from .errors import CodeConstructionError, ConfigurationError
 from .partition import estimate_complexity
 from .sim import (
     partition_report,
@@ -178,7 +178,6 @@ def main(argv=None) -> int:
         np.linalg.LinAlgError,
         FloatingPointError,
         OverflowError,
-        DegeneratePosteriorError,
         CodeConstructionError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -2,7 +2,10 @@
 
 A run is described by a SimConfig; configs load from JSON files whose keys
 mirror the dataclass fields one-for-one, and every field can be overridden
-from the command line.  Result rows serialize to CSV with rates printed at
+from the command line.  ``SimConfig.validate`` checks only the config, so
+the analytic subcommands accept every detector; the runners in ``sim`` add
+what their run kind needs (a detector of that kind, an LDPC blocklength that
+fits the block).  Result rows serialize to CSV with rates printed at
 six significant digits alongside the raw integer counts; wall-clock timings
 live in the sidecar metadata so repeated runs produce identical CSV bytes.
 """
@@ -101,19 +104,25 @@ def require_ldpc_fit(n: int, m: int, t_d: int, frames_per_block: int | None) -> 
         )
 
 
+def snr_linear(snr_db) -> float:
+    """The linear SNR ``10 ** (snr_db / 10)``, rejected unless a positive finite float."""
+    try:
+        snr = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:  # a dB value or a linear SNR beyond float range
+        snr = math.inf
+    if not 0.0 < snr < math.inf:  # false for nan too
+        raise ConfigurationError(
+            f"snr_db must give a positive finite linear SNR 10**(snr_db/10), got {snr_db!r}"
+        )
+    return snr
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
-
-
-def _is_finite_real(value) -> bool:
-    try:
-        return _is_real(value) and math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
 
 
 def require_field_types(cfg) -> None:
@@ -164,16 +173,17 @@ class SimConfig:
 
     def __post_init__(self):
         values = (self.snr_db,) if _is_real(self.snr_db) else self.snr_db
-        if not isinstance(values, (list, tuple, np.ndarray)) or not all(
-            map(_is_finite_real, values)
-        ):
+        if not isinstance(values, (list, tuple, np.ndarray)) or not all(map(_is_real, values)):
             raise ConfigurationError(
-                f"snr_db must be a finite number or a list of them, got {self.snr_db!r}"
+                f"snr_db must be a number or a list of them, got {self.snr_db!r}"
             )
+        for value in values:
+            snr_linear(value)
         self.snr_db = tuple(float(v) for v in values)
         self.partition = parse_partition(self.partition)
 
-    def validate(self, coded: bool = False) -> None:
+    def validate(self) -> None:
+        """Reject a config that no run kind accepts; each runner checks its own kind."""
         require_field_types(self)
         if self.n_users < 1 or self.n_rx < 1:
             raise ConfigurationError("n_users and n_rx must be positive")
@@ -211,23 +221,14 @@ class SimConfig:
             raise ConfigurationError("trials and target_errors must be positive")
         if self.workers < 1 or self.wave < 1:
             raise ConfigurationError("workers and wave must be positive")
+        if self.frames_per_block is not None and self.frames_per_block < 1:
+            raise ConfigurationError("frames_per_block must be >= 1 when set")
         if self.partition is not None:
             require_valid_params(self.partition)
             if self.detector == "zf":
                 raise ConfigurationError(
                     "zf detection searches no codebook, so it takes no partition"
                 )
-        if coded:
-            if self.detector == "zf":
-                raise ConfigurationError("zf detection is uncoded-only")
-            if self.frames_per_block is not None and self.frames_per_block < 1:
-                raise ConfigurationError("frames_per_block must be >= 1 when set")
-            # with an external alist the blocklength comes from the file and
-            # is checked once the matrix is loaded
-            if self.ldpc_alist is None:
-                require_ldpc_fit(self.ldpc_n, self.m, self.t_d, self.frames_per_block)
-        elif self.detector == "soft-wmd":
-            raise ConfigurationError("soft-wmd produces LLRs and needs a coded run")
 
     def require_seed(self) -> None:
         if self.seed is None:

@@ -15,7 +15,6 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .core import Constellation
-from .errors import DegeneratePosteriorError
 from .spatial_code import SpatialCode
 
 LLR_CLAMP = 60.0
@@ -78,8 +77,6 @@ def zf_detect(r: np.ndarray, h_real: np.ndarray, constellation: Constellation) -
 
 def _masked_scores(r: np.ndarray, code: SpatialCode, candidates, metric: str) -> np.ndarray:
     """(M,) scores under ``metric``, gathered for the sorted candidates, +inf elsewhere."""
-    if candidates is not None and len(candidates) == 0:
-        raise DegeneratePosteriorError("empty candidate set leaves no posterior mass")
     cand = _candidate_array(candidates)
     score = code.score(metric)
     if cand is None:

@@ -5,9 +5,5 @@ class ConfigurationError(Exception):
     """Invalid or inconsistent simulation / code parameters."""
 
 
-class DegeneratePosteriorError(Exception):
-    """Every symbol of some user lost all candidate codewords."""
-
-
 class CodeConstructionError(Exception):
     """LDPC graph or generator construction failed after retries."""

@@ -11,6 +11,10 @@ and then its N noise samples (``normal``); a coded frame draws its K
 message rows once, then N noise samples per slot.  Every data slot of every
 run kind goes through one detection step, ``_detect_slot``: transmit, then
 ZF, or pruning (when a tree exists) and a hard decoder or the soft LLRs.
+Each runner checks its own run kind on top of ``SimConfig.validate``:
+``run_uncoded`` (and every partition-sweep arm) rejects soft-wmd, and
+``run_coded`` rejects zf and checks the LDPC blocklength, configured or
+loaded from an alist, against the block.
 
 Blocks are scheduled in fixed-size waves: a whole wave is simulated and
 merged before the stopping rule (trial budget or error target) is evaluated,
@@ -36,7 +40,7 @@ from .channel import (
     transmit,
     transmit_pilots,
 )
-from .config import ResultRow, SimConfig, SweepRow, parse_partition, require_ldpc_fit
+from .config import ResultRow, SimConfig, SweepRow, parse_partition, require_ldpc_fit, snr_linear
 from .core import Constellation, bit_table, qam_constellation, real_channel_matrix
 from .detector import compute_llrs, md_decode, ml_decode, wmd_decode, zf_detect
 from .errors import ConfigurationError
@@ -98,7 +102,7 @@ def _setup_block(cfg: SimConfig, snr_idx: int, block: int) -> Block:
     rng_channel, rng_tree, rng_data = (
         np.random.default_rng([cfg.seed, snr_idx, block, purpose]) for purpose in range(3)
     )
-    snr = 10.0 ** (cfg.snr_db[snr_idx] / 10.0)
+    snr = snr_linear(cfg.snr_db[snr_idx])
     const = qam_constellation(cfg.m, snr)
     h_c = sample_rayleigh(cfg.n_users, cfg.n_rx, rng_channel)
     h_true = real_channel_matrix(h_c)
@@ -209,15 +213,11 @@ def _make_executor(cfg: SimConfig):
 
 def _accumulate(cfg: SimConfig, snr_idx: int, worker, executor) -> BlockStats:
     """Run whole waves of blocks until the trial budget or error target hits."""
+    run_blocks = map if executor is None else executor.map
     stats = BlockStats()
     block = 0
     while True:
-        blocks = range(block, block + cfg.wave)
-        if executor is None:
-            results = [worker(cfg, snr_idx, b) for b in blocks]
-        else:
-            results = list(executor.map(partial(worker, cfg, snr_idx), blocks))
-        for res in results:
+        for res in run_blocks(partial(worker, cfg, snr_idx), range(block, block + cfg.wave)):
             stats.merge(res)
         block += cfg.wave
         if stats.trials >= cfg.trials or stats.errors >= cfg.target_errors:
@@ -246,21 +246,29 @@ def _run(cfg: SimConfig, worker, metric: str) -> list:
     return rows
 
 
+def _require_uncoded(cfg: SimConfig) -> None:
+    cfg.validate()
+    if cfg.detector == "soft-wmd":
+        raise ConfigurationError("soft-wmd produces LLRs and needs a coded run")
+
+
 def run_uncoded(cfg: SimConfig) -> list:
     """BER of the configured detector, one ResultRow per SNR point."""
-    cfg.validate(coded=False)
+    _require_uncoded(cfg)
     cfg.require_seed()
     return _run(cfg, _uncoded_block, "ber")
 
 
 def run_coded(cfg: SimConfig) -> list:
     """FER with the LDPC outer code, one ResultRow per SNR point."""
-    cfg.validate(coded=True)
+    cfg.validate()
+    if cfg.detector == "zf":
+        raise ConfigurationError("zf detection is uncoded-only")
     cfg.require_seed()
     # an alist's blocklength is known only once it is loaded; every process,
     # this one and each worker, builds its own code lazily in _get_ldpc
-    if cfg.ldpc_alist is not None:
-        require_ldpc_fit(_get_ldpc(cfg).n, cfg.m, cfg.t_d, cfg.frames_per_block)
+    n = cfg.ldpc_n if cfg.ldpc_alist is None else _get_ldpc(cfg).n
+    require_ldpc_fit(n, cfg.m, cfg.t_d, cfg.frames_per_block)
     return _run(cfg, _coded_block, "fer")
 
 
@@ -275,7 +283,7 @@ def run_partition_sweep(cfg: SimConfig, sweep) -> list:
         raise ConfigurationError("partition sweep needs at least one spec")
     arms = [dataclasses.replace(cfg, partition=parse_partition(spec)) for spec in sweep]
     for arm in arms:  # reject a bad arm before any arm runs
-        arm.validate(coded=False)
+        _require_uncoded(arm)
     rows = []
     for arm in arms:
         params = arm.partition
@@ -295,7 +303,7 @@ def run_partition_sweep(cfg: SimConfig, sweep) -> list:
 
 def partition_report(cfg: SimConfig) -> str:
     """Tree shape and complexity summary for one sampled coherence block."""
-    cfg.validate(coded=False)
+    cfg.validate()
     cfg.require_seed()
     if cfg.partition is None:
         raise ConfigurationError("partition-stats needs a partition spec")

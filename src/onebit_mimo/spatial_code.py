@@ -125,6 +125,14 @@ def _column_sides(columns: np.ndarray, n_values: int, axes=(0, 1, 2)) -> np.ndar
 
 
 @cache
+def _digits(m: int, K: int) -> np.ndarray:
+    """(m**K, K) read-only ``all_message_digits(m, K)``: row ell is message ell."""
+    table = all_message_digits(m, K)
+    table.setflags(write=False)
+    return table
+
+
+@cache
 def _bit_sides(m: int, K: int) -> np.ndarray:
     """(2, K*q, m**K / 2) read-only table of codeword indices.
 
@@ -133,7 +141,7 @@ def _bit_sides(m: int, K: int) -> np.ndarray:
     half, so each side holds exactly half of the codebook.
     """
     q = m.bit_length() - 1
-    bits = bit_table(m)[all_message_digits(m, K)].reshape(m**K, K * q)
+    bits = bit_table(m)[_digits(m, K)].reshape(m**K, K * q)
     return _column_sides(bits, 2, (1, 0, 2))
 
 
@@ -144,7 +152,7 @@ def _digit_sides(m: int, K: int) -> np.ndarray:
     Row ``[k, j]`` lists, ascending, the codewords whose user-(k+1) digit is
     j, i.e. ``subcode(k + 1, j, K, m)``.
     """
-    return _column_sides(all_message_digits(m, K), m)
+    return _column_sides(_digits(m, K), m)
 
 
 @dataclass(eq=False)
@@ -154,13 +162,12 @@ class SpatialCode:
     codewords: np.ndarray  # (M, N) uint8
     crossover: np.ndarray  # (M, N) eps in (0, 0.5]
     weights: np.ndarray  # (M, N) alpha = -log(eps)
-    digits: np.ndarray  # (M, K) message digit of each codeword per user
     _scores: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self):
-        # the side tables are shared per (m, K), so codeword ell must carry message ell
-        if not np.array_equal(self.digits, all_message_digits(self.m, self.K)):
-            raise ValueError("digits must be all_message_digits(m, K)")
+    @property
+    def digits(self) -> np.ndarray:
+        """(M, K) message digits of each codeword per user, built once per (m, K)."""
+        return _digits(self.m, self.K)
 
     @property
     def bit_sides(self) -> np.ndarray:
@@ -212,15 +219,12 @@ class SpatialCode:
 
 
 def build_code(
-    h_real: np.ndarray,
-    constellation: Constellation,
-    noise_std: float = NOISE_STD,
-    eps_floor: float = EPS_FLOOR,
+    h_real: np.ndarray, constellation: Constellation, noise_std: float = NOISE_STD
 ) -> SpatialCode:
     """Construct the spatial code of a real channel matrix.
 
     For every message index ell: codeword bits sign(h_i^T x), crossover
-    eps = Q(|h_i^T x| / noise_std) clamped below at ``eps_floor``, and
+    eps = Q(|h_i^T x| / noise_std) clamped below at ``EPS_FLOOR``, and
     weights -log(eps).
     """
     if not np.all(np.isfinite(h_real)):
@@ -228,20 +232,12 @@ def build_code(
     n, two_k = h_real.shape
     m = constellation.m
     K = two_k // 2
-    digits = all_message_digits(m, K)
-    symbols = modulate(digits, constellation)  # (M, K) complex
+    symbols = modulate(_digits(m, K), constellation)  # (M, K) complex
     x = np.hstack([symbols.real, symbols.imag])  # (M, 2K)
     v = x @ h_real.T  # (M, N)
     codewords = (v < 0).astype(np.uint8)
-    eps = np.maximum(q_function(np.abs(v) / noise_std), eps_floor)
-    return SpatialCode(
-        m=m,
-        K=K,
-        codewords=codewords,
-        crossover=eps,
-        weights=-np.log(eps),
-        digits=digits.astype(np.uint8),
-    )
+    eps = np.maximum(q_function(np.abs(v) / noise_std), EPS_FLOOR)
+    return SpatialCode(m=m, K=K, codewords=codewords, crossover=eps, weights=-np.log(eps))
 
 
 def exact_likelihood(code: SpatialCode, r: np.ndarray, ell: int) -> float:

@@ -77,6 +77,24 @@ def test_complexity_rejects_invalid_config(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["complexity", "--m", "4", "--n_users", "3", "--partition", '{"k": [8], "q": [4]}'],
+            "k8-q4,8,32,40\n",
+        ),
+        (["partition-stats", *SMALL, "--partition", '{"k": [4, 4], "q": [2, 4]}'], "n_total=16"),
+    ],
+)
+def test_analytic_subcommands_accept_soft_wmd(capsys, argv, expected):
+    # they take no run kind, so the paper's soft detector is as good as wmd
+    code, out, err = run_cli(capsys, [*argv, "--detector", "soft-wmd"])
+    assert (code, err) == (0, "")
+    assert expected in out
+    assert run_cli(capsys, [*argv, "--detector", "wmd"]) == (0, out, "")
+
+
 # ---------------------------------------------------------------------------
 # result-producing subcommands
 
@@ -234,6 +252,31 @@ def test_wrongly_typed_config_value_is_config_error(capsys, tmp_path, field, val
         assert field in err, command
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["uncoded", *SMALL, "--detector", "soft-wmd"],
+        ["partition-sweep", *SMALL, "--detector", "soft-wmd", "--sweep", '["full"]'],
+        ["coded", *SMALL, "--detector", "zf", "--ldpc_n", "64"],
+    ],
+)
+def test_detector_of_the_wrong_run_kind_is_config_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert argv[argv.index("--detector") + 1] in err
+
+
+def test_uncoded_runs_at_m_1024(capsys):
+    # the message digits of m >= 256 used to wrap in a uint8 copy
+    argv = ["--m", "1024", "--n_users", "1", "--n_rx", "4", "--t_c", "10", "--t_d", "10"]
+    code, out, err = run_cli(capsys, ["uncoded", *argv, "--trials", "10", "--seed", "1"])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == CSV_HEADER
+    assert len(lines) == 2
+
+
 def test_zf_with_partition_is_config_error(capsys):
     code, _, err = run_cli(
         capsys, ["uncoded", *SMALL, "--detector", "zf", "--partition", '{"k": [4], "q": [2]}']
@@ -324,6 +367,22 @@ def test_non_finite_snr_is_config_error(capsys, run, snr):
     code, out, err = run_cli(capsys, [*run, *SMALL, f"--snr_db={snr}"])
     assert code == 2
     assert out == ""
+    assert "snr_db" in err
+
+
+@pytest.mark.parametrize(
+    "run", [["uncoded"], ["coded", "--detector", "soft-wmd", "--ldpc_n", "64"]]
+)
+@pytest.mark.parametrize("snr", ["-4000", "4000"])
+def test_snr_beyond_float_range_is_config_error(capsys, tmp_path, run, snr):
+    # finite in dB, but 10**(snr_db/10) underflows to 0 or overflows
+    code, out, err = run_cli(capsys, [*run, *SMALL, f"--snr_db={snr}"])
+    assert (code, out) == (2, "")
+    assert "snr_db" in err
+    path = tmp_path / "c.json"
+    path.write_text(f'{{"n_users": 2, "n_rx": 8, "seed": 1, "snr_db": [10, {snr}]}}')
+    code, out, err = run_cli(capsys, [*run, "--config", str(path)])
+    assert (code, out) == (2, "")
     assert "snr_db" in err
 
 

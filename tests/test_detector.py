@@ -8,7 +8,6 @@ from scipy.special import logsumexp
 
 from onebit_mimo.channel import NOISE_STD, quantize, sample_rayleigh
 from onebit_mimo.core import (
-    all_message_digits,
     bit_table,
     modulate,
     qam_constellation,
@@ -25,7 +24,6 @@ from onebit_mimo.detector import (
     wmd_decode,
     zf_detect,
 )
-from onebit_mimo.errors import DegeneratePosteriorError
 from onebit_mimo.spatial_code import (
     SpatialCode,
     build_code,
@@ -41,14 +39,7 @@ def manual_code(codewords, weights, m, K):
     """SpatialCode with hand-picked bit patterns and weights."""
     cw = np.asarray(codewords, dtype=np.uint8)
     w = np.asarray(weights, dtype=np.float64)
-    return SpatialCode(
-        m=m,
-        K=K,
-        codewords=cw,
-        crossover=np.exp(-w),
-        weights=w,
-        digits=all_message_digits(m, K).astype(np.uint8),
-    )
+    return SpatialCode(m=m, K=K, codewords=cw, crossover=np.exp(-w), weights=w)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +267,7 @@ def test_app_duplicate_candidates_match_deduplicated():
 
 def test_app_empty_candidates_raise():
     code = random_code(K=2, n_r=4, seed=6)
-    with pytest.raises(DegeneratePosteriorError):
+    with pytest.raises(ValueError, match="nonempty"):
         compute_app(code.codewords[0], code, candidates=[])
 
 
@@ -405,7 +396,7 @@ def test_llrs_duplicate_candidates_match_deduplicated():
 
 def test_llrs_empty_candidates_raise():
     code = random_code(K=2, n_r=4, seed=16)
-    with pytest.raises(DegeneratePosteriorError):
+    with pytest.raises(ValueError, match="nonempty"):
         compute_llrs(code.codewords[0], code, candidates=[])
 
 

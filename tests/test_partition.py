@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onebit_mimo.core import all_message_digits
 from onebit_mimo.errors import ConfigurationError
 from onebit_mimo.partition import (
     KMEANS_MAX_ITER,
@@ -28,14 +27,7 @@ def pattern_code(codewords, m, K):
     """SpatialCode wrapper around explicit bit patterns (unit weights)."""
     cw = np.asarray(codewords, dtype=np.uint8)
     w = np.ones_like(cw, dtype=np.float64)
-    return SpatialCode(
-        m=m,
-        K=K,
-        codewords=cw,
-        crossover=np.exp(-w),
-        weights=w,
-        digits=all_message_digits(m, K).astype(np.uint8),
-    )
+    return SpatialCode(m=m, K=K, codewords=cw, crossover=np.exp(-w), weights=w)
 
 
 # ---------------------------------------------------------------------------

@@ -113,14 +113,23 @@ def test_config_validation_errors():
     with pytest.raises(ConfigurationError):
         small_uncoded(detector="mrc").validate()
     with pytest.raises(ConfigurationError):
-        small_uncoded(detector="soft-wmd").validate(coded=False)
-    with pytest.raises(ConfigurationError):
-        small_uncoded(detector="zf").validate(coded=True)
-    with pytest.raises(ConfigurationError):
         small_uncoded(csir="estimated", t_t=1, t_c=101).validate()  # t_t < n_users
-    with pytest.raises(ConfigurationError):
-        small_coded(ldpc_n=130, t_d=64, t_c=64).validate(coded=True)  # 65 slots > t_d
+    with pytest.raises(ConfigurationError, match="frames_per_block"):
+        small_uncoded(frames_per_block=0).validate()
     small_uncoded().validate()  # baseline passes
+
+
+def test_runners_check_their_own_run_kind():
+    # validate() checks the config alone, so it takes every detector
+    small_uncoded(detector="soft-wmd").validate()
+    small_coded(detector="zf").validate()
+    small_coded(ldpc_n=130, t_d=64, t_c=64).validate()
+    with pytest.raises(ConfigurationError, match="soft-wmd"):
+        run_uncoded(small_uncoded(detector="soft-wmd"))
+    with pytest.raises(ConfigurationError, match="zf"):
+        run_coded(small_coded(detector="zf"))
+    with pytest.raises(ConfigurationError, match="t_d=64"):
+        run_coded(small_coded(ldpc_n=130, t_d=64, t_c=64))  # 65 slots > t_d
 
 
 def test_config_rejects_unsplit_frame():
@@ -173,7 +182,7 @@ def test_config_accepts_snr_sequences():
 
 def test_config_accepts_optional_fields_unset_and_integer_rate():
     small_uncoded(frames_per_block=None, ldpc_alist=None, output=None).validate()
-    small_coded(ldpc_rate=1).validate(coded=True)  # an int is a real number
+    small_coded(ldpc_rate=1).validate()  # an int is a real number
 
 
 def test_config_rejects_zf_with_partition():
@@ -190,6 +199,14 @@ def test_partition_sweep_rejects_zf_before_running_any_arm(monkeypatch):
     monkeypatch.setattr(sim, "run_uncoded", lambda arm: calls.append(arm) or [])
     with pytest.raises(ConfigurationError, match="zf"):
         run_partition_sweep(small_uncoded(detector="zf"), ["full", {"k": [4], "q": [2]}])
+    assert calls == []
+
+
+def test_partition_sweep_rejects_soft_wmd_before_running_any_arm(monkeypatch):
+    calls = []
+    monkeypatch.setattr(sim, "run_uncoded", lambda arm: calls.append(arm) or [])
+    with pytest.raises(ConfigurationError, match="soft-wmd"):
+        run_partition_sweep(small_uncoded(detector="soft-wmd"), ["full", {"k": [4], "q": [2]}])
     assert calls == []
 
 
@@ -337,7 +354,7 @@ def test_coded_rejects_misaligned_alist_blocklength(tmp_path):
     path = tmp_path / "n126.alist"
     save_alist(construct_code(126, 0.5, 3).h, path)
     cfg = small_coded(m=16, n_rx=4, ldpc_alist=str(path), t_c=256, t_d=256)
-    cfg.validate(coded=True)
+    cfg.validate()
     with pytest.raises(ConfigurationError, match="multiple of the 4 bits"):
         run_coded(cfg)
 
@@ -352,7 +369,7 @@ def test_coded_rejects_frames_overrunning_block_with_alist(tmp_path):
     path = tmp_path / "n128.alist"
     save_alist(construct_code(128, 0.5, 3).h, path)
     cfg = small_coded(ldpc_alist=str(path), frames_per_block=3)
-    cfg.validate(coded=True)  # the length is only known once the file is read
+    cfg.validate()  # the length is only known once the file is read
     with pytest.raises(ConfigurationError, match="span 192 slots"):
         run_coded(cfg)
 

@@ -17,7 +17,7 @@ from onebit_mimo import (
     subcode,
 )
 from onebit_mimo.core import bit_table
-from onebit_mimo.spatial_code import EPS_FLOOR, SpatialCode, _bit_sides, _digit_sides
+from onebit_mimo.spatial_code import EPS_FLOOR, _bit_sides, _digit_sides
 
 from conftest import random_code
 
@@ -169,18 +169,6 @@ class TestBitSides:
         b = random_code(K=2, n_r=6, seed=2)
         assert a.bit_sides is b.bit_sides
 
-    def test_rejects_reordered_digits(self):
-        code = random_code(K=2, n_r=2)
-        with pytest.raises(ValueError, match="all_message_digits"):
-            SpatialCode(
-                m=4,
-                K=2,
-                codewords=code.codewords,
-                crossover=code.crossover,
-                weights=code.weights,
-                digits=code.digits[::-1],
-            )
-
 
 class TestDigitSides:
     @pytest.mark.parametrize("m,K", [(4, K) for K in range(1, 5)] + [(16, K) for K in range(1, 4)])
@@ -198,3 +186,8 @@ class TestDigitSides:
         b = random_code(K=2, n_r=6, seed=2)
         assert a.digit_sides is b.digit_sides
         assert a.digit_sides is _digit_sides(4, 2)
+        assert a.digits is b.digits
+        assert not a.digits.flags.writeable
+        np.testing.assert_array_equal(a.digits, all_message_digits(4, 2))
+        with pytest.raises(AttributeError):
+            a.digits = all_message_digits(4, 2)

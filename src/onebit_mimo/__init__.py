@@ -7,6 +7,8 @@ partition, produces soft output for an outer LDPC code, and measures BER/FER
 in a reproducible Monte Carlo harness.
 """
 
+__version__ = "0.1.0"  # before the submodule imports: sim records it in each sidecar
+
 from .channel import (
     NOISE_STD,
     estimate_channel_zf,
@@ -86,8 +88,6 @@ from .spatial_code import (
     subcode,
     weighted_hamming,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "NOISE_STD",

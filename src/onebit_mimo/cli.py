@@ -61,7 +61,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> SimConfig:
-    data = SimConfig.from_json(args.config).to_dict() if args.config else {}
+    data = SimConfig.from_json(args.config) if args.config else {}
     for field in dataclasses.fields(SimConfig):
         value = getattr(args, field.name, None)
         if value is not None:
@@ -116,7 +116,6 @@ def _cmd_partition_stats(args: argparse.Namespace) -> int:
 
 def _cmd_complexity(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    cfg.validate()
     n_pre, n_wmd, n_total = estimate_complexity(cfg.partition, cfg.m, cfg.n_users)
     label = cfg.partition.label() if cfg.partition is not None else "full"
     _emit_text(

@@ -2,12 +2,14 @@
 
 A run is described by a SimConfig; configs load from JSON files whose keys
 mirror the dataclass fields one-for-one, and every field can be overridden
-from the command line.  ``SimConfig.validate`` checks only the config, so
-the analytic subcommands accept every detector; the runners in ``sim`` add
-what their run kind needs (a detector of that kind, an LDPC blocklength that
-fits the block).  Result rows serialize to CSV with rates printed at
-six significant digits alongside the raw integer counts; wall-clock timings
-live in the sidecar metadata so repeated runs produce identical CSV bytes.
+from the command line.  A SimConfig is checked as it is built (by
+``__post_init__``, so ``dataclasses.replace`` re-checks too) and holds only
+values that some run kind accepts; the analytic subcommands therefore take
+every detector, and the runners in ``sim`` add what their run kind needs (a
+detector of that kind, an LDPC code that fits the block).  Result rows
+serialize to CSV with rates printed at six significant digits alongside the
+raw integer counts; wall-clock timings live in the sidecar metadata so
+repeated runs produce identical CSV bytes.
 """
 
 from __future__ import annotations
@@ -31,8 +33,12 @@ CSIR_MODES = ("perfect", "estimated")
 # the bound.
 MAX_CODEBOOK_ENTRIES = 2**24
 
-# Scalar fields by type: SimConfig.validate checks them and the CLI types
-# its same-name flags by them.  Integer fields take an int (not a bool),
+# Most worker processes: under the fork start method a ProcessPoolExecutor
+# starts all of them at its first submit.
+MAX_WORKERS = 256
+
+# Scalar fields by type: SimConfig checks them when it is built and the CLI
+# types its same-name flags by them.  Integer fields take an int (not a bool),
 # ldpc_rate a real number, string fields a str; OPTIONAL_FIELDS also take None.
 INT_FIELDS = (
     "n_users",
@@ -62,18 +68,18 @@ SWEEP_CSV_HEADER = (
 
 
 def parse_partition(value) -> PartitionParams | None:
-    """Accept None/"full", a {"k":…,"q":…} mapping, or a [k_list, q_list] pair."""
+    """Accept and check None/"full", PartitionParams, {"k":…,"q":…} or [k_list, q_list]."""
     if value is None or value == "full":
         return None
-    if isinstance(value, PartitionParams):
-        return value
     if isinstance(value, str):
         try:
             value = json.loads(value)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"cannot parse partition spec {value!r}: {exc}") from exc
         return parse_partition(value)
-    if isinstance(value, dict):
+    if isinstance(value, PartitionParams):
+        k, q = value.k, value.q
+    elif isinstance(value, dict):
         k, q = value.get("k"), value.get("q")
     elif isinstance(value, (list, tuple)) and len(value) == 2:
         k, q = value
@@ -81,7 +87,7 @@ def parse_partition(value) -> PartitionParams | None:
         raise ConfigurationError(f"unrecognized partition spec: {value!r}")
     if not all(isinstance(v, (list, tuple)) and all(map(_is_int, v)) for v in (k, q)):
         raise ConfigurationError(f"partition k and q must be lists of integers: {value!r}")
-    params = PartitionParams(k=tuple(k), q=tuple(q))
+    params = value if isinstance(value, PartitionParams) else PartitionParams(tuple(k), tuple(q))
     require_valid_params(params)
     return params
 
@@ -172,6 +178,7 @@ class SimConfig:
     output: str | None = None
 
     def __post_init__(self):
+        """Normalise snr_db and the partition, then reject a config no run kind accepts."""
         values = (self.snr_db,) if _is_real(self.snr_db) else self.snr_db
         if not isinstance(values, (list, tuple, np.ndarray)) or not all(map(_is_real, values)):
             raise ConfigurationError(
@@ -180,10 +187,9 @@ class SimConfig:
         for value in values:
             snr_linear(value)
         self.snr_db = tuple(float(v) for v in values)
+        if not self.snr_db:
+            raise ConfigurationError("snr_db must list at least one operating point")
         self.partition = parse_partition(self.partition)
-
-    def validate(self) -> None:
-        """Reject a config that no run kind accepts; each runner checks its own kind."""
         require_field_types(self)
         if self.n_users < 1 or self.n_rx < 1:
             raise ConfigurationError("n_users and n_rx must be positive")
@@ -200,14 +206,15 @@ class SimConfig:
                 f"codebook of {self.m}**{self.n_users} codewords x {2 * self.n_rx} bits "
                 f"exceeds {MAX_CODEBOOK_ENTRIES} entries"
             )
-        if not self.snr_db:
-            raise ConfigurationError("snr_db must list at least one operating point")
         if self.detector not in DETECTORS:
             raise ConfigurationError(f"detector must be one of {DETECTORS}, got {self.detector!r}")
         if self.csir not in CSIR_MODES:
             raise ConfigurationError(f"csir must be one of {CSIR_MODES}, got {self.csir!r}")
-        if self.csir == "estimated" and self.t_t < self.n_users:
-            raise ConfigurationError("estimated CSIR needs t_t >= n_users pilot slots")
+        if self.csir == "estimated" and (self.t_t < self.n_users or self.t_t % self.n_users):
+            raise ConfigurationError(
+                f"estimated CSIR needs t_t to be a positive multiple of n_users={self.n_users} "
+                f"pilot slots, got t_t={self.t_t}"
+            )
         if self.t_t < 0 or self.t_d < 1:
             raise ConfigurationError(
                 f"need t_t >= 0 and t_d >= 1, got t_t={self.t_t}, t_d={self.t_d}"
@@ -217,18 +224,18 @@ class SimConfig:
                 f"coherence block must split exactly: t_c={self.t_c} != "
                 f"t_t={self.t_t} + t_d={self.t_d}"
             )
-        if self.trials < 1 or self.target_errors < 1:
-            raise ConfigurationError("trials and target_errors must be positive")
-        if self.workers < 1 or self.wave < 1:
-            raise ConfigurationError("workers and wave must be positive")
+        if min(self.trials, self.target_errors, self.wave, self.ldpc_max_iter) < 1:
+            raise ConfigurationError(
+                "trials, target_errors, wave and ldpc_max_iter must be positive"
+            )
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ConfigurationError(f"workers must be in 1..{MAX_WORKERS}, got {self.workers}")
+        if (self.seed is not None and self.seed < 0) or self.ldpc_seed < 0:
+            raise ConfigurationError("seed and ldpc_seed must be non-negative")
         if self.frames_per_block is not None and self.frames_per_block < 1:
             raise ConfigurationError("frames_per_block must be >= 1 when set")
-        if self.partition is not None:
-            require_valid_params(self.partition)
-            if self.detector == "zf":
-                raise ConfigurationError(
-                    "zf detection searches no codebook, so it takes no partition"
-                )
+        if self.partition is not None and self.detector == "zf":
+            raise ConfigurationError("zf detection searches no codebook, so it takes no partition")
 
     def require_seed(self) -> None:
         if self.seed is None:
@@ -248,8 +255,9 @@ class SimConfig:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
 
-    @classmethod
-    def from_json(cls, path) -> "SimConfig":
+    @staticmethod
+    def from_json(path) -> dict:
+        """The JSON object of a config file, for a caller to overlay and pass to from_dict."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -259,7 +267,7 @@ class SimConfig:
             raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigurationError(f"config {path} must hold a JSON object")
-        return cls.from_dict(data)
+        return data
 
 
 def _fmt(x: float) -> str:

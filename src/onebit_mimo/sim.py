@@ -11,10 +11,10 @@ and then its N noise samples (``normal``); a coded frame draws its K
 message rows once, then N noise samples per slot.  Every data slot of every
 run kind goes through one detection step, ``_detect_slot``: transmit, then
 ZF, or pruning (when a tree exists) and a hard decoder or the soft LLRs.
-Each runner checks its own run kind on top of ``SimConfig.validate``:
-``run_uncoded`` (and every partition-sweep arm) rejects soft-wmd, and
-``run_coded`` rejects zf and checks the LDPC blocklength, configured or
-loaded from an alist, against the block.
+A SimConfig is checked when it is built; each runner adds only its own run
+kind: ``run_uncoded`` (and ``run_partition_sweep``) rejects soft-wmd, and
+``run_coded`` rejects zf, then loads or builds its LDPC code once and
+checks that code's blocklength against the block before any block runs.
 
 Blocks are scheduled in fixed-size waves: a whole wave is simulated and
 merged before the stopping rule (trial budget or error target) is evaluated,
@@ -33,6 +33,7 @@ from functools import partial
 
 import numpy as np
 
+from . import __version__
 from .channel import (
     estimate_channel_zf,
     generate_pilots,
@@ -40,7 +41,7 @@ from .channel import (
     transmit,
     transmit_pilots,
 )
-from .config import ResultRow, SimConfig, SweepRow, parse_partition, require_ldpc_fit, snr_linear
+from .config import ResultRow, SimConfig, SweepRow, require_ldpc_fit, snr_linear
 from .core import Constellation, bit_table, qam_constellation, real_channel_matrix
 from .detector import compute_llrs, md_decode, ml_decode, wmd_decode, zf_detect
 from .errors import ConfigurationError
@@ -60,13 +61,6 @@ from .partition import (
     tree_stats,
 )
 from .spatial_code import SpatialCode, build_code
-
-try:
-    from importlib.metadata import version as _pkg_version
-
-    PACKAGE_VERSION = _pkg_version("onebit-mimo")
-except Exception:  # pragma: no cover - metadata missing in odd installs
-    PACKAGE_VERSION = "unknown"
 
 _HARD_DECODERS = {"wmd": wmd_decode, "md": md_decode, "ml": ml_decode}
 
@@ -247,7 +241,6 @@ def _run(cfg: SimConfig, worker, metric: str) -> list:
 
 
 def _require_uncoded(cfg: SimConfig) -> None:
-    cfg.validate()
     if cfg.detector == "soft-wmd":
         raise ConfigurationError("soft-wmd produces LLRs and needs a coded run")
 
@@ -261,14 +254,11 @@ def run_uncoded(cfg: SimConfig) -> list:
 
 def run_coded(cfg: SimConfig) -> list:
     """FER with the LDPC outer code, one ResultRow per SNR point."""
-    cfg.validate()
     if cfg.detector == "zf":
         raise ConfigurationError("zf detection is uncoded-only")
     cfg.require_seed()
-    # an alist's blocklength is known only once it is loaded; every process,
-    # this one and each worker, builds its own code lazily in _get_ldpc
-    n = cfg.ldpc_n if cfg.ldpc_alist is None else _get_ldpc(cfg).n
-    require_ldpc_fit(n, cfg.m, cfg.t_d, cfg.frames_per_block)
+    # a spawned worker starts without this process's cache and builds its own
+    require_ldpc_fit(_get_ldpc(cfg).n, cfg.m, cfg.t_d, cfg.frames_per_block)
     return _run(cfg, _coded_block, "fer")
 
 
@@ -281,9 +271,9 @@ def run_partition_sweep(cfg: SimConfig, sweep) -> list:
     """
     if not sweep:
         raise ConfigurationError("partition sweep needs at least one spec")
-    arms = [dataclasses.replace(cfg, partition=parse_partition(spec)) for spec in sweep]
-    for arm in arms:  # reject a bad arm before any arm runs
-        _require_uncoded(arm)
+    _require_uncoded(cfg)
+    # each arm is checked as it is built, so a bad one stops the sweep before any runs
+    arms = [dataclasses.replace(cfg, partition=spec) for spec in sweep]
     rows = []
     for arm in arms:
         params = arm.partition
@@ -303,7 +293,6 @@ def run_partition_sweep(cfg: SimConfig, sweep) -> list:
 
 def partition_report(cfg: SimConfig) -> str:
     """Tree shape and complexity summary for one sampled coherence block."""
-    cfg.validate()
     cfg.require_seed()
     if cfg.partition is None:
         raise ConfigurationError("partition-stats needs a partition spec")
@@ -335,7 +324,7 @@ def write_results(path: str, rows, header: str, cfg: SimConfig) -> None:
     ]
     meta = {
         "config": cfg.to_dict(),
-        "package_version": PACKAGE_VERSION,
+        "package_version": __version__,
         "row_wall_time_s": walls,
         "total_wall_time_s": sum(walls),
     }

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -11,14 +12,22 @@ import numpy as np
 import pytest
 
 import onebit_mimo
+from onebit_mimo import sim
 from onebit_mimo.cli import main
-from onebit_mimo.config import CSV_HEADER, SWEEP_CSV_HEADER
+from onebit_mimo.config import CSV_HEADER, MAX_WORKERS, SWEEP_CSV_HEADER
 from onebit_mimo.ldpc import save_alist
 
 SMALL = [
     "--n_users", "2", "--n_rx", "8", "--t_c", "100", "--t_d", "100",
     "--trials", "100", "--target_errors", "1000000", "--wave", "1", "--seed", "1",
 ]
+CODED = [
+    "--n_users", "2", "--n_rx", "8", "--t_c", "128", "--t_d", "128",
+    "--ldpc_n", "128", "--frames_per_block", "1", "--trials", "4",
+    "--target_errors", "1000000", "--wave", "1", "--seed", "2",
+    "--detector", "soft-wmd", "--snr_db", "30",
+]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, argv):
@@ -142,18 +151,21 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert out.splitlines()[1].split(",")[5] == "100"  # flag beat the file value
     code, out, _ = run_cli(capsys, ["uncoded", "--config", str(cfg_path)])
     assert out.splitlines()[1].split(",")[5] == "400"
+    # the flag replaces the file's invalid partition before anything is checked
+    cfg_path.write_text(json.dumps({"partition": {"k": [4], "q": [8]}}))
+    for command in ("uncoded", "complexity"):
+        code, out, err = run_cli(
+            capsys, [command, "--config", str(cfg_path), *SMALL, "--partition", "full"]
+        )
+        assert (code, err) == (0, ""), command
+        assert out.splitlines()[1].startswith(("10,wmd,ber,", "full,")), command
+    code, _, err = run_cli(capsys, ["uncoded", "--config", str(cfg_path), *SMALL])
+    assert code == 2
+    assert "invalid partition" in err
 
 
 def test_coded_stdout(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        [
-            "coded", "--n_users", "2", "--n_rx", "8", "--t_c", "128", "--t_d", "128",
-            "--ldpc_n", "128", "--frames_per_block", "1", "--trials", "4",
-            "--target_errors", "1000000", "--wave", "1", "--seed", "2",
-            "--detector", "soft-wmd", "--snr_db", "30",
-        ],
-    )
+    code, out, _ = run_cli(capsys, ["coded", *CODED])
     assert code == 0
     row = out.splitlines()[1].split(",")
     assert row[1] == "soft-wmd" and row[2] == "fer"
@@ -292,6 +304,75 @@ def test_zf_with_partition_is_config_error(capsys):
     )
     assert code == 2
     assert "zf" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["uncoded", *SMALL, "--seed", "-1"], "seed"),
+        (
+            ["partition-stats", *SMALL, "--partition", '{"k": [4], "q": [2]}', "--seed", "-2"],
+            "seed",
+        ),
+        (["coded", *CODED, "--ldpc_seed", "-3"], "ldpc_seed"),
+        (["coded", *CODED, "--ldpc_max_iter", "-3"], "ldpc_max_iter"),
+        (
+            [
+                "complexity", "--n_users", "4", "--csir", "estimated",
+                "--t_t", "5", "--t_d", "20", "--t_c", "25",
+            ],
+            "t_t",
+        ),
+    ],
+)
+def test_out_of_range_value_is_config_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_too_many_workers_is_config_error(capsys, monkeypatch):
+    def no_pool(cfg):
+        raise AssertionError("a worker pool was requested")
+
+    monkeypatch.setattr(sim, "_make_executor", no_pool)
+    for workers in (MAX_WORKERS + 1, 100000):
+        code, out, err = run_cli(capsys, ["uncoded", *SMALL, "--workers", str(workers)])
+        assert (code, out) == (2, "")
+        assert "workers" in err
+
+
+SUBCOMMAND_ARGS = {
+    "uncoded": [],
+    "coded": ["--detector", "soft-wmd", "--ldpc_n", "64"],
+    "partition-sweep": ["--sweep", '["full"]'],
+    "partition-stats": ["--partition", '{"k": [4], "q": [2]}'],
+    "complexity": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+def test_invalid_config_exits_2_from_every_subcommand(capsys, tmp_path, command):
+    # one check, when the config is built, whether the value is a flag or in a file
+    extra = SUBCOMMAND_ARGS[command]
+    code, out, err = run_cli(capsys, [command, *SMALL, *extra, "--seed", "-1"])
+    assert (code, out) == (2, "")
+    assert "seed" in err
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"n_users": 2, "n_rx": 8, "t_c": 100, "t_d": 100, "seed": -1}))
+    code, out, err = run_cli(capsys, [command, "--config", str(path), *extra])
+    assert (code, out) == (2, "")
+    assert "seed" in err
+
+
+def test_readme_shows_the_sweep_example_output(capsys):
+    text = README.read_text(encoding="utf-8")
+    start = text.index("onebit-mimo partition-sweep")
+    command = text[start : text.index("\n```", start)].replace("\\\n", " ")
+    argv = shlex.split(command)[1:]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert "\n```\n" + out + "```\n" in text
 
 
 def test_bad_sweep_is_config_error(capsys):

@@ -1,16 +1,20 @@
 """Configuration handling and the Monte Carlo BER/FER harness."""
 
+import dataclasses
 import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import onebit_mimo
 from onebit_mimo import sim
 from onebit_mimo.config import (
     CSV_HEADER,
     MAX_CODEBOOK_ENTRIES,
+    MAX_WORKERS,
     SWEEP_CSV_HEADER,
     SimConfig,
     parse_partition,
@@ -107,23 +111,36 @@ def test_config_unknown_keys_rejected():
 
 def test_config_validation_errors():
     with pytest.raises(ConfigurationError):
-        small_uncoded(m=8).validate()  # odd power of two
+        small_uncoded(m=8)  # odd power of two
     with pytest.raises(ConfigurationError):
-        small_uncoded(t_c=99).validate()  # block does not split
+        small_uncoded(t_c=99)  # block does not split
     with pytest.raises(ConfigurationError):
-        small_uncoded(detector="mrc").validate()
+        small_uncoded(detector="mrc")
     with pytest.raises(ConfigurationError):
-        small_uncoded(csir="estimated", t_t=1, t_c=101).validate()  # t_t < n_users
+        small_uncoded(csir="estimated", t_t=1, t_c=101)  # t_t < n_users
     with pytest.raises(ConfigurationError, match="frames_per_block"):
-        small_uncoded(frames_per_block=0).validate()
-    small_uncoded().validate()  # baseline passes
+        small_uncoded(frames_per_block=0)
+    small_uncoded()  # baseline passes
+
+
+def test_config_is_checked_when_built_and_replaced():
+    cfg = small_uncoded()
+    assert not hasattr(cfg, "validate")
+    with pytest.raises(ConfigurationError, match="snr_db"):
+        small_uncoded(snr_db=[])
+    with pytest.raises(ConfigurationError, match="invalid partition"):
+        small_uncoded(partition=PartitionParams((4,), (8,)))  # passed in directly
+    with pytest.raises(ConfigurationError, match="m must be"):
+        dataclasses.replace(cfg, m=8)
+    with pytest.raises(ConfigurationError, match="zf"):
+        dataclasses.replace(cfg, detector="zf", partition={"k": [4], "q": [2]})
 
 
 def test_runners_check_their_own_run_kind():
-    # validate() checks the config alone, so it takes every detector
-    small_uncoded(detector="soft-wmd").validate()
-    small_coded(detector="zf").validate()
-    small_coded(ldpc_n=130, t_d=64, t_c=64).validate()
+    # the config alone takes every detector; each runner checks its own kind
+    small_uncoded(detector="soft-wmd")
+    small_coded(detector="zf")
+    small_coded(ldpc_n=130, t_d=64, t_c=64)
     with pytest.raises(ConfigurationError, match="soft-wmd"):
         run_uncoded(small_uncoded(detector="soft-wmd"))
     with pytest.raises(ConfigurationError, match="zf"):
@@ -134,26 +151,35 @@ def test_runners_check_their_own_run_kind():
 
 def test_config_rejects_unsplit_frame():
     with pytest.raises(ConfigurationError):
-        small_uncoded(t_c=1000, t_t=30, t_d=975).validate()  # 30 + 975 != 1000
-    small_uncoded(t_c=1000, t_t=25, t_d=975).validate()
+        small_uncoded(t_c=1000, t_t=30, t_d=975)  # 30 + 975 != 1000
+    small_uncoded(t_c=1000, t_t=25, t_d=975)
 
 
 def test_config_rejects_negative_frame_lengths():
     with pytest.raises(ConfigurationError):
-        small_uncoded(t_c=0, t_t=-5, t_d=5).validate()
+        small_uncoded(t_c=0, t_t=-5, t_d=5)
     with pytest.raises(ConfigurationError):
-        small_uncoded(t_c=0, t_d=0).validate()  # an empty block never fills the budget
+        small_uncoded(t_c=0, t_d=0)  # an empty block never fills the budget
 
 
 def test_config_bounds_codebook_size():
     # checked by arithmetic only: running a config above the bound would
     # allocate gigabytes
     with pytest.raises(ConfigurationError, match="codebook"):
-        small_uncoded(n_users=11, m=4, n_rx=32).validate()
+        small_uncoded(n_users=11, m=4, n_rx=32)
     with pytest.raises(ConfigurationError, match="codebook"):
-        small_uncoded(n_users=10**9).validate()
+        small_uncoded(n_users=10**9)
     assert 4**9 * 2 * 32 == MAX_CODEBOOK_ENTRIES
-    small_uncoded(n_users=9, m=4, n_rx=32).validate()  # exactly at the bound
+    small_uncoded(n_users=9, m=4, n_rx=32)  # exactly at the bound
+
+
+def test_config_bounds_workers():
+    # checked on construction only: a run would start every worker process
+    with pytest.raises(ConfigurationError, match="workers"):
+        small_uncoded(workers=MAX_WORKERS + 1)
+    with pytest.raises(ConfigurationError, match="workers"):
+        small_uncoded(workers=0)
+    assert small_uncoded(workers=MAX_WORKERS).workers == MAX_WORKERS
 
 
 @pytest.mark.parametrize(
@@ -161,11 +187,8 @@ def test_config_bounds_codebook_size():
     [("m", 4.0), ("n_users", "2"), ("trials", True), ("ldpc_rate", "0.5"), ("detector", None)],
 )
 def test_config_rejects_wrongly_typed_fields(field, value):
-    cfg = SimConfig.from_dict({**small_uncoded().to_dict(), field: value})
     with pytest.raises(ConfigurationError, match=field):
-        cfg.validate()
-    with pytest.raises(ConfigurationError, match=field):
-        run_uncoded(cfg)
+        SimConfig.from_dict({**small_uncoded().to_dict(), field: value})
 
 
 @pytest.mark.parametrize("value", ["10", None, [True], ["5"], [[1.0]]])
@@ -181,17 +204,14 @@ def test_config_accepts_snr_sequences():
 
 
 def test_config_accepts_optional_fields_unset_and_integer_rate():
-    small_uncoded(frames_per_block=None, ldpc_alist=None, output=None).validate()
-    small_coded(ldpc_rate=1).validate()  # an int is a real number
+    small_uncoded(frames_per_block=None, ldpc_alist=None, output=None)
+    small_coded(ldpc_rate=1)  # an int is a real number
 
 
 def test_config_rejects_zf_with_partition():
-    cfg = small_uncoded(detector="zf", partition={"k": [4], "q": [2]})
     with pytest.raises(ConfigurationError, match="zf"):
-        cfg.validate()
-    with pytest.raises(ConfigurationError, match="zf"):
-        run_uncoded(cfg)
-    small_uncoded(detector="zf").validate()
+        small_uncoded(detector="zf", partition={"k": [4], "q": [2]})
+    small_uncoded(detector="zf")
 
 
 def test_partition_sweep_rejects_zf_before_running_any_arm(monkeypatch):
@@ -354,7 +374,6 @@ def test_coded_rejects_misaligned_alist_blocklength(tmp_path):
     path = tmp_path / "n126.alist"
     save_alist(construct_code(126, 0.5, 3).h, path)
     cfg = small_coded(m=16, n_rx=4, ldpc_alist=str(path), t_c=256, t_d=256)
-    cfg.validate()
     with pytest.raises(ConfigurationError, match="multiple of the 4 bits"):
         run_coded(cfg)
 
@@ -368,8 +387,7 @@ def test_coded_rejects_frames_overrunning_block():
 def test_coded_rejects_frames_overrunning_block_with_alist(tmp_path):
     path = tmp_path / "n128.alist"
     save_alist(construct_code(128, 0.5, 3).h, path)
-    cfg = small_coded(ldpc_alist=str(path), frames_per_block=3)
-    cfg.validate()  # the length is only known once the file is read
+    cfg = small_coded(ldpc_alist=str(path), frames_per_block=3)  # only run_coded reads it
     with pytest.raises(ConfigurationError, match="span 192 slots"):
         run_coded(cfg)
 
@@ -449,6 +467,21 @@ def test_write_results_csv_and_sidecar(tmp_path):
     assert meta["config"]["n_users"] == 2
     assert len(meta["row_wall_time_s"]) == 1
     assert meta["total_wall_time_s"] >= 0
+    # from the package itself, which a source checkout without metadata also has
+    assert meta["package_version"] == onebit_mimo.__version__
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert onebit_mimo.__version__ == tomllib.loads(pyproject.read_text())["project"]["version"]
+
+
+def test_coded_checks_its_ldpc_code_before_any_block(monkeypatch):
+    blocks = []
+    monkeypatch.setattr(sim, "_coded_block", lambda *args: blocks.append(args))
+    with pytest.raises(ConfigurationError, match="rate"):
+        run_coded(small_coded(ldpc_rate=0.4))
+    with pytest.raises(ConfigurationError, match="even"):
+        run_coded(small_coded(ldpc_n=127))
+    assert blocks == []
 
 
 def test_sweep_csv_render(tmp_path):

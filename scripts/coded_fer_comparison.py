@@ -7,9 +7,8 @@ decisions + bit flipping, on paired seeds across an SNR range.
 
 import argparse
 import dataclasses
-import sys
 
-from onebit_mimo import CSV_HEADER, SimConfig, render_csv, run_coded, write_results
+from onebit_mimo import CSV_HEADER, SimConfig, run_coded, write_results
 
 
 def main() -> int:
@@ -40,10 +39,7 @@ def main() -> int:
     rows = []
     for det in ("soft-wmd", "wmd"):
         rows.extend(run_coded(dataclasses.replace(base, detector=det)))
-    if args.output:
-        write_results(args.output, rows, CSV_HEADER, base)
-    else:
-        sys.stdout.write(render_csv(rows, CSV_HEADER))
+    write_results(args.output, rows, CSV_HEADER, base)
     return 0
 
 

@@ -10,12 +10,10 @@ measured error rate and mean candidate-set size.
 
 import argparse
 import json
-import sys
 
 from onebit_mimo import (
     SWEEP_CSV_HEADER,
     SimConfig,
-    render_csv,
     run_partition_sweep,
     write_results,
 )
@@ -58,10 +56,7 @@ def main() -> int:
         seed=args.seed,
     )
     rows = run_partition_sweep(cfg, sweep)
-    if args.output:
-        write_results(args.output, rows, SWEEP_CSV_HEADER, cfg)
-    else:
-        sys.stdout.write(render_csv(rows, SWEEP_CSV_HEADER))
+    write_results(args.output, rows, SWEEP_CSV_HEADER, cfg)
     return 0
 
 

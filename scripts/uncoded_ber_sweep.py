@@ -10,9 +10,8 @@ comparable. Desk-scale defaults finish in well under a minute.
 
 import argparse
 import dataclasses
-import sys
 
-from onebit_mimo import CSV_HEADER, SimConfig, render_csv, run_uncoded, write_results
+from onebit_mimo import CSV_HEADER, SimConfig, run_uncoded, write_results
 
 
 def main() -> int:
@@ -43,10 +42,7 @@ def main() -> int:
     rows = []
     for det in args.detectors.split(","):
         rows.extend(run_uncoded(dataclasses.replace(base, detector=det.strip())))
-    if args.output:
-        write_results(args.output, rows, CSV_HEADER, base)
-    else:
-        sys.stdout.write(render_csv(rows, CSV_HEADER))
+    write_results(args.output, rows, CSV_HEADER, base)
     return 0
 
 

@@ -30,7 +30,6 @@ from .errors import CodeConstructionError, ConfigurationError
 from .partition import estimate_complexity
 from .sim import (
     partition_report,
-    render_csv,
     run_coded,
     run_partition_sweep,
     run_uncoded,
@@ -77,22 +76,15 @@ def _emit_text(cfg: SimConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_rows(cfg: SimConfig, rows, header: str) -> None:
-    if cfg.output:
-        write_results(cfg.output, rows, header, cfg)
-    else:
-        sys.stdout.write(render_csv(rows, header))
-
-
 def _cmd_uncoded(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    _emit_rows(cfg, run_uncoded(cfg), CSV_HEADER)
+    write_results(cfg.output, run_uncoded(cfg), CSV_HEADER, cfg)
     return 0
 
 
 def _cmd_coded(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    _emit_rows(cfg, run_coded(cfg), CSV_HEADER)
+    write_results(cfg.output, run_coded(cfg), CSV_HEADER, cfg)
     return 0
 
 
@@ -104,7 +96,7 @@ def _cmd_partition_sweep(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"--sweep is not valid JSON: {exc}") from exc
     if not isinstance(sweep, list):
         raise ConfigurationError("--sweep must be a JSON list of partition specs")
-    _emit_rows(cfg, run_partition_sweep(cfg, sweep), SWEEP_CSV_HEADER)
+    write_results(cfg.output, run_partition_sweep(cfg, sweep), SWEEP_CSV_HEADER, cfg)
     return 0
 
 

@@ -85,15 +85,15 @@ def parse_partition(value) -> PartitionParams | None:
         k, q = value
     else:
         raise ConfigurationError(f"unrecognized partition spec: {value!r}")
-    if not all(isinstance(v, (list, tuple)) and all(map(_is_int, v)) for v in (k, q)):
+    if not all(isinstance(v, (list, tuple)) for v in (k, q)):
         raise ConfigurationError(f"partition k and q must be lists of integers: {value!r}")
     params = value if isinstance(value, PartitionParams) else PartitionParams(tuple(k), tuple(q))
     require_valid_params(params)
     return params
 
 
-def require_ldpc_fit(n: int, m: int, t_d: int, frames_per_block: int | None) -> None:
-    """Reject an LDPC blocklength that is not whole symbols, or frames that overrun t_d.
+def require_ldpc_fit(n: int, m: int, t_d: int, frames_per_block: int | None) -> int:
+    """Frames per block; reject a blocklength that is not whole symbols, or frames that overrun t_d.
 
     ``frames_per_block`` None means the default, as many whole frames as fit
     in t_d and at least one.
@@ -103,11 +103,12 @@ def require_ldpc_fit(n: int, m: int, t_d: int, frames_per_block: int | None) -> 
         raise ConfigurationError(
             f"LDPC blocklength {n} is not a multiple of the {q} bits per symbol"
         )
-    frames = frames_per_block or 1
+    frames = frames_per_block or max(1, t_d // (n // q))
     if frames * (n // q) > t_d:
         raise ConfigurationError(
             f"{frames} frame(s) of {n // q} slots span {frames * (n // q)} slots but t_d={t_d}"
         )
+    return frames
 
 
 def snr_linear(snr_db) -> float:

@@ -22,6 +22,7 @@ from .errors import CodeConstructionError, ConfigurationError
 VAR_DEGREE = 3
 CHECK_DEGREE = 6
 MAX_CONSTRUCTION_ATTEMPTS = 30
+MAX_REPAIR_ROUNDS = 2000  # bad edges swapped away per attempt
 _TANH_LIM = 1.0 - 1e-12
 
 
@@ -40,10 +41,6 @@ class LdpcCode:
         return self.h.shape[1]
 
     @property
-    def n_checks(self) -> int:
-        return self.h.shape[0]
-
-    @property
     def k(self) -> int:
         return self.generator.shape[0]
 
@@ -58,49 +55,49 @@ def _pair_stubs(n: int, n_checks: int, rng: np.random.Generator):
     return ev, ec
 
 
+def _first_repeat(keys: np.ndarray):
+    """Position of the first entry equal to an earlier one, or None."""
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][np.diff(keys[order]) == 0]
+    return int(repeats.min()) if repeats.size else None
+
+
 def _find_bad_edge(ev: np.ndarray, ec: np.ndarray):
-    """Index of an edge participating in a parallel pair or a 4-cycle."""
-    seen = {}
-    for e, (v, c) in enumerate(zip(ev, ec)):
-        key = (v, c)
-        if key in seen:
-            return e
-        seen[key] = e
-    pair_seen = {}
-    rows = [[] for _ in range(int(ec.max()) + 1)]
-    for e, c in enumerate(ec):
-        rows[c].append(e)
-    for row in rows:
-        row_sorted = sorted(row, key=lambda e: ev[e])
-        for i in range(len(row_sorted)):
-            for j in range(i + 1, len(row_sorted)):
-                key = (ev[row_sorted[i]], ev[row_sorted[j]])
-                if key in pair_seen:
-                    return row_sorted[j]
-                pair_seen[key] = row_sorted[j]
-    return None
+    """Index of an edge participating in a parallel pair or a 4-cycle.
+
+    The first repeated (variable, check) key in edge order; else the second
+    edge of the first repeated (v_i, v_j) pair over each check's
+    variable-sorted edges (CHECK_DEGREE each), in ``triu_indices`` order.
+    """
+    n_checks, n = int(ec.max()) + 1, int(ev.max()) + 1
+    bad = _first_repeat(ev * n_checks + ec)
+    if bad is not None:
+        return bad
+    rows = np.lexsort((ev, ec)).reshape(n_checks, CHECK_DEGREE)
+    i, j = np.triu_indices(CHECK_DEGREE, 1)
+    first, second = rows[:, i].ravel(), rows[:, j].ravel()
+    pair = _first_repeat(ev[first] * n + ev[second])
+    return None if pair is None else int(second[pair])
 
 
-def _repair_graph(ev, ec, rng, max_rounds=2000):
+def _repair_graph(ev, ec, rng):
     """Swap check endpoints until no parallel edges or 4-cycles remain."""
     n_edges = len(ev)
+    # Goes stale once one copy of a parallel edge swaps away (its key leaves,
+    # the other copy stays); exact lookups would draw differently.
     present = set(zip(ev.tolist(), ec.tolist()))
-    for _ in range(max_rounds):
+    for _ in range(MAX_REPAIR_ROUNDS):
         bad = _find_bad_edge(ev, ec)
         if bad is None:
             return True
+        v1, c1 = int(ev[bad]), int(ec[bad])
         for _ in range(200):
             other = int(rng.integers(n_edges))
-            v1, c1 = int(ev[bad]), int(ec[bad])
             v2, c2 = int(ev[other]), int(ec[other])
-            if v1 == v2 or c1 == c2:
+            if v1 == v2 or c1 == c2 or (v1, c2) in present or (v2, c1) in present:
                 continue
-            if (v1, c2) in present or (v2, c1) in present:
-                continue
-            present.discard((v1, c1))
-            present.discard((v2, c2))
-            present.add((v1, c2))
-            present.add((v2, c1))
+            present -= {(v1, c1), (v2, c2)}
+            present |= {(v1, c2), (v2, c1)}
             ec[bad], ec[other] = c2, c1
             break
         else:
@@ -109,8 +106,8 @@ def _repair_graph(ev, ec, rng, max_rounds=2000):
 
 
 def _gf2_systematic(h: np.ndarray):
-    """Row-reduce h over GF(2); return (reduced, pivot_cols) or None if rank deficient."""
-    hw = h.copy().astype(np.uint8)
+    """Row-reduce h over GF(2) to (reduced, pivot_cols); reject a rank-deficient h."""
+    hw = h.copy()
     n_checks, n = hw.shape
     pivots = []
     row = 0
@@ -130,7 +127,7 @@ def _gf2_systematic(h: np.ndarray):
         if row == n_checks:
             break
     if row < n_checks:
-        return None
+        raise CodeConstructionError("parity-check matrix is rank deficient")
     return hw, np.array(pivots)
 
 
@@ -143,17 +140,15 @@ def code_from_parity_check(h: np.ndarray) -> LdpcCode:
     h = np.asarray(h, dtype=np.uint8) % 2
     if h.ndim != 2 or not h.any():
         raise CodeConstructionError("parity-check matrix must be a nonzero 2-D binary array")
-    reduced = _gf2_systematic(h)
-    if reduced is None:
-        raise CodeConstructionError("parity-check matrix is rank deficient")
-    hw, pivots = reduced
+    hw, pivots = _gf2_systematic(h)
     n_checks, n = h.shape
     free = np.setdiff1d(np.arange(n), pivots)
     k = n - n_checks
     gen = np.zeros((k, n), dtype=np.uint8)
     gen[np.arange(k), free] = 1
     gen[:, pivots] = hw[:, free].T
-    if np.any((gen @ h.T) % 2):
+    # float64 sums of at most n ones are exact, and BLAS makes them fast
+    if np.any((gen.astype(np.float64) @ h.T.astype(np.float64)) % 2):
         raise CodeConstructionError("generator does not satisfy the parity checks")
 
     ec, ev = np.nonzero(h)
@@ -197,9 +192,12 @@ def construct_code(n: int, rate: float = 0.5, seed: int = 0) -> LdpcCode:
 
 
 def encode(code: LdpcCode, message: np.ndarray) -> np.ndarray:
+    """Codeword of one message (k,), or codeword rows of a message stack (K, k)."""
     message = np.asarray(message, dtype=np.uint8)
-    if message.shape != (code.k,):
-        raise ValueError(f"message must have shape ({code.k},), got {message.shape}")
+    if message.ndim not in (1, 2) or message.shape[-1] != code.k:
+        raise ValueError(
+            f"message must have shape ({code.k},) or (K, {code.k}), got {message.shape}"
+        )
     return (message @ code.generator) % 2
 
 
@@ -278,21 +276,18 @@ def write_alist(h: np.ndarray) -> str:
     """Serialize a parity-check matrix in the standard alist text format."""
     h = np.asarray(h, dtype=np.uint8)
     n_checks, n = h.shape
-    col_idx = [np.nonzero(h[:, j])[0] + 1 for j in range(n)]
-    row_idx = [np.nonzero(h[i])[0] + 1 for i in range(n_checks)]
-    col_deg = [len(c) for c in col_idx]
-    row_deg = [len(r) for r in row_idx]
-    max_col, max_row = max(col_deg), max(row_deg)
+    col_deg, row_deg = h.sum(axis=0), h.sum(axis=1)
     lines = [
         f"{n} {n_checks}",
-        f"{max_col} {max_row}",
+        f"{col_deg.max()} {row_deg.max()}",
         " ".join(map(str, col_deg)),
         " ".join(map(str, row_deg)),
     ]
-    for c in col_idx:
-        lines.append(" ".join(map(str, list(c) + [0] * (max_col - len(c)))))
-    for r in row_idx:
-        lines.append(" ".join(map(str, list(r) + [0] * (max_row - len(r)))))
+    # 1-based indices of each column's, then each row's, ones, zero padded
+    for side, width in ((h.T, col_deg.max()), (h, row_deg.max())):
+        for ones in side:
+            idx = np.flatnonzero(ones) + 1
+            lines.append(" ".join(map(str, list(idx) + [0] * (width - idx.size))))
     return "\n".join(lines) + "\n"
 
 

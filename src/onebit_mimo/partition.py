@@ -15,6 +15,7 @@ candidate index array.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -32,8 +33,8 @@ class PartitionParams:
     q: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "k", tuple(int(v) for v in self.k))
-        object.__setattr__(self, "q", tuple(int(v) for v in self.q))
+        object.__setattr__(self, "k", tuple(self.k))
+        object.__setattr__(self, "q", tuple(self.q))
 
     @property
     def levels(self) -> int:
@@ -60,6 +61,9 @@ def validate_params(params: PartitionParams) -> list:
         return violations
     prev_q = 1
     for lvl, (k, q) in enumerate(zip(params.k, params.q), start=1):
+        if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in (k, q)):
+            violations.append(ParamViolation(lvl, f"k_{lvl}={k!r}, q_{lvl}={q!r} must be integers"))
+            continue
         if k < 1 or q < 1:
             violations.append(ParamViolation(lvl, f"k_{lvl}={k}, q_{lvl}={q} must be >= 1"))
             continue
@@ -270,7 +274,6 @@ def preprocess(r: np.ndarray, tree: PartitionTree, q=None) -> np.ndarray:
     if q is None:
         q = tree.params.q
     else:
-        q = tuple(int(v) for v in q)
         require_valid_params(PartitionParams(k=tree.params.k, q=q))
     r = np.asarray(r)
     length = tree.arrays[0][1].rows.shape[1]

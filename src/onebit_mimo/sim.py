@@ -11,10 +11,10 @@ and then its N noise samples (``normal``); a coded frame draws its K
 message rows once, then N noise samples per slot.  Every data slot of every
 run kind goes through one detection step, ``_detect_slot``: transmit, then
 ZF, or pruning (when a tree exists) and a hard decoder or the soft LLRs.
-A SimConfig is checked when it is built; each runner adds only its own run
-kind: ``run_uncoded`` (and ``run_partition_sweep``) rejects soft-wmd, and
-``run_coded`` rejects zf, then loads or builds its LDPC code once and
-checks that code's blocklength against the block before any block runs.
+Each entry point rebuilds (so re-checks) its SimConfig and adds its own run
+kind: ``run_uncoded`` (and the sweep) rejects soft-wmd; ``run_coded`` rejects
+zf, then checks its LDPC code, built once per parameter set and process,
+against t_d.
 
 Blocks are scheduled in fixed-size waves: a whole wave is simulated and
 merged before the stopping rule (trial budget or error target) is evaluated,
@@ -24,7 +24,9 @@ so the set of simulated blocks is a pure function of the config and seed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -64,19 +66,13 @@ from .spatial_code import SpatialCode, build_code
 
 _HARD_DECODERS = {"wmd": wmd_decode, "md": md_decode, "ml": ml_decode}
 
-_LDPC_CACHE: dict = {}
 
-
-def _get_ldpc(cfg: SimConfig):
-    key = (cfg.ldpc_n, cfg.ldpc_rate, cfg.ldpc_seed, cfg.ldpc_alist)
-    code = _LDPC_CACHE.get(key)
-    if code is None:
-        if cfg.ldpc_alist:
-            code = code_from_parity_check(load_alist(cfg.ldpc_alist))
-        else:
-            code = construct_code(cfg.ldpc_n, cfg.ldpc_rate, cfg.ldpc_seed)
-        _LDPC_CACHE[key] = code
-    return code
+@functools.cache
+def _ldpc_code(n: int, rate: float, seed: int, alist: str | None):
+    """The LDPC code of a config's ldpc_* fields, built once per process and parameter set."""
+    if alist:
+        return code_from_parity_check(load_alist(alist))
+    return construct_code(n, rate, seed)
 
 
 @dataclass(frozen=True)
@@ -177,17 +173,17 @@ def _coded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
     are reversed back into frame order.
     """
     blk = _setup_block(cfg, snr_idx, block)
-    ldpc = _get_ldpc(cfg)
+    ldpc = _ldpc_code(cfg.ldpc_n, cfg.ldpc_rate, cfg.ldpc_seed, cfg.ldpc_alist)
+    frames = require_ldpc_fit(ldpc.n, cfg.m, cfg.t_d, cfg.frames_per_block)
     q = blk.const.bits_per_symbol
     slots_per_frame = ldpc.n // q
-    frames = cfg.frames_per_block or max(1, cfg.t_d // slots_per_frame)
     soft = cfg.detector == "soft-wmd"
     decoder = decode_bp if soft else decode_bit_flipping
     lut = bit_table(cfg.m)
     stats = BlockStats(trials=frames * cfg.n_users, denominator=frames * cfg.n_users)
     for _ in range(frames):
         msgs = blk.rng_data.integers(0, 2, size=(cfg.n_users, ldpc.k))
-        cws = np.array([encode(ldpc, msgs[u]) for u in range(cfg.n_users)])
+        cws = encode(ldpc, msgs)
         symbols = (cws.reshape(cfg.n_users, slots_per_frame, q) @ 2 ** np.arange(q)).T
         rows = np.array([_detect_slot(cfg, blk, w, stats) for w in symbols])
         if not soft:
@@ -247,6 +243,7 @@ def _require_uncoded(cfg: SimConfig) -> None:
 
 def run_uncoded(cfg: SimConfig) -> list:
     """BER of the configured detector, one ResultRow per SNR point."""
+    cfg = dataclasses.replace(cfg)
     _require_uncoded(cfg)
     cfg.require_seed()
     return _run(cfg, _uncoded_block, "ber")
@@ -254,11 +251,13 @@ def run_uncoded(cfg: SimConfig) -> list:
 
 def run_coded(cfg: SimConfig) -> list:
     """FER with the LDPC outer code, one ResultRow per SNR point."""
+    cfg = dataclasses.replace(cfg)
     if cfg.detector == "zf":
         raise ConfigurationError("zf detection is uncoded-only")
     cfg.require_seed()
     # a spawned worker starts without this process's cache and builds its own
-    require_ldpc_fit(_get_ldpc(cfg).n, cfg.m, cfg.t_d, cfg.frames_per_block)
+    ldpc = _ldpc_code(cfg.ldpc_n, cfg.ldpc_rate, cfg.ldpc_seed, cfg.ldpc_alist)
+    require_ldpc_fit(ldpc.n, cfg.m, cfg.t_d, cfg.frames_per_block)
     return _run(cfg, _coded_block, "fer")
 
 
@@ -293,6 +292,7 @@ def run_partition_sweep(cfg: SimConfig, sweep) -> list:
 
 def partition_report(cfg: SimConfig) -> str:
     """Tree shape and complexity summary for one sampled coherence block."""
+    cfg = dataclasses.replace(cfg)
     cfg.require_seed()
     if cfg.partition is None:
         raise ConfigurationError("partition-stats needs a partition spec")
@@ -311,12 +311,15 @@ def render_csv(rows, header: str) -> str:
     return "\n".join([header] + [r.to_csv() for r in rows]) + "\n"
 
 
-def write_results(path: str, rows, header: str, cfg: SimConfig) -> None:
+def write_results(path: str | None, rows, header: str, cfg: SimConfig) -> None:
     """CSV body plus a .meta.json sidecar holding config and wall times.
 
     Timings stay out of the CSV so identical configurations reproduce it
-    byte for byte.
+    byte for byte.  Without a path the CSV goes to stdout, with no sidecar.
     """
+    if not path:
+        sys.stdout.write(render_csv(rows, header))
+        return
     with open(path, "w", encoding="ascii") as fh:
         fh.write(render_csv(rows, header))
     walls = [

@@ -1,8 +1,11 @@
 """LDPC construction, encoding, BP / bit-flipping decoding and alist I/O."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from onebit_mimo import ldpc
 from onebit_mimo.errors import CodeConstructionError, ConfigurationError
 from onebit_mimo.ldpc import (
     CHECK_DEGREE,
@@ -63,6 +66,81 @@ def test_no_parallel_edges_and_no_four_cycles(code672, code128):
         # two checks sharing >= 2 variables would close a 4-cycle
         assert overlap.max() <= 1
         assert code.h.max() <= 1  # no parallel edges collapsed into the matrix
+
+
+def _find_bad_edge_loop(ev, ec):
+    """Reference bad-edge search: one walk over the edges with Python dicts."""
+    seen = {}
+    for e, (v, c) in enumerate(zip(ev, ec)):
+        key = (v, c)
+        if key in seen:
+            return e
+        seen[key] = e
+    pair_seen = {}
+    rows = [[] for _ in range(int(ec.max()) + 1)]
+    for e, c in enumerate(ec):
+        rows[c].append(e)
+    for row in rows:
+        row_sorted = sorted(row, key=lambda e: ev[e])
+        for i in range(len(row_sorted)):
+            for j in range(i + 1, len(row_sorted)):
+                key = (ev[row_sorted[i]], ev[row_sorted[j]])
+                if key in pair_seen:
+                    return row_sorted[j]
+                pair_seen[key] = row_sorted[j]
+    return None
+
+
+# n=48 needs thousands of repair rounds per seed, so two seeds cover it
+@pytest.mark.parametrize("n, seeds", [(48, [1, 3]), (96, range(5)), (128, range(5))])
+def test_bad_edge_scan_matches_the_loop_on_every_repair_round(monkeypatch, n, seeds):
+    scan = ldpc._find_bad_edge
+    graphs = []
+
+    def checked(ev, ec):
+        graphs.append(ev.size)
+        got = scan(ev, ec)
+        assert got == _find_bad_edge_loop(ev, ec)
+        return got
+
+    monkeypatch.setattr(ldpc, "_find_bad_edge", checked)
+    for seed in seeds:
+        construct_code(n, seed=seed)
+    assert len(graphs) > 30 * len(seeds)  # intermediate graphs, not just the final ones
+
+
+@pytest.fixture(scope="module")
+def code48():
+    # the repair's stale edge set changes which draws it consumes at n=48
+    return construct_code(48, rate=0.5, seed=1)
+
+
+@pytest.mark.parametrize(
+    "fixture, h_sha, g_sha",
+    [
+        (
+            "code48",
+            "5b91801c73abddd54636acbeeba9b76042e3aecf7529ab533d923c78ec9560ab",
+            "8495d613d7eb061ee7afb7ca61548f2daa226c2fad3b29ce85b992ebdbf69d85",
+        ),
+        (
+            "code128",
+            "15f4318377df7557c339439d4c8b7142cad170590fd7761983a4cc935320239e",
+            "6630cb3517a582f3c27f2599d625398e428486895deb2e3ffd9934a487ee515e",
+        ),
+        (
+            "code672",
+            "4c0e9cb115cba5aeed5091e5f7382b8322b5e3a9d68da478c21ce957602109d2",
+            "b15f61bfe1abe7365f2074242e8a22d8e56d18565175bd0100a2269cee530e05",
+        ),
+    ],
+)
+def test_construction_is_pinned(request, fixture, h_sha, g_sha):
+    # seed 7 at n=128 is the code behind the coded golden CSVs
+    code = request.getfixturevalue(fixture)
+    assert code.h.dtype == code.generator.dtype == np.uint8
+    assert hashlib.sha256(code.h.tobytes()).hexdigest() == h_sha
+    assert hashlib.sha256(code.generator.tobytes()).hexdigest() == g_sha
 
 
 def test_construction_determinism():
@@ -136,6 +214,17 @@ def test_random_codewords_satisfy_syndrome(code672):
 def test_encode_shape_checked(code128):
     with pytest.raises(ValueError):
         encode(code128, np.zeros(code128.k + 1, dtype=np.uint8))
+    with pytest.raises(ValueError):
+        encode(code128, np.zeros((3, code128.k + 1), dtype=np.uint8))
+    with pytest.raises(ValueError):
+        encode(code128, np.zeros((2, 3, code128.k), dtype=np.uint8))
+
+
+def test_encode_stack_equals_rows(code672):
+    msgs = np.random.default_rng(3).integers(0, 2, size=(4, code672.k))
+    stacked = encode(code672, msgs)
+    assert stacked.dtype == np.uint8
+    np.testing.assert_array_equal(stacked, [encode(code672, m) for m in msgs])
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +311,8 @@ def test_bit_flipping_corrects_every_single_error(code128):
         np.testing.assert_array_equal(bits, cw)
 
 
-def test_bit_flipping_weaker_than_bp():
-    code = construct_code(672, seed=7)
+def test_bit_flipping_weaker_than_bp(code672):
+    code = code672
     rng = np.random.default_rng(9)
     p = 0.03
     bf_fail = bp_fail = 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onebit_mimo.config import SimConfig
 from onebit_mimo.errors import ConfigurationError
 from onebit_mimo.partition import (
     KMEANS_MAX_ITER,
@@ -63,6 +64,17 @@ def test_validate_flags_shape_and_positivity():
     assert validate_params(PartitionParams((2, 2), (2,)))[0].level == 0
     assert validate_params(PartitionParams((), ()))[0].level == 0
     assert validate_params(PartitionParams((0, 2), (1, 2)))[0].level == 1
+
+
+def test_validate_flags_non_integer_entries():
+    # entries are kept as given, so a fractional or boolean one is an error, not truncated
+    assert PartitionParams((4.7,), (1.9,)).k == (4.7,)
+    assert [v.level for v in validate_params(PartitionParams((4.7,), (1.9,)))] == [1]
+    assert [v.level for v in validate_params(PartitionParams((4, 4.0), (2, 2)))] == [2]
+    assert validate_params(PartitionParams((True,), (1,)))[0].level == 1
+    assert validate_params(PartitionParams((np.int64(4),), (np.int64(2),))) == []
+    with pytest.raises(ConfigurationError, match="integers"):
+        SimConfig(partition=PartitionParams((4.7,), (1.9,)))
 
 
 def test_require_valid_params_raises():
@@ -491,6 +503,8 @@ def test_preprocess_override_validation():
         preprocess(r, tree, q=(2,))  # wrong number of levels
     with pytest.raises(ConfigurationError):
         preprocess(r, tree, q=(2, 64))  # violates the q-chain
+    with pytest.raises(ConfigurationError, match="integers"):
+        preprocess(r, tree, q=(2, 2.9))  # not truncated to 2
 
 
 def node_walk(r, tree, survivors_q):

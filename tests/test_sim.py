@@ -18,6 +18,7 @@ from onebit_mimo.config import (
     SWEEP_CSV_HEADER,
     SimConfig,
     parse_partition,
+    require_ldpc_fit,
 )
 from onebit_mimo.errors import ConfigurationError
 from onebit_mimo.ldpc import construct_code, save_alist
@@ -134,6 +135,22 @@ def test_config_is_checked_when_built_and_replaced():
         dataclasses.replace(cfg, m=8)
     with pytest.raises(ConfigurationError, match="zf"):
         dataclasses.replace(cfg, detector="zf", partition={"k": [4], "q": [2]})
+
+
+@pytest.mark.parametrize("field, value", [("seed", -1), ("m", 8)])
+@pytest.mark.parametrize(
+    "entry, make",
+    [
+        (run_uncoded, small_uncoded),
+        (run_coded, small_coded),
+        (partition_report, lambda: small_uncoded(partition=[[4], [2]])),
+    ],
+)
+def test_entry_points_check_a_config_changed_after_it_was_built(entry, make, field, value):
+    cfg = make()
+    setattr(cfg, field, value)  # SimConfig stays mutable; nothing checks the assignment
+    with pytest.raises(ConfigurationError):
+        entry(cfg)
 
 
 def test_runners_check_their_own_run_kind():
@@ -363,6 +380,27 @@ def test_coded_default_fills_coherence_block():
     assert row.trials == 4  # 2 frames x 2 users from a single block
 
 
+def test_ldpc_fit_gives_the_frame_count():
+    # 128 coded bits in 64 two-bit slots
+    assert require_ldpc_fit(128, 4, 128, None) == 2
+    assert require_ldpc_fit(128, 4, 191, None) == 2
+    assert require_ldpc_fit(128, 4, 192, 1) == 1
+    with pytest.raises(ConfigurationError, match="t_d=63"):
+        require_ldpc_fit(128, 4, 63, None)
+
+
+def test_ldpc_code_built_once_per_parameter_set(monkeypatch):
+    built = []
+    construct = sim.construct_code
+    monkeypatch.setattr(sim, "construct_code", lambda *args: built.append(args) or construct(*args))
+    sim._ldpc_code.cache_clear()
+    first = render_csv(run_coded(small_coded(trials=4)), CSV_HEADER)
+    assert render_csv(run_coded(small_coded(trials=4)), CSV_HEADER) == first
+    assert built == [(128, 0.5, 7)]
+    run_coded(small_coded(trials=4, ldpc_seed=3))
+    assert built == [(128, 0.5, 7), (128, 0.5, 3)]
+
+
 def test_coded_rejects_misaligned_blocklength():
     cfg = small_coded(m=16, n_rx=4, ldpc_n=126, t_c=256, t_d=256)
     with pytest.raises(ConfigurationError):
@@ -472,6 +510,15 @@ def test_write_results_csv_and_sidecar(tmp_path):
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     assert onebit_mimo.__version__ == tomllib.loads(pyproject.read_text())["project"]["version"]
+
+
+def test_write_results_without_path_prints_the_csv(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = small_uncoded(trials=100)
+    rows = run_uncoded(cfg)
+    write_results(None, rows, CSV_HEADER, cfg)
+    assert capsys.readouterr().out == render_csv(rows, CSV_HEADER)
+    assert list(tmp_path.iterdir()) == []  # no sidecar
 
 
 def test_coded_checks_its_ldpc_code_before_any_block(monkeypatch):

@@ -30,8 +30,6 @@ from .core import (
     Constellation,
     all_message_digits,
     bit_table,
-    m_ary_expansion,
-    message_to_bits,
     modulate,
     q_function,
     qam_constellation,
@@ -105,9 +103,7 @@ __all__ = [
     "SweepRow",
     "ConfigurationError",
     "CodeConstructionError",
-    "m_ary_expansion",
     "all_message_digits",
-    "message_to_bits",
     "bit_table",
     "qam_constellation",
     "modulate",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Constellation, modulate, real_stack
+from .core import Constellation, real_stack
 from .errors import ConfigurationError
 
 NOISE_STD = 1.0 / np.sqrt(2.0)
@@ -25,7 +25,7 @@ def sample_rayleigh(K: int, n_r: int, rng: np.random.Generator) -> np.ndarray:
 
 def quantize(v: np.ndarray) -> np.ndarray:
     """One-bit quantizer: 0 for v >= 0, 1 for v < 0."""
-    return (np.asarray(v) < 0).astype(np.uint8)
+    return (np.asarray(v) < 0).view(np.uint8)
 
 
 def transmit(
@@ -36,10 +36,9 @@ def transmit(
     noise_std: float = NOISE_STD,
 ) -> np.ndarray:
     """One noisy slot: sign(H x(w) + z) as a length-N bit vector."""
-    x = real_stack(modulate(w, constellation))
-    v = h_real @ x
+    v = h_real @ constellation.xy.take(w, axis=1).reshape(-1)
     if noise_std > 0:
-        v = v + rng.normal(0.0, noise_std, size=v.shape)
+        v += rng.normal(0.0, noise_std, size=v.shape)
     return quantize(v)
 
 

@@ -10,33 +10,17 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erfc
-
-
-def m_ary_expansion(k: int, m: int, length: int) -> np.ndarray:
-    """Digits [b_0, ..., b_{length-1}] with k = sum_i b_i * m**i (LSD first)."""
-    if not 0 <= k < m**length:
-        raise ValueError(f"index {k} outside [0, {m}**{length})")
-    digits = np.empty(length, dtype=np.int64)
-    for i in range(length):
-        k, digits[i] = divmod(k, m)
-    return digits
 
 
 def all_message_digits(m: int, K: int) -> np.ndarray:
     """(m**K, K) table whose row ell is the m-ary expansion of ell."""
     ell = np.arange(m**K, dtype=np.int64)
     return (ell[:, None] // m ** np.arange(K, dtype=np.int64)) % m
-
-
-def message_to_bits(w: int, q: int) -> np.ndarray:
-    """MSB-first bits of a symbol in [0, 2**q)."""
-    if not 0 <= w < 2**q:
-        raise ValueError(f"symbol {w} outside [0, 2**{q})")
-    return (w >> np.arange(q - 1, -1, -1)) & 1
 
 
 def bit_table(m: int) -> np.ndarray:
@@ -59,6 +43,12 @@ class Constellation:
     m: int
     snr: float
     points: np.ndarray  # complex, shape (m,)
+    xy: np.ndarray = field(init=False, repr=False)  # (2, m) read-only [Re; Im] of points
+
+    def __post_init__(self):
+        xy = np.stack([self.points.real, self.points.imag])
+        xy.setflags(write=False)
+        object.__setattr__(self, "xy", xy)
 
     @property
     def bits_per_symbol(self) -> int:
@@ -75,8 +65,13 @@ def _pam_axis(bits: np.ndarray) -> np.ndarray:
     return sign * (1 + 2 * mag_idx)
 
 
+@lru_cache(maxsize=None, typed=True)
 def qam_constellation(m: int, snr: float) -> Constellation:
-    """Square m-QAM (m a power of 4) meeting the average-power constraint."""
+    """Square m-QAM (m a power of 4) meeting the average-power constraint.
+
+    Built once per (m, snr) and shared, so its points are read-only.  The
+    cache is typed, so 4.0 and 4 get entries of their own.
+    """
     q = int(round(np.log2(m)))
     if 2**q != m or q % 2 != 0:
         raise ValueError(f"square QAM needs m a power of 4, got {m}")
@@ -86,8 +81,9 @@ def qam_constellation(m: int, snr: float) -> Constellation:
     re = _pam_axis(bits[:, 0::2])
     im = _pam_axis(bits[:, 1::2])
     raw = re + 1j * im
-    scale = np.sqrt(snr / np.mean(np.abs(raw) ** 2))
-    return Constellation(m=m, snr=snr, points=raw * scale)
+    points = raw * np.sqrt(snr / np.mean(np.abs(raw) ** 2))
+    points.setflags(write=False)
+    return Constellation(m=m, snr=snr, points=points)
 
 
 def modulate(w, constellation: Constellation):
@@ -106,9 +102,14 @@ def real_channel_matrix(h_complex: np.ndarray) -> np.ndarray:
     h_complex = np.asarray(h_complex)
     if h_complex.ndim != 2:
         raise ValueError("channel matrix must be 2-D")
-    return np.block(
-        [[h_complex.real, -h_complex.imag], [h_complex.imag, h_complex.real]]
-    )
+    n_r, K = h_complex.shape
+    re, im = h_complex.real, h_complex.imag
+    out = np.empty((2 * n_r, 2 * K), dtype=re.dtype)
+    out[:n_r, :K] = re
+    np.negative(im, out=out[:n_r, K:])
+    out[n_r:, :K] = im
+    out[n_r:, K:] = re
+    return out
 
 
 def q_function(x):

@@ -117,5 +117,8 @@ def compute_llrs(r: np.ndarray, code: SpatialCode, candidates=None) -> np.ndarra
     emptied by pruning saturates the LLR at the clamp.
     """
     d = _masked_scores(r, code, candidates, "wh")
-    side_min = d[code.bit_sides].min(axis=2)  # (2, K*q)
-    return (side_min[1] - side_min[0]).clip(-LLR_CLAMP, LLR_CLAMP).reshape(code.K, -1)
+    side_min = np.minimum.reduce(d[code.bit_sides], axis=2)  # (2, K*q)
+    llr = side_min[1] - side_min[0]
+    np.maximum(llr, -LLR_CLAMP, out=llr)
+    np.minimum(llr, LLR_CLAMP, out=llr)
+    return llr.reshape(code.K, -1)

@@ -202,10 +202,8 @@ def encode(code: LdpcCode, message: np.ndarray) -> np.ndarray:
 
 
 def syndrome(code: LdpcCode, bits: np.ndarray) -> np.ndarray:
-    """Per-check parities of a candidate word (all zero iff a codeword)."""
-    return np.bitwise_and(
-        np.add.reduceat(np.asarray(bits, dtype=np.int64)[code.edge_var], code.check_start), 1
-    )
+    """Per-check parities of a 0/1 word (all zero iff a codeword), in the word's dtype."""
+    return np.bitwise_xor.reduceat(np.asarray(bits)[code.edge_var], code.check_start)
 
 
 def decode_bp(llrs: np.ndarray, code: LdpcCode, max_iter: int = 50):
@@ -223,31 +221,46 @@ def decode_bp(llrs: np.ndarray, code: LdpcCode, max_iter: int = 50):
 
     ev, ec, start = code.edge_var, code.edge_check, code.check_start
     msg_cv = np.zeros(len(ev))
-    total = llrs.copy()
-    bits = (total < 0).astype(np.uint8)
-    if not syndrome(code, bits).any():
-        return bits, True
+    hard = llrs < 0
+    if not np.count_nonzero(syndrome(code, hard)):
+        return hard.view(np.uint8), True
 
+    total = llrs
     for _ in range(max_iter):
-        t = np.tanh(0.5 * (total[ev] - msg_cv))
-        mag = np.abs(t)
-        is_zero = mag < 1e-300
-        logm = np.where(is_zero, 0.0, np.log(np.maximum(mag, 1e-300)))
+        t = total[ev]
+        t -= msg_cv
+        t *= 0.5
+        np.tanh(t, out=t)
         neg = t < 0.0
-        log_sum = np.add.reduceat(logm, start)
-        zero_sum = np.add.reduceat(is_zero.astype(np.int64), start)
-        neg_sum = np.add.reduceat(neg.astype(np.int64), start)
-        # leave-one-out products per edge via the check totals
-        excl_zero = zero_sum[ec] - is_zero
-        excl_sign = np.where((neg_sum[ec] - neg) % 2 == 0, 1.0, -1.0)
-        prod = np.where(excl_zero > 0, 0.0, excl_sign * np.exp(log_sum[ec] - logm))
-        msg_cv = 2.0 * np.arctanh(np.clip(prod, -_TANH_LIM, _TANH_LIM))
+        mag = np.abs(t, out=t)
+        # leave-one-out products per edge via the check totals: the log
+        # magnitudes sum, and the signs' parity is a xor of bools
+        odd = np.bitwise_xor.reduceat(neg, start)[ec]
+        odd ^= neg
+        if mag.min() < 1e-300:
+            is_zero = mag < 1e-300
+            logm = np.where(is_zero, 0.0, np.log(np.maximum(mag, 1e-300)))
+            prod = np.exp(np.add.reduceat(logm, start)[ec] - logm)
+            # another zero on the check makes the product +0.0
+            dead = np.add.reduceat(is_zero.astype(np.int64), start)[ec] > is_zero
+            prod[dead] = 0.0
+            odd[dead] = False
+        else:
+            logm = np.log(mag, out=mag)
+            prod = np.add.reduceat(logm, start)[ec]
+            prod -= logm
+            np.exp(prod, out=prod)
+        np.putmask(prod, odd, -prod)
+        np.maximum(prod, -_TANH_LIM, out=prod)
+        np.minimum(prod, _TANH_LIM, out=prod)
+        msg_cv = np.arctanh(prod, out=prod)
+        msg_cv *= 2.0
         total = llrs.copy()
         np.add.at(total, ev, msg_cv)
-        bits = (total < 0).astype(np.uint8)
-        if not syndrome(code, bits).any():
-            return bits, True
-    return bits, False
+        hard = total < 0
+        if not np.count_nonzero(syndrome(code, hard)):
+            return hard.view(np.uint8), True
+    return hard.view(np.uint8), False
 
 
 def decode_bit_flipping(bits: np.ndarray, code: LdpcCode, max_iter: int = 50):
@@ -294,8 +307,9 @@ def write_alist(h: np.ndarray) -> str:
 def parse_alist(text: str) -> np.ndarray:
     """Inverse of write_alist; zero padding entries are ignored.
 
-    The line count and per-column degrees are checked against the header so
-    truncated or internally inconsistent files are rejected.
+    The line count is checked against the header, and both degree lines and
+    every row list against the matrix the column lists build, so truncated
+    or internally inconsistent files are rejected.
     """
     rows = [line.split() for line in text.splitlines() if line.strip()]
     try:
@@ -317,6 +331,15 @@ def parse_alist(text: str) -> np.ndarray:
                     h[i - 1, j] = 1
             if int(h[:, j].sum()) != col_deg[j]:
                 raise ValueError(f"column {j} degree disagrees with the header")
+        row_deg = [int(t) for t in rows[3]]
+        if len(row_deg) != n_checks:
+            raise ValueError("row degree count disagrees with the header")
+        for i, line in enumerate(rows[4 + n :]):
+            ones = sorted(v for v in map(int, line) if v)
+            if ones != (np.flatnonzero(h[i]) + 1).tolist():
+                raise ValueError(f"row {i} list disagrees with the column lists")
+            if row_deg[i] != len(ones):
+                raise ValueError(f"row {i} degree disagrees with its list")
     except (IndexError, ValueError) as exc:
         raise ConfigurationError(f"malformed alist data: {exc}") from exc
     return h

@@ -291,7 +291,7 @@ def preprocess(r: np.ndarray, tree: PartitionTree, q=None) -> np.ndarray:
         if n_racing < racing.size:
             f[~racing] = np.inf
         alive = score.smallest(r, f, q_l)
-    return np.flatnonzero(alive[tree.leaf_of])
+    return alive[tree.leaf_of].nonzero()[0]
 
 
 def estimate_complexity(params: PartitionParams | None, m: int, K: int):

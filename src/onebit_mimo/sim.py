@@ -13,8 +13,9 @@ run kind goes through one detection step, ``_detect_slot``: transmit, then
 ZF, or pruning (when a tree exists) and a hard decoder or the soft LLRs.
 Each entry point rebuilds (so re-checks) its SimConfig and adds its own run
 kind: ``run_uncoded`` (and the sweep) rejects soft-wmd; ``run_coded`` rejects
-zf, then checks its LDPC code, built once per parameter set and process,
-against t_d.
+zf, then checks its LDPC code against t_d.  That code is built once per
+process for its alist path, or for (ldpc_n, ldpc_rate, ldpc_seed) when no
+alist is set, and a coded run's sidecar names it.
 
 Blocks are scheduled in fixed-size waves: a whole wave is simulated and
 merged before the stopping rule (trial budget or error target) is evaluated,
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import json
 import sys
 import time
@@ -48,6 +50,7 @@ from .core import Constellation, bit_table, qam_constellation, real_channel_matr
 from .detector import compute_llrs, md_decode, ml_decode, wmd_decode, zf_detect
 from .errors import ConfigurationError
 from .ldpc import (
+    LdpcCode,
     code_from_parity_check,
     construct_code,
     decode_bit_flipping,
@@ -68,11 +71,16 @@ _HARD_DECODERS = {"wmd": wmd_decode, "md": md_decode, "ml": ml_decode}
 
 
 @functools.cache
-def _ldpc_code(n: int, rate: float, seed: int, alist: str | None):
-    """The LDPC code of a config's ldpc_* fields, built once per process and parameter set."""
-    if alist:
-        return code_from_parity_check(load_alist(alist))
-    return construct_code(n, rate, seed)
+def _ldpc_code(source) -> LdpcCode:
+    """The code of an alist path or of an (n, rate, seed) tuple, built once per process."""
+    if isinstance(source, tuple):
+        return construct_code(*source)
+    return code_from_parity_check(load_alist(source))
+
+
+def _ldpc_source(cfg: SimConfig):
+    """A config's ``_ldpc_code`` key: ldpc_alist alone when set, as it overrides ldpc_n/rate/seed."""
+    return cfg.ldpc_alist or (cfg.ldpc_n, cfg.ldpc_rate, cfg.ldpc_seed)
 
 
 @dataclass(frozen=True)
@@ -94,14 +102,13 @@ def _setup_block(cfg: SimConfig, snr_idx: int, block: int) -> Block:
     )
     snr = snr_linear(cfg.snr_db[snr_idx])
     const = qam_constellation(cfg.m, snr)
-    h_c = sample_rayleigh(cfg.n_users, cfg.n_rx, rng_channel)
-    h_true = real_channel_matrix(h_c)
+    h_true = real_channel_matrix(sample_rayleigh(cfg.n_users, cfg.n_rx, rng_channel))
     if cfg.csir == "estimated":
         pilots = generate_pilots(cfg.n_users, cfg.t_t, snr)
         h_est_c = estimate_channel_zf(transmit_pilots(h_true, pilots, rng_channel), pilots)
+        h_est = real_channel_matrix(h_est_c)
     else:
-        h_est_c = h_c
-    h_est = real_channel_matrix(h_est_c)
+        h_est = h_true
     code = build_code(h_est, const)
     tree = None if cfg.partition is None else build_partition_tree(code, cfg.partition, rng_tree)
     return Block(const, h_true, h_est, code, tree, rng_data)
@@ -173,7 +180,7 @@ def _coded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
     are reversed back into frame order.
     """
     blk = _setup_block(cfg, snr_idx, block)
-    ldpc = _ldpc_code(cfg.ldpc_n, cfg.ldpc_rate, cfg.ldpc_seed, cfg.ldpc_alist)
+    ldpc = _ldpc_code(_ldpc_source(cfg))
     frames = require_ldpc_fit(ldpc.n, cfg.m, cfg.t_d, cfg.frames_per_block)
     q = blk.const.bits_per_symbol
     slots_per_frame = ldpc.n // q
@@ -181,14 +188,19 @@ def _coded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
     decoder = decode_bp if soft else decode_bit_flipping
     lut = bit_table(cfg.m)
     stats = BlockStats(trials=frames * cfg.n_users, denominator=frames * cfg.n_users)
+    # row t holds slot t's LLRs (K, q), or its digits (K,)
+    if soft:
+        rows = np.empty((slots_per_frame, cfg.n_users, q))
+    else:
+        rows = np.empty((slots_per_frame, cfg.n_users), dtype=np.int64)
     for _ in range(frames):
         msgs = blk.rng_data.integers(0, 2, size=(cfg.n_users, ldpc.k))
         cws = encode(ldpc, msgs)
         symbols = (cws.reshape(cfg.n_users, slots_per_frame, q) @ 2 ** np.arange(q)).T
-        rows = np.array([_detect_slot(cfg, blk, w, stats) for w in symbols])
-        if not soft:
-            rows = lut[rows]
-        frame = rows[:, :, ::-1].transpose(1, 0, 2).reshape(cfg.n_users, ldpc.n)
+        for t, w in enumerate(symbols):
+            rows[t] = _detect_slot(cfg, blk, w, stats)
+        frame = rows if soft else lut[rows]
+        frame = frame[:, :, ::-1].transpose(1, 0, 2).reshape(cfg.n_users, ldpc.n)
         for u in range(cfg.n_users):
             decoded, _ = decoder(frame[u], ldpc, cfg.ldpc_max_iter)
             stats.errors += int(np.any(decoded != cws[u]))
@@ -256,7 +268,7 @@ def run_coded(cfg: SimConfig) -> list:
         raise ConfigurationError("zf detection is uncoded-only")
     cfg.require_seed()
     # a spawned worker starts without this process's cache and builds its own
-    ldpc = _ldpc_code(cfg.ldpc_n, cfg.ldpc_rate, cfg.ldpc_seed, cfg.ldpc_alist)
+    ldpc = _ldpc_code(_ldpc_source(cfg))
     require_ldpc_fit(ldpc.n, cfg.m, cfg.t_d, cfg.frames_per_block)
     return _run(cfg, _coded_block, "fer")
 
@@ -314,6 +326,9 @@ def render_csv(rows, header: str) -> str:
 def write_results(path: str | None, rows, header: str, cfg: SimConfig) -> None:
     """CSV body plus a .meta.json sidecar holding config and wall times.
 
+    A coded run's sidecar also names the LDPC code it used: n, k and the
+    SHA-256 of its parity-check matrix's bytes.
+
     Timings stay out of the CSV so identical configurations reproduce it
     byte for byte.  Without a path the CSV goes to stdout, with no sidecar.
     """
@@ -331,6 +346,10 @@ def write_results(path: str | None, rows, header: str, cfg: SimConfig) -> None:
         "row_wall_time_s": walls,
         "total_wall_time_s": sum(walls),
     }
+    if any(isinstance(r, ResultRow) and r.metric == "fer" for r in rows):
+        ldpc = _ldpc_code(_ldpc_source(cfg))
+        digest = hashlib.sha256(ldpc.h.tobytes()).hexdigest()
+        meta["ldpc"] = {"n": ldpc.n, "k": ldpc.k, "h_sha256": digest}
     with open(path + ".meta.json", "w", encoding="ascii") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

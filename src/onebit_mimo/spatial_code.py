@@ -76,11 +76,15 @@ class MismatchScore:
         object.__setattr__(self, "tol", 8.0 * c.shape[1] * eps * float(scale.max(initial=0.0)))
 
     def __call__(self, r: np.ndarray, rows=None) -> np.ndarray:
-        """Linear scores of ``rows`` (every row when None) against r."""
-        rf = np.asarray(r, dtype=np.float64)
+        """Linear scores of ``rows`` (every row when None) against r.
+
+        A 0/1 r of any dtype casts to float64 exactly inside the product.
+        """
         if rows is None:
-            return self.base + self.gain @ rf
-        return self.base[rows] + self.gain[rows] @ rf
+            d = self.gain @ r
+            d += self.base
+            return d
+        return self.base[rows] + self.gain[rows] @ r
 
     def reference(self, r: np.ndarray, row: int) -> float:
         """The exact reference score of one row."""
@@ -98,7 +102,12 @@ class MismatchScore:
         so exact ties go to the lowest row whatever the order of ``rows``.
         """
         # a plain min costs less than a partial sort for the hard decoders' q = 1
-        c = f.min() if q == 1 else np.partition(f, q - 1)[q - 1]
+        if q == 1:
+            c = f.min()
+        else:
+            part = f.copy()
+            part.partition(q - 1)
+            c = part[q - 1]
         keep = f <= c + self.tol
         if np.count_nonzero(keep) > q:
             band = np.flatnonzero(keep & (f >= c - self.tol))

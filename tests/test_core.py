@@ -3,17 +3,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import onebit_mimo
+import onebit_mimo.core
 from onebit_mimo import (
     all_message_digits,
     bit_table,
-    m_ary_expansion,
-    message_to_bits,
     modulate,
     q_function,
     qam_constellation,
     real_channel_matrix,
     real_stack,
 )
+
+
+def m_ary_expansion(k: int, m: int, length: int) -> np.ndarray:
+    """Oracle: digits [b_0, ..., b_{length-1}] with k = sum_i b_i * m**i (LSD first)."""
+    if not 0 <= k < m**length:
+        raise ValueError(f"index {k} outside [0, {m}**{length})")
+    digits = np.empty(length, dtype=np.int64)
+    for i in range(length):
+        k, digits[i] = divmod(k, m)
+    return digits
+
+
+def message_to_bits(w: int, q: int) -> np.ndarray:
+    """Oracle: MSB-first bits of a symbol in [0, 2**q)."""
+    if not 0 <= w < 2**q:
+        raise ValueError(f"symbol {w} outside [0, 2**{q})")
+    return (w >> np.arange(q - 1, -1, -1)) & 1
+
+
+def test_oracles_are_not_public():
+    # used only as the oracles above, so the package no longer exports them
+    for name in ("m_ary_expansion", "message_to_bits"):
+        assert name not in onebit_mimo.__all__
+        assert not hasattr(onebit_mimo.core, name)
 
 
 class TestMaryExpansion:
@@ -101,6 +125,21 @@ class TestConstellation:
         re_levels = np.unique(np.round(const.points.real, 9))
         assert len(re_levels) == 4  # +-1, +-3 scaled
 
+    def test_shared_and_read_only(self):
+        # built once per (m, snr) and shared by every caller, so nothing may write to it
+        const = qam_constellation(16, 3.0)
+        assert qam_constellation(16, 3.0) is const
+        for table in (const.points, const.xy):
+            with pytest.raises(ValueError):
+                table[0] = 0
+        assert np.array_equal(const.xy, [const.points.real, const.points.imag])
+
+    def test_float_order_is_not_served_from_cache(self):
+        # the cache is typed: 4.0 fails as it does uncached, even once 4 is cached
+        assert qam_constellation(4, 7.0).m == 4
+        with pytest.raises(TypeError):
+            qam_constellation(4.0, 7.0)
+
 
 class TestRealDecomposition:
     def test_identity_case(self):
@@ -110,6 +149,14 @@ class TestRealDecomposition:
     def test_rotation_case(self):
         h = real_channel_matrix(np.array([[0 + 1j]]))
         assert np.array_equal(h, np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+    def test_matches_block_form(self):
+        rng = np.random.default_rng(0)
+        h = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        h[0, 0] = 1.0  # a zero imaginary part, negated to -0.0
+        expected = np.block([[h.real, -h.imag], [h.imag, h.real]])
+        got = real_channel_matrix(h)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,361 @@
+"""Equivalence of the per-slot and per-frame hot paths with their reference forms.
+
+Each ``ref_*`` function below is the plain-numpy form of a hot-path function
+(one array expression per step, the quantizer, scores, selector and syndrome
+each in its own reference form).  The optimised functions must return the
+same bytes: the same bits and generator state from ``transmit``, bitwise
+LLRs from ``compute_llrs``, the same candidates and indices from
+``preprocess`` and the hard decoders, and the same ``(bits, converged)``
+from ``decode_bp`` at every iteration cap.
+"""
+
+import numpy as np
+import pytest
+from conftest import random_code
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from onebit_mimo import (
+    PartitionParams,
+    build_partition_tree,
+    code_from_parity_check,
+    construct_code,
+    encode,
+    parse_alist,
+    preprocess,
+    qam_constellation,
+    real_channel_matrix,
+    real_stack,
+    sample_rayleigh,
+    transmit,
+    write_alist,
+)
+from onebit_mimo.channel import NOISE_STD, quantize
+from onebit_mimo.core import modulate
+from onebit_mimo.detector import LLR_CLAMP, _nearest, compute_llrs
+from onebit_mimo.errors import CodeConstructionError
+from onebit_mimo.ldpc import _TANH_LIM, decode_bp, syndrome
+from onebit_mimo.partition import require_valid_params
+
+# ---------------------------------------------------------------------------
+# reference forms
+
+
+def ref_quantize(v):
+    return (np.asarray(v) < 0).astype(np.uint8)
+
+
+def ref_score(score, r, rows=None):
+    rf = np.asarray(r, dtype=np.float64)
+    if rows is None:
+        return score.base + score.gain @ rf
+    return score.base[rows] + score.gain[rows] @ rf
+
+
+def ref_syndrome(code, bits):
+    return np.bitwise_and(
+        np.add.reduceat(np.asarray(bits, dtype=np.int64)[code.edge_var], code.check_start), 1
+    )
+
+
+def ref_transmit(h_real, w, constellation, rng, noise_std=NOISE_STD):
+    x = real_stack(modulate(w, constellation))
+    v = h_real @ x
+    if noise_std > 0:
+        v = v + rng.normal(0.0, noise_std, size=v.shape)
+    return ref_quantize(v)
+
+
+def ref_compute_llrs(r, code, candidates=None):
+    score = code.score("wh")
+    if candidates is None:
+        d = ref_score(score, r)
+    else:
+        cand = np.sort(np.asarray(candidates, dtype=np.int64))
+        d = np.full(code.size, np.inf)
+        d[cand] = ref_score(score, r, cand)
+    side_min = d[code.bit_sides].min(axis=2)
+    return (side_min[1] - side_min[0]).clip(-LLR_CLAMP, LLR_CLAMP).reshape(code.K, -1)
+
+
+def ref_smallest(score, r, f, q, rows=None):
+    c = f.min() if q == 1 else np.partition(f, q - 1)[q - 1]
+    keep = f <= c + score.tol
+    if np.count_nonzero(keep) > q:
+        band = np.flatnonzero(keep & (f >= c - score.tol))
+        keep[band] = False
+        need = q - np.count_nonzero(keep)
+        at = band if rows is None else rows[band]
+        exact = [score.reference(r, j) for j in at]
+        keep[band[np.lexsort((at, exact))[:need]]] = True
+    return keep
+
+
+def ref_nearest(r, code, candidates, metric):
+    cand = None if candidates is None else np.asarray(candidates, dtype=np.int64)
+    score = code.score(metric)
+    pos = int(ref_smallest(score, r, ref_score(score, r, cand), 1, cand).argmax())
+    return pos if cand is None else int(cand[pos])
+
+
+def ref_preprocess(r, tree, q=None):
+    if q is None:
+        q = tree.params.q
+    else:
+        require_valid_params(PartitionParams(k=tree.params.k, q=q))
+    r = np.asarray(r)
+    rf = r.astype(np.float64)
+    alive = np.ones(1, dtype=bool)
+    for (parent, score), q_l in zip(tree.arrays, q):
+        racing = alive[parent]
+        n_racing = np.count_nonzero(racing)
+        if q_l >= n_racing:
+            alive = racing
+            continue
+        f = ref_score(score, rf)
+        if n_racing < racing.size:
+            f[~racing] = np.inf
+        alive = ref_smallest(score, r, f, q_l)
+    return np.flatnonzero(alive[tree.leaf_of])
+
+
+def ref_decode_bp(llrs, code, max_iter=50):
+    llrs = np.asarray(llrs, dtype=np.float64)
+    if not llrs.any():
+        return np.zeros(code.n, dtype=np.uint8), False
+    ev, ec, start = code.edge_var, code.edge_check, code.check_start
+    msg_cv = np.zeros(len(ev))
+    total = llrs.copy()
+    bits = (total < 0).astype(np.uint8)
+    if not ref_syndrome(code, bits).any():
+        return bits, True
+    for _ in range(max_iter):
+        t = np.tanh(0.5 * (total[ev] - msg_cv))
+        mag = np.abs(t)
+        is_zero = mag < 1e-300
+        logm = np.where(is_zero, 0.0, np.log(np.maximum(mag, 1e-300)))
+        neg = t < 0.0
+        log_sum = np.add.reduceat(logm, start)
+        zero_sum = np.add.reduceat(is_zero.astype(np.int64), start)
+        neg_sum = np.add.reduceat(neg.astype(np.int64), start)
+        excl_zero = zero_sum[ec] - is_zero
+        excl_sign = np.where((neg_sum[ec] - neg) % 2 == 0, 1.0, -1.0)
+        prod = np.where(excl_zero > 0, 0.0, excl_sign * np.exp(log_sum[ec] - logm))
+        msg_cv = 2.0 * np.arctanh(np.clip(prod, -_TANH_LIM, _TANH_LIM))
+        total = llrs.copy()
+        np.add.at(total, ev, msg_cv)
+        bits = (total < 0).astype(np.uint8)
+        if not ref_syndrome(code, bits).any():
+            return bits, True
+    return bits, False
+
+
+# ---------------------------------------------------------------------------
+# slot-level paths: transmit, soft LLRs, hard decisions, pruning
+
+
+@st.composite
+def slot_cases(draw):
+    """A code (K 1..4, m 4 or 16, at most 4096 codewords) with a candidate set or None."""
+    m = draw(st.sampled_from((4, 16)))
+    K = draw(st.integers(1, 4 if m == 4 else 3))
+    n_r = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**16))
+    code = random_code(K, n_r, m=m, snr_db=draw(st.sampled_from((-5.0, 5.0, 20.0))), seed=seed)
+    cand = None
+    if draw(st.booleans()):
+        rng = np.random.default_rng(seed + 1)
+        size = draw(st.integers(1, code.size))
+        cand = rng.choice(code.size, size=size, replace=False)  # unsorted on purpose
+    return code, cand, seed
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.sampled_from((4, 16)),
+    K=st.integers(1, 4),
+    n_r=st.integers(1, 8),
+    noise_std=st.sampled_from((0.0, NOISE_STD, 2.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_transmit_matches_reference(m, K, n_r, noise_std, seed):
+    rng = np.random.default_rng(seed)
+    const = qam_constellation(m, 10.0 ** (rng.uniform(-5, 20) / 10))
+    h = real_channel_matrix(sample_rayleigh(K, n_r, rng))
+    ref_rng, new_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    for _ in range(5):
+        w = rng.integers(0, m, size=K)
+        expected = ref_transmit(h, w, const, ref_rng, noise_std)
+        got = transmit(h, w, const, new_rng, noise_std)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+    assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=slot_cases())
+def test_compute_llrs_matches_reference(case):
+    code, cand, seed = case
+    rng = np.random.default_rng(seed)
+    observations = [code.codewords[rng.integers(code.size)], rng.integers(0, 2, code.length)]
+    for r in observations:
+        r = r.astype(np.uint8)
+        expected = ref_compute_llrs(r, code, cand)
+        got = compute_llrs(r, code, cand)
+        assert got.shape == expected.shape == (code.K, code.m.bit_length() - 1)
+        assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=slot_cases(), metric=st.sampled_from(("wh", "hamming", "nll")))
+def test_hard_decision_matches_reference(case, metric):
+    code, cand, seed = case
+    rng = np.random.default_rng(seed)
+    # a noiseless codeword ties with every duplicate of its pattern
+    for r in (code.codewords[rng.integers(code.size)], rng.integers(0, 2, code.length)):
+        assert _nearest(r, code, cand, metric) == ref_nearest(r, code, cand, metric)
+
+
+def test_hard_decision_ties_go_to_the_lowest_index():
+    # one antenna: 16 codewords share 4 patterns, so every decision is a tie
+    code = random_code(K=2, n_r=1, seed=4)
+    for r in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        r = np.array(r, dtype=np.uint8)
+        for cand in (None, np.arange(code.size)[::-1]):
+            got = _nearest(r, code, cand, "hamming")
+            assert got == ref_nearest(r, code, cand, "hamming")
+            assert got == int(np.flatnonzero((code.codewords != r).sum(axis=1) == 0)[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.sampled_from((4, 16)),
+    K=st.integers(1, 4),
+    n_r=st.integers(1, 8),
+    k=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_preprocess_matches_reference(m, K, n_r, k, seed):
+    K = min(K, 3) if m == 16 else K  # at most 4096 codewords
+    code = random_code(K, n_r, m=m, seed=seed)
+    rng = np.random.default_rng(seed)
+    q, prev = [], 1
+    for k_l in k:
+        prev = int(rng.integers(1, prev * k_l + 1))
+        q.append(prev)
+    tree = build_partition_tree(code, PartitionParams(k=tuple(k), q=tuple(q)), rng)
+    for r in (code.codewords[rng.integers(code.size)], rng.integers(0, 2, code.length)):
+        r = r.astype(np.uint8)
+        assert np.array_equal(preprocess(r, tree), ref_preprocess(r, tree))
+        override = tuple(min(q_l, 1 + q_l // 2) for q_l in q)
+        got = preprocess(r, tree, q=override)
+        assert np.array_equal(got, ref_preprocess(r, tree, q=override))
+        assert got.dtype == np.intp
+
+
+# ---------------------------------------------------------------------------
+# frame-level path: BP decoding
+
+
+def _irregular_alist_code():
+    """A code read from alist text whose checks have degrees 9 to 16."""
+    rng = np.random.default_rng(11)
+    while True:
+        h = (rng.random((24, 64)) < 0.2).astype(np.uint8)
+        degrees = h.sum(axis=1)
+        if degrees.min() >= 9 and h.sum(axis=0).min() >= 1:
+            try:
+                return code_from_parity_check(parse_alist(write_alist(h)))
+            except CodeConstructionError:  # rank deficient: draw again
+                continue
+
+
+CODES = {
+    "n128": construct_code(128, 0.5, 7),
+    "n672": construct_code(672, 0.5, 7),
+    "irregular": _irregular_alist_code(),
+}
+CAPS = (0, 1, 2, 3, 5, 8, 50)
+
+
+def _assert_same_decoding(llrs, code):
+    """Equal (bits, converged) at every cap, hence the same iteration count."""
+    for cap in CAPS:
+        expected = ref_decode_bp(llrs, code, cap)
+        got = decode_bp(llrs, code, cap)
+        assert got[0].dtype == np.uint8 and got[0].shape == (code.n,)
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert bool(got[1]) is bool(expected[1])
+
+
+def test_irregular_code_has_high_degree_checks():
+    assert CODES["irregular"].h.sum(axis=1).max() > 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CODES)),
+    sigma=st.sampled_from((0.5, 0.9, 1.2, 2.0)),
+    zeros=st.sampled_from(("none", "some", "subnormal", "check")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decode_bp_matches_reference(name, sigma, zeros, seed):
+    code = CODES[name]
+    rng = np.random.default_rng(seed)
+    cw = encode(code, rng.integers(0, 2, code.k))
+    llrs = 2.0 * ((1.0 - 2.0 * cw) + sigma * rng.standard_normal(code.n)) / sigma**2
+    llrs = np.clip(llrs, -LLR_CLAMP, LLR_CLAMP)
+    if zeros == "some":  # tanh inputs exactly 0 in the first iteration
+        llrs[rng.choice(code.n, size=3, replace=False)] = 0.0
+    elif zeros == "subnormal":  # magnitudes below 1e-300 that are not 0
+        llrs[rng.choice(code.n, size=3, replace=False)] = 5e-310
+    elif zeros == "check":  # two zero inputs on one check, one zero on another
+        ev, ec = code.edge_var, code.edge_check
+        llrs[ev[ec == 0][:2]] = 0.0
+        llrs[ev[ec == 1][0]] = -0.0
+    _assert_same_decoding(llrs, code)
+
+
+@pytest.mark.parametrize("name", sorted(CODES))
+def test_decode_bp_edge_inputs_match_reference(name):
+    code = CODES[name]
+    _assert_same_decoding(np.zeros(code.n), code)  # rejected at once
+    _assert_same_decoding(np.full(code.n, LLR_CLAMP), code)  # already a codeword
+    one = np.full(code.n, 4.0)
+    one[0] = 0.0  # a single zero input
+    _assert_same_decoding(one, code)
+    flipped = np.full(code.n, 4.0)
+    flipped[:5] = -4.0  # a few wrong signs for BP to correct
+    _assert_same_decoding(flipped, code)
+
+
+# ---------------------------------------------------------------------------
+# shared steps the hot paths call: quantizer, scores, syndrome
+
+
+@pytest.mark.parametrize("name", sorted(CODES))
+def test_syndrome_matches_reference_for_every_word_dtype(name):
+    code = CODES[name]
+    rng = np.random.default_rng(5)
+    words = [rng.integers(0, 2, code.n) for _ in range(20)]
+    words.append(encode(code, rng.integers(0, 2, code.k)))
+    for word in words:
+        expected = ref_syndrome(code, word)
+        for form in (word, word.astype(np.uint8), word.astype(bool), word.tolist()):
+            got = syndrome(code, form)
+            assert np.array_equal(got.astype(np.int64), expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=slot_cases())
+def test_quantize_and_scores_match_reference(case):
+    code, cand, seed = case
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(code.length)
+    v[: code.length // 3] = 0.0  # the quantizer sends 0 to bit 0
+    assert quantize(v).tobytes() == ref_quantize(v).tobytes()
+    score = code.score("wh")
+    for r in (quantize(v), rng.integers(0, 2, code.length), rng.integers(0, 2, code.length) > 0):
+        assert score(r).tobytes() == ref_score(score, r).tobytes()
+        if cand is not None:
+            assert score(r, cand).tobytes() == ref_score(score, r, cand).tobytes()

@@ -357,6 +357,18 @@ def test_alist_malformed_rejected():
         parse_alist("\n".join(lines))
 
 
+def test_alist_row_side_checked_against_the_columns():
+    lines = write_alist(np.array([[1, 1, 0], [0, 1, 1]])).splitlines()
+    assert lines[3] == "2 2" and lines[-1] == "2 3"
+    for row_degrees, last_row in (("5 5", "1 2"), ("5 5", "2 3"), ("2 2", "1 2"), ("2", "2 3")):
+        bad = lines[:3] + [row_degrees] + lines[4:-1] + [last_row]
+        with pytest.raises(ConfigurationError, match="row"):
+            parse_alist("\n".join(bad))
+    # zero padding and the order within a row list do not matter
+    padded = lines[:-1] + ["3 2 0"]
+    np.testing.assert_array_equal(parse_alist("\n".join(padded)), [[1, 1, 0], [0, 1, 1]])
+
+
 def test_loaded_alist_builds_working_code(code128, tmp_path):
     path = tmp_path / "c.alist"
     save_alist(code128.h, path)

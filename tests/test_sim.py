@@ -1,6 +1,7 @@
 """Configuration handling and the Monte Carlo BER/FER harness."""
 
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -510,6 +511,35 @@ def test_write_results_csv_and_sidecar(tmp_path):
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     assert onebit_mimo.__version__ == tomllib.loads(pyproject.read_text())["project"]["version"]
+
+
+def test_coded_sidecar_names_the_ldpc_code_used(tmp_path, monkeypatch):
+    h = construct_code(128, 0.5, 3).h
+    path = tmp_path / "n128.alist"
+    save_alist(h, path)
+    loads = []
+    load = sim.load_alist
+    monkeypatch.setattr(sim, "load_alist", lambda p: loads.append(p) or load(p))
+    sim._ldpc_code.cache_clear()
+    cfg = small_coded(ldpc_alist=str(path), ldpc_n=672, trials=4)  # the alist overrides ldpc_n
+    out = tmp_path / "res.csv"
+    write_results(str(out), run_coded(cfg), CSV_HEADER, cfg)
+    meta = json.loads((tmp_path / "res.csv.meta.json").read_text())
+    digest = hashlib.sha256(h.tobytes()).hexdigest()
+    assert meta["ldpc"] == {"n": 128, "k": 64, "h_sha256": digest}
+    assert meta["config"]["ldpc_n"] == 672  # the config is recorded as given
+    # the alist path alone keys the code, so other ldpc_* values reuse it
+    run_coded(dataclasses.replace(cfg, ldpc_seed=3, ldpc_n=128))
+    assert loads == [str(path)]
+    # a constructed code is named too; an uncoded run names none
+    cfg = small_coded(trials=4)
+    write_results(str(out), run_coded(cfg), CSV_HEADER, cfg)
+    meta = json.loads((tmp_path / "res.csv.meta.json").read_text())
+    assert meta["ldpc"]["n"] == 128
+    assert meta["ldpc"]["h_sha256"] == hashlib.sha256(construct_code(128, 0.5, 7).h.tobytes()).hexdigest()
+    cfg = small_uncoded(trials=100)
+    write_results(str(out), run_uncoded(cfg), CSV_HEADER, cfg)
+    assert "ldpc" not in json.loads((tmp_path / "res.csv.meta.json").read_text())
 
 
 def test_write_results_without_path_prints_the_csv(tmp_path, monkeypatch, capsys):

@@ -39,8 +39,8 @@ def _nearest(r: np.ndarray, code: SpatialCode, candidates, metric: str) -> int:
     """
     cand = _candidate_array(candidates, sort=False)
     score = code.score(metric)
-    pos = int(score.smallest(r, score(r, cand), 1, cand).argmax())
-    return pos if cand is None else int(cand[pos])
+    pos = score.smallest(r, score(r, cand), 1, cand).argmax()
+    return int(pos if cand is None else cand[pos])
 
 
 def wmd_decode(r: np.ndarray, code: SpatialCode, candidates=None) -> int:

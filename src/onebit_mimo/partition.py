@@ -90,33 +90,42 @@ class KmeansResult:
     objective: list  # within-cluster Hamming distance sum per iteration
 
 
-def _pairwise_hamming(p: np.ndarray, p_ones: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Mismatch counts between float 0/1 row sets, via the dot-product identity.
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """0/1 rows (n, N) as (n, W) uint64 words, zero-padded to whole words.
 
-    ``p_ones`` holds the row sums of ``p``; every entry is an exact integer.
+    A padding bit is 0 in every row, so it never adds to a mismatch count.
     """
-    return p_ones[:, None] + c.sum(axis=1) - 2.0 * (p @ c.T)
+    n, length = bits.shape
+    if length % 64:
+        padded = np.zeros((n, length + (-length % 64)), dtype=np.uint8)
+        padded[:, :length] = bits
+        bits = padded
+    return np.packbits(bits, axis=1).view(np.uint64)
 
 
-def _seed_centroids(
-    p: np.ndarray, p_ones: np.ndarray, k: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Distance-weighted (farthest-point flavored) seeding under Hamming."""
-    n = len(p)
+def _hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mismatch counts between packed rows, broadcast over the leading axes."""
+    counts = np.bitwise_count(a ^ b)
+    return counts[..., 0] if counts.shape[-1] == 1 else counts.sum(axis=-1)
 
-    def dist_to(seed: int) -> np.ndarray:
-        return p_ones + p_ones[seed] - 2.0 * (p @ p[seed])
 
+def _seed_centroids(pw: np.ndarray, k: int, rng: np.random.Generator) -> list:
+    """Distance-weighted (farthest-point flavored) seeding under Hamming.
+
+    Returns the row index of each seed.  The distances are exact integers,
+    so ``d_min / total`` is the same float64 vector whatever their dtype.
+    """
+    n = len(pw)
     seeds = [int(rng.integers(n))]
-    d_min = dist_to(seeds[-1])
+    d_min = _hamming(pw, pw[seeds[-1]])
     while len(seeds) < k:
         total = d_min.sum()
         if total == 0:
             seeds.append(int(rng.integers(n)))
         else:
             seeds.append(int(rng.choice(n, p=d_min / total)))
-        d_min = np.minimum(d_min, dist_to(seeds[-1]))
-    return p[seeds]
+        d_min = np.minimum(d_min, _hamming(pw, pw[seeds[-1]]))
+    return seeds
 
 
 def _mismatch_weights(
@@ -147,25 +156,30 @@ def kmeans_hamming(
     centroid (a cluster emptied by an earlier move is not revisited).
     Surplus clusters (k > number of members) are dropped from the result.
 
-    Each step is whole-array: cluster sizes are one bincount, the per-cluster
-    one-bit counts one one-hot matrix product, and the distances after the
-    centroid update serve both as the iteration's objective and as the next
-    assignment step.  Every distance and count is a small exact integer.
+    Each step is whole-array: distances are popcounts of XORed bit-packed
+    rows, cluster sizes one bincount, the per-cluster one-bit counts one
+    one-hot matrix product, and the distances after the centroid update
+    serve both as the iteration's objective and as the next assignment
+    step.  Every distance and count is a small exact integer, so neither
+    the distances' integer type nor the counts' float32 changes a result.
     """
     members = np.asarray(members, dtype=np.int64)
     if members.size == 0:
         raise ValueError("members must be nonempty")
-    p = code.codewords[members].astype(np.float64)
-    p_ones = p.sum(axis=1)
+    bits = code.codewords[members]
+    pw = _pack_rows(bits)
     n = len(members)
     k_eff = min(k, n)
     rows = np.arange(n)
-    centroids = _seed_centroids(p, p_ones, k_eff, rng)
-    dist = _pairwise_hamming(p, p_ones, centroids)
+    seeds = _seed_centroids(pw, k_eff, rng)
+    centroids = bits[seeds]
+    dist = _hamming(pw[:, None], pw[seeds])
 
+    # the one-hot product's counts are exact integers in float32 below 2**24 members
+    p = bits.astype(np.float32 if n < 2**24 else np.float64)
     assign = np.full(n, -1)
     sizes = np.zeros(k_eff, dtype=np.int64)
-    ones = np.zeros_like(centroids)
+    ones = np.zeros(centroids.shape)
     objective = []
     for _ in range(max_iter):
         new_assign = dist.argmin(axis=1)
@@ -181,15 +195,16 @@ def kmeans_hamming(
             counts[new_assign[far]] -= 1
             counts[c] += 1
             new_assign[far] = c
-            own[far] = 0.0
+            own[far] = 0
         if (new_assign == assign).all():
             break
         assign = new_assign
         sizes = np.array(counts)
-        ones = (assign[:, None] == np.arange(k_eff)).T @ p
-        filled = sizes > 0
-        centroids[filled] = 2.0 * ones[filled] > sizes[filled, None]
-        dist = _pairwise_hamming(p, p_ones, centroids)
+        onehot = np.zeros((k_eff, n), dtype=p.dtype)
+        onehot[assign, rows] = 1.0
+        ones = onehot @ p
+        np.copyto(centroids, 2.0 * ones > sizes[:, None], where=sizes[:, None] > 0)
+        dist = _hamming(pw[:, None], _pack_rows(centroids))
         objective.append(float(dist[rows, assign].sum()))
 
     keep = np.flatnonzero(sizes)
@@ -197,7 +212,7 @@ def kmeans_hamming(
     ends = np.cumsum(sizes).tolist()
     return KmeansResult(
         clusters=[grouped[ends[c] - sizes[c] : ends[c]] for c in keep],
-        centroids=centroids[keep].astype(np.uint8),
+        centroids=centroids[keep],
         weights=_mismatch_weights(centroids[keep], ones[keep], sizes[keep]),
         objective=objective,
     )
@@ -259,6 +274,11 @@ def build_partition_tree(
     return PartitionTree(params=params, levels=levels, arrays=arrays, leaf_of=leaf_of)
 
 
+# the root is alive for every observation; each level gathers a new mask from it
+_ROOT = np.ones(1, dtype=bool)
+_ROOT.setflags(write=False)
+
+
 def preprocess(r: np.ndarray, tree: PartitionTree, q=None) -> np.ndarray:
     """Sorted candidate indices surviving the per-level centroid pruning.
 
@@ -279,8 +299,9 @@ def preprocess(r: np.ndarray, tree: PartitionTree, q=None) -> np.ndarray:
     length = tree.arrays[0][1].rows.shape[1]
     if r.shape != (length,):
         raise ValueError(f"observation has shape {r.shape}, but the code has length {length}")
+    # one cast serves every level: each product would otherwise cast r again
     rf = r.astype(np.float64)
-    alive = np.ones(1, dtype=bool)
+    alive = _ROOT
     for (parent, score), q_l in zip(tree.arrays, q):
         racing = alive[parent]
         n_racing = np.count_nonzero(racing)

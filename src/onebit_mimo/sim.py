@@ -2,13 +2,14 @@
 
 Every coherence block owns three RNG streams derived from
 ``(seed, snr_index, block_index, purpose)`` — purpose 0 draws the channel
-(and pilot noise), 1 seeds the partition clustering, 2 draws payload data and
-data noise.  Detector or partition choices therefore never shift the channel
-or data realizations, which keeps A/B comparisons paired and makes results
-independent of how blocks are distributed over worker processes.  Purpose 2
-is drawn in slot order: an uncoded slot draws its K digits (``integers``)
-and then its N noise samples (``normal``); a coded frame draws its K
-message rows once, then N noise samples per slot.  Every data slot of every
+(and pilot noise), 1 seeds the partition clustering (built only when a
+partition is set), 2 draws payload data and data noise.  Detector or
+partition choices therefore never shift the channel or data realizations,
+which keeps A/B comparisons paired and makes results independent of how
+blocks are distributed over worker processes.  Purpose 2 is drawn in slot
+order: an uncoded slot draws its K digits (``integers``) and then its N
+noise samples (``normal``); a coded frame draws its K message rows once,
+then N noise samples per slot.  Every data slot of every
 run kind goes through one detection step, ``_detect_slot``: transmit, then
 ZF, or pruning (when a tree exists) and a hard decoder or the soft LLRs.
 Each entry point rebuilds (so re-checks) its SimConfig and adds its own run
@@ -95,11 +96,14 @@ class Block:
     rng_data: np.random.Generator
 
 
+def _block_rng(cfg: SimConfig, snr_idx: int, block: int, purpose: int) -> np.random.Generator:
+    """The stream of one purpose in one coherence block (see the module docstring)."""
+    return np.random.default_rng([cfg.seed, snr_idx, block, purpose])
+
+
 def _setup_block(cfg: SimConfig, snr_idx: int, block: int) -> Block:
     """Channel draw, optional pilot-based estimation, code and tree build."""
-    rng_channel, rng_tree, rng_data = (
-        np.random.default_rng([cfg.seed, snr_idx, block, purpose]) for purpose in range(3)
-    )
+    rng_channel = _block_rng(cfg, snr_idx, block, 0)
     snr = snr_linear(cfg.snr_db[snr_idx])
     const = qam_constellation(cfg.m, snr)
     h_true = real_channel_matrix(sample_rayleigh(cfg.n_users, cfg.n_rx, rng_channel))
@@ -110,8 +114,10 @@ def _setup_block(cfg: SimConfig, snr_idx: int, block: int) -> Block:
     else:
         h_est = h_true
     code = build_code(h_est, const)
-    tree = None if cfg.partition is None else build_partition_tree(code, cfg.partition, rng_tree)
-    return Block(const, h_true, h_est, code, tree, rng_data)
+    tree = None
+    if cfg.partition is not None:
+        tree = build_partition_tree(code, cfg.partition, _block_rng(cfg, snr_idx, block, 1))
+    return Block(const, h_true, h_est, code, tree, _block_rng(cfg, snr_idx, block, 2))
 
 
 @dataclass
@@ -143,13 +149,18 @@ def _detect_slot(cfg: SimConfig, blk: Block, w: np.ndarray, stats: BlockStats) -
     """
     r = transmit(blk.h_true, w, blk.const, blk.rng_data)
     stats.cand_slots += 1
-    if cfg.detector == "zf":
+    detector, code, tree = cfg.detector, blk.code, blk.tree
+    if detector == "zf":
         return zf_detect(r, blk.h_est, blk.const)
-    cand = preprocess(r, blk.tree) if blk.tree is not None else None
-    stats.cand_sum += blk.code.size if cand is None else cand.size
-    if cfg.detector == "soft-wmd":
-        return compute_llrs(r, blk.code, cand)
-    return blk.code.digits[_HARD_DECODERS[cfg.detector](r, blk.code, cand)]
+    if tree is None:
+        cand = None
+        stats.cand_sum += code.size
+    else:
+        cand = preprocess(r, tree)
+        stats.cand_sum += cand.size
+    if detector == "soft-wmd":
+        return compute_llrs(r, code, cand)
+    return code.digits[_HARD_DECODERS[detector](r, code, cand)]
 
 
 def _uncoded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
@@ -159,11 +170,12 @@ def _uncoded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
     counted once for the whole block.
     """
     blk = _setup_block(cfg, snr_idx, block)
-    sent = np.empty((cfg.t_d, cfg.n_users), dtype=np.int64)
+    m, K, draw = cfg.m, cfg.n_users, blk.rng_data.integers
+    sent = np.empty((cfg.t_d, K), dtype=np.int64)
     decided = np.empty_like(sent)
     stats = BlockStats(trials=cfg.t_d)
     for t in range(cfg.t_d):
-        sent[t] = w = blk.rng_data.integers(0, cfg.m, size=cfg.n_users)
+        sent[t] = w = draw(0, m, size=K)
         decided[t] = _detect_slot(cfg, blk, w, stats)
     lut = bit_table(cfg.m)
     stats.errors = int((lut[sent] ^ lut[decided]).sum())

@@ -79,12 +79,16 @@ class MismatchScore:
         """Linear scores of ``rows`` (every row when None) against r.
 
         A 0/1 r of any dtype casts to float64 exactly inside the product.
+        ``take`` gathers a row subset: the same bytes as fancy indexing, at
+        less cost.
         """
         if rows is None:
             d = self.gain @ r
             d += self.base
-            return d
-        return self.base[rows] + self.gain[rows] @ r
+        else:
+            d = self.gain.take(rows, axis=0) @ r
+            d += self.base.take(rows)
+        return d
 
     def reference(self, r: np.ndarray, row: int) -> float:
         """The exact reference score of one row."""
@@ -101,9 +105,9 @@ class MismatchScore:
         places left, the band is ranked by the reference and then by row id,
         so exact ties go to the lowest row whatever the order of ``rows``.
         """
-        # a plain min costs less than a partial sort for the hard decoders' q = 1
+        # an argmin costs less than a partial sort (or ``min``) for the hard decoders' q = 1
         if q == 1:
-            c = f.min()
+            c = f[f.argmin()]
         else:
             part = f.copy()
             part.partition(q - 1)

@@ -24,6 +24,7 @@ from onebit_mimo.detector import (
     wmd_decode,
     zf_detect,
 )
+from onebit_mimo.partition import PartitionParams, build_partition_tree, preprocess
 from onebit_mimo.spatial_code import (
     SpatialCode,
     build_code,
@@ -392,6 +393,28 @@ def test_llrs_duplicate_candidates_match_deduplicated():
         np.testing.assert_array_equal(
             compute_llrs(r, code, dup), compute_llrs(r, code, np.unique(cand))
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.sampled_from((4, 16)),
+    K=st.integers(1, 4),
+    n_r=st.integers(1, 8),
+    k=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_llrs_under_a_tree_keeping_every_node_equal_full_search(m, K, n_r, k, seed):
+    # the soft twin of acceptance 02 over random codes and tree shapes
+    K = min(K, 3) if m == 16 else K  # at most 4096 codewords
+    code = random_code(K, n_r, m=m, seed=seed)
+    rng = np.random.default_rng(seed)
+    q = tuple(np.cumprod(k).tolist())  # q_l = q_{l-1} * k_l at every level
+    tree = build_partition_tree(code, PartitionParams(tuple(k), q), rng)
+    for r in (code.codewords[rng.integers(code.size)], rng.integers(0, 2, code.length)):
+        r = r.astype(np.uint8)
+        cand = preprocess(r, tree)
+        np.testing.assert_array_equal(cand, np.arange(code.size))
+        assert compute_llrs(r, code, cand).tobytes() == compute_llrs(r, code).tobytes()
 
 
 def test_llrs_empty_candidates_raise():

@@ -5,8 +5,9 @@ Each ``ref_*`` function below is the plain-numpy form of a hot-path function
 each in its own reference form).  The optimised functions must return the
 same bytes: the same bits and generator state from ``transmit``, bitwise
 LLRs from ``compute_llrs``, the same candidates and indices from
-``preprocess`` and the hard decoders, and the same ``(bits, converged)``
-from ``decode_bp`` at every iteration cap.
+``preprocess`` and the hard decoders, the same ``(bits, converged)``
+from ``decode_bp`` at every iteration cap, and the same k-means distances
+from the packed popcount form.
 """
 
 import numpy as np
@@ -35,7 +36,7 @@ from onebit_mimo.core import modulate
 from onebit_mimo.detector import LLR_CLAMP, _nearest, compute_llrs
 from onebit_mimo.errors import CodeConstructionError
 from onebit_mimo.ldpc import _TANH_LIM, decode_bp, syndrome
-from onebit_mimo.partition import require_valid_params
+from onebit_mimo.partition import _hamming, _pack_rows, require_valid_params
 
 # ---------------------------------------------------------------------------
 # reference forms
@@ -117,6 +118,16 @@ def ref_preprocess(r, tree, q=None):
             f[~racing] = np.inf
         alive = ref_smallest(score, r, f, q_l)
     return np.flatnonzero(alive[tree.leaf_of])
+
+
+def ref_pairwise_hamming(p, p_ones, c):
+    """k-means assignment distances of float 0/1 rows, by the dot-product identity."""
+    return p_ones[:, None] + c.sum(axis=1) - 2.0 * (p @ c.T)
+
+
+def ref_dist_to(p, p_ones, seed):
+    """k-means seeding distances of every row to row ``seed``."""
+    return p_ones + p_ones[seed] - 2.0 * (p @ p[seed])
 
 
 def ref_decode_bp(llrs, code, max_iter=50):
@@ -251,6 +262,32 @@ def test_preprocess_matches_reference(m, K, n_r, k, seed):
         got = preprocess(r, tree, q=override)
         assert np.array_equal(got, ref_preprocess(r, tree, q=override))
         assert got.dtype == np.intp
+
+
+# ---------------------------------------------------------------------------
+# tree build: k-means distances
+
+
+@pytest.mark.parametrize("length", range(2, 131))
+def test_packed_hamming_matches_reference(length):
+    # a padded last byte, one word, and several words with a padded tail
+    rng = np.random.default_rng(length)
+    bits = rng.integers(0, 2, (24, length)).astype(np.uint8)
+    bits[0], bits[1] = 0, 1  # no bit set; every bit set
+    centroids = np.vstack([bits[:3], rng.integers(0, 2, (5, length))]).astype(np.uint8)
+    p = bits.astype(np.float64)
+    p_ones = p.sum(axis=1)
+    pw = _pack_rows(bits)
+    assert pw.dtype == np.uint64 and pw.shape == (len(bits), -(-length // 64))
+    got = _hamming(pw[:, None], _pack_rows(centroids))
+    assert np.array_equal(got, ref_pairwise_hamming(p, p_ones, centroids.astype(np.float64)))
+    for seed in range(len(bits)):
+        got = _hamming(pw, pw[seed])
+        expected = ref_dist_to(p, p_ones, seed)
+        assert np.array_equal(got, expected)
+        # seeding draws with d / d.sum(): the same float64 vector from either dtype
+        if expected.sum():
+            assert (got / got.sum()).tobytes() == (expected / expected.sum()).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -215,12 +215,12 @@ def oracle_kmeans(members, code, k, rng, max_iter=KMEANS_MAX_ITER, moves=None):
 
 @st.composite
 def kmeans_cases(draw):
-    """(code, members, k, max_iter, rng seed) over short codes with twins."""
+    """(code, members, k, max_iter, rng seed) over codes with twins, up to 80 bits long."""
     m = draw(st.sampled_from((4, 16)))
     K = draw(st.integers(1, 4 if m == 4 else 3))
     code = random_code(
         K=K,
-        n_r=draw(st.integers(1, 8)),
+        n_r=draw(st.integers(1, 40)),  # codewords of 2 to 80 bits: one or two words
         m=m,
         snr_db=draw(st.sampled_from((0.0, 10.0))),
         seed=draw(st.integers(0, 2**16)),
@@ -398,7 +398,7 @@ def oracle_tree_arrays(code, params, rng):
 @given(
     m=st.sampled_from((4, 16)),
     K=st.integers(1, 3),
-    n_r=st.integers(1, 8),
+    n_r=st.integers(1, 40),
     k=st.lists(st.integers(1, 12), min_size=1, max_size=3),
     seed=st.integers(0, 2**16),
 )

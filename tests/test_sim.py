@@ -402,6 +402,27 @@ def test_ldpc_code_built_once_per_parameter_set(monkeypatch):
     assert built == [(128, 0.5, 7), (128, 0.5, 3)]
 
 
+def test_tree_stream_is_built_only_for_a_partitioned_block(monkeypatch):
+    # purpose 1 seeds the clustering: no other block kind constructs it
+    purposes = []
+    default_rng = np.random.default_rng
+
+    def spy(seed=None):
+        if isinstance(seed, list) and len(seed) == 4:
+            purposes.append(seed[3])
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    for block, cfg, expected in (
+        (sim._uncoded_block, small_uncoded(), [0, 2]),
+        (sim._coded_block, small_coded(), [0, 2]),
+        (sim._uncoded_block, small_uncoded(partition={"k": [4], "q": [2]}), [0, 1, 2]),
+    ):
+        purposes.clear()
+        block(cfg, 0, 0)
+        assert sorted(purposes) == expected
+
+
 def test_coded_rejects_misaligned_blocklength():
     cfg = small_coded(m=16, n_rx=4, ldpc_n=126, t_c=256, t_d=256)
     with pytest.raises(ConfigurationError):

@@ -2,45 +2,38 @@
 """LDPC frame error rate: soft LLRs + belief propagation versus hard
 decisions + bit flipping, on paired seeds across an SNR range.
 
+Every ``onebit-mimo coded`` flag but ``--detector`` overrides the presets.
+
     python3 scripts/coded_fer_comparison.py --seed 5 --output fer.csv
 """
 
 import argparse
 import dataclasses
 
-from onebit_mimo import CSV_HEADER, SimConfig, run_coded, write_results
+from onebit_mimo import CSV_HEADER, ConfigurationError, run_coded, write_results
+from onebit_mimo.cli import add_config_flags, build_config, guarded
+
+PRESETS = {  # trials counts user-frames per SNR point
+    "n_users": 3, "n_rx": 16, "snr_db": (-6.0, -4.0, -2.0, 0.0, 2.0),
+    "t_c": 128, "t_d": 128, "ldpc_n": 128, "trials": 600, "target_errors": 10**9,
+}
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--n_users", type=int, default=3)
-    ap.add_argument("--n_rx", type=int, default=16)
-    ap.add_argument("--snr_db", default="-6,-4,-2,0,2")
-    ap.add_argument("--ldpc_n", type=int, default=128)
-    ap.add_argument("--trials", type=int, default=600, help="user-frames per point")
-    ap.add_argument("--workers", type=int, default=1)
-    ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--output", help="CSV path (stdout when omitted)")
-    args = ap.parse_args()
-
-    base = SimConfig(
-        n_users=args.n_users,
-        n_rx=args.n_rx,
-        snr_db=tuple(float(v) for v in args.snr_db.split(",")),
-        t_c=128,
-        t_d=128,
-        ldpc_n=args.ldpc_n,
-        trials=args.trials,
-        target_errors=10**9,
-        workers=args.workers,
-        wave=8,
-        seed=args.seed,
-    )
+def run(args: argparse.Namespace) -> int:
+    if args.detector is not None:
+        raise ConfigurationError("the arms are soft-wmd and wmd: --detector is not taken")
+    base = build_config(args, PRESETS)
     rows = []
     for det in ("soft-wmd", "wmd"):
         rows.extend(run_coded(dataclasses.replace(base, detector=det)))
-    write_results(args.output, rows, CSV_HEADER, base)
+    write_results(base.output, rows, CSV_HEADER, base)
     return 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    add_config_flags(ap)
+    return guarded(run, ap.parse_args(argv))
 
 
 if __name__ == "__main__":

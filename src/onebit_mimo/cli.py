@@ -5,8 +5,10 @@ Subcommands: ``uncoded`` (BER sweep), ``coded`` (FER sweep), ``partition-sweep``
 report for one sampled block), ``complexity`` (closed-form counts only).
 
 Every run can start from a JSON config file whose keys mirror the SimConfig
-fields, and every field has a same-name flag that overrides the file value.
-Exit codes: 0 success, 2 configuration problems, 3 numerical failures.
+fields, and every field has a same-name flag, typed by its annotation, that
+overrides the file value; the scripts share them through ``add_config_flags``,
+``build_config`` and ``guarded``.  Exit codes: 0 success, 2 configuration
+problems (unreadable or unwritable files included), 3 numerical failures.
 """
 
 from __future__ import annotations
@@ -18,14 +20,7 @@ import sys
 
 import numpy as np
 
-from .config import (
-    CSV_HEADER,
-    FLOAT_FIELDS,
-    INT_FIELDS,
-    STR_FIELDS,
-    SWEEP_CSV_HEADER,
-    SimConfig,
-)
+from .config import CSV_HEADER, FIELD_TYPES, SWEEP_CSV_HEADER, SimConfig
 from .errors import CodeConstructionError, ConfigurationError
 from .partition import estimate_complexity
 from .sim import (
@@ -47,22 +42,22 @@ def _parse_snr_list(text: str) -> tuple:
     return values
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+def add_config_flags(p: argparse.ArgumentParser) -> None:
+    """``--config`` and one same-name flag per SimConfig field, typed by its annotation."""
     p.add_argument("--config", help="JSON config file; flags below override it")
-    for name in INT_FIELDS:
-        p.add_argument(f"--{name}", type=int)
-    for name in FLOAT_FIELDS:
-        p.add_argument(f"--{name}", type=float)
-    for name in STR_FIELDS:
-        p.add_argument(f"--{name}")
+    for name, (kind, _) in FIELD_TYPES.items():
+        p.add_argument(f"--{name}", type=kind)
     p.add_argument("--snr_db", type=_parse_snr_list, help="comma-separated dB values")
     p.add_argument("--partition", help="'full' or JSON like {\"k\":[8,8],\"q\":[4,16]}")
 
 
-def _build_config(args: argparse.Namespace) -> SimConfig:
-    data = SimConfig.from_json(args.config) if args.config else {}
+def build_config(args: argparse.Namespace, presets: dict | None = None) -> SimConfig:
+    """The config of presets, overlaid by the ``--config`` file, overlaid by the flags given."""
+    data = dict(presets or {})
+    if args.config:
+        data.update(SimConfig.from_json(args.config))
     for field in dataclasses.fields(SimConfig):
-        value = getattr(args, field.name, None)
+        value = getattr(args, field.name)
         if value is not None:
             data[field.name] = value
     return SimConfig.from_dict(data)
@@ -77,19 +72,19 @@ def _emit_text(cfg: SimConfig, text: str) -> None:
 
 
 def _cmd_uncoded(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
+    cfg = build_config(args)
     write_results(cfg.output, run_uncoded(cfg), CSV_HEADER, cfg)
     return 0
 
 
 def _cmd_coded(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
+    cfg = build_config(args)
     write_results(cfg.output, run_coded(cfg), CSV_HEADER, cfg)
     return 0
 
 
 def _cmd_partition_sweep(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
+    cfg = build_config(args)
     try:
         sweep = json.loads(args.sweep)
     except json.JSONDecodeError as exc:
@@ -101,13 +96,13 @@ def _cmd_partition_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition_stats(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
+    cfg = build_config(args)
     _emit_text(cfg, partition_report(cfg))
     return 0
 
 
 def _cmd_complexity(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
+    cfg = build_config(args)
     n_pre, n_wmd, n_total = estimate_complexity(cfg.partition, cfg.m, cfg.n_users)
     label = cfg.partition.label() if cfg.partition is not None else "full"
     _emit_text(
@@ -125,17 +120,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("uncoded", help="uncoded BER versus SNR")
-    _add_config_flags(p)
+    add_config_flags(p)
     p.set_defaults(handler=_cmd_uncoded)
 
     p = sub.add_parser("coded", help="LDPC frame error rate versus SNR")
-    _add_config_flags(p)
+    add_config_flags(p)
     p.set_defaults(handler=_cmd_coded)
 
     p = sub.add_parser(
         "partition-sweep", help="paired BER and complexity over partition specs"
     )
-    _add_config_flags(p)
+    add_config_flags(p)
     p.add_argument(
         "--sweep",
         required=True,
@@ -144,25 +139,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_partition_sweep)
 
     p = sub.add_parser("partition-stats", help="tree shape for one sampled block")
-    _add_config_flags(p)
+    add_config_flags(p)
     p.set_defaults(handler=_cmd_partition_stats)
 
     p = sub.add_parser("complexity", help="closed-form comparison counts")
-    _add_config_flags(p)
+    add_config_flags(p)
     p.set_defaults(handler=_cmd_complexity)
 
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "handler", None) is None:
-        parser.print_help(sys.stderr)
-        return 2
+def guarded(handler, args: argparse.Namespace) -> int:
+    """``handler(args)``'s exit code, or 2 for a bad config or file, 3 for a numerical failure."""
     try:
-        return args.handler(args)
-    except ConfigurationError as exc:
+        return handler(args)
+    except (ConfigurationError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (
@@ -173,6 +164,15 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "handler", None) is None:
+        parser.print_help(sys.stderr)
+        return 2
+    return guarded(args.handler, args)
 
 
 def entry() -> None:

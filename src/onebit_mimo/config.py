@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass
 from numbers import Real
 
@@ -36,30 +37,6 @@ MAX_CODEBOOK_ENTRIES = 2**24
 # Most worker processes: under the fork start method a ProcessPoolExecutor
 # starts all of them at its first submit.
 MAX_WORKERS = 256
-
-# Scalar fields by type: SimConfig checks them when it is built and the CLI
-# types its same-name flags by them.  Integer fields take an int (not a bool),
-# ldpc_rate a real number, string fields a str; OPTIONAL_FIELDS also take None.
-INT_FIELDS = (
-    "n_users",
-    "n_rx",
-    "m",
-    "t_c",
-    "t_t",
-    "t_d",
-    "ldpc_n",
-    "ldpc_seed",
-    "ldpc_max_iter",
-    "frames_per_block",
-    "trials",
-    "target_errors",
-    "seed",
-    "workers",
-    "wave",
-)
-FLOAT_FIELDS = ("ldpc_rate",)
-STR_FIELDS = ("csir", "detector", "ldpc_alist", "output")
-OPTIONAL_FIELDS = ("frames_per_block", "seed", "ldpc_alist", "output")
 
 CSV_HEADER = "snr_db,detector,metric,rate,errors,trials,denominator,mean_candidates"
 SWEEP_CSV_HEADER = (
@@ -132,17 +109,20 @@ def _is_real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
+_KINDS = {
+    int: ("an integer", _is_int),
+    float: ("a number", _is_real),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
 def require_field_types(cfg) -> None:
     """Reject a scalar field whose value has the wrong type, e.g. a float m."""
-    for names, kind, accepts in (
-        (INT_FIELDS, "an integer", _is_int),
-        (FLOAT_FIELDS, "a number", _is_real),
-        (STR_FIELDS, "a string", lambda v: isinstance(v, str)),
-    ):
-        for name in names:
-            value = getattr(cfg, name)
-            if not (accepts(value) or (value is None and name in OPTIONAL_FIELDS)):
-                raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
+    for name, (kind, optional) in FIELD_TYPES.items():
+        value = getattr(cfg, name)
+        noun, accepts = _KINDS[kind]
+        if not (accepts(value) or (value is None and optional)):
+            raise ConfigurationError(f"{name} must be {noun}, got {value!r}")
 
 
 def partition_to_json(params: PartitionParams | None):
@@ -269,6 +249,26 @@ class SimConfig:
         if not isinstance(data, dict):
             raise ConfigurationError(f"config {path} must hold a JSON object")
         return data
+
+
+def _scalar_field_types(cls) -> dict:
+    """{name: (kind, optional)} for each int, float or str field, from its annotation."""
+    out = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        kinds = set(typing.get_args(hint)) or {hint}
+        optional = type(None) in kinds
+        kinds.discard(type(None))
+        if len(kinds) == 1 and (kind := kinds.pop()) in _KINDS:
+            out[name] = (kind, optional)
+    return out
+
+
+# The one typing of the scalar fields: SimConfig checks them when it is built
+# and the CLI types its same-name flags by them.  An integer field takes an int
+# (not a bool), a float field any real number, a str field a str; an optional
+# field also takes None.  Read once here, since get_type_hints costs far more
+# than building a config.
+FIELD_TYPES = _scalar_field_types(SimConfig)
 
 
 def _fmt(x: float) -> str:

@@ -30,7 +30,6 @@ _TANH_LIM = 1.0 - 1e-12
 class LdpcCode:
     h: np.ndarray  # (n_checks, n) uint8 parity-check matrix
     generator: np.ndarray  # (k, n) uint8, g @ h.T == 0 over GF(2)
-    message_positions: np.ndarray  # (k,) codeword columns holding the message
     edge_var: np.ndarray  # (n_edges,) variable index, grouped by check
     edge_check: np.ndarray  # (n_edges,) check index, non-decreasing
     check_start: np.ndarray  # (n_checks,) reduceat offsets into the edge arrays
@@ -156,7 +155,6 @@ def code_from_parity_check(h: np.ndarray) -> LdpcCode:
     return LdpcCode(
         h=h,
         generator=gen,
-        message_positions=free,
         edge_var=ev.astype(np.int64),
         edge_check=ec.astype(np.int64),
         check_start=check_start.astype(np.int64),

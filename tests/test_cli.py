@@ -1,7 +1,10 @@
 """Command-line interface: flags, config files, outputs and exit codes."""
 
+import argparse
+import dataclasses
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -13,8 +16,8 @@ import pytest
 
 import onebit_mimo
 from onebit_mimo import sim
-from onebit_mimo.cli import main
-from onebit_mimo.config import CSV_HEADER, MAX_WORKERS, SWEEP_CSV_HEADER
+from onebit_mimo.cli import build_parser, main
+from onebit_mimo.config import CSV_HEADER, FIELD_TYPES, MAX_WORKERS, SWEEP_CSV_HEADER, SimConfig
 from onebit_mimo.ldpc import save_alist
 
 SMALL = [
@@ -323,6 +326,10 @@ def test_zf_with_partition_is_config_error(capsys):
             ],
             "t_t",
         ),
+        # a file that cannot be read or written is named in the message
+        (["coded", *CODED, "--ldpc_alist", "/nonexistent.alist"], "/nonexistent.alist"),
+        (["uncoded", *SMALL, "--output", "/nonexistent-dir/run.csv"], "/nonexistent-dir/run.csv"),
+        (["complexity", "--output", "/nonexistent-dir/run.csv"], "/nonexistent-dir/run.csv"),
     ],
 )
 def test_out_of_range_value_is_config_error(capsys, argv, message):
@@ -392,6 +399,43 @@ def test_argparse_rejects_bad_flag_value():
     with pytest.raises(SystemExit) as excinfo:
         main(["uncoded", "--trials", "many"])
     assert excinfo.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# SimConfig is the one declaration of the flags
+
+
+def test_every_field_has_one_flag_on_every_subcommand():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    fields = [f"--{f.name}" for f in dataclasses.fields(SimConfig)]
+    for command, p in sub.choices.items():
+        flags = [flag for action in p._actions for flag in action.option_strings]
+        assert all(flags.count(flag) == 1 for flag in fields), command
+
+
+def test_flags_are_typed_by_the_annotations(capsys):
+    assert FIELD_TYPES["m"] == (int, False) and FIELD_TYPES["ldpc_rate"] == (float, False)
+    assert FIELD_TYPES["seed"] == (int, True) and FIELD_TYPES["output"] == (str, True)
+    assert "snr_db" not in FIELD_TYPES and "partition" not in FIELD_TYPES
+    with pytest.raises(SystemExit) as excinfo:
+        main(["complexity", "--m", "4.5"])
+    assert excinfo.value.code == 2
+    assert "invalid int value: '4.5'" in capsys.readouterr().err
+    code, _, err = run_cli(capsys, ["complexity", "--ldpc_rate", "0.5"])
+    assert (code, err) == (0, "")
+
+
+def test_readme_field_table_lists_exactly_the_fields():
+    text = README.read_text(encoding="utf-8")
+    start = text.index("### Configuration fields")
+    table = text[start : text.index("\n\n", text.index("|", start))]
+    names = [
+        name
+        for line in table.splitlines()[3:]
+        for name in re.findall(r"`(\w+)`", line.split("|")[1])
+    ]
+    assert sorted(names) == sorted(f.name for f in dataclasses.fields(SimConfig))
 
 
 def test_rank_deficient_alist_is_numerical_failure(capsys, tmp_path):

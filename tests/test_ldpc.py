@@ -192,7 +192,10 @@ def test_encode_is_systematic(code128):
     rng = np.random.default_rng(0)
     msg = rng.integers(0, 2, code128.k).astype(np.uint8)
     cw = encode(code128, msg)
-    np.testing.assert_array_equal(cw[code128.message_positions], msg)
+    # each message bit i is copied to a column whose generator column is e_i
+    unit = np.eye(code128.k, dtype=np.uint8)
+    cols = [np.flatnonzero((code128.generator.T == row).all(axis=1))[0] for row in unit]
+    np.testing.assert_array_equal(cw[cols], msg)
 
 
 def test_encode_is_linear(code128):

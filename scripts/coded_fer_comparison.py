@@ -10,7 +10,7 @@ Every ``onebit-mimo coded`` flag but ``--detector`` overrides the presets.
 import argparse
 import dataclasses
 
-from onebit_mimo import CSV_HEADER, ConfigurationError, run_coded, write_results
+from onebit_mimo import ConfigurationError, run_coded, write_results
 from onebit_mimo.cli import add_config_flags, build_config, guarded
 
 PRESETS = {  # trials counts user-frames per SNR point
@@ -26,7 +26,7 @@ def run(args: argparse.Namespace) -> int:
     rows = []
     for det in ("soft-wmd", "wmd"):
         rows.extend(run_coded(dataclasses.replace(base, detector=det)))
-    write_results(base.output, rows, CSV_HEADER, base)
+    write_results(rows, base)
     return 0
 
 

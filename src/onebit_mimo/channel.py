@@ -3,7 +3,9 @@ stand-in ZF-type channel estimator.
 
 Noise convention: the complex noise is CN(0, 1), so each real dimension is
 N(0, 1/2) and the per-bit crossover probability of the quantized channel is
-Q(|h_i^T x| / NOISE_STD).
+Q(|h_i^T x| / NOISE_STD).  NOISE_STD is the model's one noise scale: the
+observations here and the code's crossover probabilities both use it, and a
+quieter channel is a higher SNR, which scales the constellation.
 """
 
 from __future__ import annotations
@@ -33,12 +35,10 @@ def transmit(
     w: np.ndarray,
     constellation: Constellation,
     rng: np.random.Generator,
-    noise_std: float = NOISE_STD,
 ) -> np.ndarray:
     """One noisy slot: sign(H x(w) + z) as a length-N bit vector."""
     v = h_real @ constellation.xy.take(w, axis=1).reshape(-1)
-    if noise_std > 0:
-        v += rng.normal(0.0, noise_std, size=v.shape)
+    v += rng.normal(0.0, NOISE_STD, size=v.shape)
     return quantize(v)
 
 
@@ -62,20 +62,13 @@ def generate_pilots(K: int, t_t: int, snr: float) -> np.ndarray:
     return np.sqrt(snr) * np.tile(base, (1, t_t // K))
 
 
-def transmit_pilots(
-    h_real: np.ndarray,
-    pilots: np.ndarray,
-    rng: np.random.Generator,
-    noise_std: float = NOISE_STD,
-) -> np.ndarray:
+def transmit_pilots(h_real: np.ndarray, pilots: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """(t_t, N) quantized observations of the pilot slots."""
     t_t = pilots.shape[1]
     obs = np.empty((t_t, h_real.shape[0]), dtype=np.uint8)
     for t in range(t_t):
         v = h_real @ real_stack(pilots[:, t])
-        if noise_std > 0:
-            v = v + rng.normal(0.0, noise_std, size=v.shape)
-        obs[t] = quantize(v)
+        obs[t] = quantize(v + rng.normal(0.0, NOISE_STD, size=v.shape))
     return obs
 
 

@@ -16,11 +16,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
+from functools import partial
 
 import numpy as np
 
-from .config import CSV_HEADER, FIELD_TYPES, SWEEP_CSV_HEADER, SimConfig
+from .config import FIELD_TYPES, SimConfig
 from .errors import CodeConstructionError, ConfigurationError
 from .partition import estimate_complexity
 from .sim import (
@@ -52,7 +54,11 @@ def add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_config(args: argparse.Namespace, presets: dict | None = None) -> SimConfig:
-    """The config of presets, overlaid by the ``--config`` file, overlaid by the flags given."""
+    """The config of presets, overlaid by the ``--config`` file, overlaid by the flags given.
+
+    An ``output`` that cannot be written is rejected here, before any run;
+    the file itself is opened only once the run is done.
+    """
     data = dict(presets or {})
     if args.config:
         data.update(SimConfig.from_json(args.config))
@@ -60,7 +66,14 @@ def build_config(args: argparse.Namespace, presets: dict | None = None) -> SimCo
         value = getattr(args, field.name)
         if value is not None:
             data[field.name] = value
-    return SimConfig.from_dict(data)
+    cfg = SimConfig.from_dict(data)
+    if cfg.output:
+        folder = os.path.dirname(cfg.output) or "."
+        if os.path.isdir(cfg.output):
+            raise ConfigurationError(f"output {cfg.output} is a directory")
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+            raise ConfigurationError(f"output {cfg.output}: no writable directory {folder}")
+    return cfg
 
 
 def _emit_text(cfg: SimConfig, text: str) -> None:
@@ -71,15 +84,9 @@ def _emit_text(cfg: SimConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_uncoded(args: argparse.Namespace) -> int:
+def _cmd_run(runner, args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    write_results(cfg.output, run_uncoded(cfg), CSV_HEADER, cfg)
-    return 0
-
-
-def _cmd_coded(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
-    write_results(cfg.output, run_coded(cfg), CSV_HEADER, cfg)
+    write_results(runner(cfg), cfg)
     return 0
 
 
@@ -91,7 +98,7 @@ def _cmd_partition_sweep(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"--sweep is not valid JSON: {exc}") from exc
     if not isinstance(sweep, list):
         raise ConfigurationError("--sweep must be a JSON list of partition specs")
-    write_results(cfg.output, run_partition_sweep(cfg, sweep), SWEEP_CSV_HEADER, cfg)
+    write_results(run_partition_sweep(cfg, sweep), cfg)
     return 0
 
 
@@ -121,11 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("uncoded", help="uncoded BER versus SNR")
     add_config_flags(p)
-    p.set_defaults(handler=_cmd_uncoded)
+    p.set_defaults(handler=partial(_cmd_run, run_uncoded))
 
     p = sub.add_parser("coded", help="LDPC frame error rate versus SNR")
     add_config_flags(p)
-    p.set_defaults(handler=_cmd_coded)
+    p.set_defaults(handler=partial(_cmd_run, run_coded))
 
     p = sub.add_parser(
         "partition-sweep", help="paired BER and complexity over partition specs"

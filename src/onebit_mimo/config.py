@@ -23,6 +23,7 @@ from numbers import Real
 
 import numpy as np
 
+from .core import bits_per_symbol
 from .errors import ConfigurationError
 from .partition import PartitionParams, require_valid_params
 
@@ -75,7 +76,7 @@ def require_ldpc_fit(n: int, m: int, t_d: int, frames_per_block: int | None) -> 
     ``frames_per_block`` None means the default, as many whole frames as fit
     in t_d and at least one.
     """
-    q = m.bit_length() - 1
+    q = bits_per_symbol(m)
     if n % q:
         raise ConfigurationError(
             f"LDPC blocklength {n} is not a multiple of the {q} bits per symbol"
@@ -125,12 +126,6 @@ def require_field_types(cfg) -> None:
             raise ConfigurationError(f"{name} must be {noun}, got {value!r}")
 
 
-def partition_to_json(params: PartitionParams | None):
-    if params is None:
-        return None
-    return {"k": list(params.k), "q": list(params.q)}
-
-
 @dataclass
 class SimConfig:
     """Everything a Monte Carlo run needs, minus the subcommand choice."""
@@ -174,11 +169,11 @@ class SimConfig:
         require_field_types(self)
         if self.n_users < 1 or self.n_rx < 1:
             raise ConfigurationError("n_users and n_rx must be positive")
-        if self.m < 4 or (self.m & (self.m - 1)) or (self.m.bit_length() - 1) % 2:
+        if self.m < 4 or (self.m & (self.m - 1)) or bits_per_symbol(self.m) % 2:
             raise ConfigurationError(f"m must be an even power of 2 and >= 4, got {self.m}")
         # log2 of the codeword count; testing it first keeps a huge n_users
         # from building a huge integer
-        codeword_bits = self.n_users * (self.m.bit_length() - 1)
+        codeword_bits = self.n_users * bits_per_symbol(self.m)
         if (
             codeword_bits >= MAX_CODEBOOK_ENTRIES.bit_length()
             or (1 << codeword_bits) * 2 * self.n_rx > MAX_CODEBOOK_ENTRIES
@@ -223,10 +218,8 @@ class SimConfig:
             raise ConfigurationError("result-producing runs require an explicit seed")
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["snr_db"] = list(self.snr_db)
-        out["partition"] = partition_to_json(self.partition)
-        return out
+        """The fields as plain data (a partition as {"k", "q"}); tuples dump to JSON as lists."""
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
@@ -281,6 +274,8 @@ def _num(x) -> str:
 
 @dataclass
 class ResultRow:
+    HEADER: typing.ClassVar[str] = CSV_HEADER
+
     snr_db: float
     detector: str
     metric: str  # "ber" or "fer"
@@ -308,6 +303,8 @@ class ResultRow:
 
 @dataclass
 class SweepRow:
+    HEADER: typing.ClassVar[str] = SWEEP_CSV_HEADER
+
     partition: str  # label, "full" for the unpartitioned arm
     n_pre: int
     n_wmd: int

@@ -23,9 +23,14 @@ def all_message_digits(m: int, K: int) -> np.ndarray:
     return (ell[:, None] // m ** np.arange(K, dtype=np.int64)) % m
 
 
+def bits_per_symbol(m: int) -> int:
+    """q = log2 m, the label bits of one symbol of an order-m power-of-two alphabet."""
+    return int(m).bit_length() - 1
+
+
 def bit_table(m: int) -> np.ndarray:
     """(m, q) lookup table; row w holds the MSB-first bits of symbol w."""
-    q = int(np.log2(m))
+    q = bits_per_symbol(m)
     return (np.arange(m)[:, None] >> np.arange(q - 1, -1, -1)) & 1
 
 
@@ -50,10 +55,6 @@ class Constellation:
         xy.setflags(write=False)
         object.__setattr__(self, "xy", xy)
 
-    @property
-    def bits_per_symbol(self) -> int:
-        return int(np.log2(self.m))
-
 
 def _pam_axis(bits: np.ndarray) -> np.ndarray:
     """Signed odd-integer level for one axis; bits shape (n_symbols, p)."""
@@ -72,7 +73,7 @@ def qam_constellation(m: int, snr: float) -> Constellation:
     Built once per (m, snr) and shared, so its points are read-only.  The
     cache is typed, so 4.0 and 4 get entries of their own.
     """
-    q = int(round(np.log2(m)))
+    q = bits_per_symbol(m)
     if 2**q != m or q % 2 != 0:
         raise ValueError(f"square QAM needs m a power of 4, got {m}")
     if snr <= 0:

@@ -47,7 +47,7 @@ from .channel import (
     transmit_pilots,
 )
 from .config import ResultRow, SimConfig, SweepRow, require_ldpc_fit, snr_linear
-from .core import Constellation, bit_table, qam_constellation, real_channel_matrix
+from .core import Constellation, bit_table, bits_per_symbol, qam_constellation, real_channel_matrix
 from .detector import compute_llrs, md_decode, ml_decode, wmd_decode, zf_detect
 from .errors import ConfigurationError
 from .ldpc import (
@@ -179,7 +179,7 @@ def _uncoded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
         decided[t] = _detect_slot(cfg, blk, w, stats)
     lut = bit_table(cfg.m)
     stats.errors = int((lut[sent] ^ lut[decided]).sum())
-    stats.denominator = cfg.t_d * cfg.n_users * blk.const.bits_per_symbol
+    stats.denominator = cfg.t_d * cfg.n_users * bits_per_symbol(cfg.m)
     return stats
 
 
@@ -194,7 +194,7 @@ def _coded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
     blk = _setup_block(cfg, snr_idx, block)
     ldpc = _ldpc_code(_ldpc_source(cfg))
     frames = require_ldpc_fit(ldpc.n, cfg.m, cfg.t_d, cfg.frames_per_block)
-    q = blk.const.bits_per_symbol
+    q = bits_per_symbol(cfg.m)
     slots_per_frame = ldpc.n // q
     soft = cfg.detector == "soft-wmd"
     decoder = decode_bp if soft else decode_bit_flipping
@@ -260,7 +260,8 @@ def _run(cfg: SimConfig, worker, metric: str) -> list:
     return rows
 
 
-def _require_uncoded(cfg: SimConfig) -> None:
+def require_uncoded(cfg: SimConfig) -> None:
+    """The run-kind rule of ``run_uncoded``: reject a detector that gives no hard decision."""
     if cfg.detector == "soft-wmd":
         raise ConfigurationError("soft-wmd produces LLRs and needs a coded run")
 
@@ -268,7 +269,7 @@ def _require_uncoded(cfg: SimConfig) -> None:
 def run_uncoded(cfg: SimConfig) -> list:
     """BER of the configured detector, one ResultRow per SNR point."""
     cfg = dataclasses.replace(cfg)
-    _require_uncoded(cfg)
+    require_uncoded(cfg)
     cfg.require_seed()
     return _run(cfg, _uncoded_block, "ber")
 
@@ -294,7 +295,7 @@ def run_partition_sweep(cfg: SimConfig, sweep) -> list:
     """
     if not sweep:
         raise ConfigurationError("partition sweep needs at least one spec")
-    _require_uncoded(cfg)
+    require_uncoded(cfg)
     # each arm is checked as it is built, so a bad one stops the sweep before any runs
     arms = [dataclasses.replace(cfg, partition=spec) for spec in sweep]
     rows = []
@@ -335,20 +336,22 @@ def render_csv(rows, header: str) -> str:
     return "\n".join([header] + [r.to_csv() for r in rows]) + "\n"
 
 
-def write_results(path: str | None, rows, header: str, cfg: SimConfig) -> None:
-    """CSV body plus a .meta.json sidecar holding config and wall times.
+def write_results(rows, cfg: SimConfig) -> None:
+    """CSV of the rows to ``cfg.output`` plus a .meta.json sidecar holding config and wall times.
 
+    The header is the rows' own (``ResultRow.HEADER`` or ``SweepRow.HEADER``).
     A coded run's sidecar also names the LDPC code it used: n, k and the
     SHA-256 of its parity-check matrix's bytes.
 
     Timings stay out of the CSV so identical configurations reproduce it
-    byte for byte.  Without a path the CSV goes to stdout, with no sidecar.
+    byte for byte.  Without an output the CSV goes to stdout, with no sidecar.
     """
+    path, text = cfg.output, render_csv(rows, rows[0].HEADER)
     if not path:
-        sys.stdout.write(render_csv(rows, header))
+        sys.stdout.write(text)
         return
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(render_csv(rows, header))
+        fh.write(text)
     walls = [
         (r.row.wall_time_s if isinstance(r, SweepRow) else r.wall_time_s) for r in rows
     ]

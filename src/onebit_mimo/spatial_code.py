@@ -16,7 +16,7 @@ from functools import cache
 import numpy as np
 
 from .channel import NOISE_STD
-from .core import Constellation, all_message_digits, bit_table, modulate, q_function
+from .core import Constellation, all_message_digits, bit_table, bits_per_symbol, q_function
 
 EPS_FLOOR = 1e-300  # keeps -log(eps) finite when Q underflows
 
@@ -153,8 +153,7 @@ def _bit_sides(m: int, K: int) -> np.ndarray:
     label bit i (MSB first) equals b.  Every bit splits the m symbols in
     half, so each side holds exactly half of the codebook.
     """
-    q = m.bit_length() - 1
-    bits = bit_table(m)[_digits(m, K)].reshape(m**K, K * q)
+    bits = bit_table(m)[_digits(m, K)].reshape(m**K, -1)
     return _column_sides(bits, 2, (1, 0, 2))
 
 
@@ -202,7 +201,7 @@ class SpatialCode:
 
     @property
     def rate(self) -> float:
-        return self.K * np.log2(self.m) / self.length
+        return self.K * bits_per_symbol(self.m) / self.length
 
     def score(self, metric: str) -> MismatchScore:
         """Cached score of every codeword under one metric.
@@ -231,25 +230,23 @@ class SpatialCode:
         return cached
 
 
-def build_code(
-    h_real: np.ndarray, constellation: Constellation, noise_std: float = NOISE_STD
-) -> SpatialCode:
+def build_code(h_real: np.ndarray, constellation: Constellation) -> SpatialCode:
     """Construct the spatial code of a real channel matrix.
 
     For every message index ell: codeword bits sign(h_i^T x), crossover
-    eps = Q(|h_i^T x| / noise_std) clamped below at ``EPS_FLOOR``, and
-    weights -log(eps).
+    eps = Q(|h_i^T x| / NOISE_STD) clamped below at ``EPS_FLOOR``, and
+    weights -log(eps).  The noise scale is the channel's own, so the code
+    matches the observations ``transmit`` draws.
     """
     if not np.all(np.isfinite(h_real)):
         raise ValueError("channel matrix must be finite")
     n, two_k = h_real.shape
     m = constellation.m
     K = two_k // 2
-    symbols = modulate(_digits(m, K), constellation)  # (M, K) complex
-    x = np.hstack([symbols.real, symbols.imag])  # (M, 2K)
+    x = np.hstack(constellation.xy[:, _digits(m, K)])  # (M, 2K): [Re; Im] of each message
     v = x @ h_real.T  # (M, N)
     codewords = (v < 0).astype(np.uint8)
-    eps = np.maximum(q_function(np.abs(v) / noise_std), EPS_FLOOR)
+    eps = np.maximum(q_function(np.abs(v) / NOISE_STD), EPS_FLOOR)
     return SpatialCode(m=m, K=K, codewords=codewords, crossover=eps, weights=-np.log(eps))
 
 

@@ -359,6 +359,24 @@ SUBCOMMAND_ARGS = {
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+def test_unwritable_output_exits_2_before_any_block(capsys, tmp_path, monkeypatch, command):
+    # checked when the config is built; the file itself is opened after the run
+    def no_block(*args):
+        raise AssertionError("a block was simulated")
+
+    monkeypatch.setattr(sim, "_setup_block", no_block)
+    extra = SUBCOMMAND_ARGS[command]
+    for output, message in (
+        (tmp_path / "missing" / "x.csv", "no writable directory"),
+        (tmp_path, "is a directory"),
+    ):
+        code, out, err = run_cli(capsys, [command, *SMALL, *extra, "--output", str(output)])
+        assert (code, out) == (2, "")
+        assert str(output) in err and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
 def test_invalid_config_exits_2_from_every_subcommand(capsys, tmp_path, command):
     # one check, when the config is built, whether the value is a flag or in a file
     extra = SUBCOMMAND_ARGS[command]
@@ -380,6 +398,14 @@ def test_readme_shows_the_sweep_example_output(capsys):
     code, out, err = run_cli(capsys, argv)
     assert (code, err) == (0, "")
     assert "\n```\n" + out + "```\n" in text
+
+
+def test_readme_library_example_runs():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert scope["w_hat"].shape == (4,)
+    assert scope["llrs"].shape == (4, 2)
 
 
 def test_bad_sweep_is_config_error(capsys):

@@ -91,6 +91,13 @@ class TestBitLabels:
         for w in range(16):
             assert np.array_equal(table[w], message_to_bits(w, 4))
 
+    def test_bits_per_symbol_is_log2(self):
+        # the one formula for q, exact at every power of two the config can reach
+        for q in range(1, 25):
+            for m in (2**q, np.int64(2**q)):
+                assert onebit_mimo.core.bits_per_symbol(m) == q
+        assert bit_table(64).shape == (64, 6)
+
 
 class TestConstellation:
     def test_qpsk_point_zero(self):

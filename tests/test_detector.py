@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from onebit_mimo.channel import NOISE_STD, quantize, sample_rayleigh
+from onebit_mimo.channel import quantize, sample_rayleigh
 from onebit_mimo.core import (
     bit_table,
     modulate,
@@ -217,7 +217,8 @@ def test_app_unknown_mode_rejected():
 def test_app_near_certain_when_noise_is_tiny():
     rng = np.random.default_rng(4)
     h_real = real_channel_matrix(sample_rayleigh(2, 8, rng))
-    code = build_code(h_real, qam_constellation(4, 10.0), noise_std=1e-3)
+    # SNR 5e6 gives the crossovers of noise std 1e-3 at SNR 10
+    code = build_code(h_real, qam_constellation(4, 5e6))
     ell = 9
     digits = code.digits[ell]
     for mode in APP_MODES:
@@ -431,7 +432,8 @@ def test_llr_bit_to_message_consistency(seed):
     # the hard bits of a near-noiseless LLR block are the sent label bits
     rng = np.random.default_rng(seed)
     h_real = real_channel_matrix(sample_rayleigh(2, 8, rng))
-    code = build_code(h_real, qam_constellation(4, 10.0), noise_std=1e-2)
+    # SNR 5e4 gives the crossovers of noise std 1e-2 at SNR 10
+    code = build_code(h_real, qam_constellation(4, 5e4))
     ell = int(rng.integers(code.size))
     r = code.codewords[ell]
     twins = np.flatnonzero((code.codewords == r).all(axis=1))
@@ -503,15 +505,15 @@ def app_oracle_bitwise(r, code, cand, mode):
 def scoring_cases(draw):
     """(code, observation, candidates or None) over small random codes.
 
-    Few antennas make twin codewords common, and noise_std=0.01 puts many
-    weights on the eps floor, so exact ties between distinct codewords occur.
+    Few antennas make twin codewords common, and SNR 5e4 (the crossovers of
+    noise std 0.01 at SNR 10) puts many weights on the eps floor, so exact
+    ties between distinct codewords occur.
     """
     m = draw(st.sampled_from((4, 16)))
     K = draw(st.integers(1, 4 if m == 4 else 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     h_real = real_channel_matrix(sample_rayleigh(K, draw(st.integers(1, 6)), rng))
-    noise_std = draw(st.sampled_from((NOISE_STD, 1e-2)))
-    code = build_code(h_real, qam_constellation(m, 10.0), noise_std=noise_std)
+    code = build_code(h_real, qam_constellation(m, draw(st.sampled_from((10.0, 5e4)))))
     ell = int(rng.integers(code.size))
     r = code.codewords[ell].copy()
     if draw(st.booleans()):  # a noisy observation of c_ell

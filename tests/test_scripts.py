@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,8 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SRC = str(Path(onebit_mimo.__file__).parents[1])
 
 TINY = ["--n_users", "1", "--n_rx", "4", "--snr_db", "0", "--trials", "1"]
+# a budget that runs for hours: a bad request must fail before it starts
+ENDLESS = ["--trials", "100000000", "--target_errors", "1000000000"]
 RUNS = {
     "uncoded_ber_sweep": [*TINY, "--t_c", "10", "--t_d", "10", "--detectors", "wmd,zf"],
     "coded_fer_comparison": TINY,
@@ -49,7 +52,7 @@ BAD_REQUESTS = [
     (["--seed", "1", "--n_users", "0"], "n_users"),
     ([], "seed"),
     (["--seed", "1", "--detector", "wmd"], "--detector"),
-    (["--seed", "1", "--output", "/nonexistent-dir/x.csv"], "/nonexistent-dir/x.csv"),
+    (["--seed", "1", "--output", "/nonexistent-dir/x.csv", *ENDLESS], "/nonexistent-dir/x.csv"),
 ]
 
 
@@ -60,7 +63,9 @@ BAD_REQUESTS = [
     + [("coded_fer_comparison", ["--seed", "1", "--ldpc_alist", "/no.alist"], "/no.alist")],
 )
 def test_script_bad_request_exits_2(name, argv, message):
+    start = time.monotonic()
     proc = run_script(name, *RUNS[name], *argv)
+    assert time.monotonic() - start < 20
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("configuration error: ")
     assert message in proc.stderr
@@ -83,3 +88,16 @@ def test_script_layers_presets_file_and_flags(tmp_path):
     assert (meta["trials"], meta["n_users"]) == (10, 1)  # from the flags
     assert (meta["wave"], meta["target_errors"]) == (4, 200)  # from the presets
     assert meta["output"] == str(out)
+
+
+def test_uncoded_script_checks_every_arm_before_the_first_runs(tmp_path):
+    out = tmp_path / "ber.csv"
+    start = time.monotonic()
+    proc = run_script(
+        "uncoded_ber_sweep", "--seed", "1", "--detectors", "wmd,md,soft-wmd",
+        *ENDLESS, "--output", str(out),
+    )
+    assert time.monotonic() - start < 20
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "soft-wmd produces LLRs and needs a coded run" in proc.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -516,15 +516,17 @@ def test_partition_report_mentions_complexity():
 
 
 def test_write_results_csv_and_sidecar(tmp_path):
-    cfg = small_uncoded(trials=100)
-    rows = run_uncoded(cfg)
     out = tmp_path / "res.csv"
-    write_results(str(out), rows, CSV_HEADER, cfg)
+    cfg = small_uncoded(trials=100, output=str(out))
+    rows = run_uncoded(cfg)
+    write_results(rows, cfg)
     text = out.read_text()
     assert text.splitlines()[0] == CSV_HEADER
     assert len(text.splitlines()) == 2
     meta = json.loads((tmp_path / "res.csv.meta.json").read_text())
     assert meta["config"]["n_users"] == 2
+    # the config's output is the one destination, so the sidecar names its CSV
+    assert meta["config"]["output"] == str(out)
     assert len(meta["row_wall_time_s"]) == 1
     assert meta["total_wall_time_s"] >= 0
     # from the package itself, which a source checkout without metadata also has
@@ -542,9 +544,10 @@ def test_coded_sidecar_names_the_ldpc_code_used(tmp_path, monkeypatch):
     load = sim.load_alist
     monkeypatch.setattr(sim, "load_alist", lambda p: loads.append(p) or load(p))
     sim._ldpc_code.cache_clear()
-    cfg = small_coded(ldpc_alist=str(path), ldpc_n=672, trials=4)  # the alist overrides ldpc_n
     out = tmp_path / "res.csv"
-    write_results(str(out), run_coded(cfg), CSV_HEADER, cfg)
+    # the alist overrides ldpc_n
+    cfg = small_coded(ldpc_alist=str(path), ldpc_n=672, trials=4, output=str(out))
+    write_results(run_coded(cfg), cfg)
     meta = json.loads((tmp_path / "res.csv.meta.json").read_text())
     digest = hashlib.sha256(h.tobytes()).hexdigest()
     assert meta["ldpc"] == {"n": 128, "k": 64, "h_sha256": digest}
@@ -553,13 +556,13 @@ def test_coded_sidecar_names_the_ldpc_code_used(tmp_path, monkeypatch):
     run_coded(dataclasses.replace(cfg, ldpc_seed=3, ldpc_n=128))
     assert loads == [str(path)]
     # a constructed code is named too; an uncoded run names none
-    cfg = small_coded(trials=4)
-    write_results(str(out), run_coded(cfg), CSV_HEADER, cfg)
+    cfg = small_coded(trials=4, output=str(out))
+    write_results(run_coded(cfg), cfg)
     meta = json.loads((tmp_path / "res.csv.meta.json").read_text())
     assert meta["ldpc"]["n"] == 128
     assert meta["ldpc"]["h_sha256"] == hashlib.sha256(construct_code(128, 0.5, 7).h.tobytes()).hexdigest()
-    cfg = small_uncoded(trials=100)
-    write_results(str(out), run_uncoded(cfg), CSV_HEADER, cfg)
+    cfg = small_uncoded(trials=100, output=str(out))
+    write_results(run_uncoded(cfg), cfg)
     assert "ldpc" not in json.loads((tmp_path / "res.csv.meta.json").read_text())
 
 
@@ -567,9 +570,13 @@ def test_write_results_without_path_prints_the_csv(tmp_path, monkeypatch, capsys
     monkeypatch.chdir(tmp_path)
     cfg = small_uncoded(trials=100)
     rows = run_uncoded(cfg)
-    write_results(None, rows, CSV_HEADER, cfg)
+    write_results(rows, cfg)
     assert capsys.readouterr().out == render_csv(rows, CSV_HEADER)
     assert list(tmp_path.iterdir()) == []  # no sidecar
+    # the header comes from the rows' class
+    rows = run_partition_sweep(cfg, ["full"])
+    write_results(rows, cfg)
+    assert capsys.readouterr().out == render_csv(rows, SWEEP_CSV_HEADER)
 
 
 def test_coded_checks_its_ldpc_code_before_any_block(monkeypatch):

@@ -114,6 +114,10 @@ def _seed_centroids(pw: np.ndarray, k: int, rng: np.random.Generator) -> list:
 
     Returns the row index of each seed.  The distances are exact integers,
     so ``d_min / total`` is the same float64 vector whatever their dtype.
+    A weighted seed is the index ``rng.choice(n, p=d_min / total)`` returns,
+    drawn as ``choice`` draws it once its checks of ``p`` pass (``p`` is
+    nonnegative, finite and sums to 1 here): one ``rng.random()`` searched
+    in the normalised cumulative sum, so the stream and seeds are the same.
     """
     n = len(pw)
     seeds = [int(rng.integers(n))]
@@ -123,7 +127,9 @@ def _seed_centroids(pw: np.ndarray, k: int, rng: np.random.Generator) -> list:
         if total == 0:
             seeds.append(int(rng.integers(n)))
         else:
-            seeds.append(int(rng.choice(n, p=d_min / total)))
+            cdf = (d_min / total).cumsum()
+            cdf /= cdf[-1]
+            seeds.append(int(cdf.searchsorted(rng.random(), side="right")))
         d_min = np.minimum(d_min, _hamming(pw, pw[seeds[-1]]))
     return seeds
 

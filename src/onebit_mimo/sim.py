@@ -7,9 +7,11 @@ partition is set), 2 draws payload data and data noise.  Detector or
 partition choices therefore never shift the channel or data realizations,
 which keeps A/B comparisons paired and makes results independent of how
 blocks are distributed over worker processes.  Purpose 2 is drawn in slot
-order: an uncoded slot draws its K digits (``integers``) and then its N
-noise samples (``normal``); a coded frame draws its K message rows once,
-then N noise samples per slot.  Every data slot of every
+order: an uncoded slot draws its K digits and then its N noise samples
+(``normal``); a coded frame draws its K message rows once, then N noise
+samples per slot.  A slot's digits are the values
+``integers(0, m, size=K)`` gives, read as the 32-bit halves of the
+stream's raw words (``_slot_digits``).  Every data slot of every
 run kind goes through one detection step, ``_detect_slot``: transmit, then
 ZF, or pruning (when a tree exists) and a hard decoder or the soft LLRs.
 Each entry point rebuilds (so re-checks) its SimConfig and adds its own run
@@ -163,6 +165,36 @@ def _detect_slot(cfg: SimConfig, blk: Block, w: np.ndarray, stats: BlockStats) -
     return code.digits[_HARD_DECODERS[detector](r, code, cand)]
 
 
+def _slot_digits(rng: np.random.Generator, m: int, K: int):
+    """An iterator over slots' K digits: the values ``rng.integers(0, m, size=K)`` gives.
+
+    m is a power of two (SimConfig requires a power of 4), and for such an m
+    ``integers`` maps each 32-bit draw u to ``(u * m) >> 32`` and never
+    rejects one (Lemire's method).  PCG64 hands out a fresh 64-bit word's low
+    half as a 32-bit draw and buffers its high half for the next one, which
+    ``normal`` never reads.  So a slot's digits are the top log2(m) bits of
+    the raw words' halves, low half first, and an odd K's spare half goes to
+    the next slot; the generator's own buffer is never filled.  Other bit
+    generators split their words differently and are rejected.
+    """
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise TypeError(f"slot digits need a PCG64 bit generator, got {type(bitgen).__name__}")
+    return _raw_digits(bitgen.random_raw, 33 - m.bit_length(), K)
+
+
+def _raw_digits(raw, shift: int, K: int):
+    """Yield K digits per slot, ``half >> shift`` over raw words' halves, low half first."""
+    spare = []
+    while True:
+        digits = spare
+        while len(digits) < K:
+            u = raw()
+            digits += ((u & 0xFFFFFFFF) >> shift, u >> (32 + shift))
+        spare = digits[K:]
+        yield digits[:K]
+
+
 def _uncoded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
     """Simulate one coherence block of t_d uncoded slots; count bit errors.
 
@@ -170,13 +202,13 @@ def _uncoded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
     counted once for the whole block.
     """
     blk = _setup_block(cfg, snr_idx, block)
-    m, K, draw = cfg.m, cfg.n_users, blk.rng_data.integers
-    sent = np.empty((cfg.t_d, K), dtype=np.int64)
+    digits = _slot_digits(blk.rng_data, cfg.m, cfg.n_users)
+    sent = np.empty((cfg.t_d, cfg.n_users), dtype=np.int64)
     decided = np.empty_like(sent)
     stats = BlockStats(trials=cfg.t_d)
     for t in range(cfg.t_d):
-        sent[t] = w = draw(0, m, size=K)
-        decided[t] = _detect_slot(cfg, blk, w, stats)
+        sent[t] = next(digits)
+        decided[t] = _detect_slot(cfg, blk, sent[t], stats)
     lut = bit_table(cfg.m)
     stats.errors = int((lut[sent] ^ lut[decided]).sum())
     stats.denominator = cfg.t_d * cfg.n_users * bits_per_symbol(cfg.m)

@@ -6,8 +6,9 @@ each in its own reference form).  The optimised functions must return the
 same bytes: the same bits and generator state from ``transmit``, bitwise
 LLRs from ``compute_llrs``, the same candidates and indices from
 ``preprocess`` and the hard decoders, the same ``(bits, converged)``
-from ``decode_bp`` at every iteration cap, and the same k-means distances
-from the packed popcount form.
+from ``decode_bp`` at every iteration cap, the same k-means distances
+from the packed popcount form, the same slot digits and stream position as
+``Generator.integers`` and the same k-means seeds as ``Generator.choice``.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from onebit_mimo import (
     PartitionParams,
+    SimConfig,
     build_partition_tree,
     code_from_parity_check,
     construct_code,
@@ -27,16 +29,18 @@ from onebit_mimo import (
     qam_constellation,
     real_channel_matrix,
     real_stack,
+    run_uncoded,
     sample_rayleigh,
     transmit,
     write_alist,
 )
+from onebit_mimo import partition, sim
 from onebit_mimo.channel import NOISE_STD, quantize
-from onebit_mimo.core import modulate
+from onebit_mimo.core import bit_table, bits_per_symbol, modulate
 from onebit_mimo.detector import LLR_CLAMP, _nearest, compute_llrs
 from onebit_mimo.errors import CodeConstructionError
 from onebit_mimo.ldpc import _TANH_LIM, decode_bp, syndrome
-from onebit_mimo.partition import _hamming, _pack_rows, require_valid_params
+from onebit_mimo.partition import _hamming, _pack_rows, _seed_centroids, require_valid_params
 
 # ---------------------------------------------------------------------------
 # reference forms
@@ -127,6 +131,37 @@ def ref_pairwise_hamming(p, p_ones, c):
 def ref_dist_to(p, p_ones, seed):
     """k-means seeding distances of every row to row ``seed``."""
     return p_ones + p_ones[seed] - 2.0 * (p @ p[seed])
+
+
+def ref_seed_centroids(pw, k, rng):
+    """k-means seeding that draws each weighted seed with ``Generator.choice``."""
+    n = len(pw)
+    seeds = [int(rng.integers(n))]
+    d_min = _hamming(pw, pw[seeds[-1]])
+    while len(seeds) < k:
+        total = d_min.sum()
+        if total == 0:
+            seeds.append(int(rng.integers(n)))
+        else:
+            seeds.append(int(rng.choice(n, p=d_min / total)))
+        d_min = np.minimum(d_min, _hamming(pw, pw[seeds[-1]]))
+    return seeds
+
+
+def ref_uncoded_block(cfg, snr_idx, block):
+    """The uncoded block whose slots draw their digits with ``Generator.integers``."""
+    blk = sim._setup_block(cfg, snr_idx, block)
+    m, K, draw = cfg.m, cfg.n_users, blk.rng_data.integers
+    sent = np.empty((cfg.t_d, K), dtype=np.int64)
+    decided = np.empty_like(sent)
+    stats = sim.BlockStats(trials=cfg.t_d)
+    for t in range(cfg.t_d):
+        sent[t] = w = draw(0, m, size=K)
+        decided[t] = sim._detect_slot(cfg, blk, w, stats)
+    lut = bit_table(cfg.m)
+    stats.errors = int((lut[sent] ^ lut[decided]).sum())
+    stats.denominator = cfg.t_d * cfg.n_users * bits_per_symbol(cfg.m)
+    return stats
 
 
 def ref_decode_bp(llrs, code, max_iter=50):
@@ -286,6 +321,125 @@ def test_packed_hamming_matches_reference(length):
         # seeding draws with d / d.sum(): the same float64 vector from either dtype
         if expected.sum():
             assert (got / got.sum()).tobytes() == (expected / expected.sum()).tobytes()
+
+
+@st.composite
+def packed_rows(draw):
+    """Bit-packed rows (1..40 of 1..130 bits), some or all of them coincident."""
+    n = draw(st.integers(1, 40))
+    length = draw(st.integers(1, 130))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    bits = rng.integers(0, 2, (n, length)).astype(np.uint8)
+    kind = draw(st.sampled_from(("distinct", "twins", "coincident")))
+    if kind == "twins":
+        bits = bits[rng.integers(0, max(1, n // 3), n)]
+    elif kind == "coincident":
+        bits[:] = bits[0]
+    return _pack_rows(bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pw=packed_rows(), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_seed_centroids_match_choice(pw, data, seed):
+    k = data.draw(st.one_of(st.just(len(pw)), st.integers(1, len(pw))), label="k")
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _seed_centroids(pw, k, rng) == ref_seed_centroids(pw, k, ref)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _assert_same_tree(a, b):
+    assert len(a.arrays) == len(b.arrays)
+    for (parent, score), (o_parent, o_score) in zip(a.arrays, b.arrays):
+        np.testing.assert_array_equal(parent, o_parent)
+        np.testing.assert_array_equal(score.rows, o_score.rows)
+        np.testing.assert_array_equal(score.weights, o_score.weights)
+    np.testing.assert_array_equal(a.leaf_of, b.leaf_of)
+
+
+def _tree_with_choice_seeds(code, params, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partition, "_seed_centroids", ref_seed_centroids)
+        return build_partition_tree(code, params, np.random.default_rng(seed))
+
+
+SWEEP_ARMS = [PartitionParams((16,), (8,)), PartitionParams((16,), (4,)), PartitionParams((8, 8), (4, 8))]
+
+
+@pytest.mark.parametrize("params", SWEEP_ARMS, ids=PartitionParams.label)
+@pytest.mark.parametrize("seed", range(4))
+def test_tree_at_the_sweep_config_matches_choice_seeding(params, seed):
+    code = random_code(K=4, n_r=32, m=4, snr_db=5.0, seed=seed)
+    tree = build_partition_tree(code, params, np.random.default_rng(seed))
+    _assert_same_tree(tree, _tree_with_choice_seeds(code, params, seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.sampled_from((4, 16)),
+    K=st.integers(1, 3),
+    n_r=st.integers(1, 40),
+    k=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_tree_on_random_codes_matches_choice_seeding(m, K, n_r, k, seed):
+    code = random_code(K=K, n_r=n_r, m=m, seed=seed)
+    params = PartitionParams(tuple(k), tuple([1] * len(k)))
+    tree = build_partition_tree(code, params, np.random.default_rng(seed))
+    _assert_same_tree(tree, _tree_with_choice_seeds(code, params, seed))
+
+
+# ---------------------------------------------------------------------------
+# data stream: slot digits
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.sampled_from((4, 16, 64, 256, 1024)),
+    K=st.integers(1, 8),
+    noise=st.lists(st.integers(0, 40), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_slot_digits_match_integers(m, K, noise, seed):
+    # each slot's noise draw of a random length sits between two digit draws
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    digits = sim._slot_digits(rng, m, K)
+    for n in noise:
+        assert next(digits) == ref.integers(0, m, size=K).tolist()
+        assert rng.normal(0.0, NOISE_STD, n).tobytes() == ref.normal(0.0, NOISE_STD, n).tobytes()
+    # the same stream position; only the reference fills the generator's 32-bit buffer
+    assert rng.bit_generator.state["state"] == ref.bit_generator.state["state"]
+    assert not rng.bit_generator.state["has_uint32"]
+
+
+def test_slot_digits_reject_other_bit_generators():
+    # MT19937 draws 32 bits natively, so its digits are not the halves of raw words
+    with pytest.raises(TypeError, match="PCG64"):
+        sim._slot_digits(np.random.Generator(np.random.MT19937(1)), 4, 2)
+
+
+@pytest.mark.parametrize("K", (3, 5))
+@pytest.mark.parametrize(
+    "detector, partition_spec", [("wmd", None), ("wmd", {"k": [8], "q": [2]}), ("zf", None)]
+)
+def test_run_uncoded_matches_the_integers_slot_loop(K, detector, partition_spec):
+    # an odd K carries a spare half-word from slot to slot, which the goldens never do
+    cfg = SimConfig(
+        n_users=K,
+        n_rx=8,
+        detector=detector,
+        partition=partition_spec,
+        snr_db=(0.0, 6.0),
+        t_c=41,
+        t_d=41,
+        trials=120,
+        target_errors=10**9,
+        wave=2,
+        seed=K,
+    )
+    got = run_uncoded(cfg)
+    want = sim._run(cfg, ref_uncoded_block, "ber")
+    assert [r.to_csv() for r in got] == [r.to_csv() for r in want]
+    assert all(r.errors for r in got)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,6 @@ from .partition import (
     PartitionParams,
     PartitionTree,
     build_partition_tree,
-    centroid_weights,
     estimate_complexity,
     kmeans_hamming,
     preprocess,
@@ -128,7 +127,6 @@ __all__ = [
     "compute_llrs",
     "validate_params",
     "kmeans_hamming",
-    "centroid_weights",
     "build_partition_tree",
     "preprocess",
     "estimate_complexity",

@@ -22,15 +22,15 @@ from functools import partial
 
 import numpy as np
 
-from .config import FIELD_TYPES, SimConfig
+from .config import FIELD_TYPES, SimConfig, complexity_csv
 from .errors import CodeConstructionError, ConfigurationError
-from .partition import estimate_complexity
 from .sim import (
     partition_report,
     run_coded,
     run_partition_sweep,
     run_uncoded,
     write_results,
+    write_text,
 )
 
 
@@ -76,14 +76,6 @@ def build_config(args: argparse.Namespace, presets: dict | None = None) -> SimCo
     return cfg
 
 
-def _emit_text(cfg: SimConfig, text: str) -> None:
-    if cfg.output:
-        with open(cfg.output, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _cmd_run(runner, args: argparse.Namespace) -> int:
     cfg = build_config(args)
     write_results(runner(cfg), cfg)
@@ -104,18 +96,13 @@ def _cmd_partition_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_partition_stats(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    _emit_text(cfg, partition_report(cfg))
+    write_text(partition_report(cfg), cfg)
     return 0
 
 
 def _cmd_complexity(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    n_pre, n_wmd, n_total = estimate_complexity(cfg.partition, cfg.m, cfg.n_users)
-    label = cfg.partition.label() if cfg.partition is not None else "full"
-    _emit_text(
-        cfg,
-        "partition,n_pre,n_wmd,n_total\n" + f"{label},{n_pre},{n_wmd},{n_total}\n",
-    )
+    write_text(complexity_csv(cfg), cfg)
     return 0
 
 

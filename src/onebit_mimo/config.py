@@ -6,9 +6,14 @@ from the command line.  A SimConfig is checked as it is built (by
 ``__post_init__``, so ``dataclasses.replace`` re-checks too) and holds only
 values that some run kind accepts; the analytic subcommands therefore take
 every detector, and the runners in ``sim`` add what their run kind needs (a
-detector of that kind, an LDPC code that fits the block).  Result rows
-serialize to CSV with rates printed at six significant digits alongside the
-raw integer counts; wall-clock timings live in the sidecar metadata so
+detector of that kind, an LDPC code that fits the block).
+
+This is the one module that knows the CSV format.  Each row class declares
+its columns once, as ``COLUMNS``, and its ``HEADER`` joins them; a
+``SweepRow`` is a ``ResultRow`` led by its arm's four columns
+(``ARM_COLUMNS``, all that ``complexity_csv`` prints).  Every cell follows
+one rule: a string as is, an integer in full, any other number at six
+significant digits.  Wall-clock timings live in the sidecar metadata so
 repeated runs produce identical CSV bytes.
 """
 
@@ -19,13 +24,13 @@ import json
 import math
 import typing
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
 from .core import bits_per_symbol
 from .errors import ConfigurationError
-from .partition import PartitionParams, require_valid_params
+from .partition import PartitionParams, estimate_complexity, require_valid_params
 
 DETECTORS = ("wmd", "soft-wmd", "md", "ml", "zf")
 CSIR_MODES = ("perfect", "estimated")
@@ -38,11 +43,6 @@ MAX_CODEBOOK_ENTRIES = 2**24
 # Most worker processes: under the fork start method a ProcessPoolExecutor
 # starts all of them at its first submit.
 MAX_WORKERS = 256
-
-CSV_HEADER = "snr_db,detector,metric,rate,errors,trials,denominator,mean_candidates"
-SWEEP_CSV_HEADER = (
-    "partition,n_pre,n_wmd,n_total,snr_db,metric,rate,errors,trials,denominator,mean_candidates"
-)
 
 
 def parse_partition(value) -> PartitionParams | None:
@@ -264,17 +264,24 @@ def _scalar_field_types(cls) -> dict:
 FIELD_TYPES = _scalar_field_types(SimConfig)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
-
-
-def _num(x) -> str:
-    return str(x) if isinstance(x, (int, np.integer)) else _fmt(x)
+def csv_line(values) -> str:
+    """One CSV line by the one cell rule: a string as is, an integer in full,
+    any other number at six significant digits."""
+    return ",".join(
+        v if isinstance(v, str) else str(v) if isinstance(v, Integral) else f"{v:.6g}"
+        for v in values
+    )
 
 
 @dataclass
 class ResultRow:
-    HEADER: typing.ClassVar[str] = CSV_HEADER
+    """One operating point's result; its CSV line is the COLUMNS fields in order."""
+
+    COLUMNS: typing.ClassVar[tuple] = (
+        "snr_db", "detector", "metric", "rate", "errors", "trials", "denominator",
+        "mean_candidates",
+    )
+    HEADER: typing.ClassVar[str] = ",".join(COLUMNS)
 
     snr_db: float
     detector: str
@@ -287,43 +294,38 @@ class ResultRow:
     wall_time_s: float = 0.0
 
     def to_csv(self) -> str:
-        return ",".join(
-            [
-                _fmt(self.snr_db),
-                self.detector,
-                self.metric,
-                _fmt(self.rate),
-                str(self.errors),
-                str(self.trials),
-                str(self.denominator),
-                _fmt(self.mean_candidates),
-            ]
-        )
+        return csv_line(getattr(self, name) for name in self.COLUMNS)
 
 
-@dataclass
-class SweepRow:
-    HEADER: typing.ClassVar[str] = SWEEP_CSV_HEADER
+# A partition arm's cells, which lead its sweep rows and are all that the
+# complexity subcommand prints.
+ARM_COLUMNS = ("partition", "n_pre", "n_wmd", "n_total")
+
+
+@dataclass(kw_only=True)
+class SweepRow(ResultRow):
+    """A ResultRow led by its arm's four columns; the detector is the config's and not printed."""
+
+    COLUMNS = ARM_COLUMNS + tuple(c for c in ResultRow.COLUMNS if c != "detector")
+    HEADER = ",".join(COLUMNS)
 
     partition: str  # label, "full" for the unpartitioned arm
     n_pre: int
-    n_wmd: int
-    n_total: int
-    row: ResultRow
+    n_wmd: int | float  # a fraction when prod(k) does not divide m**K * q[-1]
+    n_total: int | float
 
-    def to_csv(self) -> str:
-        return ",".join(
-            [
-                self.partition,
-                _num(self.n_pre),
-                _num(self.n_wmd),
-                _num(self.n_total),
-                _fmt(self.row.snr_db),
-                self.row.metric,
-                _fmt(self.row.rate),
-                str(self.row.errors),
-                str(self.row.trials),
-                str(self.row.denominator),
-                _fmt(self.row.mean_candidates),
-            ]
-        )
+
+CSV_HEADER = ResultRow.HEADER
+SWEEP_CSV_HEADER = SweepRow.HEADER
+
+
+def arm_cells(cfg: SimConfig) -> dict:
+    """The ARM_COLUMNS of cfg's partition: its label and ``estimate_complexity``'s counts."""
+    label = "full" if cfg.partition is None else cfg.partition.label()
+    counts = estimate_complexity(cfg.partition, cfg.m, cfg.n_users)
+    return dict(zip(ARM_COLUMNS, (label, *counts)))
+
+
+def complexity_csv(cfg: SimConfig) -> str:
+    """The ``complexity`` subcommand's CSV: the ARM_COLUMNS header over cfg's arm cells."""
+    return ",".join(ARM_COLUMNS) + "\n" + csv_line(arm_cells(cfg).values()) + "\n"

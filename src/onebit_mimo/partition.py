@@ -86,7 +86,7 @@ def require_valid_params(params: PartitionParams) -> None:
 class KmeansResult:
     clusters: list  # member index arrays (absolute codeword indices)
     centroids: np.ndarray  # (n_clusters, N) uint8
-    weights: np.ndarray  # (n_clusters, N) centroid_weights of each cluster
+    weights: np.ndarray  # (n_clusters, N) -log max(mismatch fraction, 1/(2*size)) per cluster
     objective: list  # within-cluster Hamming distance sum per iteration
 
 
@@ -137,10 +137,13 @@ def _seed_centroids(pw: np.ndarray, k: int, rng: np.random.Generator) -> list:
 def _mismatch_weights(
     centroids: np.ndarray, ones: np.ndarray, sizes: np.ndarray
 ) -> np.ndarray:
-    """``centroid_weights`` of every cluster from its member and one-bit counts.
+    """Every cluster's per-position weights from its member and one-bit counts.
 
-    The mismatch count is exact and divided once, so this is bitwise equal
-    to the mean of the boolean mismatches that ``centroid_weights`` takes.
+    A position's weight is ``-log(max(f, 1 / (2 * size)))``, with f the
+    fraction of members that disagree with the centroid there: the floor
+    keeps a unanimous position finite and still the largest.  The mismatch
+    count is exact and divided once, so f is bitwise the mean of the
+    members' boolean mismatches.
     """
     size = sizes[:, None].astype(np.float64)
     mismatches = np.where(centroids == 1, size - ones, ones)
@@ -222,20 +225,6 @@ def kmeans_hamming(
         weights=_mismatch_weights(centroids[keep], ones[keep], sizes[keep]),
         objective=objective,
     )
-
-
-def centroid_weights(members: np.ndarray, centroid: np.ndarray, code: SpatialCode) -> np.ndarray:
-    """Per-position weight -log of the disagreement fraction with the centroid.
-
-    Unanimous positions are clamped at half the smallest observable nonzero
-    fraction so the weight stays finite while preserving the ordering.
-    """
-    members = np.asarray(members)
-    if members.size == 0:
-        raise ValueError("cluster must be nonempty")
-    frac = (code.codewords[members] != centroid).mean(axis=0)
-    floor = 1.0 / (2.0 * len(members))
-    return -np.log(np.maximum(frac, floor))
 
 
 @dataclass(frozen=True, eq=False)

@@ -48,7 +48,7 @@ from .channel import (
     transmit,
     transmit_pilots,
 )
-from .config import ResultRow, SimConfig, SweepRow, require_ldpc_fit, snr_linear
+from .config import ResultRow, SimConfig, SweepRow, arm_cells, require_ldpc_fit, snr_linear
 from .core import Constellation, bit_table, bits_per_symbol, qam_constellation, real_channel_matrix
 from .detector import compute_llrs, md_decode, ml_decode, wmd_decode, zf_detect
 from .errors import ConfigurationError
@@ -332,18 +332,8 @@ def run_partition_sweep(cfg: SimConfig, sweep) -> list:
     arms = [dataclasses.replace(cfg, partition=spec) for spec in sweep]
     rows = []
     for arm in arms:
-        params = arm.partition
-        n_pre, n_wmd, n_total = estimate_complexity(params, cfg.m, cfg.n_users)
-        for row in run_uncoded(arm):
-            rows.append(
-                SweepRow(
-                    partition=params.label() if params is not None else "full",
-                    n_pre=n_pre,
-                    n_wmd=n_wmd,
-                    n_total=n_total,
-                    row=row,
-                )
-            )
+        cells = arm_cells(arm)
+        rows += [SweepRow(**dataclasses.asdict(row), **cells) for row in run_uncoded(arm)]
     return rows
 
 
@@ -368,6 +358,15 @@ def render_csv(rows, header: str) -> str:
     return "\n".join([header] + [r.to_csv() for r in rows]) + "\n"
 
 
+def write_text(text: str, cfg: SimConfig) -> None:
+    """The text to ``cfg.output``, or to stdout when no output is set."""
+    if cfg.output:
+        with open(cfg.output, "w", encoding="ascii") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def write_results(rows, cfg: SimConfig) -> None:
     """CSV of the rows to ``cfg.output`` plus a .meta.json sidecar holding config and wall times.
 
@@ -378,25 +377,20 @@ def write_results(rows, cfg: SimConfig) -> None:
     Timings stay out of the CSV so identical configurations reproduce it
     byte for byte.  Without an output the CSV goes to stdout, with no sidecar.
     """
-    path, text = cfg.output, render_csv(rows, rows[0].HEADER)
-    if not path:
-        sys.stdout.write(text)
+    write_text(render_csv(rows, rows[0].HEADER), cfg)
+    if not cfg.output:
         return
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
-    walls = [
-        (r.row.wall_time_s if isinstance(r, SweepRow) else r.wall_time_s) for r in rows
-    ]
+    walls = [r.wall_time_s for r in rows]
     meta = {
         "config": cfg.to_dict(),
         "package_version": __version__,
         "row_wall_time_s": walls,
         "total_wall_time_s": sum(walls),
     }
-    if any(isinstance(r, ResultRow) and r.metric == "fer" for r in rows):
+    if any(r.metric == "fer" for r in rows):
         ldpc = _ldpc_code(_ldpc_source(cfg))
         digest = hashlib.sha256(ldpc.h.tobytes()).hexdigest()
         meta["ldpc"] = {"n": ldpc.n, "k": ldpc.k, "h_sha256": digest}
-    with open(path + ".meta.json", "w", encoding="ascii") as fh:
+    with open(cfg.output + ".meta.json", "w", encoding="ascii") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -189,6 +189,39 @@ def test_partition_sweep_stdout(capsys):
     assert lines[2].startswith("k4x4-q2x4,12,4,16,")
 
 
+def test_complexity_prints_the_cells_of_a_sweep_row(capsys):
+    # a fractional count too follows the one cell rule, at six significant digits
+    spec = '{"k": [3], "q": [1]}'
+    code, out, _ = run_cli(
+        capsys, ["complexity", "--n_users", "2", "--m", "4", "--partition", spec]
+    )
+    assert code == 0
+    assert out.splitlines() == ["partition,n_pre,n_wmd,n_total", "k3-q1,3,5.33333,8.33333"]
+    code, sweep, _ = run_cli(capsys, ["partition-sweep", *SMALL, "--sweep", f"[{spec}]"])
+    assert code == 0
+    assert sweep.splitlines()[0].split(",")[:4] == out.splitlines()[0].split(",")
+    assert sweep.splitlines()[1].split(",")[:4] == out.splitlines()[1].split(",")
+
+
+def test_partition_sweep_output_file_with_sidecar(capsys, tmp_path):
+    out_path = tmp_path / "sweep.csv"
+    code, out, _ = run_cli(
+        capsys,
+        [
+            "partition-sweep", *SMALL, "--output", str(out_path),
+            "--sweep", '["full", {"k": [4, 4], "q": [2, 4]}]',
+        ],
+    )
+    assert code == 0
+    assert out == ""
+    assert out_path.read_text().splitlines()[0] == SWEEP_CSV_HEADER
+    meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+    walls = meta["row_wall_time_s"]
+    assert len(walls) == 2 and all(w > 0 for w in walls)  # one per arm
+    assert meta["total_wall_time_s"] == sum(walls)
+    assert "ldpc" not in meta  # an uncoded run names no code
+
+
 def test_partition_stats_output(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import onebit_mimo
 import onebit_mimo.core
+import onebit_mimo.partition
 from onebit_mimo import (
     all_message_digits,
     bit_table,
@@ -38,6 +39,9 @@ def test_oracles_are_not_public():
     for name in ("m_ary_expansion", "message_to_bits"):
         assert name not in onebit_mimo.__all__
         assert not hasattr(onebit_mimo.core, name)
+    # tests/test_partition.py keeps it as the oracle of the k-means weights
+    assert "centroid_weights" not in onebit_mimo.__all__
+    assert not hasattr(onebit_mimo.partition, "centroid_weights")
 
 
 class TestMaryExpansion:

@@ -11,7 +11,6 @@ from onebit_mimo.partition import (
     KMEANS_MAX_ITER,
     PartitionParams,
     build_partition_tree,
-    centroid_weights,
     estimate_complexity,
     kmeans_hamming,
     preprocess,
@@ -22,6 +21,20 @@ from onebit_mimo.partition import (
 from onebit_mimo.spatial_code import SpatialCode
 
 from conftest import random_code
+
+
+def centroid_weights(members: np.ndarray, centroid: np.ndarray, code: SpatialCode) -> np.ndarray:
+    """Oracle: per-position -log of the members' disagreement fraction with the centroid.
+
+    Unanimous positions are clamped at half the smallest observable nonzero
+    fraction, so the weight stays finite and the ordering holds.
+    """
+    members = np.asarray(members)
+    if members.size == 0:
+        raise ValueError("cluster must be nonempty")
+    frac = (code.codewords[members] != centroid).mean(axis=0)
+    floor = 1.0 / (2.0 * len(members))
+    return -np.log(np.maximum(frac, floor))
 
 
 def pattern_code(codewords, m, K):

@@ -496,9 +496,9 @@ def test_partition_sweep_pairs_and_predicts():
     assert pruned.partition == "k4x4-q2x4"
     assert (pruned.n_pre, pruned.n_wmd, pruned.n_total) == (4 + 8, 4, 16)
     # measured candidate count near the analytic prediction
-    assert pruned.row.mean_candidates <= 2 * pruned.n_wmd
+    assert pruned.mean_candidates <= 2 * pruned.n_wmd
     # paired arms never see more errors after widening to the full search
-    assert full.row.denominator == pruned.row.denominator
+    assert full.denominator == pruned.denominator
 
 
 def test_partition_sweep_needs_specs():

@@ -77,7 +77,9 @@ def estimate_channel_zf(observations: np.ndarray, pilots: np.ndarray) -> np.ndar
 
     Observations are mapped to +-1 per real dimension, recombined into complex
     samples, fitted against the pilot matrix, and rescaled so the squared
-    Frobenius norm equals its statistical expectation n_r * K.
+    Frobenius norm equals its statistical expectation n_r * K.  Observations
+    that cancel give a zero fit, which is returned unscaled: it is a draw of
+    the noise, not a bad configuration.
     """
     K, t_t = pilots.shape
     if observations.shape[0] != t_t:
@@ -91,5 +93,5 @@ def estimate_channel_zf(observations: np.ndarray, pilots: np.ndarray) -> np.ndar
     h_ls = y @ pilots.conj().T @ np.linalg.inv(gram)
     norm = np.linalg.norm(h_ls)
     if norm == 0:
-        raise ConfigurationError("degenerate all-zero channel estimate")
+        return h_ls
     return h_ls * np.sqrt(n_r * K) / norm

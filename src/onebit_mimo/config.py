@@ -40,9 +40,28 @@ CSIR_MODES = ("perfect", "estimated")
 # the bound.
 MAX_CODEBOOK_ENTRIES = 2**24
 
+# Largest coherence block, in slots times entries per slot
+# (t_c * max(n_users * log2(m), 2*n_rx)): a block holds its (t_d, n_users)
+# sent and decided digits and their (t_d, n_users, log2 m) bit tables, the
+# (n_users, t_t) pilot matrix and the (t_t, 2*n_rx) pilot observations with
+# their float copies, 128 MiB each at the bound.
+MAX_BLOCK_ENTRIES = 2**24
+
+# Longest constructed LDPC code: construct_code builds a dense n/2 x n
+# parity-check matrix and float64 copies of it and of the generator (64 MiB
+# each at the bound), and its GF(2) reduction grows as n**3.
+MAX_LDPC_N = 4096
+
 # Most worker processes: under the fork start method a ProcessPoolExecutor
 # starts all of them at its first submit.
 MAX_WORKERS = 256
+
+# Most blocks per wave: Executor.map submits every block of a wave as a
+# future before it yields the first result (CPython 3.11's
+# concurrent.futures._base.Executor.map builds the list
+# ``[self.submit(fn, *args) for args in zip(*iterables)]``), so a wave's
+# futures are all held at once.  This keeps MAX_WORKERS workers 16 deep.
+MAX_WAVE = 4096
 
 
 def parse_partition(value) -> PartitionParams | None:
@@ -200,10 +219,20 @@ class SimConfig:
                 f"coherence block must split exactly: t_c={self.t_c} != "
                 f"t_t={self.t_t} + t_d={self.t_d}"
             )
+        slot_entries = max(self.n_users * bits_per_symbol(self.m), 2 * self.n_rx)
+        if self.t_c * slot_entries > MAX_BLOCK_ENTRIES:
+            raise ConfigurationError(
+                f"coherence block of t_c={self.t_c} slots x {slot_entries} entries "
+                f"exceeds {MAX_BLOCK_ENTRIES} entries"
+            )
         if min(self.trials, self.target_errors, self.wave, self.ldpc_max_iter) < 1:
             raise ConfigurationError(
                 "trials, target_errors, wave and ldpc_max_iter must be positive"
             )
+        if self.wave > MAX_WAVE:
+            raise ConfigurationError(f"wave must be at most {MAX_WAVE} blocks, got {self.wave}")
+        if self.ldpc_n > MAX_LDPC_N:
+            raise ConfigurationError(f"ldpc_n must be at most {MAX_LDPC_N}, got {self.ldpc_n}")
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ConfigurationError(f"workers must be in 1..{MAX_WORKERS}, got {self.workers}")
         if (self.seed is not None and self.seed < 0) or self.ldpc_seed < 0:
@@ -216,10 +245,6 @@ class SimConfig:
     def require_seed(self) -> None:
         if self.seed is None:
             raise ConfigurationError("result-producing runs require an explicit seed")
-
-    def to_dict(self) -> dict:
-        """The fields as plain data (a partition as {"k", "q"}); tuples dump to JSON as lists."""
-        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":

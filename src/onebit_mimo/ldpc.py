@@ -43,10 +43,6 @@ class LdpcCode:
     def k(self) -> int:
         return self.generator.shape[0]
 
-    @property
-    def rate(self) -> float:
-        return self.k / self.n
-
 
 def _pair_stubs(n: int, n_checks: int, rng: np.random.Generator):
     ev = np.repeat(np.arange(n), VAR_DEGREE)
@@ -162,15 +158,21 @@ def code_from_parity_check(h: np.ndarray) -> LdpcCode:
     )
 
 
-def construct_code(n: int, rate: float = 0.5, seed: int = 0) -> LdpcCode:
-    """Random (3,6)-regular code of blocklength n with girth >= 6.
+def require_constructible(n: int, rate: float) -> None:
+    """Reject a rate or blocklength that no (3,6)-regular code has.
 
-    The degree pair fixes the design rate at 1/2; other rates are rejected.
+    The degree pair fixes the design rate at 1/2, and the construction needs
+    an even n of at least 2 * CHECK_DEGREE.
     """
     if abs(rate - 0.5) > 1e-12:
         raise ConfigurationError(f"(3,6)-regular construction fixes rate=0.5, got {rate}")
     if n < 2 * CHECK_DEGREE or n % 2:
         raise ConfigurationError(f"blocklength must be even and >= {2 * CHECK_DEGREE}, got {n}")
+
+
+def construct_code(n: int, rate: float = 0.5, seed: int = 0) -> LdpcCode:
+    """Random (3,6)-regular code of blocklength n with girth >= 6 (see require_constructible)."""
+    require_constructible(n, rate)
     n_checks = n * VAR_DEGREE // CHECK_DEGREE
     for attempt in range(MAX_CONSTRUCTION_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt])
@@ -341,11 +343,6 @@ def parse_alist(text: str) -> np.ndarray:
     except (IndexError, ValueError) as exc:
         raise ConfigurationError(f"malformed alist data: {exc}") from exc
     return h
-
-
-def save_alist(h: np.ndarray, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(write_alist(h))
 
 
 def load_alist(path) -> np.ndarray:

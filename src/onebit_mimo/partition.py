@@ -36,10 +36,6 @@ class PartitionParams:
         object.__setattr__(self, "k", tuple(self.k))
         object.__setattr__(self, "q", tuple(self.q))
 
-    @property
-    def levels(self) -> int:
-        return len(self.k)
-
     def label(self) -> str:
         """Comma-free form safe for CSV fields, e.g. k8x8-q4x16."""
         return "k" + "x".join(map(str, self.k)) + "-q" + "x".join(map(str, self.q))
@@ -249,7 +245,7 @@ class PartitionTree:
 def build_partition_tree(
     code: SpatialCode, params: PartitionParams, rng: np.random.Generator
 ) -> PartitionTree:
-    """Cluster the codebook into params.levels tiers of subcodes, rows in path order."""
+    """Cluster the codebook into one tier of subcodes per entry of params.k, rows in path order."""
     require_valid_params(params)
     frontier = [np.arange(code.size)]
     levels, arrays = [], []

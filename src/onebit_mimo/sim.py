@@ -16,9 +16,11 @@ run kind goes through one detection step, ``_detect_slot``: transmit, then
 ZF, or pruning (when a tree exists) and a hard decoder or the soft LLRs.
 Each entry point rebuilds (so re-checks) its SimConfig and adds its own run
 kind: ``run_uncoded`` (and the sweep) rejects soft-wmd; ``run_coded`` rejects
-zf, then checks its LDPC code against t_d.  That code is built once per
-process for its alist path, or for (ldpc_n, ldpc_rate, ldpc_seed) when no
-alist is set, and a coded run's sidecar names it.
+zf, then checks its LDPC code and the code's blocklength against t_d (a
+constructed code from ldpc_n and ldpc_rate before it is built, an alist's
+once it is loaded).  That code is built once per process for its alist
+path, or for (ldpc_n, ldpc_rate, ldpc_seed) when no alist is set, and a
+coded run's sidecar names it.
 
 Blocks are scheduled in fixed-size waves: a whole wave is simulated and
 merged before the stopping rule (trial budget or error target) is evaluated,
@@ -51,7 +53,7 @@ from .channel import (
 from .config import ResultRow, SimConfig, SweepRow, arm_cells, require_ldpc_fit, snr_linear
 from .core import Constellation, bit_table, bits_per_symbol, qam_constellation, real_channel_matrix
 from .detector import compute_llrs, md_decode, ml_decode, wmd_decode, zf_detect
-from .errors import ConfigurationError
+from .errors import CodeConstructionError, ConfigurationError
 from .ldpc import (
     LdpcCode,
     code_from_parity_check,
@@ -60,6 +62,7 @@ from .ldpc import (
     decode_bp,
     encode,
     load_alist,
+    require_constructible,
 )
 from .partition import (
     PartitionTree,
@@ -75,10 +78,17 @@ _HARD_DECODERS = {"wmd": wmd_decode, "md": md_decode, "ml": ml_decode}
 
 @functools.cache
 def _ldpc_code(source) -> LdpcCode:
-    """The code of an alist path or of an (n, rate, seed) tuple, built once per process."""
+    """The code of an alist path or of an (n, rate, seed) tuple, built once per process.
+
+    An alist whose matrix has no full-rank systematic form is a bad input
+    file, so it is a configuration error naming the file.
+    """
     if isinstance(source, tuple):
         return construct_code(*source)
-    return code_from_parity_check(load_alist(source))
+    try:
+        return code_from_parity_check(load_alist(source))
+    except CodeConstructionError as exc:
+        raise ConfigurationError(f"ldpc_alist {source}: {exc}") from exc
 
 
 def _ldpc_source(cfg: SimConfig):
@@ -312,9 +322,14 @@ def run_coded(cfg: SimConfig) -> list:
     if cfg.detector == "zf":
         raise ConfigurationError("zf detection is uncoded-only")
     cfg.require_seed()
+    if cfg.ldpc_alist:
+        n = _ldpc_code(cfg.ldpc_alist).n
+    else:  # a constructed code is checked from its parameters, before it is built
+        require_constructible(cfg.ldpc_n, cfg.ldpc_rate)
+        n = cfg.ldpc_n
+    require_ldpc_fit(n, cfg.m, cfg.t_d, cfg.frames_per_block)
     # a spawned worker starts without this process's cache and builds its own
-    ldpc = _ldpc_code(_ldpc_source(cfg))
-    require_ldpc_fit(ldpc.n, cfg.m, cfg.t_d, cfg.frames_per_block)
+    _ldpc_code(_ldpc_source(cfg))
     return _run(cfg, _coded_block, "fer")
 
 
@@ -382,7 +397,7 @@ def write_results(rows, cfg: SimConfig) -> None:
         return
     walls = [r.wall_time_s for r in rows]
     meta = {
-        "config": cfg.to_dict(),
+        "config": dataclasses.asdict(cfg),
         "package_version": __version__,
         "row_wall_time_s": walls,
         "total_wall_time_s": sum(walls),

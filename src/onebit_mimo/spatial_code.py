@@ -16,7 +16,7 @@ from functools import cache
 import numpy as np
 
 from .channel import NOISE_STD
-from .core import Constellation, all_message_digits, bit_table, bits_per_symbol, q_function
+from .core import Constellation, all_message_digits, bit_table, q_function
 
 EPS_FLOOR = 1e-300  # keeps -log(eps) finite when Q underflows
 
@@ -198,10 +198,6 @@ class SpatialCode:
     @property
     def length(self) -> int:
         return self.codewords.shape[1]
-
-    @property
-    def rate(self) -> float:
-        return self.K * bits_per_symbol(self.m) / self.length
 
     def score(self, metric: str) -> MismatchScore:
         """Cached score of every codeword under one metric.

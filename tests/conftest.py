@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from onebit_mimo import (
-    build_code,
-    qam_constellation,
-    real_channel_matrix,
-    sample_rayleigh,
-)
+from onebit_mimo.channel import sample_rayleigh
+from onebit_mimo.core import qam_constellation, real_channel_matrix
+from onebit_mimo.spatial_code import build_code
 
 
 def random_code(K, n_r, m=4, snr_db=10.0, seed=0):

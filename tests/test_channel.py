@@ -1,23 +1,25 @@
 import numpy as np
 import pytest
 
-from onebit_mimo import (
+from onebit_mimo.channel import (
     NOISE_STD,
-    ConfigurationError,
-    all_message_digits,
-    build_code,
     estimate_channel_zf,
     generate_pilots,
-    modulate,
-    q_function,
-    qam_constellation,
     quantize,
-    real_channel_matrix,
-    real_stack,
     sample_rayleigh,
     transmit,
     transmit_pilots,
 )
+from onebit_mimo.core import (
+    all_message_digits,
+    modulate,
+    q_function,
+    qam_constellation,
+    real_channel_matrix,
+    real_stack,
+)
+from onebit_mimo.errors import ConfigurationError
+from onebit_mimo.spatial_code import build_code
 
 
 class TestRayleigh:
@@ -180,6 +182,14 @@ class TestChannelEstimate:
             code_est = build_code(real_channel_matrix(h_hat), const)
             agreements.append(np.mean(code_true.codewords == code_est.codewords))
         assert np.mean(agreements) > 0.80
+
+    def test_cancelling_observations_give_a_zero_estimate(self):
+        # one user's two pilot slots are equal, so opposite bits cancel in the fit
+        pilots = generate_pilots(1, 2, snr=0.01)
+        obs = np.array([[0, 0], [1, 1]], dtype=np.uint8)
+        h_hat = estimate_channel_zf(obs, pilots)
+        assert h_hat.shape == (1, 1)
+        assert np.array_equal(h_hat, np.zeros((1, 1)))
 
     def test_singular_pilots_rejected(self):
         pilots = np.ones((2, 4), dtype=complex)  # duplicate rows

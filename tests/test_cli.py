@@ -18,7 +18,7 @@ import onebit_mimo
 from onebit_mimo import sim
 from onebit_mimo.cli import build_parser, main
 from onebit_mimo.config import CSV_HEADER, FIELD_TYPES, MAX_WORKERS, SWEEP_CSV_HEADER, SimConfig
-from onebit_mimo.ldpc import save_alist
+from onebit_mimo.ldpc import write_alist
 
 SMALL = [
     "--n_users", "2", "--n_rx", "8", "--t_c", "100", "--t_d", "100",
@@ -363,6 +363,16 @@ def test_zf_with_partition_is_config_error(capsys):
         (["coded", *CODED, "--ldpc_alist", "/nonexistent.alist"], "/nonexistent.alist"),
         (["uncoded", *SMALL, "--output", "/nonexistent-dir/run.csv"], "/nonexistent-dir/run.csv"),
         (["complexity", "--output", "/nonexistent-dir/run.csv"], "/nonexistent-dir/run.csv"),
+        # blocks no host can allocate are refused before any block runs
+        (["uncoded", *SMALL, "--t_d", "1000000000000", "--t_c", "1000000000000"], "t_c"),
+        (
+            [
+                "uncoded", *SMALL, "--csir", "estimated", "--t_t", "4000000000000",
+                "--t_d", "10", "--t_c", "4000000000010",
+            ],
+            "t_c",
+        ),
+        (["coded", *CODED, "--ldpc_n", "8000"], "ldpc_n"),
     ],
 )
 def test_out_of_range_value_is_config_error(capsys, argv, message):
@@ -497,14 +507,14 @@ def test_readme_field_table_lists_exactly_the_fields():
     assert sorted(names) == sorted(f.name for f in dataclasses.fields(SimConfig))
 
 
-def test_rank_deficient_alist_is_numerical_failure(capsys, tmp_path):
+def test_rank_deficient_alist_is_config_error_naming_the_file(capsys, tmp_path):
     h = np.zeros((4, 8), dtype=np.uint8)
     h[0, :6] = 1
     h[1, :6] = 1  # duplicate row makes the matrix rank deficient
     h[2, 2:8] = 1
     h[3, 1:7] = 1
     path = tmp_path / "bad.alist"
-    save_alist(h, path)
+    path.write_text(write_alist(h), encoding="ascii")
     code, _, err = run_cli(
         capsys,
         [
@@ -513,8 +523,30 @@ def test_rank_deficient_alist_is_numerical_failure(capsys, tmp_path):
             "--detector", "soft-wmd", "--ldpc_alist", str(path),
         ],
     )
-    assert code == 3
-    assert "numerical failure" in err
+    assert code == 2
+    assert err == f"configuration error: ldpc_alist {path}: parity-check matrix is rank deficient\n"
+
+
+def test_cancelled_pilots_give_a_run_not_an_error(capsys, monkeypatch):
+    # at -20 dB one user's one-bit pilots on one antenna often cancel; the
+    # zero channel estimate is a draw, and the run goes on with it
+    estimate, estimates = sim.estimate_channel_zf, []
+
+    def spy(observations, pilots):
+        estimates.append(estimate(observations, pilots))
+        return estimates[-1]
+
+    monkeypatch.setattr(sim, "estimate_channel_zf", spy)
+    code, out, err = run_cli(
+        capsys,
+        [
+            "uncoded", "--csir", "estimated", "--n_users", "1", "--n_rx", "1", "--t_t", "2",
+            "--t_d", "10", "--t_c", "12", "--trials", "200", "--snr_db=-20", "--seed", "1",
+        ],
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == CSV_HEADER
+    assert any(not h.any() for h in estimates)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,7 @@
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +10,7 @@ from hypothesis import strategies as st
 import onebit_mimo
 import onebit_mimo.core
 import onebit_mimo.partition
-from onebit_mimo import (
+from onebit_mimo.core import (
     all_message_digits,
     bit_table,
     modulate,
@@ -34,6 +38,15 @@ def message_to_bits(w: int, q: int) -> np.ndarray:
     return (w >> np.arange(q - 1, -1, -1)) & 1
 
 
+def imported_names(source: str) -> dict:
+    """{module: names} of the ``from <module> import`` statements in source."""
+    out = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            out.setdefault(node.module, set()).update(alias.name for alias in node.names)
+    return out
+
+
 def test_oracles_are_not_public():
     # used only as the oracles above, so the package no longer exports them
     for name in ("m_ary_expansion", "message_to_bits"):
@@ -42,6 +55,21 @@ def test_oracles_are_not_public():
     # tests/test_partition.py keeps it as the oracle of the k-means weights
     assert "centroid_weights" not in onebit_mimo.__all__
     assert not hasattr(onebit_mimo.partition, "centroid_weights")
+    # the root exports exactly what the programs built on the package import
+    root = Path(__file__).resolve().parents[1]
+    (library,) = re.findall(r"```python\n(.*?)```", (root / "README.md").read_text("utf-8"), re.S)
+    programs = [(root / "bench" / "workloads.py").read_text("utf-8"), library]
+    programs += [path.read_text("utf-8") for path in sorted((root / "scripts").glob("*.py"))]
+    imported = set()
+    for source in programs:
+        imported |= imported_names(source).get("onebit_mimo", set())
+    # acceptance imports from the modules; the CLI's main is not part of the library
+    acceptance = (root / "tests" / "test_acceptance.py").read_text("utf-8")
+    for module, names in imported_names(acceptance).items():
+        if module.startswith("onebit_mimo.") and module != "onebit_mimo.cli":
+            imported |= names
+    assert len(onebit_mimo.__all__) == len(set(onebit_mimo.__all__))
+    assert set(onebit_mimo.__all__) == imported
 
 
 class TestMaryExpansion:

@@ -17,30 +17,39 @@ from conftest import random_code
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onebit_mimo import (
-    PartitionParams,
-    SimConfig,
-    build_partition_tree,
-    code_from_parity_check,
-    construct_code,
-    encode,
-    parse_alist,
-    preprocess,
+from onebit_mimo import partition, sim
+from onebit_mimo.channel import NOISE_STD, quantize, sample_rayleigh, transmit
+from onebit_mimo.config import SimConfig
+from onebit_mimo.core import (
+    bit_table,
+    bits_per_symbol,
+    modulate,
     qam_constellation,
     real_channel_matrix,
     real_stack,
-    run_uncoded,
-    sample_rayleigh,
-    transmit,
-    write_alist,
 )
-from onebit_mimo import partition, sim
-from onebit_mimo.channel import NOISE_STD, quantize
-from onebit_mimo.core import bit_table, bits_per_symbol, modulate
 from onebit_mimo.detector import LLR_CLAMP, _nearest, compute_llrs
 from onebit_mimo.errors import CodeConstructionError
-from onebit_mimo.ldpc import _TANH_LIM, decode_bp, syndrome
-from onebit_mimo.partition import _hamming, _pack_rows, _seed_centroids, require_valid_params
+from onebit_mimo.ldpc import (
+    _TANH_LIM,
+    code_from_parity_check,
+    construct_code,
+    decode_bp,
+    encode,
+    parse_alist,
+    syndrome,
+    write_alist,
+)
+from onebit_mimo.partition import (
+    PartitionParams,
+    _hamming,
+    _pack_rows,
+    _seed_centroids,
+    build_partition_tree,
+    preprocess,
+    require_valid_params,
+)
+from onebit_mimo.sim import run_uncoded
 
 # ---------------------------------------------------------------------------
 # reference forms

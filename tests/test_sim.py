@@ -14,7 +14,10 @@ import onebit_mimo
 from onebit_mimo import sim
 from onebit_mimo.config import (
     CSV_HEADER,
+    MAX_BLOCK_ENTRIES,
     MAX_CODEBOOK_ENTRIES,
+    MAX_LDPC_N,
+    MAX_WAVE,
     MAX_WORKERS,
     SWEEP_CSV_HEADER,
     SimConfig,
@@ -22,7 +25,7 @@ from onebit_mimo.config import (
     require_ldpc_fit,
 )
 from onebit_mimo.errors import ConfigurationError
-from onebit_mimo.ldpc import construct_code, save_alist
+from onebit_mimo.ldpc import construct_code, write_alist
 from onebit_mimo.partition import PartitionParams
 from onebit_mimo.sim import (
     partition_report,
@@ -101,9 +104,9 @@ def test_parse_partition_rejects_garbage():
 
 def test_config_dict_round_trip():
     cfg = small_uncoded(partition=[[4, 4], [2, 4]], output="x.csv")
-    clone = SimConfig.from_dict(cfg.to_dict())
+    clone = SimConfig.from_dict(dataclasses.asdict(cfg))
     assert clone == cfg
-    json.dumps(cfg.to_dict())  # must stay JSON-serializable
+    json.dumps(dataclasses.asdict(cfg))  # must stay JSON-serializable
 
 
 def test_config_unknown_keys_rejected():
@@ -200,13 +203,33 @@ def test_config_bounds_workers():
     assert small_uncoded(workers=MAX_WORKERS).workers == MAX_WORKERS
 
 
+def test_config_bounds_block_wave_and_ldpc_sizes():
+    # checked on construction only: a run would allocate the block's tables,
+    # submit the wave's futures or build the dense parity-check matrix
+    at_bound = MAX_BLOCK_ENTRIES // 16  # n_rx=8 gives 16 entries per slot
+    assert small_uncoded(t_c=at_bound, t_d=at_bound).t_c == at_bound
+    with pytest.raises(ConfigurationError, match="t_c"):
+        small_uncoded(t_c=at_bound + 1, t_d=at_bound + 1)
+    with pytest.raises(ConfigurationError, match="t_c"):
+        small_uncoded(csir="estimated", t_t=4 * 10**12, t_d=10, t_c=4 * 10**12 + 10)
+    # with one antenna, n_users * log2(m) = 4 entries per slot outweigh 2 * n_rx = 2
+    with pytest.raises(ConfigurationError, match="x 4 entries"):
+        small_uncoded(n_rx=1, t_c=at_bound * 4 + 1, t_d=at_bound * 4 + 1)
+    assert small_uncoded(wave=MAX_WAVE).wave == MAX_WAVE
+    with pytest.raises(ConfigurationError, match="wave"):
+        small_uncoded(wave=MAX_WAVE + 1)
+    assert small_coded(ldpc_n=MAX_LDPC_N).ldpc_n == MAX_LDPC_N
+    with pytest.raises(ConfigurationError, match="ldpc_n"):
+        small_coded(ldpc_n=MAX_LDPC_N + 2)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("m", 4.0), ("n_users", "2"), ("trials", True), ("ldpc_rate", "0.5"), ("detector", None)],
 )
 def test_config_rejects_wrongly_typed_fields(field, value):
     with pytest.raises(ConfigurationError, match=field):
-        SimConfig.from_dict({**small_uncoded().to_dict(), field: value})
+        SimConfig.from_dict({**dataclasses.asdict(small_uncoded()), field: value})
 
 
 @pytest.mark.parametrize("value", ["10", None, [True], ["5"], [[1.0]]])
@@ -432,7 +455,7 @@ def test_coded_rejects_misaligned_blocklength():
 def test_coded_rejects_misaligned_alist_blocklength(tmp_path):
     # the blocklength of a loaded matrix is checked once it is known
     path = tmp_path / "n126.alist"
-    save_alist(construct_code(126, 0.5, 3).h, path)
+    path.write_text(write_alist(construct_code(126, 0.5, 3).h), encoding="ascii")
     cfg = small_coded(m=16, n_rx=4, ldpc_alist=str(path), t_c=256, t_d=256)
     with pytest.raises(ConfigurationError, match="multiple of the 4 bits"):
         run_coded(cfg)
@@ -444,9 +467,20 @@ def test_coded_rejects_frames_overrunning_block():
         run_coded(small_coded(frames_per_block=10, trials=20))
 
 
+def test_coded_checks_a_constructed_code_fit_before_building_it(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("the LDPC code was built")
+
+    monkeypatch.setattr(sim, "construct_code", no_build)
+    sim._ldpc_code.cache_clear()
+    # one 2048-slot frame cannot fit a 128-slot coherence block
+    with pytest.raises(ConfigurationError, match="span 2048 slots"):
+        run_coded(small_coded(ldpc_n=4096, frames_per_block=None))
+
+
 def test_coded_rejects_frames_overrunning_block_with_alist(tmp_path):
     path = tmp_path / "n128.alist"
-    save_alist(construct_code(128, 0.5, 3).h, path)
+    path.write_text(write_alist(construct_code(128, 0.5, 3).h), encoding="ascii")
     cfg = small_coded(ldpc_alist=str(path), frames_per_block=3)  # only run_coded reads it
     with pytest.raises(ConfigurationError, match="span 192 slots"):
         run_coded(cfg)
@@ -539,7 +573,7 @@ def test_write_results_csv_and_sidecar(tmp_path):
 def test_coded_sidecar_names_the_ldpc_code_used(tmp_path, monkeypatch):
     h = construct_code(128, 0.5, 3).h
     path = tmp_path / "n128.alist"
-    save_alist(h, path)
+    path.write_text(write_alist(h), encoding="ascii")
     loads = []
     load = sim.load_alist
     monkeypatch.setattr(sim, "load_alist", lambda p: loads.append(p) or load(p))

@@ -3,21 +3,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onebit_mimo import (
-    NOISE_STD,
+from onebit_mimo.channel import NOISE_STD, sample_rayleigh
+from onebit_mimo.core import (
     all_message_digits,
-    build_code,
-    exact_likelihood,
+    bit_table,
     modulate,
     q_function,
     qam_constellation,
     real_channel_matrix,
     real_stack,
-    sample_rayleigh,
+)
+from onebit_mimo.spatial_code import (
+    EPS_FLOOR,
+    _bit_sides,
+    _digit_sides,
+    build_code,
+    exact_likelihood,
     subcode,
 )
-from onebit_mimo.core import bit_table
-from onebit_mimo.spatial_code import EPS_FLOOR, _bit_sides, _digit_sides
 
 from conftest import random_code
 
@@ -84,10 +87,6 @@ class TestBuildCode:
         b = random_code(K=2, n_r=4, seed=5)
         assert np.array_equal(a.codewords, b.codewords)
         assert np.array_equal(a.weights, b.weights)
-
-    def test_rate(self):
-        code = random_code(K=2, n_r=4)  # N = 8, K log2(m) = 4
-        assert code.rate == pytest.approx(0.5)
 
     def test_eps_floor_under_strong_channel(self):
         const = qam_constellation(4, 1e8)

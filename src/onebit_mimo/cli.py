@@ -1,8 +1,7 @@
 """Command-line front end.
 
-Subcommands: ``uncoded`` (BER sweep), ``coded`` (FER sweep), ``partition-sweep``
-(paired BER/complexity rows per partition spec), ``partition-stats`` (tree
-report for one sampled block), ``complexity`` (closed-form counts only).
+The five subcommands are declared once, in ``_COMMANDS``: each builds one
+config from its flags and makes one call on it.
 
 Every run can start from a JSON config file whose keys mirror the SimConfig
 fields, and every field has a same-name flag, typed by its annotation, that
@@ -18,7 +17,6 @@ import dataclasses
 import json
 import os
 import sys
-from functools import partial
 
 import numpy as np
 
@@ -76,33 +74,44 @@ def build_config(args: argparse.Namespace, presets: dict | None = None) -> SimCo
     return cfg
 
 
-def _cmd_run(runner, args: argparse.Namespace) -> int:
-    cfg = build_config(args)
-    write_results(runner(cfg), cfg)
-    return 0
-
-
-def _cmd_partition_sweep(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
+def _sweep_specs(args: argparse.Namespace) -> list:
     try:
         sweep = json.loads(args.sweep)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"--sweep is not valid JSON: {exc}") from exc
     if not isinstance(sweep, list):
         raise ConfigurationError("--sweep must be a JSON list of partition specs")
-    write_results(run_partition_sweep(cfg, sweep), cfg)
-    return 0
+    return sweep
 
 
-def _cmd_partition_stats(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
-    write_text(partition_report(cfg), cfg)
-    return 0
+# Each subcommand's help and the one call it makes on the built config, in
+# the order the help lists them.
+_COMMANDS = {
+    "uncoded": (
+        "uncoded BER versus SNR",
+        lambda cfg, args: write_results(run_uncoded(cfg), cfg),
+    ),
+    "coded": (
+        "LDPC frame error rate versus SNR",
+        lambda cfg, args: write_results(run_coded(cfg), cfg),
+    ),
+    "partition-sweep": (
+        "paired BER and complexity over partition specs",
+        lambda cfg, args: write_results(run_partition_sweep(cfg, _sweep_specs(args)), cfg),
+    ),
+    "partition-stats": (
+        "tree shape for one sampled block",
+        lambda cfg, args: write_text(partition_report(cfg), cfg),
+    ),
+    "complexity": (
+        "closed-form comparison counts",
+        lambda cfg, args: write_text(complexity_csv(cfg), cfg),
+    ),
+}
 
 
-def _cmd_complexity(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
-    write_text(complexity_csv(cfg), cfg)
+def _run(args: argparse.Namespace) -> int:
+    _COMMANDS[args.command][1](build_config(args), args)
     return 0
 
 
@@ -112,34 +121,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo simulator for one-bit massive MIMO detection",
     )
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("uncoded", help="uncoded BER versus SNR")
-    add_config_flags(p)
-    p.set_defaults(handler=partial(_cmd_run, run_uncoded))
-
-    p = sub.add_parser("coded", help="LDPC frame error rate versus SNR")
-    add_config_flags(p)
-    p.set_defaults(handler=partial(_cmd_run, run_coded))
-
-    p = sub.add_parser(
-        "partition-sweep", help="paired BER and complexity over partition specs"
-    )
-    add_config_flags(p)
-    p.add_argument(
-        "--sweep",
-        required=True,
-        help="JSON list of partition specs, e.g. '[\"full\", {\"k\":[8],\"q\":[4]}]'",
-    )
-    p.set_defaults(handler=_cmd_partition_sweep)
-
-    p = sub.add_parser("partition-stats", help="tree shape for one sampled block")
-    add_config_flags(p)
-    p.set_defaults(handler=_cmd_partition_stats)
-
-    p = sub.add_parser("complexity", help="closed-form comparison counts")
-    add_config_flags(p)
-    p.set_defaults(handler=_cmd_complexity)
-
+    for name, (help_text, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        add_config_flags(p)
+        if name == "partition-sweep":
+            p.add_argument(
+                "--sweep",
+                required=True,
+                help="JSON list of partition specs, e.g. '[\"full\", {\"k\":[8],\"q\":[4]}]'",
+            )
     return parser
 
 
@@ -163,10 +153,10 @@ def guarded(handler, args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "handler", None) is None:
+    if args.command is None:
         parser.print_help(sys.stderr)
         return 2
-    return guarded(args.handler, args)
+    return guarded(_run, args)
 
 
 def entry() -> None:

@@ -30,6 +30,7 @@ import numpy as np
 
 from .core import bits_per_symbol
 from .errors import ConfigurationError
+from .ldpc import MAX_LDPC_N
 from .partition import PartitionParams, estimate_complexity, require_valid_params
 
 DETECTORS = ("wmd", "soft-wmd", "md", "ml", "zf")
@@ -46,11 +47,6 @@ MAX_CODEBOOK_ENTRIES = 2**24
 # (n_users, t_t) pilot matrix and the (t_t, 2*n_rx) pilot observations with
 # their float copies, 128 MiB each at the bound.
 MAX_BLOCK_ENTRIES = 2**24
-
-# Longest constructed LDPC code: construct_code builds a dense n/2 x n
-# parity-check matrix and float64 copies of it and of the generator (64 MiB
-# each at the bound), and its GF(2) reduction grows as n**3.
-MAX_LDPC_N = 4096
 
 # Most worker processes: under the fork start method a ProcessPoolExecutor
 # starts all of them at its first submit.
@@ -260,7 +256,7 @@ class SimConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc

@@ -25,6 +25,12 @@ MAX_CONSTRUCTION_ATTEMPTS = 30
 MAX_REPAIR_ROUNDS = 2000  # bad edges swapped away per attempt
 _TANH_LIM = 1.0 - 1e-12
 
+# Largest LDPC code dimension, constructed (ldpc_n) or loaded (an alist's n
+# and n_checks): code_from_parity_check builds a dense n_checks x n matrix and
+# float64 copies of it and of the generator (64 MiB each for a rate-1/2 code
+# at the bound), and its GF(2) reduction grows as n**3.
+MAX_LDPC_N = 4096
+
 
 @dataclass(eq=False)
 class LdpcCode:
@@ -307,15 +313,16 @@ def write_alist(h: np.ndarray) -> str:
 def parse_alist(text: str) -> np.ndarray:
     """Inverse of write_alist; zero padding entries are ignored.
 
-    The line count is checked against the header, and both degree lines and
-    every row list against the matrix the column lists build, so truncated
-    or internally inconsistent files are rejected.
+    The header's n and n_checks are bounded by MAX_LDPC_N before any matrix
+    is allocated.  The line count is checked against the header, and both
+    degree lines and every row list against the matrix the column lists
+    build, so truncated or internally inconsistent files are rejected.
     """
     rows = [line.split() for line in text.splitlines() if line.strip()]
     try:
         n, n_checks = int(rows[0][0]), int(rows[0][1])
-        if n < 1 or n_checks < 1:
-            raise ValueError("dimensions must be positive")
+        if not (1 <= n <= MAX_LDPC_N and 1 <= n_checks <= MAX_LDPC_N):
+            raise ValueError(f"n={n} and n_checks={n_checks} must be in 1..{MAX_LDPC_N}")
         if len(rows) != 4 + n + n_checks:
             raise ValueError(f"expected {4 + n + n_checks} lines, got {len(rows)}")
         col_deg = [int(t) for t in rows[2]]

@@ -14,6 +14,7 @@ candidate index array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -317,7 +318,7 @@ def estimate_complexity(params: PartitionParams | None, m: int, K: int):
     for k_l, q_l in zip(params.k, params.q):
         n_pre += prev_q * k_l
         prev_q = q_l
-    denom = int(np.prod(params.k))
+    denom = math.prod(params.k)
     numer = full * params.q[-1]
     n_wmd = numer // denom if numer % denom == 0 else numer / denom
     return n_pre, n_wmd, n_pre + n_wmd

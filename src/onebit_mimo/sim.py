@@ -80,14 +80,15 @@ _HARD_DECODERS = {"wmd": wmd_decode, "md": md_decode, "ml": ml_decode}
 def _ldpc_code(source) -> LdpcCode:
     """The code of an alist path or of an (n, rate, seed) tuple, built once per process.
 
-    An alist whose matrix has no full-rank systematic form is a bad input
-    file, so it is a configuration error naming the file.
+    An alist that is not ASCII, is malformed or oversize, or whose matrix has
+    no full-rank systematic form is a bad input file, so it is a
+    configuration error naming the file.
     """
     if isinstance(source, tuple):
         return construct_code(*source)
     try:
         return code_from_parity_check(load_alist(source))
-    except CodeConstructionError as exc:
+    except (CodeConstructionError, ConfigurationError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"ldpc_alist {source}: {exc}") from exc
 
 

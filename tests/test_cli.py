@@ -73,6 +73,16 @@ def test_complexity_three_levels(capsys):
     assert out.splitlines()[1] == "k32x4x4-q8x8x8,96,1024,1120"
 
 
+def test_complexity_counts_are_exact_when_prod_k_passes_int64(capsys):
+    # prod(k) = 2**64 used to wrap to 0 in an int64 product (ZeroDivisionError),
+    # and 3**50 to a wrong nonzero divisor
+    for k, n_wmd in ((4294967296, "3.55271e-15"), (847288609443, "9.12887e-20")):
+        spec = json.dumps({"k": [k, k], "q": [1, 1]})
+        code, out, err = run_cli(capsys, ["complexity", "--n_users", "8", "--partition", spec])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == f"k{k}x{k}-q1x1,{2 * k},{n_wmd},{2 * k:.6g}"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -286,6 +296,11 @@ def test_bad_config_file_is_config_error(capsys, tmp_path):
     missing = tmp_path / "missing.json"
     code, _, _ = run_cli(capsys, ["uncoded", "--config", str(missing)])
     assert code == 2
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'\xff{"n_users": 2}')
+    code, _, err = run_cli(capsys, ["uncoded", "--config", str(binary)])
+    assert code == 2
+    assert err.startswith(f"configuration error: cannot read config {binary}: ")
 
 
 @pytest.mark.parametrize(
@@ -483,6 +498,25 @@ def test_every_field_has_one_flag_on_every_subcommand():
         assert all(flags.count(flag) == 1 for flag in fields), command
 
 
+def test_subcommands_keep_their_names_help_and_sweep_flag():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [(a.dest, a.help) for a in sub._choices_actions] == [
+        ("uncoded", "uncoded BER versus SNR"),
+        ("coded", "LDPC frame error rate versus SNR"),
+        ("partition-sweep", "paired BER and complexity over partition specs"),
+        ("partition-stats", "tree shape for one sampled block"),
+        ("complexity", "closed-form comparison counts"),
+    ]
+    assert list(sub.choices) == [a.dest for a in sub._choices_actions]
+    for command, p in sub.choices.items():
+        sweep = [a for a in p._actions if "--sweep" in a.option_strings]
+        if command == "partition-sweep":
+            assert [a.required for a in sweep] == [True]
+        else:
+            assert sweep == []
+
+
 def test_flags_are_typed_by_the_annotations(capsys):
     assert FIELD_TYPES["m"] == (int, False) and FIELD_TYPES["ldpc_rate"] == (float, False)
     assert FIELD_TYPES["seed"] == (int, True) and FIELD_TYPES["output"] == (str, True)
@@ -525,6 +559,29 @@ def test_rank_deficient_alist_is_config_error_naming_the_file(capsys, tmp_path):
     )
     assert code == 2
     assert err == f"configuration error: ldpc_alist {path}: parity-check matrix is rank deficient\n"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"garbage\n", "malformed alist data: invalid literal"),
+        (b"\xff\xfe 4 2\n", "'ascii' codec can't decode byte 0xff"),
+        (b"64800 32400\n", "n=64800 and n_checks=32400 must be in 1..4096"),
+    ],
+)
+def test_unusable_alist_is_config_error_naming_the_file(capsys, tmp_path, data, message):
+    path = tmp_path / "bad.alist"
+    path.write_bytes(data)
+    code, out, err = run_cli(
+        capsys,
+        [
+            "coded", "--seed", "1", "--detector", "soft-wmd", "--n_users", "2", "--n_rx", "4",
+            "--ldpc_alist", str(path),
+        ],
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"configuration error: ldpc_alist {path}: ")
+    assert message in err
 
 
 def test_cancelled_pilots_give_a_run_not_an_error(capsys, monkeypatch):

@@ -358,6 +358,21 @@ def test_alist_malformed_rejected():
         parse_alist("\n".join(lines))
 
 
+def test_oversize_alist_rejected_before_any_matrix(monkeypatch):
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a matrix was allocated")
+
+    monkeypatch.setattr(ldpc.np, "zeros", no_matrix)
+    n, n_checks = ldpc.MAX_LDPC_N + 2, 1
+    full = [f"{n} {n_checks}", f"1 {n}", " ".join(["1"] * n), str(n)]
+    full += ["1"] * n + [" ".join(map(str, range(1, n + 1)))]
+    for text in (f"{n} {n_checks}\n", "\n".join(full) + "\n"):
+        with pytest.raises(ConfigurationError, match=f"must be in 1..{ldpc.MAX_LDPC_N}"):
+            parse_alist(text)
+    with pytest.raises(ConfigurationError, match="n_checks=4098"):
+        parse_alist("8 4098\n")
+
+
 def test_alist_row_side_checked_against_the_columns():
     lines = write_alist(np.array([[1, 1, 0], [0, 1, 1]])).splitlines()
     assert lines[3] == "2 2" and lines[-1] == "2 3"

@@ -3,10 +3,12 @@
 A run is described by a SimConfig; configs load from JSON files whose keys
 mirror the dataclass fields one-for-one, and every field can be overridden
 from the command line.  A SimConfig is checked as it is built (by
-``__post_init__``, so ``dataclasses.replace`` re-checks too) and holds only
-values that some run kind accepts; the analytic subcommands therefore take
-every detector, and the runners in ``sim`` add what their run kind needs (a
-detector of that kind, an LDPC code that fits the block).
+``__post_init__``, so ``dataclasses.replace`` re-checks too): each scalar
+field against its type and its ``FIELD_RULES`` entry, then the rules that
+tie fields together.  It holds only plain Python values that some run kind
+accepts; the analytic subcommands therefore take every detector, and the
+runners in ``sim`` add what their run kind needs (a detector of that kind,
+an LDPC code that fits the block).
 
 This is the one module that knows the CSV format.  Each row class declares
 its columns once, as ``COLUMNS``, and its ``HEADER`` joins them; a
@@ -61,28 +63,23 @@ MAX_WAVE = 4096
 
 
 def parse_partition(value) -> PartitionParams | None:
-    """Accept and check None/"full", PartitionParams, {"k":…,"q":…} or [k_list, q_list]."""
-    if value is None or value == "full":
-        return None
-    if isinstance(value, str):
+    """Accept and check None/"full", PartitionParams, {"k":…,"q":…}, [k_list, q_list] or JSON."""
+    if isinstance(value, str) and value != "full":
         try:
             value = json.loads(value)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"cannot parse partition spec {value!r}: {exc}") from exc
-        return parse_partition(value)
-    if isinstance(value, PartitionParams):
-        k, q = value.k, value.q
-    elif isinstance(value, dict):
-        k, q = value.get("k"), value.get("q")
-    elif isinstance(value, (list, tuple)) and len(value) == 2:
-        k, q = value
-    else:
-        raise ConfigurationError(f"unrecognized partition spec: {value!r}")
-    if not all(isinstance(v, (list, tuple)) for v in (k, q)):
-        raise ConfigurationError(f"partition k and q must be lists of integers: {value!r}")
-    params = value if isinstance(value, PartitionParams) else PartitionParams(tuple(k), tuple(q))
-    require_valid_params(params)
-    return params
+    if value is None or (isinstance(value, str) and value == "full"):
+        return None
+    if isinstance(value, dict):
+        value = value.get("k"), value.get("q")
+    if not isinstance(value, PartitionParams):
+        pair = isinstance(value, (list, tuple)) and len(value) == 2
+        if not (pair and all(isinstance(v, (list, tuple)) for v in value)):
+            raise ConfigurationError(f"partition spec must give k and q as lists, got {value!r}")
+        value = PartitionParams(*value)
+    require_valid_params(value)
+    return value
 
 
 def require_ldpc_fit(n: int, m: int, t_d: int, frames_per_block: int | None) -> int:
@@ -132,13 +129,54 @@ _KINDS = {
 }
 
 
+# The rule of each constrained scalar field: an inclusive integer range or
+# the allowed strings.  Rules that tie fields together stay in __post_init__.
+FIELD_RULES = {
+    "n_users": (1, math.inf),
+    "n_rx": (1, math.inf),
+    "t_t": (0, math.inf),
+    "t_d": (1, math.inf),
+    "csir": CSIR_MODES,
+    "detector": DETECTORS,
+    "ldpc_n": (1, MAX_LDPC_N),
+    "ldpc_seed": (0, math.inf),
+    "ldpc_max_iter": (1, math.inf),
+    "frames_per_block": (1, math.inf),
+    "trials": (1, math.inf),
+    "target_errors": (1, math.inf),
+    "seed": (0, math.inf),
+    "workers": (1, MAX_WORKERS),
+    "wave": (1, MAX_WAVE),
+}
+
+
+def _describe(noun: str, rule) -> str:
+    if rule is None:
+        return noun
+    if isinstance(rule[0], str):
+        return "one of " + ", ".join(rule)
+    lo, hi = rule
+    return f"{noun} >= {lo}" if hi == math.inf else f"{noun} in {lo}..{hi}"
+
+
 def require_field_types(cfg) -> None:
-    """Reject a scalar field whose value has the wrong type, e.g. a float m."""
+    """Reject a scalar field of the wrong type or outside its FIELD_RULES entry, e.g. a float
+    m or trials=0, and store a float field as a Python float."""
     for name, (kind, optional) in FIELD_TYPES.items():
         value = getattr(cfg, name)
+        if value is None and optional:
+            continue
         noun, accepts = _KINDS[kind]
-        if not (accepts(value) or (value is None and optional)):
-            raise ConfigurationError(f"{name} must be {noun}, got {value!r}")
+        rule = FIELD_RULES.get(name)
+        if not accepts(value) or (
+            rule and not (value in rule if isinstance(value, str) else rule[0] <= value <= rule[1])
+        ):
+            raise ConfigurationError(f"{name} must be {_describe(noun, rule)}, got {value!r}")
+        if kind is float:
+            try:
+                setattr(cfg, name, float(value))
+            except OverflowError as exc:  # an int beyond float range
+                raise ConfigurationError(f"{name} must be a float, got {value!r}") from exc
 
 
 @dataclass
@@ -182,8 +220,6 @@ class SimConfig:
             raise ConfigurationError("snr_db must list at least one operating point")
         self.partition = parse_partition(self.partition)
         require_field_types(self)
-        if self.n_users < 1 or self.n_rx < 1:
-            raise ConfigurationError("n_users and n_rx must be positive")
         if self.m < 4 or (self.m & (self.m - 1)) or bits_per_symbol(self.m) % 2:
             raise ConfigurationError(f"m must be an even power of 2 and >= 4, got {self.m}")
         # log2 of the codeword count; testing it first keeps a huge n_users
@@ -197,18 +233,10 @@ class SimConfig:
                 f"codebook of {self.m}**{self.n_users} codewords x {2 * self.n_rx} bits "
                 f"exceeds {MAX_CODEBOOK_ENTRIES} entries"
             )
-        if self.detector not in DETECTORS:
-            raise ConfigurationError(f"detector must be one of {DETECTORS}, got {self.detector!r}")
-        if self.csir not in CSIR_MODES:
-            raise ConfigurationError(f"csir must be one of {CSIR_MODES}, got {self.csir!r}")
         if self.csir == "estimated" and (self.t_t < self.n_users or self.t_t % self.n_users):
             raise ConfigurationError(
                 f"estimated CSIR needs t_t to be a positive multiple of n_users={self.n_users} "
                 f"pilot slots, got t_t={self.t_t}"
-            )
-        if self.t_t < 0 or self.t_d < 1:
-            raise ConfigurationError(
-                f"need t_t >= 0 and t_d >= 1, got t_t={self.t_t}, t_d={self.t_d}"
             )
         if self.t_c != self.t_t + self.t_d:
             raise ConfigurationError(
@@ -221,20 +249,6 @@ class SimConfig:
                 f"coherence block of t_c={self.t_c} slots x {slot_entries} entries "
                 f"exceeds {MAX_BLOCK_ENTRIES} entries"
             )
-        if min(self.trials, self.target_errors, self.wave, self.ldpc_max_iter) < 1:
-            raise ConfigurationError(
-                "trials, target_errors, wave and ldpc_max_iter must be positive"
-            )
-        if self.wave > MAX_WAVE:
-            raise ConfigurationError(f"wave must be at most {MAX_WAVE} blocks, got {self.wave}")
-        if self.ldpc_n > MAX_LDPC_N:
-            raise ConfigurationError(f"ldpc_n must be at most {MAX_LDPC_N}, got {self.ldpc_n}")
-        if not 1 <= self.workers <= MAX_WORKERS:
-            raise ConfigurationError(f"workers must be in 1..{MAX_WORKERS}, got {self.workers}")
-        if (self.seed is not None and self.seed < 0) or self.ldpc_seed < 0:
-            raise ConfigurationError("seed and ldpc_seed must be non-negative")
-        if self.frames_per_block is not None and self.frames_per_block < 1:
-            raise ConfigurationError("frames_per_block must be >= 1 when set")
         if self.partition is not None and self.detector == "zf":
             raise ConfigurationError("zf detection searches no codebook, so it takes no partition")
 

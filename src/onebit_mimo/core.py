@@ -59,10 +59,7 @@ class Constellation:
 def _pam_axis(bits: np.ndarray) -> np.ndarray:
     """Signed odd-integer level for one axis; bits shape (n_symbols, p)."""
     sign = 1 - 2 * bits[:, 0]
-    if bits.shape[1] > 1:
-        mag_idx = bits[:, 1:] @ (2 ** np.arange(bits.shape[1] - 2, -1, -1))
-    else:
-        mag_idx = np.zeros(len(bits), dtype=np.int64)
+    mag_idx = bits[:, 1:] @ (2 ** np.arange(bits.shape[1] - 2, -1, -1))
     return sign * (1 + 2 * mag_idx)
 
 

@@ -291,27 +291,8 @@ def decode_bit_flipping(bits: np.ndarray, code: LdpcCode, max_iter: int = 50):
     return bits, not syndrome(code, bits).any()
 
 
-def write_alist(h: np.ndarray) -> str:
-    """Serialize a parity-check matrix in the standard alist text format."""
-    h = np.asarray(h, dtype=np.uint8)
-    n_checks, n = h.shape
-    col_deg, row_deg = h.sum(axis=0), h.sum(axis=1)
-    lines = [
-        f"{n} {n_checks}",
-        f"{col_deg.max()} {row_deg.max()}",
-        " ".join(map(str, col_deg)),
-        " ".join(map(str, row_deg)),
-    ]
-    # 1-based indices of each column's, then each row's, ones, zero padded
-    for side, width in ((h.T, col_deg.max()), (h, row_deg.max())):
-        for ones in side:
-            idx = np.flatnonzero(ones) + 1
-            lines.append(" ".join(map(str, list(idx) + [0] * (width - idx.size))))
-    return "\n".join(lines) + "\n"
-
-
 def parse_alist(text: str) -> np.ndarray:
-    """Inverse of write_alist; zero padding entries are ignored.
+    """The parity-check matrix of standard alist text; zero padding entries are ignored.
 
     The header's n and n_checks are bounded by MAX_LDPC_N before any matrix
     is allocated.  The line count is checked against the header, and both

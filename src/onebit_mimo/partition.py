@@ -26,16 +26,22 @@ from .spatial_code import MismatchScore, SpatialCode
 KMEANS_MAX_ITER = 100
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PartitionParams:
-    """Per-level children counts k and survivor counts q."""
+    """Per-level children counts k and survivor counts q; integer entries are
+    stored as Python ints, the rest kept for ``validate_params`` to reject."""
 
     k: tuple
     q: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "k", tuple(self.k))
-        object.__setattr__(self, "q", tuple(self.q))
+        for name in ("k", "q"):
+            values = tuple(int(v) if _is_int(v) else v for v in getattr(self, name))
+            object.__setattr__(self, name, values)
 
     def label(self) -> str:
         """Comma-free form safe for CSV fields, e.g. k8x8-q4x16."""
@@ -58,7 +64,7 @@ def validate_params(params: PartitionParams) -> list:
         return violations
     prev_q = 1
     for lvl, (k, q) in enumerate(zip(params.k, params.q), start=1):
-        if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in (k, q)):
+        if not (_is_int(k) and _is_int(q)):
             violations.append(ParamViolation(lvl, f"k_{lvl}={k!r}, q_{lvl}={q!r} must be integers"))
             continue
         if k < 1 or q < 1:

@@ -16,11 +16,11 @@ run kind goes through one detection step, ``_detect_slot``: transmit, then
 ZF, or pruning (when a tree exists) and a hard decoder or the soft LLRs.
 Each entry point rebuilds (so re-checks) its SimConfig and adds its own run
 kind: ``run_uncoded`` (and the sweep) rejects soft-wmd; ``run_coded`` rejects
-zf, then checks its LDPC code and the code's blocklength against t_d (a
-constructed code from ldpc_n and ldpc_rate before it is built, an alist's
-once it is loaded).  That code is built once per process for its alist
-path, or for (ldpc_n, ldpc_rate, ldpc_seed) when no alist is set, and a
-coded run's sidecar names it.
+zf.  One resolver, ``_ldpc_layout``, gives a coded run its LDPC code and
+frames per block: an alist overrides ldpc_n, ldpc_rate and ldpc_seed, and a
+constructed code is checked from its parameters, against t_d too, before it
+is built.  ``run_coded``, each coded block and the sidecar call it, and the
+code is built once per process for its alist path or its parameters.
 
 Blocks are scheduled in fixed-size waves: a whole wave is simulated and
 merged before the stopping rule (trial budget or error target) is evaluated,
@@ -92,9 +92,15 @@ def _ldpc_code(source) -> LdpcCode:
         raise ConfigurationError(f"ldpc_alist {source}: {exc}") from exc
 
 
-def _ldpc_source(cfg: SimConfig):
-    """A config's ``_ldpc_code`` key: ldpc_alist alone when set, as it overrides ldpc_n/rate/seed."""
-    return cfg.ldpc_alist or (cfg.ldpc_n, cfg.ldpc_rate, cfg.ldpc_seed)
+def _ldpc_layout(cfg: SimConfig):
+    """(code, frames per block): an alist overrides ldpc_n/rate/seed, and a
+    constructed code's parameters and fit are checked before it is built."""
+    if cfg.ldpc_alist:
+        code = _ldpc_code(cfg.ldpc_alist)
+        return code, require_ldpc_fit(code.n, cfg.m, cfg.t_d, cfg.frames_per_block)
+    require_constructible(cfg.ldpc_n, cfg.ldpc_rate)
+    frames = require_ldpc_fit(cfg.ldpc_n, cfg.m, cfg.t_d, cfg.frames_per_block)
+    return _ldpc_code((cfg.ldpc_n, cfg.ldpc_rate, cfg.ldpc_seed)), frames
 
 
 @dataclass(frozen=True)
@@ -235,8 +241,7 @@ def _coded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
     are reversed back into frame order.
     """
     blk = _setup_block(cfg, snr_idx, block)
-    ldpc = _ldpc_code(_ldpc_source(cfg))
-    frames = require_ldpc_fit(ldpc.n, cfg.m, cfg.t_d, cfg.frames_per_block)
+    ldpc, frames = _ldpc_layout(cfg)
     q = bits_per_symbol(cfg.m)
     slots_per_frame = ldpc.n // q
     soft = cfg.detector == "soft-wmd"
@@ -323,14 +328,8 @@ def run_coded(cfg: SimConfig) -> list:
     if cfg.detector == "zf":
         raise ConfigurationError("zf detection is uncoded-only")
     cfg.require_seed()
-    if cfg.ldpc_alist:
-        n = _ldpc_code(cfg.ldpc_alist).n
-    else:  # a constructed code is checked from its parameters, before it is built
-        require_constructible(cfg.ldpc_n, cfg.ldpc_rate)
-        n = cfg.ldpc_n
-    require_ldpc_fit(n, cfg.m, cfg.t_d, cfg.frames_per_block)
-    # a spawned worker starts without this process's cache and builds its own
-    _ldpc_code(_ldpc_source(cfg))
+    # checked before any block; a spawned worker starts without this cache and builds its own
+    _ldpc_layout(cfg)
     return _run(cfg, _coded_block, "fer")
 
 
@@ -404,7 +403,7 @@ def write_results(rows, cfg: SimConfig) -> None:
         "total_wall_time_s": sum(walls),
     }
     if any(r.metric == "fer" for r in rows):
-        ldpc = _ldpc_code(_ldpc_source(cfg))
+        ldpc, _ = _ldpc_layout(cfg)
         digest = hashlib.sha256(ldpc.h.tobytes()).hexdigest()
         meta["ldpc"] = {"n": ldpc.n, "k": ldpc.k, "h_sha256": digest}
     with open(cfg.output + ".meta.json", "w", encoding="ascii") as fh:

@@ -16,6 +16,25 @@ def random_code(K, n_r, m=4, snr_db=10.0, seed=0):
     return build_code(h, const)
 
 
+def write_alist(h: np.ndarray) -> str:
+    """A parity-check matrix in the standard alist text format, for tests that load one."""
+    h = np.asarray(h, dtype=np.uint8)
+    n_checks, n = h.shape
+    col_deg, row_deg = h.sum(axis=0), h.sum(axis=1)
+    lines = [
+        f"{n} {n_checks}",
+        f"{col_deg.max()} {row_deg.max()}",
+        " ".join(map(str, col_deg)),
+        " ".join(map(str, row_deg)),
+    ]
+    # 1-based indices of each column's, then each row's, ones, zero padded
+    for side, width in ((h.T, col_deg.max()), (h, row_deg.max())):
+        for ones in side:
+            idx = np.flatnonzero(ones) + 1
+            lines.append(" ".join(map(str, list(idx) + [0] * (width - idx.size))))
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture
 def small_code():
     return random_code(K=2, n_r=4, seed=3)

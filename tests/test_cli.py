@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 import re
 import shlex
@@ -13,12 +14,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import write_alist
 
 import onebit_mimo
 from onebit_mimo import sim
 from onebit_mimo.cli import build_parser, main
-from onebit_mimo.config import CSV_HEADER, FIELD_TYPES, MAX_WORKERS, SWEEP_CSV_HEADER, SimConfig
-from onebit_mimo.ldpc import write_alist
+from onebit_mimo.config import (
+    CSV_HEADER,
+    FIELD_RULES,
+    FIELD_TYPES,
+    MAX_WORKERS,
+    SWEEP_CSV_HEADER,
+    ResultRow,
+    SimConfig,
+)
+from onebit_mimo.errors import ConfigurationError
+from onebit_mimo.sim import write_results
 
 SMALL = [
     "--n_users", "2", "--n_rx", "8", "--t_c", "100", "--t_d", "100",
@@ -87,7 +98,7 @@ def test_complexity_counts_are_exact_when_prod_k_passes_int64(capsys):
     "argv, message",
     [
         (["--m", "8"], "m must be an even power of 2"),
-        (["--n_users", "0"], "n_users and n_rx must be positive"),
+        (["--n_users", "0"], "n_users must be an integer >= 1, got 0"),
         (["--n_users", "5000", "--partition", '{"k": [4], "q": [2]}'], "codebook"),
         (["--n_users", "10000"], "codebook"),
     ],
@@ -396,6 +407,70 @@ def test_out_of_range_value_is_config_error(capsys, argv, message):
     assert message in err
 
 
+def complexity_with(name, value):
+    """``complexity`` argv setting one field; t_c matches, estimated CSIR gets pilots."""
+    fields = {"csir": "estimated", "t_t": 4} if value == "estimated" else {}
+    fields[name] = value
+    fields["t_c"] = fields.get("t_t", 0) + fields.get("t_d", 1000)
+    return ["complexity"] + [f"--{k}={v}" for k, v in fields.items()]
+
+
+def rule_words(rule):
+    """What the message says a field must be, by the rule's kind."""
+    if isinstance(rule[0], str):
+        return "one of " + ", ".join(rule)
+    lo, hi = rule
+    return f"an integer >= {lo}" if hi == math.inf else f"an integer in {lo}..{hi}"
+
+
+def rule_edges(rule):
+    """(values the rule accepts, values it rejects): the bounds and one past each."""
+    if isinstance(rule[0], str):
+        return list(rule), ["none"]
+    lo, hi = rule
+    if hi == math.inf:
+        return [lo], [lo - 1]
+    return [lo, hi], [lo - 1, hi + 1]
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_RULES))
+def test_field_rule_rejects_one_past_each_bound_naming_field_and_value(capsys, name):
+    rule = FIELD_RULES[name]
+    for value in rule_edges(rule)[1]:
+        code, out, err = run_cli(capsys, complexity_with(name, value))
+        assert (code, out) == (2, "")
+        assert err == f"configuration error: {name} must be {rule_words(rule)}, got {value!r}\n"
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_RULES))
+def test_field_rule_accepts_each_bound(capsys, name):
+    for value in rule_edges(FIELD_RULES[name])[0]:
+        code, out, err = run_cli(capsys, complexity_with(name, value))
+        assert (code, err) == (0, "")
+        assert out.startswith("partition,")
+
+
+def test_unfit_constructed_code_exits_2_before_it_is_built(capsys, monkeypatch, tmp_path):
+    built = []
+    monkeypatch.setattr(sim, "construct_code", lambda *args: built.append(args))
+    sim._ldpc_code.cache_clear()
+    for n, message in (("8000", "ldpc_n must be"), ("4000", "t_d=1000")):
+        argv = ["coded", "--seed", "1", "--detector", "soft-wmd", "--ldpc_n", n]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert message in err
+    # a block and the sidecar resolve the code by the same rule, fit first
+    cfg = SimConfig(n_users=2, n_rx=4, detector="soft-wmd", ldpc_n=4000, seed=1)
+    row = ResultRow(10.0, "soft-wmd", "fer", 0.0, 0, 1, 1, 16.0)
+    for call in (
+        lambda: sim._coded_block(cfg, 0, 0),
+        lambda: write_results([row], dataclasses.replace(cfg, output=str(tmp_path / "r.csv"))),
+    ):
+        with pytest.raises(ConfigurationError, match="t_d=1000"):
+            call()
+    assert built == []
+
+
 def test_too_many_workers_is_config_error(capsys, monkeypatch):
     def no_pool(cfg):
         raise AssertionError("a worker pool was requested")
@@ -529,15 +604,29 @@ def test_flags_are_typed_by_the_annotations(capsys):
     assert (code, err) == (0, "")
 
 
+def readme_bounds(rule) -> str:
+    """A FIELD_RULES entry as README's field table writes it."""
+    if rule is None:
+        return "—"
+    if isinstance(rule[0], str):
+        return ", ".join(f"`{value}`" for value in rule)
+    lo, hi = rule
+    return f"≥ {lo}" if hi == math.inf else f"{lo} to {hi}"
+
+
 def test_readme_field_table_lists_exactly_the_fields():
     text = README.read_text(encoding="utf-8")
     start = text.index("### Configuration fields")
     table = text[start : text.index("\n\n", text.index("|", start))]
-    names = [
-        name
-        for line in table.splitlines()[3:]
-        for name in re.findall(r"`(\w+)`", line.split("|")[1])
-    ]
+    lines = table.splitlines()
+    assert lines[2] == "| field | default | bounds | meaning |"
+    names = []
+    for line in lines[4:]:
+        cells = [cell.strip() for cell in line.split("|")]
+        row = re.findall(r"`(\w+)`", cells[1])
+        # the bounds column is the field-rule table, row by row
+        assert [cells[3]] * len(row) == [readme_bounds(FIELD_RULES.get(n)) for n in row], line
+        names += row
     assert sorted(names) == sorted(f.name for f in dataclasses.fields(SimConfig))
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import onebit_mimo
 import onebit_mimo.core
+import onebit_mimo.ldpc
 import onebit_mimo.partition
 from onebit_mimo.core import (
     all_message_digits,
@@ -55,6 +56,8 @@ def test_oracles_are_not_public():
     # tests/test_partition.py keeps it as the oracle of the k-means weights
     assert "centroid_weights" not in onebit_mimo.__all__
     assert not hasattr(onebit_mimo.partition, "centroid_weights")
+    # conftest.py keeps it as the writer of the alist files tests load
+    assert not hasattr(onebit_mimo.ldpc, "write_alist")
     # the root exports exactly what the programs built on the package import
     root = Path(__file__).resolve().parents[1]
     (library,) = re.findall(r"```python\n(.*?)```", (root / "README.md").read_text("utf-8"), re.S)

@@ -13,7 +13,7 @@ from the packed popcount form, the same slot digits and stream position as
 
 import numpy as np
 import pytest
-from conftest import random_code
+from conftest import random_code, write_alist
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,7 +38,6 @@ from onebit_mimo.ldpc import (
     encode,
     parse_alist,
     syndrome,
-    write_alist,
 )
 from onebit_mimo.partition import (
     PartitionParams,

@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import write_alist
 
 from onebit_mimo import ldpc
 from onebit_mimo.errors import CodeConstructionError, ConfigurationError
@@ -18,7 +19,6 @@ from onebit_mimo.ldpc import (
     load_alist,
     parse_alist,
     syndrome,
-    write_alist,
 )
 
 

@@ -4,11 +4,13 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import write_alist
 
 import onebit_mimo
 from onebit_mimo import sim
@@ -25,8 +27,8 @@ from onebit_mimo.config import (
     require_ldpc_fit,
 )
 from onebit_mimo.errors import ConfigurationError
-from onebit_mimo.ldpc import construct_code, write_alist
-from onebit_mimo.partition import PartitionParams
+from onebit_mimo.ldpc import construct_code
+from onebit_mimo.partition import PartitionParams, estimate_complexity
 from onebit_mimo.sim import (
     partition_report,
     render_csv,
@@ -100,6 +102,8 @@ def test_parse_partition_rejects_garbage():
         parse_partition(3.14)
     with pytest.raises(ConfigurationError):
         parse_partition([[4], [8]])  # violates the q-chain
+    with pytest.raises(ConfigurationError, match="as lists"):
+        parse_partition(np.array([[4], [2]]))  # was compared with "full" elementwise
 
 
 def test_config_dict_round_trip():
@@ -225,7 +229,10 @@ def test_config_bounds_block_wave_and_ldpc_sizes():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("m", 4.0), ("n_users", "2"), ("trials", True), ("ldpc_rate", "0.5"), ("detector", None)],
+    [
+        ("m", 4.0), ("n_users", "2"), ("trials", True), ("ldpc_rate", "0.5"), ("detector", None),
+        pytest.param("ldpc_rate", 10**400, id="ldpc_rate-10**400"),  # no float holds it
+    ],
 )
 def test_config_rejects_wrongly_typed_fields(field, value):
     with pytest.raises(ConfigurationError, match=field):
@@ -598,6 +605,42 @@ def test_coded_sidecar_names_the_ldpc_code_used(tmp_path, monkeypatch):
     cfg = small_uncoded(trials=100, output=str(out))
     write_results(run_uncoded(cfg), cfg)
     assert "ldpc" not in json.loads((tmp_path / "res.csv.meta.json").read_text())
+
+
+def test_numpy_partition_entries_are_stored_as_python_ints():
+    # an int64 product of 3**25 * 3**25 used to wrap, with an overflow warning
+    big = np.int64(3**25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = PartitionParams((big, big), (np.int64(1), np.int64(1)))
+        assert estimate_complexity(params, 4, 8) == (2 * 3**25, 4**8 / 3**50, 2 * 3**25)
+    assert all(type(v) is int for v in params.k + params.q)
+    # bools and non-integers are kept, so they are still rejected
+    for bad in ((True,), (4.0,), (np.float64(4),)):
+        with pytest.raises(ConfigurationError, match="must be integers"):
+            small_uncoded(partition=PartitionParams(bad, (2,)))
+
+
+@pytest.mark.parametrize(
+    "make, run, field, value, expected",
+    [
+        (
+            small_uncoded,
+            run_uncoded,
+            "partition",
+            PartitionParams((np.int64(4),), (np.int64(2),)),
+            {"k": [4], "q": [2]},
+        ),
+        (small_coded, run_coded, "ldpc_rate", np.float32(0.5), 0.5),
+    ],
+    ids=["partition", "ldpc_rate"],
+)
+def test_numpy_scalars_give_a_readable_sidecar(tmp_path, make, run, field, value, expected):
+    # a numpy scalar the config took used to stop json.dump half way through the sidecar
+    cfg = make(trials=4, output=str(tmp_path / "res.csv"), **{field: value})
+    write_results(run(cfg), cfg)
+    with open(tmp_path / "res.csv.meta.json", encoding="ascii") as fh:
+        assert json.load(fh)["config"][field] == expected
 
 
 def test_write_results_without_path_prints_the_csv(tmp_path, monkeypatch, capsys):

@@ -8,10 +8,10 @@ Every ``onebit-mimo coded`` flag but ``--detector`` overrides the presets.
 """
 
 import argparse
-import dataclasses
 
-from onebit_mimo import ConfigurationError, run_coded, write_results
+from onebit_mimo import ConfigurationError, write_results
 from onebit_mimo.cli import add_config_flags, build_config, guarded
+from onebit_mimo.sim import run_arms
 
 PRESETS = {  # trials counts user-frames per SNR point
     "n_users": 3, "n_rx": 16, "snr_db": (-6.0, -4.0, -2.0, 0.0, 2.0),
@@ -23,10 +23,8 @@ def run(args: argparse.Namespace) -> int:
     if args.detector is not None:
         raise ConfigurationError("the arms are soft-wmd and wmd: --detector is not taken")
     base = build_config(args, PRESETS)
-    rows = []
-    for det in ("soft-wmd", "wmd"):
-        rows.extend(run_coded(dataclasses.replace(base, detector=det)))
-    write_results(rows, base)
+    arms = run_arms(base, [{"detector": "soft-wmd"}, {"detector": "wmd"}], "fer")
+    write_results([row for _, rows in arms for row in rows], base)
     return 0
 
 

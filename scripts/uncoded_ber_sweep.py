@@ -10,11 +10,10 @@ comparable. Desk-scale presets finish in well under a minute; every
 """
 
 import argparse
-import dataclasses
 
-from onebit_mimo import ConfigurationError, run_uncoded, write_results
+from onebit_mimo import ConfigurationError, write_results
 from onebit_mimo.cli import add_config_flags, build_config, guarded
-from onebit_mimo.sim import require_uncoded
+from onebit_mimo.sim import run_arms
 
 PRESETS = {
     "n_users": 2, "n_rx": 16, "snr_db": (-5.0, 0.0, 5.0, 10.0, 15.0),
@@ -26,12 +25,8 @@ def run(args: argparse.Namespace) -> int:
     if args.detector is not None:
         raise ConfigurationError("each arm sets its detector: use --detectors, not --detector")
     base = build_config(args, PRESETS)
-    # every arm is checked before the first one runs
-    arms = [dataclasses.replace(base, detector=det.strip()) for det in args.detectors.split(",")]
-    for arm in arms:
-        require_uncoded(arm)
-    rows = [row for arm in arms for row in run_uncoded(arm)]
-    write_results(rows, base)
+    arms = run_arms(base, [{"detector": d.strip()} for d in args.detectors.split(",")], "ber")
+    write_results([row for _, rows in arms for row in rows], base)
     return 0
 
 

@@ -63,13 +63,10 @@ def generate_pilots(K: int, t_t: int, snr: float) -> np.ndarray:
 
 
 def transmit_pilots(h_real: np.ndarray, pilots: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """(t_t, N) quantized observations of the pilot slots."""
-    t_t = pilots.shape[1]
-    obs = np.empty((t_t, h_real.shape[0]), dtype=np.uint8)
-    for t in range(t_t):
-        v = h_real @ real_stack(pilots[:, t])
-        obs[t] = quantize(v + rng.normal(0.0, NOISE_STD, size=v.shape))
-    return obs
+    """(t_t, N) quantized observations of the pilot slots, noise drawn in slot order."""
+    v = np.matmul(h_real, real_stack(pilots).T[:, :, None])[..., 0]  # one GEMV per slot
+    v += rng.normal(0.0, NOISE_STD, size=v.shape)
+    return quantize(v)
 
 
 def estimate_channel_zf(observations: np.ndarray, pilots: np.ndarray) -> np.ndarray:

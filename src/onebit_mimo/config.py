@@ -33,7 +33,7 @@ import numpy as np
 from .core import bits_per_symbol
 from .errors import ConfigurationError
 from .ldpc import MAX_LDPC_N
-from .partition import PartitionParams, estimate_complexity, require_valid_params
+from .partition import PartitionParams, estimate_complexity, is_int, require_valid_params
 
 DETECTORS = ("wmd", "soft-wmd", "md", "ml", "zf")
 CSIR_MODES = ("perfect", "estimated")
@@ -114,16 +114,12 @@ def snr_linear(snr_db) -> float:
     return snr
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
 _KINDS = {
-    int: ("an integer", _is_int),
+    int: ("an integer", is_int),
     float: ("a number", _is_real),
     str: ("a string", lambda v: isinstance(v, str)),
 }
@@ -161,7 +157,7 @@ def _describe(noun: str, rule) -> str:
 
 def require_field_types(cfg) -> None:
     """Reject a scalar field of the wrong type or outside its FIELD_RULES entry, e.g. a float
-    m or trials=0, and store a float field as a Python float."""
+    m or trials=0, and store each field as a plain Python int, float or str."""
     for name, (kind, optional) in FIELD_TYPES.items():
         value = getattr(cfg, name)
         if value is None and optional:
@@ -172,11 +168,10 @@ def require_field_types(cfg) -> None:
             rule and not (value in rule if isinstance(value, str) else rule[0] <= value <= rule[1])
         ):
             raise ConfigurationError(f"{name} must be {_describe(noun, rule)}, got {value!r}")
-        if kind is float:
-            try:
-                setattr(cfg, name, float(value))
-            except OverflowError as exc:  # an int beyond float range
-                raise ConfigurationError(f"{name} must be a float, got {value!r}") from exc
+        try:
+            setattr(cfg, name, kind(value))
+        except OverflowError as exc:  # an int beyond float range
+            raise ConfigurationError(f"{name} must be a float, got {value!r}") from exc
 
 
 @dataclass
@@ -292,10 +287,10 @@ def _scalar_field_types(cls) -> dict:
 
 
 # The one typing of the scalar fields: SimConfig checks them when it is built
-# and the CLI types its same-name flags by them.  An integer field takes an int
-# (not a bool), a float field any real number, a str field a str; an optional
-# field also takes None.  Read once here, since get_type_hints costs far more
-# than building a config.
+# and the CLI types its same-name flags by them.  An integer field takes any
+# integer, numpy's too (not a bool), a float field any real number, a str field
+# a str; an optional field also takes None.  Read once here, since
+# get_type_hints costs far more than building a config.
 FIELD_TYPES = _scalar_field_types(SimConfig)
 
 

@@ -77,6 +77,7 @@ def zf_detect(r: np.ndarray, h_real: np.ndarray, constellation: Constellation) -
 
 def _masked_scores(r: np.ndarray, code: SpatialCode, candidates, metric: str) -> np.ndarray:
     """(M,) scores under ``metric``, gathered for the sorted candidates, +inf elsewhere."""
+    # sorted: a gathered GEMV's result for a row depends on the row's position in the gather
     cand = _candidate_array(candidates)
     score = code.score(metric)
     if cand is None:

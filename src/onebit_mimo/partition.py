@@ -26,7 +26,8 @@ from .spatial_code import MismatchScore, SpatialCode
 KMEANS_MAX_ITER = 100
 
 
-def _is_int(value) -> bool:
+def is_int(value) -> bool:
+    """The one integer rule of configs and partitions: any Integral, numpy's too, but no bool."""
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
@@ -40,7 +41,7 @@ class PartitionParams:
 
     def __post_init__(self):
         for name in ("k", "q"):
-            values = tuple(int(v) if _is_int(v) else v for v in getattr(self, name))
+            values = tuple(int(v) if is_int(v) else v for v in getattr(self, name))
             object.__setattr__(self, name, values)
 
     def label(self) -> str:
@@ -64,7 +65,7 @@ def validate_params(params: PartitionParams) -> list:
         return violations
     prev_q = 1
     for lvl, (k, q) in enumerate(zip(params.k, params.q), start=1):
-        if not (_is_int(k) and _is_int(q)):
+        if not (is_int(k) and is_int(q)):
             violations.append(ParamViolation(lvl, f"k_{lvl}={k!r}, q_{lvl}={q!r} must be integers"))
             continue
         if k < 1 or q < 1:

@@ -14,13 +14,14 @@ samples per slot.  A slot's digits are the values
 stream's raw words (``_slot_digits``).  Every data slot of every
 run kind goes through one detection step, ``_detect_slot``: transmit, then
 ZF, or pruning (when a tree exists) and a hard decoder or the soft LLRs.
-Each entry point rebuilds (so re-checks) its SimConfig and adds its own run
-kind: ``run_uncoded`` (and the sweep) rejects soft-wmd; ``run_coded`` rejects
-zf.  One resolver, ``_ldpc_layout``, gives a coded run its LDPC code and
-frames per block: an alist overrides ldpc_n, ldpc_rate and ldpc_seed, and a
-constructed code is checked from its parameters, against t_d too, before it
-is built.  ``run_coded``, each coded block and the sidecar call it, and the
-code is built once per process for its alist path or its parameters.
+Every run goes through one runner, ``run_arms``, of arms (dicts of fields
+laid over one config) that it checks against the run kind of ``_RUN_KINDS``,
+all before the first runs: "ber" refuses soft-wmd, "fer" refuses zf and
+needs an LDPC code that fits.  One resolver, ``_ldpc_layout``, gives a coded
+run that code and its frames per block: an alist overrides ldpc_n,
+ldpc_rate and ldpc_seed, and a constructed code is checked, against t_d
+too, before it is built.  The runner, each coded block and the sidecar call
+it; the code is built once per process for its alist path or its parameters.
 
 Blocks are scheduled in fixed-size waves: a whole wave is simulated and
 merged before the stopping rule (trial budget or error target) is evaluated,
@@ -308,47 +309,54 @@ def _run(cfg: SimConfig, worker, metric: str) -> list:
     return rows
 
 
-def require_uncoded(cfg: SimConfig) -> None:
-    """The run-kind rule of ``run_uncoded``: reject a detector that gives no hard decision."""
-    if cfg.detector == "soft-wmd":
-        raise ConfigurationError("soft-wmd produces LLRs and needs a coded run")
+# Each run kind by its metric: block simulator, refused detector and why, and
+# the check each arm needs beyond its config's own (the LDPC fit, checked in
+# this process; a spawned worker starts without its cache and builds its own).
+_RUN_KINDS = {
+    "ber": (_uncoded_block, "soft-wmd", "soft-wmd produces LLRs and needs a coded run", None),
+    "fer": (_coded_block, "zf", "zf detection is uncoded-only", _ldpc_layout),
+}
+
+
+def run_arms(cfg: SimConfig, arms, metric: str) -> list:
+    """[(arm config, rows)] per arm, a dict of fields laid over cfg, so paired by cfg's seed.
+
+    Every arm is built (so checked) and checked against the run kind before the first runs.
+    """
+    if not arms:
+        raise ConfigurationError("a paired run needs at least one arm")
+    worker, refused, reason, check = _RUN_KINDS[metric]
+    configs = [dataclasses.replace(cfg, **arm) for arm in arms]
+    for arm in configs:
+        if arm.detector == refused:
+            raise ConfigurationError(reason)
+        arm.require_seed()
+        if check:
+            check(arm)
+    return [(arm, _run(arm, worker, metric)) for arm in configs]
 
 
 def run_uncoded(cfg: SimConfig) -> list:
     """BER of the configured detector, one ResultRow per SNR point."""
-    cfg = dataclasses.replace(cfg)
-    require_uncoded(cfg)
-    cfg.require_seed()
-    return _run(cfg, _uncoded_block, "ber")
+    return run_arms(cfg, [{}], "ber")[0][1]
 
 
 def run_coded(cfg: SimConfig) -> list:
     """FER with the LDPC outer code, one ResultRow per SNR point."""
-    cfg = dataclasses.replace(cfg)
-    if cfg.detector == "zf":
-        raise ConfigurationError("zf detection is uncoded-only")
-    cfg.require_seed()
-    # checked before any block; a spawned worker starts without this cache and builds its own
-    _ldpc_layout(cfg)
-    return _run(cfg, _coded_block, "fer")
+    return run_arms(cfg, [{}], "fer")[0][1]
 
 
 def run_partition_sweep(cfg: SimConfig, sweep) -> list:
-    """Uncoded BER for each partition spec in sweep, paired via shared seed.
+    """Uncoded BER for each partition spec in sweep, one arm per spec.
 
-    Specs use the config syntax (None/'full', mapping, or [k, q] pair); each
-    arm reuses the caller's seed so channel and data draws are identical and
-    differences isolate the partition choice.
+    Specs use the config syntax (None/'full', mapping, or [k, q] pair); the
+    arms are paired by cfg's seed, so differences isolate the partition
+    choice.  Each row is led by its arm's ``arm_cells``.
     """
-    if not sweep:
-        raise ConfigurationError("partition sweep needs at least one spec")
-    require_uncoded(cfg)
-    # each arm is checked as it is built, so a bad one stops the sweep before any runs
-    arms = [dataclasses.replace(cfg, partition=spec) for spec in sweep]
     rows = []
-    for arm in arms:
+    for arm, arm_rows in run_arms(cfg, [{"partition": spec} for spec in sweep], "ber"):
         cells = arm_cells(arm)
-        rows += [SweepRow(**dataclasses.asdict(row), **cells) for row in run_uncoded(arm)]
+        rows += [SweepRow(**dataclasses.asdict(row), **cells) for row in arm_rows]
     return rows
 
 
@@ -391,9 +399,10 @@ def write_results(rows, cfg: SimConfig) -> None:
 
     Timings stay out of the CSV so identical configurations reproduce it
     byte for byte.  Without an output the CSV goes to stdout, with no sidecar.
+    The sidecar is built first, so a config it rejects leaves neither file.
     """
-    write_text(render_csv(rows, rows[0].HEADER), cfg)
     if not cfg.output:
+        write_text(render_csv(rows, rows[0].HEADER), cfg)
         return
     walls = [r.wall_time_s for r in rows]
     meta = {
@@ -406,6 +415,7 @@ def write_results(rows, cfg: SimConfig) -> None:
         ldpc, _ = _ldpc_layout(cfg)
         digest = hashlib.sha256(ldpc.h.tobytes()).hexdigest()
         meta["ldpc"] = {"n": ldpc.n, "k": ldpc.k, "h_sha256": digest}
+    write_text(render_csv(rows, rows[0].HEADER), cfg)
     with open(cfg.output + ".meta.json", "w", encoding="ascii") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -3,12 +3,13 @@
 Each ``ref_*`` function below is the plain-numpy form of a hot-path function
 (one array expression per step, the quantizer, scores, selector and syndrome
 each in its own reference form).  The optimised functions must return the
-same bytes: the same bits and generator state from ``transmit``, bitwise
-LLRs from ``compute_llrs``, the same candidates and indices from
-``preprocess`` and the hard decoders, the same ``(bits, converged)``
-from ``decode_bp`` at every iteration cap, the same k-means distances
-from the packed popcount form, the same slot digits and stream position as
-``Generator.integers`` and the same k-means seeds as ``Generator.choice``.
+same bytes: the same bits and generator state from ``transmit`` and
+``transmit_pilots``, bitwise LLRs from ``compute_llrs``, the same
+candidates and indices from ``preprocess`` and the hard decoders, the same
+``(bits, converged)`` from ``decode_bp`` at every iteration cap, the same
+k-means distances from the packed popcount form, the same slot digits and
+stream position as ``Generator.integers`` and the same k-means seeds as
+``Generator.choice``.
 """
 
 import numpy as np
@@ -18,7 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onebit_mimo import partition, sim
-from onebit_mimo.channel import NOISE_STD, quantize, sample_rayleigh, transmit
+from onebit_mimo.channel import (
+    NOISE_STD,
+    generate_pilots,
+    quantize,
+    sample_rayleigh,
+    transmit,
+    transmit_pilots,
+)
 from onebit_mimo.config import SimConfig
 from onebit_mimo.core import (
     bit_table,
@@ -76,6 +84,14 @@ def ref_transmit(h_real, w, constellation, rng):
     v = h_real @ x
     v = v + rng.normal(0.0, NOISE_STD, size=v.shape)
     return ref_quantize(v)
+
+
+def ref_transmit_pilots(h_real, pilots, rng):
+    obs = np.empty((pilots.shape[1], h_real.shape[0]), dtype=np.uint8)
+    for t in range(pilots.shape[1]):
+        v = h_real @ real_stack(pilots[:, t])
+        obs[t] = ref_quantize(v + rng.normal(0.0, NOISE_STD, size=v.shape))
+    return obs
 
 
 def ref_compute_llrs(r, code, candidates=None):
@@ -241,6 +257,26 @@ def test_transmit_matches_reference(m, K, n_r, seed):
         got = transmit(h, w, const, new_rng)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+    assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    K=st.integers(1, 8),
+    n_r=st.integers(1, 32),
+    reps=st.integers(1, 4),
+    snr_db=st.floats(-10, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_transmit_pilots_matches_reference(K, n_r, reps, snr_db, seed):
+    rng = np.random.default_rng(seed)
+    h = real_channel_matrix(sample_rayleigh(K, n_r, rng))
+    pilots = generate_pilots(K, K * reps, 10.0 ** (snr_db / 10))
+    ref_rng, new_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    expected = ref_transmit_pilots(h, pilots, ref_rng)
+    got = transmit_pilots(h, pilots, new_rng)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
     assert new_rng.bit_generator.state == ref_rng.bit_generator.state
 
 

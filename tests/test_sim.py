@@ -262,20 +262,49 @@ def test_config_rejects_zf_with_partition():
     small_uncoded(detector="zf")
 
 
-def test_partition_sweep_rejects_zf_before_running_any_arm(monkeypatch):
+def _no_run(monkeypatch):
+    """The list of arms ``sim._run`` was called with, which the patch stops from running."""
     calls = []
-    monkeypatch.setattr(sim, "run_uncoded", lambda arm: calls.append(arm) or [])
+    monkeypatch.setattr(sim, "_run", lambda cfg, worker, metric: calls.append(cfg) or [])
+    return calls
+
+
+def test_partition_sweep_rejects_zf_before_running_any_arm(monkeypatch):
+    calls = _no_run(monkeypatch)
     with pytest.raises(ConfigurationError, match="zf"):
         run_partition_sweep(small_uncoded(detector="zf"), ["full", {"k": [4], "q": [2]}])
     assert calls == []
 
 
 def test_partition_sweep_rejects_soft_wmd_before_running_any_arm(monkeypatch):
-    calls = []
-    monkeypatch.setattr(sim, "run_uncoded", lambda arm: calls.append(arm) or [])
+    calls = _no_run(monkeypatch)
     with pytest.raises(ConfigurationError, match="soft-wmd"):
         run_partition_sweep(small_uncoded(detector="soft-wmd"), ["full", {"k": [4], "q": [2]}])
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "arm, match",
+    [({"detector": "zf"}, "uncoded-only"), ({"ldpc_n": 4000}, "t_d=128")],
+    ids=["zf", "ldpc-overruns-t_d"],
+)
+def test_coded_arms_are_all_checked_before_any_runs(monkeypatch, arm, match):
+    calls = _no_run(monkeypatch)
+    with pytest.raises(ConfigurationError, match=match):
+        sim.run_arms(small_coded(), [{"detector": "soft-wmd"}, {"detector": "wmd"}, arm], "fer")
+    assert calls == []
+
+
+def test_paired_arms_keep_the_seed_and_lay_their_fields_over_the_config(monkeypatch):
+    calls = _no_run(monkeypatch)
+    arms = sim.run_arms(small_uncoded(), [{"detector": "md"}, {"partition": [[4], [2]]}], "ber")
+    assert [cfg for cfg, _ in arms] == calls
+    assert [(c.detector, c.partition, c.seed) for c in calls] == [
+        ("md", None, 1),
+        ("wmd", PartitionParams((4,), (2,)), 1),
+    ]
+    with pytest.raises(ConfigurationError, match="at least one arm"):
+        sim.run_arms(small_uncoded(), [], "ber")
 
 
 def test_config_requires_seed():
@@ -632,15 +661,27 @@ def test_numpy_partition_entries_are_stored_as_python_ints():
             {"k": [4], "q": [2]},
         ),
         (small_coded, run_coded, "ldpc_rate", np.float32(0.5), 0.5),
+        # one integer rule for fields and partition entries: a numpy int field was refused
+        (small_uncoded, run_uncoded, "n_users", np.int64(2), 2),
     ],
-    ids=["partition", "ldpc_rate"],
+    ids=["partition", "ldpc_rate", "n_users"],
 )
 def test_numpy_scalars_give_a_readable_sidecar(tmp_path, make, run, field, value, expected):
     # a numpy scalar the config took used to stop json.dump half way through the sidecar
     cfg = make(trials=4, output=str(tmp_path / "res.csv"), **{field: value})
+    assert not isinstance(getattr(cfg, field), np.generic)  # stored as a plain Python value
     write_results(run(cfg), cfg)
     with open(tmp_path / "res.csv.meta.json", encoding="ascii") as fh:
         assert json.load(fh)["config"][field] == expected
+
+
+def test_a_rejected_sidecar_leaves_no_csv(tmp_path):
+    cfg = small_coded(trials=4, output=str(tmp_path / "r.csv"))
+    rows = run_coded(cfg)
+    cfg.ldpc_n = 4000  # one frame of 2000 slots overruns the 128-slot block
+    with pytest.raises(ConfigurationError, match="of 2000 slots"):
+        write_results(rows, cfg)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_results_without_path_prints_the_csv(tmp_path, monkeypatch, capsys):

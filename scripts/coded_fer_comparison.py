@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""LDPC frame error rate: soft LLRs + belief propagation versus hard
-decisions + bit flipping, on paired seeds across an SNR range.
+"""LDPC frame error rate: soft-wMD LLRs + belief propagation versus hard wMD
+or ZF decisions + bit flipping, on paired seeds across an SNR range.
 
 Every ``onebit-mimo coded`` flag but ``--detector`` overrides the presets.
 
@@ -21,9 +21,9 @@ PRESETS = {  # trials counts user-frames per SNR point
 
 def run(args: argparse.Namespace) -> int:
     if args.detector is not None:
-        raise ConfigurationError("the arms are soft-wmd and wmd: --detector is not taken")
+        raise ConfigurationError("the arms are soft-wmd, wmd and zf: --detector is not taken")
     base = build_config(args, PRESETS)
-    arms = run_arms(base, [{"detector": "soft-wmd"}, {"detector": "wmd"}], "fer")
+    arms = run_arms(base, [{"detector": d} for d in ("soft-wmd", "wmd", "zf")], "fer")
     write_results([row for _, rows in arms for row in rows], base)
     return 0
 

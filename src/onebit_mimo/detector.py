@@ -58,14 +58,14 @@ def ml_decode(r: np.ndarray, code: SpatialCode, candidates=None) -> int:
     return _nearest(r, code, candidates, "nll")
 
 
-def zf_detect(r: np.ndarray, h_real: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Zero-forcing baseline: pseudo-inverse on +-1 samples, then slicing.
+def zf_detect(r: np.ndarray, h_pinv: np.ndarray, constellation: Constellation) -> np.ndarray:
+    """Zero-forcing baseline: the channel's pseudo-inverse on +-1 samples, then slicing.
 
     One-bit quantization loses the amplitude, so the pseudo-inverse output is
     rescaled to the constellation's mean power before nearest-point slicing.
     """
     y = 1.0 - 2.0 * np.asarray(r, dtype=float)
-    x_hat = np.linalg.pinv(h_real) @ y  # raises LinAlgError when rank-deficient
+    x_hat = h_pinv @ y
     K = x_hat.shape[0] // 2
     s = x_hat[:K] + 1j * x_hat[K:]
     rms = np.sqrt(np.mean(np.abs(s) ** 2))

@@ -282,8 +282,7 @@ def decode_bit_flipping(bits: np.ndarray, code: LdpcCode, max_iter: int = 50):
         synd = syndrome(code, bits)
         if not synd.any():
             return bits, True
-        unsat = np.zeros(code.n, dtype=np.int64)
-        np.add.at(unsat, code.edge_var, synd[code.edge_check])
+        unsat = np.bincount(code.edge_var[synd[code.edge_check].view(bool)], minlength=code.n)
         flip = 2 * unsat > code.col_degree
         if not flip.any():
             return bits, False

@@ -16,12 +16,12 @@ run kind goes through one detection step, ``_detect_slot``: transmit, then
 ZF, or pruning (when a tree exists) and a hard decoder or the soft LLRs.
 Every run goes through one runner, ``run_arms``, of arms (dicts of fields
 laid over one config) that it checks against the run kind of ``_RUN_KINDS``,
-all before the first runs: "ber" refuses soft-wmd, "fer" refuses zf and
-needs an LDPC code that fits.  One resolver, ``_ldpc_layout``, gives a coded
-run that code and its frames per block: an alist overrides ldpc_n,
-ldpc_rate and ldpc_seed, and a constructed code is checked, against t_d
-too, before it is built.  The runner, each coded block and the sidecar call
-it; the code is built once per process for its alist path or its parameters.
+all before the first runs: "ber" refuses soft-wmd, "fer" needs an LDPC code
+that fits.  One resolver, ``_ldpc_layout``, gives a coded run that code and
+its frames per block: an alist overrides ldpc_n, ldpc_rate and ldpc_seed, and
+a constructed code is checked, against t_d too, before it is built.  The
+runner, each coded block and the sidecar call it; the code is built once per
+process for its alist path or its parameters.
 
 Blocks are scheduled in fixed-size waves: a whole wave is simulated and
 merged before the stopping rule (trial budget or error target) is evaluated,
@@ -106,12 +106,12 @@ def _ldpc_layout(cfg: SimConfig):
 
 @dataclass(frozen=True)
 class Block:
-    """One coherence block: its channel, code, optional tree and data stream."""
+    """One coherence block: its channel, ZF's pseudo-inverse or code and tree, data stream."""
 
     const: Constellation
     h_true: np.ndarray
-    h_est: np.ndarray
-    code: SpatialCode
+    h_pinv: np.ndarray | None  # of the channel estimate, for zf only
+    code: SpatialCode | None  # for every detector but zf
     tree: PartitionTree | None
     rng_data: np.random.Generator
 
@@ -122,7 +122,7 @@ def _block_rng(cfg: SimConfig, snr_idx: int, block: int, purpose: int) -> np.ran
 
 
 def _setup_block(cfg: SimConfig, snr_idx: int, block: int) -> Block:
-    """Channel draw, optional pilot-based estimation, code and tree build."""
+    """Channel draw, optional pilot-based estimation, then ZF's pseudo-inverse or code and tree."""
     rng_channel = _block_rng(cfg, snr_idx, block, 0)
     snr = snr_linear(cfg.snr_db[snr_idx])
     const = qam_constellation(cfg.m, snr)
@@ -133,11 +133,14 @@ def _setup_block(cfg: SimConfig, snr_idx: int, block: int) -> Block:
         h_est = real_channel_matrix(h_est_c)
     else:
         h_est = h_true
+    rng_data = _block_rng(cfg, snr_idx, block, 2)
+    if cfg.detector == "zf":  # searches no codebook, so takes no partition either
+        return Block(const, h_true, np.linalg.pinv(h_est), None, None, rng_data)
     code = build_code(h_est, const)
     tree = None
     if cfg.partition is not None:
         tree = build_partition_tree(code, cfg.partition, _block_rng(cfg, snr_idx, block, 1))
-    return Block(const, h_true, h_est, code, tree, _block_rng(cfg, snr_idx, block, 2))
+    return Block(const, h_true, None, code, tree, rng_data)
 
 
 @dataclass
@@ -171,7 +174,7 @@ def _detect_slot(cfg: SimConfig, blk: Block, w: np.ndarray, stats: BlockStats) -
     stats.cand_slots += 1
     detector, code, tree = cfg.detector, blk.code, blk.tree
     if detector == "zf":
-        return zf_detect(r, blk.h_est, blk.const)
+        return zf_detect(r, blk.h_pinv, blk.const)
     if tree is None:
         cand = None
         stats.cand_sum += code.size
@@ -314,7 +317,7 @@ def _run(cfg: SimConfig, worker, metric: str) -> list:
 # this process; a spawned worker starts without its cache and builds its own).
 _RUN_KINDS = {
     "ber": (_uncoded_block, "soft-wmd", "soft-wmd produces LLRs and needs a coded run", None),
-    "fer": (_coded_block, "zf", "zf detection is uncoded-only", _ldpc_layout),
+    "fer": (_coded_block, None, None, _ldpc_layout),
 }
 
 

@@ -331,7 +331,6 @@ def test_wrongly_typed_config_value_is_config_error(capsys, tmp_path, field, val
     [
         ["uncoded", *SMALL, "--detector", "soft-wmd"],
         ["partition-sweep", *SMALL, "--detector", "soft-wmd", "--sweep", '["full"]'],
-        ["coded", *SMALL, "--detector", "zf", "--ldpc_n", "64"],
     ],
 )
 def test_detector_of_the_wrong_run_kind_is_config_error(capsys, argv):
@@ -339,6 +338,15 @@ def test_detector_of_the_wrong_run_kind_is_config_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert argv[argv.index("--detector") + 1] in err
+
+
+def test_coded_runs_zf(capsys):
+    # ZF decides digits like the hard decoders, which bit flipping decodes
+    code, out, err = run_cli(capsys, ["coded", *SMALL, "--detector", "zf", "--ldpc_n", "64"])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == CSV_HEADER
+    assert len(lines) > 1 and all(line.split(",")[1:3] == ["zf", "fer"] for line in lines[1:])
 
 
 def test_uncoded_runs_at_m_1024(capsys):
@@ -675,7 +683,8 @@ def test_unusable_alist_is_config_error_naming_the_file(capsys, tmp_path, data, 
 
 def test_cancelled_pilots_give_a_run_not_an_error(capsys, monkeypatch):
     # at -20 dB one user's one-bit pilots on one antenna often cancel; the
-    # zero channel estimate is a draw, and the run goes on with it
+    # zero channel estimate is a draw, and the run goes on with it, under
+    # ZF's pseudo-inverse of it too
     estimate, estimates = sim.estimate_channel_zf, []
 
     def spy(observations, pilots):
@@ -683,16 +692,19 @@ def test_cancelled_pilots_give_a_run_not_an_error(capsys, monkeypatch):
         return estimates[-1]
 
     monkeypatch.setattr(sim, "estimate_channel_zf", spy)
-    code, out, err = run_cli(
-        capsys,
-        [
-            "uncoded", "--csir", "estimated", "--n_users", "1", "--n_rx", "1", "--t_t", "2",
-            "--t_d", "10", "--t_c", "12", "--trials", "200", "--snr_db=-20", "--seed", "1",
-        ],
-    )
-    assert (code, err) == (0, "")
-    assert out.splitlines()[0] == CSV_HEADER
-    assert any(not h.any() for h in estimates)
+    for detector in ("wmd", "zf"):
+        estimates.clear()
+        code, out, err = run_cli(
+            capsys,
+            [
+                "uncoded", "--csir", "estimated", "--n_users", "1", "--n_rx", "1", "--t_t", "2",
+                "--t_d", "10", "--t_c", "12", "--trials", "200", "--snr_db=-20", "--seed", "1",
+                "--detector", detector,
+            ],
+        )
+        assert (code, err) == (0, ""), detector
+        assert out.splitlines()[0] == CSV_HEADER
+        assert any(not h.any() for h in estimates), detector
 
 
 @pytest.mark.parametrize(

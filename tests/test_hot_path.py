@@ -6,7 +6,9 @@ each in its own reference form).  The optimised functions must return the
 same bytes: the same bits and generator state from ``transmit`` and
 ``transmit_pilots``, bitwise LLRs from ``compute_llrs``, the same
 candidates and indices from ``preprocess`` and the hard decoders, the same
-``(bits, converged)`` from ``decode_bp`` at every iteration cap, the same
+digits from ``zf_detect`` as from a pseudo-inverse taken per slot, the same
+``(bits, converged)`` from ``decode_bp`` and ``decode_bit_flipping`` at every
+iteration cap, the same
 k-means distances from the packed popcount form, the same slot digits and
 stream position as ``Generator.integers`` and the same k-means seeds as
 ``Generator.choice``.
@@ -36,12 +38,13 @@ from onebit_mimo.core import (
     real_channel_matrix,
     real_stack,
 )
-from onebit_mimo.detector import LLR_CLAMP, _nearest, compute_llrs
+from onebit_mimo.detector import LLR_CLAMP, _nearest, compute_llrs, zf_detect
 from onebit_mimo.errors import CodeConstructionError
 from onebit_mimo.ldpc import (
     _TANH_LIM,
     code_from_parity_check,
     construct_code,
+    decode_bit_flipping,
     decode_bp,
     encode,
     parse_alist,
@@ -124,6 +127,19 @@ def ref_nearest(r, code, candidates, metric):
     score = code.score(metric)
     pos = int(ref_smallest(score, r, ref_score(score, r, cand), 1, cand).argmax())
     return pos if cand is None else int(cand[pos])
+
+
+def ref_zf_detect(r, h_real, constellation):
+    """ZF that takes the channel's pseudo-inverse itself, on every slot."""
+    y = 1.0 - 2.0 * np.asarray(r, dtype=float)
+    x_hat = np.linalg.pinv(h_real) @ y
+    K = x_hat.shape[0] // 2
+    s = x_hat[:K] + 1j * x_hat[K:]
+    rms = np.sqrt(np.mean(np.abs(s) ** 2))
+    if rms > 0:
+        s = s * np.sqrt(constellation.snr) / rms
+    dist = np.abs(s[:, None] - constellation.points[None, :])
+    return np.argmin(dist, axis=1)
 
 
 def ref_preprocess(r, tree, q=None):
@@ -217,6 +233,22 @@ def ref_decode_bp(llrs, code, max_iter=50):
         if not ref_syndrome(code, bits).any():
             return bits, True
     return bits, False
+
+
+def ref_decode_bit_flipping(bits, code, max_iter=50):
+    """Bit flipping that counts unsatisfied checks with ``np.add.at``."""
+    bits = np.array(bits, dtype=np.uint8)
+    for _ in range(max_iter):
+        synd = ref_syndrome(code, bits)
+        if not synd.any():
+            return bits, True
+        unsat = np.zeros(code.n, dtype=np.int64)
+        np.add.at(unsat, code.edge_var, synd[code.edge_check])
+        flip = 2 * unsat > code.col_degree
+        if not flip.any():
+            return bits, False
+        bits[flip] ^= 1
+    return bits, not ref_syndrome(code, bits).any()
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +345,30 @@ def test_hard_decision_ties_go_to_the_lowest_index():
             got = _nearest(r, code, cand, "hamming")
             assert got == ref_nearest(r, code, cand, "hamming")
             assert got == int(np.flatnonzero((code.codewords != r).sum(axis=1) == 0)[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.sampled_from((4, 16)),
+    K=st.integers(1, 6),
+    n_r=st.integers(1, 32),
+    kind=st.sampled_from(("full", "zero", "rank-deficient")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_zf_detect_matches_reference(m, K, n_r, kind, seed):
+    # pinv of a zero or rank-deficient channel is a result, not an error
+    rng = np.random.default_rng(seed)
+    const = qam_constellation(m, 10.0 ** rng.uniform(-1.0, 2.0))
+    h_real = real_channel_matrix(sample_rayleigh(K, n_r, rng))
+    if kind == "zero":
+        h_real[:] = 0.0
+    elif kind == "rank-deficient":
+        h_real[:, -1] = h_real[:, 0]
+    h_pinv = np.linalg.pinv(h_real)
+    for _ in range(5):
+        r = rng.integers(0, 2, 2 * n_r).astype(np.uint8)
+        got, want = zf_detect(r, h_pinv, const), ref_zf_detect(r, h_real, const)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -560,6 +616,24 @@ def test_decode_bp_edge_inputs_match_reference(name):
     flipped = np.full(code.n, 4.0)
     flipped[:5] = -4.0  # a few wrong signs for BP to correct
     _assert_same_decoding(flipped, code)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CODES)),
+    p=st.sampled_from((0.0, 0.01, 0.03, 0.08, 0.5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decode_bit_flipping_matches_reference(name, p, seed):
+    # a codeword with each bit flipped with probability p
+    code = CODES[name]
+    rng = np.random.default_rng(seed)
+    word = encode(code, rng.integers(0, 2, code.k)) ^ (rng.random(code.n) < p)
+    for cap in CAPS:
+        expected = ref_decode_bit_flipping(word, code, cap)
+        got = decode_bit_flipping(word, code, cap)
+        assert got[0].dtype == np.uint8 and got[0].tobytes() == expected[0].tobytes()
+        assert bool(got[1]) is bool(expected[1])
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,10 @@ SRC = str(Path(onebit_mimo.__file__).parents[1])
 TINY = ["--n_users", "1", "--n_rx", "4", "--snr_db", "0", "--trials", "1"]
 # a budget that runs for hours: a bad request must fail before it starts
 ENDLESS = ["--trials", "100000000", "--target_errors", "1000000000"]
+# each script's argv and its arm count: an arm gives one row at TINY's one SNR point
 RUNS = {
-    "uncoded_ber_sweep": [*TINY, "--t_c", "10", "--t_d", "10", "--detectors", "wmd,zf"],
-    "coded_fer_comparison": TINY,
+    "uncoded_ber_sweep": ([*TINY, "--t_c", "10", "--t_d", "10", "--detectors", "wmd,zf"], 2),
+    "coded_fer_comparison": (TINY, 3),  # soft-wmd, wmd and zf
 }
 
 
@@ -41,11 +42,12 @@ def run_script(name, *argv):
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_script_prints_csv(name):
-    proc = run_script(name, *RUNS[name], "--seed", "1")
+    argv, arms = RUNS[name]
+    proc = run_script(name, *argv, "--seed", "1")
     assert (proc.returncode, proc.stderr) == (0, "")
     lines = proc.stdout.splitlines()
     assert lines[0] == CSV_HEADER
-    assert len(lines) == 3  # two arms at one SNR point
+    assert len(lines) == 1 + arms
 
 
 BAD_REQUESTS = [
@@ -64,7 +66,7 @@ BAD_REQUESTS = [
 )
 def test_script_bad_request_exits_2(name, argv, message):
     start = time.monotonic()
-    proc = run_script(name, *RUNS[name], *argv)
+    proc = run_script(name, *RUNS[name][0], *argv)
     assert time.monotonic() - start < 20
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("configuration error: ")

@@ -5,6 +5,7 @@ import hashlib
 import json
 import multiprocessing
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -164,12 +165,12 @@ def test_entry_points_check_a_config_changed_after_it_was_built(entry, make, fie
 def test_runners_check_their_own_run_kind():
     # the config alone takes every detector; each runner checks its own kind
     small_uncoded(detector="soft-wmd")
-    small_coded(detector="zf")
     small_coded(ldpc_n=130, t_d=64, t_c=64)
     with pytest.raises(ConfigurationError, match="soft-wmd"):
         run_uncoded(small_uncoded(detector="soft-wmd"))
-    with pytest.raises(ConfigurationError, match="zf"):
-        run_coded(small_coded(detector="zf"))
+    # zf decides digits like the hard decoders, so a coded run takes it
+    rows = run_coded(small_coded(detector="zf"))
+    assert [(r.detector, r.metric) for r in rows] == [("zf", "fer")]
     with pytest.raises(ConfigurationError, match="t_d=64"):
         run_coded(small_coded(ldpc_n=130, t_d=64, t_c=64))  # 65 slots > t_d
 
@@ -285,8 +286,8 @@ def test_partition_sweep_rejects_soft_wmd_before_running_any_arm(monkeypatch):
 
 @pytest.mark.parametrize(
     "arm, match",
-    [({"detector": "zf"}, "uncoded-only"), ({"ldpc_n": 4000}, "t_d=128")],
-    ids=["zf", "ldpc-overruns-t_d"],
+    [({"seed": None}, "explicit seed"), ({"ldpc_n": 4000}, "t_d=128")],
+    ids=["seed-unset", "ldpc-overruns-t_d"],
 )
 def test_coded_arms_are_all_checked_before_any_runs(monkeypatch, arm, match):
     calls = _no_run(monkeypatch)
@@ -356,6 +357,23 @@ def test_uncoded_high_snr_nearly_error_free():
 def test_uncoded_zf_reports_no_candidates():
     rows = run_uncoded(small_uncoded(detector="zf", trials=100))
     assert rows[0].mean_candidates == 0.0
+
+
+@pytest.mark.parametrize("run, make", [(run_uncoded, small_uncoded), (run_coded, small_coded)])
+@pytest.mark.parametrize("detector, codes, pinvs", [("zf", 0, 1), ("wmd", 1, 0)])
+def test_each_block_sets_up_its_detector_once(monkeypatch, run, make, detector, codes, pinvs):
+    # per block, zf takes one pseudo-inverse and builds no code; wmd builds its code
+    calls = Counter()
+
+    def counted(name, fn):
+        return lambda *args: calls.update([name]) or fn(*args)
+
+    monkeypatch.setattr(sim, "sample_rayleigh", counted("block", sim.sample_rayleigh))
+    monkeypatch.setattr(sim, "build_code", counted("code", sim.build_code))
+    monkeypatch.setattr(np.linalg, "pinv", counted("pinv", np.linalg.pinv))
+    run(make(detector=detector))
+    assert calls["block"] > 1
+    assert (calls["code"], calls["pinv"]) == (codes * calls["block"], pinvs * calls["block"])
 
 
 def test_uncoded_partitioned_run_reports_reduced_candidates():

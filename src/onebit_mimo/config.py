@@ -72,6 +72,8 @@ def parse_partition(value) -> PartitionParams | None:
     if value is None or (isinstance(value, str) and value == "full"):
         return None
     if isinstance(value, dict):
+        if unknown := set(value) - {"k", "q"}:
+            raise ConfigurationError(f"unknown partition keys: {sorted(unknown, key=str)}")
         value = value.get("k"), value.get("q")
     if not isinstance(value, PartitionParams):
         pair = isinstance(value, (list, tuple)) and len(value) == 2
@@ -118,9 +120,17 @@ def _is_real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """A real number whose float is finite: not nan, inf or an int beyond float range."""
+    try:
+        return _is_real(value) and math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
 _KINDS = {
     int: ("an integer", is_int),
-    float: ("a number", _is_real),
+    float: ("a finite number", _is_finite),
     str: ("a string", lambda v: isinstance(v, str)),
 }
 
@@ -168,10 +178,7 @@ def require_field_types(cfg) -> None:
             rule and not (value in rule if isinstance(value, str) else rule[0] <= value <= rule[1])
         ):
             raise ConfigurationError(f"{name} must be {_describe(noun, rule)}, got {value!r}")
-        try:
-            setattr(cfg, name, kind(value))
-        except OverflowError as exc:  # an int beyond float range
-            raise ConfigurationError(f"{name} must be a float, got {value!r}") from exc
+        setattr(cfg, name, kind(value))
 
 
 @dataclass
@@ -288,8 +295,8 @@ def _scalar_field_types(cls) -> dict:
 
 # The one typing of the scalar fields: SimConfig checks them when it is built
 # and the CLI types its same-name flags by them.  An integer field takes any
-# integer, numpy's too (not a bool), a float field any real number, a str field
-# a str; an optional field also takes None.  Read once here, since
+# integer, numpy's too (not a bool), a float field any finite real number, a
+# str field a str; an optional field also takes None.  Read once here, since
 # get_type_hints costs far more than building a config.
 FIELD_TYPES = _scalar_field_types(SimConfig)
 

@@ -3,10 +3,10 @@
 Every decoder and soft output scores codewords through one cached
 ``MismatchScore`` of the code; the hard decoders take the smallest score,
 with exact ties resolved to the lowest codeword index; the soft outputs
-reduce every codeword's score, +inf outside the candidates, over the rows of
-a per-(m, K) index table.  LLRs follow the convention
-L = log(P(bit=0) / P(bit=1)) and are clamped to +-LLR_CLAMP before handoff
-to a channel decoder.
+reduce every codeword's score, +inf outside the candidates, over each side
+of a label bit (LLRs, a per-(m, K) index table) or each user's subcode
+(APPs, masks of ``code.digits``).  LLRs follow the convention L = log(P(bit=0)
+/ P(bit=1)) and are clamped to +-LLR_CLAMP before handoff to a channel decoder.
 """
 
 from __future__ import annotations
@@ -95,14 +95,15 @@ def compute_app(
     exact-sum marginalizes exact likelihoods over each symbol's subcode;
     wh-sum replaces the likelihood by exp(-d_wh), which is tight when every
     crossover probability is small; wh-max keeps only the nearest codeword
-    per subcode.  Pruned codewords carry log mass -inf, so one gather
-    through ``code.digit_sides`` and one max or logsumexp per row give every
-    subcode's mass, and a fully pruned subcode gets none.
+    per subcode.  Pruned codewords carry log mass -inf, so one mask of
+    ``code.digits`` per subcode (its codewords in ascending order) and one max
+    or logsumexp per row give every subcode's mass, and a fully pruned
+    subcode gets none.
     """
     if mode not in APP_MODES:
         raise ValueError(f"unknown APP mode {mode!r}")
     log_p = -_masked_scores(r, code, candidates, "nll" if mode == "exact-sum" else "wh")
-    per_symbol = log_p[code.digit_sides]  # (K, m, M/m)
+    per_symbol = np.array([[log_p[col == j] for j in range(code.m)] for col in code.digits.T])
     log_mass = per_symbol.max(axis=2) if mode == "wh-max" else logsumexp(per_symbol, axis=2)
     table = np.exp(log_mass - log_mass.max(axis=1, keepdims=True))
     return table / table.sum(axis=1, keepdims=True)

@@ -170,7 +170,7 @@ def require_constructible(n: int, rate: float) -> None:
     The degree pair fixes the design rate at 1/2, and the construction needs
     an even n of at least 2 * CHECK_DEGREE.
     """
-    if abs(rate - 0.5) > 1e-12:
+    if not abs(rate - 0.5) <= 1e-12:  # true for nan too
         raise ConfigurationError(f"(3,6)-regular construction fixes rate=0.5, got {rate}")
     if n < 2 * CHECK_DEGREE or n % 2:
         raise ConfigurationError(f"blocklength must be even and >= {2 * CHECK_DEGREE}, got {n}")

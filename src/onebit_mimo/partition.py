@@ -49,32 +49,21 @@ class PartitionParams:
         return "k" + "x".join(map(str, self.k)) + "-q" + "x".join(map(str, self.q))
 
 
-@dataclass(frozen=True)
-class ParamViolation:
-    level: int
-    message: str
-
-
 def validate_params(params: PartitionParams) -> list:
-    """Empty list when valid, else one violation per offending level."""
-    violations = []
+    """Empty list when valid, else one ``level L: message`` string per offending level."""
     if len(params.k) != len(params.q) or len(params.k) == 0:
-        violations.append(
-            ParamViolation(0, f"k and q must be equal-length and nonempty, got {params.k} / {params.q}")
-        )
-        return violations
+        return [f"level 0: k and q must be equal-length and nonempty, got {params.k} / {params.q}"]
+    violations = []
     prev_q = 1
     for lvl, (k, q) in enumerate(zip(params.k, params.q), start=1):
         if not (is_int(k) and is_int(q)):
-            violations.append(ParamViolation(lvl, f"k_{lvl}={k!r}, q_{lvl}={q!r} must be integers"))
+            violations.append(f"level {lvl}: k_{lvl}={k!r}, q_{lvl}={q!r} must be integers")
             continue
         if k < 1 or q < 1:
-            violations.append(ParamViolation(lvl, f"k_{lvl}={k}, q_{lvl}={q} must be >= 1"))
+            violations.append(f"level {lvl}: k_{lvl}={k}, q_{lvl}={q} must be >= 1")
             continue
         if q > prev_q * k:
-            violations.append(
-                ParamViolation(lvl, f"q_{lvl}={q} exceeds q_{lvl - 1}*k_{lvl}={prev_q * k}")
-            )
+            violations.append(f"level {lvl}: q_{lvl}={q} exceeds q_{lvl - 1}*k_{lvl}={prev_q * k}")
         prev_q = q
     return violations
 
@@ -82,8 +71,7 @@ def validate_params(params: PartitionParams) -> list:
 def require_valid_params(params: PartitionParams) -> None:
     violations = validate_params(params)
     if violations:
-        detail = "; ".join(f"level {v.level}: {v.message}" for v in violations)
-        raise ConfigurationError(f"invalid partition parameters: {detail}")
+        raise ConfigurationError(f"invalid partition parameters: {'; '.join(violations)}")
 
 
 @dataclass

@@ -15,13 +15,14 @@ stream's raw words (``_slot_digits``).  Every data slot of every
 run kind goes through one detection step, ``_detect_slot``: transmit, then
 ZF, or pruning (when a tree exists) and a hard decoder or the soft LLRs.
 Every run goes through one runner, ``run_arms``, of arms (dicts of fields
-laid over one config) that it checks against the run kind of ``_RUN_KINDS``,
-all before the first runs: "ber" refuses soft-wmd, "fer" needs an LDPC code
-that fits.  One resolver, ``_ldpc_layout``, gives a coded run that code and
-its frames per block: an alist overrides ldpc_n, ldpc_rate and ldpc_seed, and
-a constructed code is checked, against t_d too, before it is built.  The
-runner, each coded block and the sidecar call it; the code is built once per
-process for its alist path or its parameters.
+laid over one config).  Each run kind of ``_RUN_KINDS`` pairs its block
+simulator with one arm check, and the runner checks each arm's seed and then
+that check, all before the first runs: "ber" refuses soft-wmd, "fer" needs
+an LDPC code that fits.  One resolver, ``_ldpc_layout``, gives a coded run
+that code and its frames per block: an alist overrides ldpc_n, ldpc_rate and
+ldpc_seed, and a constructed code is checked, against t_d too, before it is
+built.  The runner, each coded block and the sidecar call it; the code is
+built once per process for its alist path or its parameters.
 
 Blocks are scheduled in fixed-size waves: a whole wave is simulated and
 merged before the stopping rule (trial budget or error target) is evaluated,
@@ -312,13 +313,15 @@ def _run(cfg: SimConfig, worker, metric: str) -> list:
     return rows
 
 
-# Each run kind by its metric: block simulator, refused detector and why, and
-# the check each arm needs beyond its config's own (the LDPC fit, checked in
-# this process; a spawned worker starts without its cache and builds its own).
-_RUN_KINDS = {
-    "ber": (_uncoded_block, "soft-wmd", "soft-wmd produces LLRs and needs a coded run", None),
-    "fer": (_coded_block, None, None, _ldpc_layout),
-}
+def _hard_output(cfg: SimConfig) -> None:
+    if cfg.detector == "soft-wmd":
+        raise ConfigurationError("soft-wmd produces LLRs and needs a coded run")
+
+
+# Each run kind by its metric: block simulator and the check each arm needs
+# beyond its config's own (for "fer" the LDPC fit, checked in this process; a
+# spawned worker starts without its cache and builds its own).
+_RUN_KINDS = {"ber": (_uncoded_block, _hard_output), "fer": (_coded_block, _ldpc_layout)}
 
 
 def run_arms(cfg: SimConfig, arms, metric: str) -> list:
@@ -328,14 +331,11 @@ def run_arms(cfg: SimConfig, arms, metric: str) -> list:
     """
     if not arms:
         raise ConfigurationError("a paired run needs at least one arm")
-    worker, refused, reason, check = _RUN_KINDS[metric]
+    worker, check = _RUN_KINDS[metric]
     configs = [dataclasses.replace(cfg, **arm) for arm in arms]
     for arm in configs:
-        if arm.detector == refused:
-            raise ConfigurationError(reason)
         arm.require_seed()
-        if check:
-            check(arm)
+        check(arm)
     return [(arm, _run(arm, worker, metric)) for arm in configs]
 
 

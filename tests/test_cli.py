@@ -20,6 +20,7 @@ import onebit_mimo
 from onebit_mimo import sim
 from onebit_mimo.cli import build_parser, main
 from onebit_mimo.config import (
+    ARM_COLUMNS,
     CSV_HEADER,
     FIELD_RULES,
     FIELD_TYPES,
@@ -27,6 +28,7 @@ from onebit_mimo.config import (
     SWEEP_CSV_HEADER,
     ResultRow,
     SimConfig,
+    SweepRow,
 )
 from onebit_mimo.errors import ConfigurationError
 from onebit_mimo.sim import write_results
@@ -101,6 +103,8 @@ def test_complexity_counts_are_exact_when_prod_k_passes_int64(capsys):
         (["--n_users", "0"], "n_users must be an integer >= 1, got 0"),
         (["--n_users", "5000", "--partition", '{"k": [4], "q": [2]}'], "codebook"),
         (["--n_users", "10000"], "codebook"),
+        # qq was ignored
+        (["--partition", '{"k":[4],"q":[2],"qq":[9]}'], "unknown partition keys: ['qq']"),
     ],
 )
 def test_complexity_rejects_invalid_config(capsys, argv, message):
@@ -532,13 +536,25 @@ def test_invalid_config_exits_2_from_every_subcommand(capsys, tmp_path, command)
 
 
 def test_readme_shows_the_sweep_example_output(capsys):
+    # every command of the Command line block runs and prints its CSV header,
+    # and the partition-sweep one prints the output shown under Output format
     text = README.read_text(encoding="utf-8")
-    start = text.index("onebit-mimo partition-sweep")
-    command = text[start : text.index("\n```", start)].replace("\\\n", " ")
-    argv = shlex.split(command)[1:]
-    code, out, err = run_cli(capsys, argv)
-    assert (code, err) == (0, "")
-    assert "\n```\n" + out + "```\n" in text
+    start = text.index("```sh", text.index("## Command line"))
+    block = text[start : text.index("\n```", start)].replace("\\\n", " ")
+    lines = [line for line in block.splitlines() if line.startswith("onebit-mimo ")]
+    commands = [shlex.split(line)[1:] for line in lines]
+    headers = {
+        "complexity": ",".join(ARM_COLUMNS),
+        "uncoded": ResultRow.HEADER,
+        "coded": ResultRow.HEADER,
+        "partition-sweep": SweepRow.HEADER,
+    }
+    assert sorted({argv[0] for argv in commands}) == sorted(headers)
+    for argv in commands:
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err, out.split("\n", 1)[0]) == (0, "", headers[argv[0]]), argv
+        if argv[0] == "partition-sweep":
+            assert "\n```\n" + out + "```\n" in text
 
 
 def test_readme_library_example_runs():

@@ -157,6 +157,8 @@ def test_construction_rejects_bad_parameters():
         construct_code(11)
     with pytest.raises(ConfigurationError):
         construct_code(6)
+    with pytest.raises(ConfigurationError, match="rate=0.5"):
+        construct_code(128, float("nan"))  # every comparison with nan is false
 
 
 def test_code_from_parity_check_rejects_rank_deficient():

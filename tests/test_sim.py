@@ -105,6 +105,8 @@ def test_parse_partition_rejects_garbage():
         parse_partition([[4], [8]])  # violates the q-chain
     with pytest.raises(ConfigurationError, match="as lists"):
         parse_partition(np.array([[4], [2]]))  # was compared with "full" elementwise
+    with pytest.raises(ConfigurationError, match="unknown partition keys: \\['qq'\\]"):
+        parse_partition('{"k": [4], "q": [2], "qq": [9]}')  # qq was ignored
 
 
 def test_config_dict_round_trip():
@@ -233,6 +235,7 @@ def test_config_bounds_block_wave_and_ldpc_sizes():
     [
         ("m", 4.0), ("n_users", "2"), ("trials", True), ("ldpc_rate", "0.5"), ("detector", None),
         pytest.param("ldpc_rate", 10**400, id="ldpc_rate-10**400"),  # no float holds it
+        ("ldpc_rate", float("nan")), ("ldpc_rate", float("inf")),  # a JSON sidecar holds neither
     ],
 )
 def test_config_rejects_wrongly_typed_fields(field, value):
@@ -313,6 +316,9 @@ def test_config_requires_seed():
         small_uncoded(seed=None).require_seed()
     with pytest.raises(ConfigurationError):
         run_uncoded(small_uncoded(seed=None))
+    # every arm's seed is checked before its run kind's own check
+    with pytest.raises(ConfigurationError, match="explicit seed"):
+        run_uncoded(small_uncoded(detector="soft-wmd", seed=None))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from onebit_mimo.core import (
 from onebit_mimo.spatial_code import (
     EPS_FLOOR,
     _bit_sides,
-    _digit_sides,
+    _digits,
     build_code,
     exact_likelihood,
     subcode,
@@ -170,22 +170,22 @@ class TestBitSides:
 
 
 class TestDigitSides:
+    """A user's digit splits the codebook into m subcodes: the masks ``compute_app`` takes."""
+
     @pytest.mark.parametrize("m,K", [(4, K) for K in range(1, 5)] + [(16, K) for K in range(1, 4)])
     def test_rows_are_subcodes(self, m, K):
-        sides = _digit_sides(m, K)
-        assert sides.shape == (K, m, m ** (K - 1))
-        assert sides.dtype == np.intp
-        assert not sides.flags.writeable
+        digits = _digits(m, K)
         for k in range(K):
             for j in range(m):
-                np.testing.assert_array_equal(sides[k, j], subcode(k + 1, j, K, m))
+                np.testing.assert_array_equal(
+                    np.flatnonzero(digits[:, k] == j), subcode(k + 1, j, K, m)
+                )
 
     def test_shared_per_m_and_K(self):
         a = random_code(K=2, n_r=4, seed=1)
         b = random_code(K=2, n_r=6, seed=2)
-        assert a.digit_sides is b.digit_sides
-        assert a.digit_sides is _digit_sides(4, 2)
         assert a.digits is b.digits
+        assert a.digits is _digits(4, 2)
         assert not a.digits.flags.writeable
         np.testing.assert_array_equal(a.digits, all_message_digits(4, 2))
         with pytest.raises(AttributeError):

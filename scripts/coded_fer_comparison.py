@@ -2,7 +2,8 @@
 """LDPC frame error rate: soft-wMD LLRs + belief propagation versus hard wMD
 or ZF decisions + bit flipping, on paired seeds across an SNR range.
 
-Every ``onebit-mimo coded`` flag but ``--detector`` overrides the presets.
+Every ``onebit-mimo coded`` flag but ``--detector`` overrides the presets;
+``--partition`` prunes the soft and hard wMD arms, and ZF stays unpruned.
 
     python3 scripts/coded_fer_comparison.py --seed 5 --output fer.csv
 """
@@ -23,7 +24,9 @@ def run(args: argparse.Namespace) -> int:
     if args.detector is not None:
         raise ConfigurationError("the arms are soft-wmd, wmd and zf: --detector is not taken")
     base = build_config(args, PRESETS)
-    arms = run_arms(base, [{"detector": d} for d in ("soft-wmd", "wmd", "zf")], "fer")
+    arms = [{"detector": d, "partition": None if d == "zf" else base.partition}
+            for d in ("soft-wmd", "wmd", "zf")]
+    arms = run_arms(base, arms, "fer")
     write_results([row for _, rows in arms for row in rows], base)
     return 0
 

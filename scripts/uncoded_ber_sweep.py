@@ -4,7 +4,8 @@
 Each detector arm reuses the seed, so every row at a given SNR faces the
 identical channel and payload realizations and the curves are directly
 comparable. Desk-scale presets finish in well under a minute; every
-``onebit-mimo uncoded`` flag but ``--detector`` overrides them.
+``onebit-mimo uncoded`` flag but ``--detector`` overrides them, and
+``--partition`` prunes every arm but ZF.
 
     python3 scripts/uncoded_ber_sweep.py --seed 1 --output ber.csv
 """
@@ -25,7 +26,9 @@ def run(args: argparse.Namespace) -> int:
     if args.detector is not None:
         raise ConfigurationError("each arm sets its detector: use --detectors, not --detector")
     base = build_config(args, PRESETS)
-    arms = run_arms(base, [{"detector": d.strip()} for d in args.detectors.split(",")], "ber")
+    detectors = [d.strip() for d in args.detectors.split(",")]
+    arms = [{"detector": d, "partition": None if d == "zf" else base.partition} for d in detectors]
+    arms = run_arms(base, arms, "ber")
     write_results([row for _, rows in arms for row in rows], base)
     return 0
 

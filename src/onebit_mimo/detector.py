@@ -1,12 +1,12 @@
 """Hard and soft detection over a (possibly reduced) candidate set.
 
 Every decoder and soft output scores codewords through one cached
-``MismatchScore`` of the code; the hard decoders take the smallest score,
-with exact ties resolved to the lowest codeword index; the soft outputs
-reduce every codeword's score, +inf outside the candidates, over each side
-of a label bit (LLRs, a per-(m, K) index table) or each user's subcode
-(APPs, masks of ``code.digits``).  LLRs follow the convention L = log(P(bit=0)
-/ P(bit=1)) and are clamped to +-LLR_CLAMP before handoff to a channel decoder.
+``MismatchScore`` of the code (``code.wh``, ``.hamming`` or ``.nll``); the
+hard decoders take the smallest score, ties to the lowest codeword index;
+the soft outputs reduce every codeword's score, +inf outside the candidates,
+over each side of a label bit (LLRs, a per-(m, K) index table) or each
+user's subcode (APPs, masks of ``code.digits``).  LLRs follow the convention
+L = log(P(bit=0) / P(bit=1)), clamped to +-LLR_CLAMP for a channel decoder.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .core import Constellation
-from .spatial_code import SpatialCode
+from .spatial_code import MismatchScore, SpatialCode
 
 LLR_CLAMP = 60.0
 
@@ -32,30 +32,29 @@ def _candidate_array(candidates, sort: bool = True):
     return np.sort(candidates) if sort else candidates
 
 
-def _nearest(r: np.ndarray, code: SpatialCode, candidates, metric: str) -> int:
+def _nearest(r: np.ndarray, score: MismatchScore, candidates) -> int:
     """Candidate index of the smallest score, ties to the lowest index.
 
     ``smallest`` breaks ties by codeword index, so the candidates need no sort.
     """
     cand = _candidate_array(candidates, sort=False)
-    score = code.score(metric)
     pos = score.smallest(r, score(r, cand), 1, cand).argmax()
     return int(pos if cand is None else cand[pos])
 
 
 def wmd_decode(r: np.ndarray, code: SpatialCode, candidates=None) -> int:
     """Index minimizing the per-codeword weighted Hamming distance to r."""
-    return _nearest(r, code, candidates, "wh")
+    return _nearest(r, code.wh, candidates)
 
 
 def md_decode(r: np.ndarray, code: SpatialCode, candidates=None) -> int:
     """Plain minimum-Hamming-distance baseline (all weights equal)."""
-    return _nearest(r, code, candidates, "hamming")
+    return _nearest(r, code.hamming, candidates)
 
 
 def ml_decode(r: np.ndarray, code: SpatialCode, candidates=None) -> int:
     """Exact maximum-likelihood decision: the smallest -log P(r | ell)."""
-    return _nearest(r, code, candidates, "nll")
+    return _nearest(r, code.nll, candidates)
 
 
 def zf_detect(r: np.ndarray, h_pinv: np.ndarray, constellation: Constellation) -> np.ndarray:
@@ -75,14 +74,13 @@ def zf_detect(r: np.ndarray, h_pinv: np.ndarray, constellation: Constellation) -
     return np.argmin(dist, axis=1)
 
 
-def _masked_scores(r: np.ndarray, code: SpatialCode, candidates, metric: str) -> np.ndarray:
-    """(M,) scores under ``metric``, gathered for the sorted candidates, +inf elsewhere."""
+def _masked_scores(r: np.ndarray, score: MismatchScore, candidates) -> np.ndarray:
+    """(M,) scores of every row, gathered for the sorted candidates, +inf elsewhere."""
     # sorted: a gathered GEMV's result for a row depends on the row's position in the gather
     cand = _candidate_array(candidates)
-    score = code.score(metric)
     if cand is None:
         return score(r)
-    d = np.full(code.size, np.inf)
+    d = np.full(score.base.size, np.inf)
     d[cand] = score(r, cand)
     return d
 
@@ -102,7 +100,7 @@ def compute_app(
     """
     if mode not in APP_MODES:
         raise ValueError(f"unknown APP mode {mode!r}")
-    log_p = -_masked_scores(r, code, candidates, "nll" if mode == "exact-sum" else "wh")
+    log_p = -_masked_scores(r, code.nll if mode == "exact-sum" else code.wh, candidates)
     per_symbol = np.array([[log_p[col == j] for j in range(code.m)] for col in code.digits.T])
     log_mass = per_symbol.max(axis=2) if mode == "wh-max" else logsumexp(per_symbol, axis=2)
     table = np.exp(log_mass - log_mass.max(axis=1, keepdims=True))
@@ -118,7 +116,7 @@ def compute_llrs(r: np.ndarray, code: SpatialCode, candidates=None) -> np.ndarra
     ``code.bit_sides`` and one min give both sides of every bit; a side
     emptied by pruning saturates the LLR at the clamp.
     """
-    d = _masked_scores(r, code, candidates, "wh")
+    d = _masked_scores(r, code.wh, candidates)
     side_min = np.minimum.reduce(d[code.bit_sides], axis=2)  # (2, K*q)
     llr = side_min[1] - side_min[0]
     np.maximum(llr, -LLR_CLAMP, out=llr)

@@ -1,5 +1,6 @@
 """Spatial-domain code: quantized noiseless channel responses of every
-message vector, with per-bit crossover probabilities and decoding weights.
+message vector, with per-bit crossover probabilities, decoding weights and
+the scores ``wh``, ``hamming`` and ``nll``, each built on first access.
 
 Codeword ell is the sign pattern of H x(g(ell)) where g(ell) is the m-ary
 expansion of ell (user 1 = least significant digit).  Distinct messages may
@@ -11,7 +12,7 @@ lowest index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -149,14 +150,13 @@ def _bit_sides(m: int, K: int) -> np.ndarray:
     return table
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)  # frozen: no field changes under a cached score
 class SpatialCode:
     m: int
     K: int
     codewords: np.ndarray  # (M, N) uint8
     crossover: np.ndarray  # (M, N) eps in (0, 0.5]
     weights: np.ndarray  # (M, N) alpha = -log(eps)
-    _scores: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def digits(self) -> np.ndarray:
@@ -176,31 +176,24 @@ class SpatialCode:
     def length(self) -> int:
         return self.codewords.shape[1]
 
-    def score(self, metric: str) -> MismatchScore:
-        """Cached score of every codeword under one metric.
+    @cached_property
+    def wh(self) -> MismatchScore:
+        """Weighted Hamming distance of every codeword under the weights alpha."""
+        return MismatchScore(self.codewords, self.weights)
 
-        "wh" is the weighted Hamming distance under the weights alpha,
-        "hamming" the plain Hamming distance and "nll" -log P(r | ell)
-        = -sum_i log(1-eps_i) + sum_i 1{r_i != c_i} log((1-eps_i)/eps_i),
-        negated so that ML is a min.  Each of its terms is the exact negation
-        of the log-likelihood's, so -score(r) is log P(r | ell) bit for bit.
+    @cached_property
+    def hamming(self) -> MismatchScore:
+        """Plain Hamming distance of every codeword."""
+        return MismatchScore(self.codewords, np.ones_like(self.weights))
+
+    @cached_property
+    def nll(self) -> MismatchScore:
+        """-log P(r | ell), whose min is the ML decision: -sum_i log(1-eps_i) plus
+        sum_i 1{r_i != c_i} log((1-eps_i)/eps_i), each term the exact negation
+        of the log-likelihood's, so -nll(r) is log P(r | ell) bit for bit.
         """
-        cached = self._scores.get(metric)
-        if cached is not None:
-            return cached
-        if metric == "wh":
-            cached = MismatchScore(self.codewords, self.weights)
-        elif metric == "hamming":
-            cached = MismatchScore(self.codewords, np.ones_like(self.weights))
-        elif metric == "nll":
-            log_keep = np.log1p(-self.crossover)
-            cached = MismatchScore(
-                self.codewords, log_keep - np.log(self.crossover), -log_keep.sum(axis=1)
-            )
-        else:
-            raise KeyError(metric)
-        self._scores[metric] = cached
-        return cached
+        log_keep = np.log1p(-self.crossover)
+        return MismatchScore(self.codewords, log_keep - np.log(self.crossover), -log_keep.sum(axis=1))
 
 
 def build_code(h_real: np.ndarray, constellation: Constellation) -> SpatialCode:

@@ -75,6 +75,34 @@ def test_oracles_are_not_public():
     assert set(onebit_mimo.__all__) == imported
 
 
+def unused_imports(source: str) -> list:
+    """Names source imports (``__future__`` aside) but never reads or lists in ``__all__``."""
+    tree = ast.parse(source)
+    bound, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(bound - used)
+
+
+def test_no_unused_imports():
+    # removing a branch can leave its import behind
+    sample = "import os, sys\nfrom a import b as c, d\n__all__ = ['d']\nsys"
+    assert unused_imports(sample) == ["c", "os"]
+    root = Path(__file__).resolve().parents[1]
+    paths = [*(root / "src" / "onebit_mimo").glob("*.py"), *(root / "scripts").glob("*.py")]
+    found = {path.name: unused_imports(path.read_text("utf-8")) for path in sorted(paths)}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
 class TestMaryExpansion:
     def test_zero(self):
         assert m_ary_expansion(0, 4, 2).tolist() == [0, 0]

@@ -353,7 +353,7 @@ def test_llrs_subset_with_both_argmins_is_equivalent():
     code = random_code(K=2, n_r=5, seed=16)
     rng = np.random.default_rng(10)
     r = rng.integers(0, 2, code.length).astype(np.uint8)
-    d = code.score("wh")(r)
+    d = code.wh(r)
     q = 2
     keep = set()
     for k in range(code.K):

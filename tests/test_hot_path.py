@@ -98,7 +98,7 @@ def ref_transmit_pilots(h_real, pilots, rng):
 
 
 def ref_compute_llrs(r, code, candidates=None):
-    score = code.score("wh")
+    score = code.wh
     if candidates is None:
         d = ref_score(score, r)
     else:
@@ -124,7 +124,7 @@ def ref_smallest(score, r, f, q, rows=None):
 
 def ref_nearest(r, code, candidates, metric):
     cand = None if candidates is None else np.asarray(candidates, dtype=np.int64)
-    score = code.score(metric)
+    score = getattr(code, metric)
     pos = int(ref_smallest(score, r, ref_score(score, r, cand), 1, cand).argmax())
     return pos if cand is None else int(cand[pos])
 
@@ -333,7 +333,7 @@ def test_hard_decision_matches_reference(case, metric):
     rng = np.random.default_rng(seed)
     # a noiseless codeword ties with every duplicate of its pattern
     for r in (code.codewords[rng.integers(code.size)], rng.integers(0, 2, code.length)):
-        assert _nearest(r, code, cand, metric) == ref_nearest(r, code, cand, metric)
+        assert _nearest(r, getattr(code, metric), cand) == ref_nearest(r, code, cand, metric)
 
 
 def test_hard_decision_ties_go_to_the_lowest_index():
@@ -342,7 +342,7 @@ def test_hard_decision_ties_go_to_the_lowest_index():
     for r in ((0, 0), (0, 1), (1, 0), (1, 1)):
         r = np.array(r, dtype=np.uint8)
         for cand in (None, np.arange(code.size)[::-1]):
-            got = _nearest(r, code, cand, "hamming")
+            got = _nearest(r, code.hamming, cand)
             assert got == ref_nearest(r, code, cand, "hamming")
             assert got == int(np.flatnonzero((code.codewords != r).sum(axis=1) == 0)[0])
 
@@ -661,7 +661,7 @@ def test_quantize_and_scores_match_reference(case):
     v = rng.standard_normal(code.length)
     v[: code.length // 3] = 0.0  # the quantizer sends 0 to bit 0
     assert quantize(v).tobytes() == ref_quantize(v).tobytes()
-    score = code.score("wh")
+    score = code.wh
     for r in (quantize(v), rng.integers(0, 2, code.length), rng.integers(0, 2, code.length) > 0):
         assert score(r).tobytes() == ref_score(score, r).tobytes()
         if cand is not None:

@@ -4,6 +4,7 @@ They take the CLI's flags over their own presets and exit like the CLI: 0 on
 success, 2 with a one-line message on a bad request.
 """
 
+import csv
 import json
 import os
 import subprocess
@@ -48,6 +49,26 @@ def test_script_prints_csv(name):
     lines = proc.stdout.splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + arms
+
+
+# each script's extra argv and its default arms, on the 16 codewords of two users
+PARTITIONED = {
+    "uncoded_ber_sweep": (["--t_c", "10", "--t_d", "10"], ["wmd", "md", "ml", "zf"]),
+    "coded_fer_comparison": ([], ["soft-wmd", "wmd", "zf"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARTITIONED))
+def test_script_partition_prunes_every_arm_but_zf(name):
+    argv, detectors = PARTITIONED[name]
+    partition = ["--n_users", "2", "--partition", '{"k":[4],"q":[2]}']
+    proc = run_script(name, *TINY, *argv, *partition, "--seed", "1")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = list(csv.DictReader(proc.stdout.splitlines()))
+    assert [row["detector"] for row in rows] == detectors
+    for row in rows:
+        cands = float(row["mean_candidates"])
+        assert cands == 0 if row["detector"] == "zf" else 0 < cands < 16
 
 
 BAD_REQUESTS = [

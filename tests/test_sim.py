@@ -426,6 +426,31 @@ def test_uncoded_csv_pinned(detector, partition):
     assert render_csv(run_uncoded(cfg), CSV_HEADER) == want
 
 
+PINNED_CODED = {
+    ("soft-wmd", None): "-4,soft-wmd,fer,0.5,8,16,16,16\n0,soft-wmd,fer,0.125,2,16,16,16\n",
+    ("soft-wmd", "k4-q2"): (
+        "-4,soft-wmd,fer,0.5,8,16,16,7.47852\n0,soft-wmd,fer,0.3125,5,16,16,7.70703\n"
+    ),
+    ("wmd", "k4-q2"): "-4,wmd,fer,1,16,16,16,7.47852\n0,wmd,fer,0.6875,11,16,16,7.70703\n",
+    ("md", None): "-4,md,fer,1,16,16,16,16\n0,md,fer,1,16,16,16,16\n",
+    ("ml", None): "-4,ml,fer,1,16,16,16,16\n0,ml,fer,0.5,8,16,16,16\n",
+    ("zf", None): "-4,zf,fer,0.9375,15,16,16,0\n0,zf,fer,0.625,10,16,16,0\n",
+}
+
+
+@pytest.mark.parametrize("detector, partition", sorted(PINNED_CODED, key=str))
+def test_coded_csv_pinned(detector, partition):
+    cfg = small_coded(
+        detector=detector,
+        partition={"k": [4], "q": [2]} if partition else None,
+        snr_db=(-4.0, 0.0),
+        trials=16,
+        wave=2,
+    )
+    want = CSV_HEADER + "\n" + PINNED_CODED[detector, partition]
+    assert render_csv(run_coded(cfg), CSV_HEADER) == want
+
+
 def test_error_target_stops_early():
     cfg = small_uncoded(snr_db=(-10.0,), trials=10**9, target_errors=50)
     row = run_uncoded(cfg)[0]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from onebit_mimo.core import (
 )
 from onebit_mimo.spatial_code import (
     EPS_FLOOR,
+    MismatchScore,
     _bit_sides,
     _digits,
     build_code,
@@ -190,3 +193,48 @@ class TestDigitSides:
         np.testing.assert_array_equal(a.digits, all_message_digits(4, 2))
         with pytest.raises(AttributeError):
             a.digits = all_message_digits(4, 2)
+
+
+class TestScores:
+    """``wh``, ``hamming`` and ``nll`` are built once per code from its frozen fields."""
+
+    CODES = [(2, 3, 4, 0), (3, 2, 4, 7), (1, 4, 16, 3), (2, 2, 16, 5)]  # K, n_r, m, seed
+
+    @staticmethod
+    def direct(code):
+        """Each score built directly from the code's fields."""
+        log_keep = np.log1p(-code.crossover)
+        return {
+            "wh": MismatchScore(code.codewords, code.weights),
+            "hamming": MismatchScore(code.codewords, np.ones_like(code.weights)),
+            "nll": MismatchScore(
+                code.codewords, log_keep - np.log(code.crossover), -log_keep.sum(axis=1)
+            ),
+        }
+
+    @pytest.mark.parametrize("K,n_r,m,seed", CODES)
+    def test_one_object_per_code(self, K, n_r, m, seed):
+        code = random_code(K=K, n_r=n_r, m=m, seed=seed)
+        for name in ("wh", "hamming", "nll"):
+            assert getattr(code, name) is getattr(code, name)
+        assert len({id(code.wh), id(code.hamming), id(code.nll)}) == 3
+        assert code.wh is not random_code(K=K, n_r=n_r, m=m, seed=seed).wh
+
+    @pytest.mark.parametrize("K,n_r,m,seed", CODES)
+    def test_bitwise_equal_to_direct_build(self, K, n_r, m, seed):
+        code = random_code(K=K, n_r=n_r, m=m, seed=seed)
+        def raw(value):
+            return None if value is None else np.asarray(value).tobytes()
+
+        for name, want in self.direct(code).items():
+            got = getattr(code, name)
+            for attr in ("rows", "weights", "const", "base", "gain", "tol"):
+                assert raw(getattr(got, attr)) == raw(getattr(want, attr)), (name, attr)
+
+    def test_fields_cannot_be_reassigned(self):
+        code = random_code(K=2, n_r=3)
+        wh = code.wh
+        for f in dataclasses.fields(code):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(code, f.name, getattr(code, f.name))
+        assert code.wh is wh

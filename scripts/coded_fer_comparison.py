@@ -2,7 +2,8 @@
 """LDPC frame error rate: soft-wMD LLRs + belief propagation versus hard wMD
 or ZF decisions + bit flipping, on paired seeds across an SNR range.
 
-Every ``onebit-mimo coded`` flag but ``--detector`` overrides the presets;
+Every ``onebit-mimo coded`` flag but ``--detector`` overrides the presets,
+and so does a ``--config`` file without a ``detector`` (the arms set theirs);
 ``--partition`` prunes the soft and hard wMD arms, and ZF stays unpruned.
 
     python3 scripts/coded_fer_comparison.py --seed 5 --output fer.csv
@@ -10,7 +11,7 @@ Every ``onebit-mimo coded`` flag but ``--detector`` overrides the presets;
 
 import argparse
 
-from onebit_mimo import ConfigurationError, write_results
+from onebit_mimo import ConfigurationError, SimConfig, write_results
 from onebit_mimo.cli import add_config_flags, build_config, guarded
 from onebit_mimo.sim import run_arms
 
@@ -21,8 +22,9 @@ PRESETS = {  # trials counts user-frames per SNR point
 
 
 def run(args: argparse.Namespace) -> int:
-    if args.detector is not None:
-        raise ConfigurationError("the arms are soft-wmd, wmd and zf: --detector is not taken")
+    if args.detector is not None or args.config and "detector" in SimConfig.from_json(args.config):
+        raise ConfigurationError("the arms are soft-wmd, wmd and zf: --detector and a config "
+                                 "file's detector are not taken")
     base = build_config(args, PRESETS)
     arms = [{"detector": d, "partition": None if d == "zf" else base.partition}
             for d in ("soft-wmd", "wmd", "zf")]

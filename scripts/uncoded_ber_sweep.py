@@ -4,7 +4,8 @@
 Each detector arm reuses the seed, so every row at a given SNR faces the
 identical channel and payload realizations and the curves are directly
 comparable. Desk-scale presets finish in well under a minute; every
-``onebit-mimo uncoded`` flag but ``--detector`` overrides them, and
+``onebit-mimo uncoded`` flag but ``--detector`` overrides them, and so does a
+``--config`` file without a ``detector`` (``--detectors`` lists the arms);
 ``--partition`` prunes every arm but ZF.
 
     python3 scripts/uncoded_ber_sweep.py --seed 1 --output ber.csv
@@ -12,7 +13,7 @@ comparable. Desk-scale presets finish in well under a minute; every
 
 import argparse
 
-from onebit_mimo import ConfigurationError, write_results
+from onebit_mimo import ConfigurationError, SimConfig, write_results
 from onebit_mimo.cli import add_config_flags, build_config, guarded
 from onebit_mimo.sim import run_arms
 
@@ -23,8 +24,9 @@ PRESETS = {
 
 
 def run(args: argparse.Namespace) -> int:
-    if args.detector is not None:
-        raise ConfigurationError("each arm sets its detector: use --detectors, not --detector")
+    if args.detector is not None or args.config and "detector" in SimConfig.from_json(args.config):
+        raise ConfigurationError("each arm sets its detector: use --detectors, not --detector or "
+                                 "a config file's detector")
     base = build_config(args, PRESETS)
     detectors = [d.strip() for d in args.detectors.split(",")]
     arms = [{"detector": d, "partition": None if d == "zf" else base.partition} for d in detectors]

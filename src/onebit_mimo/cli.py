@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -44,6 +45,9 @@ def _parse_snr_list(text: str) -> tuple:
 
 def add_config_flags(p: argparse.ArgumentParser) -> None:
     """``--config`` and one same-name flag per SimConfig field, typed by its annotation."""
+    # what starts like a negative number is a value, so --snr_db -2,0 reads as
+    # --snr_db=-2,0 on every Python, as newer argparse releases read it themselves
+    p._negative_number_matcher = re.compile(r"-\.?\d")
     p.add_argument("--config", help="JSON config file; flags below override it")
     for name, (kind, _) in FIELD_TYPES.items():
         p.add_argument(f"--{name}", type=kind)

@@ -11,8 +11,8 @@ order: an uncoded slot draws its K digits and then its N noise samples
 (``normal``); a coded frame draws its K message rows once, then N noise
 samples per slot.  A slot's digits are the values
 ``integers(0, m, size=K)`` gives, read as the 32-bit halves of the
-stream's raw words (``_slot_digits``).  Every data slot of every
-run kind goes through one detection step, ``_detect_slot``: transmit, then
+stream's raw words (``_slot_digits``).  One slot loop, ``_detect_slots``,
+sends every data slot of every run kind and detects it with ``_detect``:
 ZF, or pruning (when a tree exists) and a hard decoder or the soft LLRs.
 Every run goes through one runner, ``run_arms``, of arms (dicts of fields
 laid over one config).  Each run kind of ``_RUN_KINDS`` pairs its block
@@ -164,27 +164,19 @@ class BlockStats:
         return self.cand_sum / self.cand_slots if self.cand_slots else 0.0
 
 
-def _detect_slot(cfg: SimConfig, blk: Block, w: np.ndarray, stats: BlockStats) -> np.ndarray:
-    """Send the digits w over one data slot and detect them.
+def _detect(cfg: SimConfig, blk: Block, r: np.ndarray, stats: BlockStats) -> np.ndarray:
+    """Observation r's decided digits (K,), or with soft-wmd its MSB-first LLRs (K, q).
 
-    Returns the decided digits (K,), or with soft-wmd the MSB-first LLRs
-    (K, q).  Every candidate count reaches the stats here; ZF searches no
-    codebook and counts none.
+    Every candidate count reaches the stats here; ZF searches no codebook and counts none.
     """
-    r = transmit(blk.h_true, w, blk.const, blk.rng_data)
-    stats.cand_slots += 1
-    detector, code, tree = cfg.detector, blk.code, blk.tree
-    if detector == "zf":
+    if cfg.detector == "zf":
         return zf_detect(r, blk.h_pinv, blk.const)
-    if tree is None:
-        cand = None
-        stats.cand_sum += code.size
-    else:
-        cand = preprocess(r, tree)
-        stats.cand_sum += cand.size
-    if detector == "soft-wmd":
+    code = blk.code
+    cand = None if blk.tree is None else preprocess(r, blk.tree)
+    stats.cand_sum += code.size if cand is None else cand.size
+    if cfg.detector == "soft-wmd":
         return compute_llrs(r, code, cand)
-    return code.digits[_HARD_DECODERS[detector](r, code, cand)]
+    return code.digits[_HARD_DECODERS[cfg.detector](r, code, cand)]
 
 
 def _slot_digits(rng: np.random.Generator, m: int, K: int):
@@ -217,23 +209,31 @@ def _raw_digits(raw, shift: int, K: int):
         yield digits[:K]
 
 
-def _uncoded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
-    """Simulate one coherence block of t_d uncoded slots; count bit errors.
+def _detect_slots(cfg: SimConfig, blk: Block, digits, slots: int, stats: BlockStats):
+    """Send slots data slots, each the next digits from the iterator digits, and detect each.
 
-    The sent and decided digits are collected per slot and the bit errors
-    counted once for the whole block.
+    Returns the sent digits (slots, K) and soft-wmd's LLRs or every other
+    detector's decided bits, (slots, K, q) MSB first.
     """
+    sent = np.empty((slots, cfg.n_users), dtype=np.int64)
+    out = []
+    for t in range(slots):
+        sent[t] = next(digits)
+        r = transmit(blk.h_true, sent[t], blk.const, blk.rng_data)
+        out.append(_detect(cfg, blk, r, stats))
+    stats.cand_slots += slots
+    out = np.array(out)
+    return sent, out if cfg.detector == "soft-wmd" else bit_table(cfg.m)[out]
+
+
+def _uncoded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
+    """Simulate one coherence block of t_d uncoded slots; count bit errors."""
     blk = _setup_block(cfg, snr_idx, block)
     digits = _slot_digits(blk.rng_data, cfg.m, cfg.n_users)
-    sent = np.empty((cfg.t_d, cfg.n_users), dtype=np.int64)
-    decided = np.empty_like(sent)
     stats = BlockStats(trials=cfg.t_d)
-    for t in range(cfg.t_d):
-        sent[t] = next(digits)
-        decided[t] = _detect_slot(cfg, blk, sent[t], stats)
-    lut = bit_table(cfg.m)
-    stats.errors = int((lut[sent] ^ lut[decided]).sum())
-    stats.denominator = cfg.t_d * cfg.n_users * bits_per_symbol(cfg.m)
+    sent, bits = _detect_slots(cfg, blk, digits, cfg.t_d, stats)
+    stats.errors = int((bit_table(cfg.m)[sent] ^ bits).sum())
+    stats.denominator = bits.size
     return stats
 
 
@@ -242,30 +242,20 @@ def _coded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
 
     Within each symbol's group of coded bits the last bit is the label MSB,
     so the symbol value is the group dotted with ascending powers of two, and
-    the slots' MSB-first rows (LLRs, or hard digits through ``bit_table``)
-    are reversed back into frame order.
+    the slots' MSB-first LLRs or decided bits are reversed into frame order.
     """
     blk = _setup_block(cfg, snr_idx, block)
     ldpc, frames = _ldpc_layout(cfg)
     q = bits_per_symbol(cfg.m)
     slots_per_frame = ldpc.n // q
-    soft = cfg.detector == "soft-wmd"
-    decoder = decode_bp if soft else decode_bit_flipping
-    lut = bit_table(cfg.m)
+    decoder = decode_bp if cfg.detector == "soft-wmd" else decode_bit_flipping
     stats = BlockStats(trials=frames * cfg.n_users, denominator=frames * cfg.n_users)
-    # row t holds slot t's LLRs (K, q), or its digits (K,)
-    if soft:
-        rows = np.empty((slots_per_frame, cfg.n_users, q))
-    else:
-        rows = np.empty((slots_per_frame, cfg.n_users), dtype=np.int64)
     for _ in range(frames):
         msgs = blk.rng_data.integers(0, 2, size=(cfg.n_users, ldpc.k))
         cws = encode(ldpc, msgs)
         symbols = (cws.reshape(cfg.n_users, slots_per_frame, q) @ 2 ** np.arange(q)).T
-        for t, w in enumerate(symbols):
-            rows[t] = _detect_slot(cfg, blk, w, stats)
-        frame = rows if soft else lut[rows]
-        frame = frame[:, :, ::-1].transpose(1, 0, 2).reshape(cfg.n_users, ldpc.n)
+        _, rows = _detect_slots(cfg, blk, iter(symbols), slots_per_frame, stats)
+        frame = rows[:, :, ::-1].transpose(1, 0, 2).reshape(cfg.n_users, ldpc.n)
         for u in range(cfg.n_users):
             decoded, _ = decoder(frame[u], ldpc, cfg.ldpc_max_iter)
             stats.errors += int(np.any(decoded != cws[u]))

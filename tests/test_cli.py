@@ -152,6 +152,19 @@ def test_uncoded_snr_list(capsys):
     assert [r.split(",")[0] for r in rows] == ["0", "5", "10"]
 
 
+@pytest.mark.parametrize("command, flags", [("uncoded", SMALL), ("coded", CODED)])
+def test_negative_snr_list_after_a_space_reads_as_after_an_equals_sign(capsys, command, flags):
+    # argparse takes "-2,0" for an unknown option unless told that it is a value
+    csvs = []
+    for snr in (["--snr_db", "-2,0"], ["--snr_db=-2,0"], ["--snr_db", "-.5e1,0"]):
+        code, out, err = run_cli(capsys, [command, *flags, *snr])
+        assert (code, err) == (0, "")
+        csvs.append(out)
+    assert [row.split(",")[0] for row in csvs[0].splitlines()[1:]] == ["-2", "0"]
+    assert csvs[0] == csvs[1]
+    assert [row.split(",")[0] for row in csvs[2].splitlines()[1:]] == ["-5", "0"]
+
+
 def test_uncoded_output_file_with_sidecar(capsys, tmp_path):
     out_path = tmp_path / "run.csv"
     code, out, _ = run_cli(capsys, ["uncoded", *SMALL, "--output", str(out_path)])

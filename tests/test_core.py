@@ -98,8 +98,13 @@ def test_no_unused_imports():
     sample = "import os, sys\nfrom a import b as c, d\n__all__ = ['d']\nsys"
     assert unused_imports(sample) == ["c", "os"]
     root = Path(__file__).resolve().parents[1]
-    paths = [*(root / "src" / "onebit_mimo").glob("*.py"), *(root / "scripts").glob("*.py")]
-    found = {path.name: unused_imports(path.read_text("utf-8")) for path in sorted(paths)}
+    folders = ("src/onebit_mimo", "scripts", "tests", "bench")
+    paths = [path for folder in folders for path in (root / folder).glob("*.py")]
+    # the acceptance tests are kept as they were written, imports of bit_table and pytest they
+    # never use included
+    paths.remove(root / "tests" / "test_acceptance.py")
+    found = {path.relative_to(root).as_posix(): unused_imports(path.read_text("utf-8"))
+             for path in paths}
     assert {name: names for name, names in found.items() if names} == {}
 
 

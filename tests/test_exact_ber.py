@@ -4,11 +4,11 @@ Given one block's channel, the bit errors of one slot under a deterministic
 hard detector are a finite sum over the M sent messages and the 2**N one-bit
 observations r: P(r | ell) is a product of per-bit flip probabilities
 Q(|h_i^T x(ell)| / NOISE_STD), taken from the true channel with no floor, and
-the decision on r is the block's own detector's.  Slots are independent given
-the block, so the errors pooled over ``sim._uncoded_block`` runs have a known
-mean and variance: this checks ``transmit``, the slot digits, detection
-(estimated CSIR and pruning included) and the error count together, with no
-reference run.
+the decision on r is the simulator's own (``sim._detect``).  Slots are
+independent given the block, so the errors pooled over ``sim._uncoded_block``
+runs have a known mean and variance: this checks ``transmit``, the slot
+digits, detection (estimated CSIR and pruning included) and the error count
+together, with no reference run.
 """
 
 import itertools
@@ -20,19 +20,9 @@ from onebit_mimo import sim
 from onebit_mimo.channel import NOISE_STD
 from onebit_mimo.config import SimConfig
 from onebit_mimo.core import all_message_digits, bit_table, q_function
-from onebit_mimo.detector import zf_detect
-from onebit_mimo.partition import preprocess
 
 BLOCKS = 6
 T_D = 1000
-
-
-def _decide(cfg: SimConfig, blk: sim.Block, r: np.ndarray) -> np.ndarray:
-    """The digits the block's own detector decides on observation r."""
-    if cfg.detector == "zf":
-        return zf_detect(r, blk.h_pinv, blk.const)
-    cand = None if blk.tree is None else preprocess(r, blk.tree)
-    return blk.code.digits[sim._HARD_DECODERS[cfg.detector](r, blk.code, cand)]
 
 
 def exact_slot_errors(cfg: SimConfig, blk: sim.Block):
@@ -47,7 +37,7 @@ def exact_slot_errors(cfg: SimConfig, blk: sim.Block):
     p = np.where(differs, flip[:, None], 1.0 - flip[:, None]).prod(axis=2)
     np.testing.assert_allclose(p.sum(axis=1), 1.0)
     lut = bit_table(cfg.m)
-    decided = np.array([_decide(cfg, blk, r) for r in obs])  # (2**N, K)
+    decided = np.array([sim._detect(cfg, blk, r, sim.BlockStats()) for r in obs])  # (2**N, K)
     errors = (lut[digits][:, None] != lut[decided][None]).sum(axis=(2, 3))  # (M, 2**N)
     mean = (p * errors).sum() / len(digits)
     return mean, (p * errors**2).sum() / len(digits) - mean**2

@@ -10,9 +10,13 @@ digits from ``zf_detect`` as from a pseudo-inverse taken per slot, the same
 ``(bits, converged)`` from ``decode_bp`` and ``decode_bit_flipping`` at every
 iteration cap, the same
 k-means distances from the packed popcount form, the same slot digits and
-stream position as ``Generator.integers`` and the same k-means seeds as
-``Generator.choice``.
+stream position as ``Generator.integers``, the same k-means seeds as
+``Generator.choice``, and the same stats and data-stream state from each block
+simulator's one slot loop (``sim._detect_slots``) as from a loop of its own
+that sends and detects one slot per call.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -192,15 +196,73 @@ def ref_uncoded_block(cfg, snr_idx, block):
     """The uncoded block whose slots draw their digits with ``Generator.integers``."""
     blk = sim._setup_block(cfg, snr_idx, block)
     m, K, draw = cfg.m, cfg.n_users, blk.rng_data.integers
-    sent = np.empty((cfg.t_d, K), dtype=np.int64)
+    stats = sim.BlockStats(trials=cfg.t_d)
+    digits = (draw(0, m, size=K) for _ in range(cfg.t_d))
+    sent, bits = sim._detect_slots(cfg, blk, digits, cfg.t_d, stats)
+    stats.errors = int((bit_table(m)[sent] ^ bits).sum())
+    stats.denominator = bits.size
+    return stats
+
+
+def ref_detect_slot(cfg, blk, w, stats):
+    """One slot sent and detected on its own: the decided digits (K,) or soft-wmd's LLRs (K, q)."""
+    r = transmit(blk.h_true, w, blk.const, blk.rng_data)
+    stats.cand_slots += 1
+    detector, code, tree = cfg.detector, blk.code, blk.tree
+    if detector == "zf":
+        return zf_detect(r, blk.h_pinv, blk.const)
+    if tree is None:
+        cand = None
+        stats.cand_sum += code.size
+    else:
+        cand = preprocess(r, tree)
+        stats.cand_sum += cand.size
+    if detector == "soft-wmd":
+        return compute_llrs(r, code, cand)
+    return code.digits[sim._HARD_DECODERS[detector](r, code, cand)]
+
+
+def ref_slot_loop_uncoded_block(cfg, snr_idx, block):
+    """The uncoded block with its own loop over ``ref_detect_slot``; digits become bits last."""
+    blk = sim._setup_block(cfg, snr_idx, block)
+    digits = sim._slot_digits(blk.rng_data, cfg.m, cfg.n_users)
+    sent = np.empty((cfg.t_d, cfg.n_users), dtype=np.int64)
     decided = np.empty_like(sent)
     stats = sim.BlockStats(trials=cfg.t_d)
     for t in range(cfg.t_d):
-        sent[t] = w = draw(0, m, size=K)
-        decided[t] = sim._detect_slot(cfg, blk, w, stats)
+        sent[t] = next(digits)
+        decided[t] = ref_detect_slot(cfg, blk, sent[t], stats)
     lut = bit_table(cfg.m)
     stats.errors = int((lut[sent] ^ lut[decided]).sum())
     stats.denominator = cfg.t_d * cfg.n_users * bits_per_symbol(cfg.m)
+    return stats
+
+
+def ref_slot_loop_coded_block(cfg, snr_idx, block):
+    """The coded block with its own loop over ``ref_detect_slot`` into one row buffer per block."""
+    blk = sim._setup_block(cfg, snr_idx, block)
+    ldpc, frames = sim._ldpc_layout(cfg)
+    q = bits_per_symbol(cfg.m)
+    slots_per_frame = ldpc.n // q
+    soft = cfg.detector == "soft-wmd"
+    decoder = decode_bp if soft else decode_bit_flipping
+    lut = bit_table(cfg.m)
+    stats = sim.BlockStats(trials=frames * cfg.n_users, denominator=frames * cfg.n_users)
+    if soft:
+        rows = np.empty((slots_per_frame, cfg.n_users, q))
+    else:
+        rows = np.empty((slots_per_frame, cfg.n_users), dtype=np.int64)
+    for _ in range(frames):
+        msgs = blk.rng_data.integers(0, 2, size=(cfg.n_users, ldpc.k))
+        cws = encode(ldpc, msgs)
+        symbols = (cws.reshape(cfg.n_users, slots_per_frame, q) @ 2 ** np.arange(q)).T
+        for t, w in enumerate(symbols):
+            rows[t] = ref_detect_slot(cfg, blk, w, stats)
+        frame = rows if soft else lut[rows]
+        frame = frame[:, :, ::-1].transpose(1, 0, 2).reshape(cfg.n_users, ldpc.n)
+        for u in range(cfg.n_users):
+            decoded, _ = decoder(frame[u], ldpc, cfg.ldpc_max_iter)
+            stats.errors += int(np.any(decoded != cws[u]))
     return stats
 
 
@@ -540,6 +602,53 @@ def test_run_uncoded_matches_the_integers_slot_loop(K, detector, partition_spec)
     want = sim._run(cfg, ref_uncoded_block, "ber")
     assert [r.to_csv() for r in got] == [r.to_csv() for r in want]
     assert all(r.errors for r in got)
+
+
+def _slot_loop_cases():
+    """(metric, detector, partition, csir, frames_per_block) for each block simulator."""
+    arms = {"ber": ("wmd", "md", "ml", "zf"), "fer": ("soft-wmd", "wmd", "zf")}
+    for metric, detectors in arms.items():
+        for detector in detectors:
+            for spec in (None,) if detector == "zf" else (None, {"k": [4], "q": [2]}):
+                for csir in ("perfect", "estimated"):
+                    for frames in (1, 2) if metric == "fer" else (None,):
+                        yield metric, detector, spec, csir, frames
+
+
+@pytest.mark.parametrize("metric, detector, partition_spec, csir, frames", _slot_loop_cases())
+def test_block_simulators_match_their_own_slot_loops(
+    metric, detector, partition_spec, csir, frames, monkeypatch
+):
+    # the stats and the data stream's end state of each block, over both SNR points
+    t_t = 4 if csir == "estimated" else 0
+    cfg = SimConfig(
+        n_users=2,
+        n_rx=4,
+        detector=detector,
+        partition=partition_spec,
+        csir=csir,
+        snr_db=(-4.0, 4.0),
+        t_t=t_t,
+        t_c=t_t + 48,
+        t_d=48,
+        ldpc_n=48,
+        frames_per_block=frames,
+        seed=13,
+    )
+    new, ref = {
+        "ber": (sim._uncoded_block, ref_slot_loop_uncoded_block),
+        "fer": (sim._coded_block, ref_slot_loop_coded_block),
+    }[metric]
+    blocks = []
+    setup = sim._setup_block
+    monkeypatch.setattr(sim, "_setup_block", lambda *key: blocks.append(setup(*key)) or blocks[-1])
+    errors = 0
+    for snr_idx, block in ((0, 0), (0, 1), (1, 0)):
+        got, want = new(cfg, snr_idx, block), ref(cfg, snr_idx, block)
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        assert blocks[-2].rng_data.bit_generator.state == blocks[-1].rng_data.bit_generator.state
+        errors += got.errors
+    assert errors
 
 
 # ---------------------------------------------------------------------------

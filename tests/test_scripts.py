@@ -78,14 +78,26 @@ BAD_REQUESTS = [
     (["--seed", "1", "--output", "/nonexistent-dir/x.csv", *ENDLESS], "/nonexistent-dir/x.csv"),
 ]
 
+# each arm sets its detector, so a --config file's is refused like the flag, partition or
+# not; ZF_CONFIG stands for such a file, which the test writes
+ZF_CONFIG = "<config file with detector zf>"
+CONFIG_DETECTOR_REQUESTS = [
+    (["--seed", "1", "--config", ZF_CONFIG], "config file's detector"),
+    (["--seed", "1", "--config", ZF_CONFIG, "--partition", '{"k":[4],"q":[2]}'], "config file's"),
+]
+
 
 @pytest.mark.parametrize(
     "name, argv, message",
     [(name, *bad) for name in sorted(RUNS) for bad in BAD_REQUESTS]
     # only the coded script reads the LDPC code
-    + [("coded_fer_comparison", ["--seed", "1", "--ldpc_alist", "/no.alist"], "/no.alist")],
+    + [("coded_fer_comparison", ["--seed", "1", "--ldpc_alist", "/no.alist"], "/no.alist")]
+    + [(name, *bad) for name in sorted(RUNS) for bad in CONFIG_DETECTOR_REQUESTS],
 )
-def test_script_bad_request_exits_2(name, argv, message):
+def test_script_bad_request_exits_2(name, argv, message, tmp_path):
+    zf_config = tmp_path / "zf.json"
+    zf_config.write_text(json.dumps({"detector": "zf"}))
+    argv = [str(zf_config) if arg == ZF_CONFIG else arg for arg in argv]
     start = time.monotonic()
     proc = run_script(name, *RUNS[name][0], *argv)
     assert time.monotonic() - start < 20
@@ -94,6 +106,18 @@ def test_script_bad_request_exits_2(name, argv, message):
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_script_reads_a_negative_snr_list_after_a_space(name):
+    argv, arms = RUNS[name]
+    spaced, joined = (
+        run_script(name, *argv, "--seed", "1", *snr)
+        for snr in (["--snr_db", "-2,0"], ["--snr_db=-2,0"])
+    )
+    assert (spaced.returncode, spaced.stderr) == (0, "")
+    assert spaced.stdout == joined.stdout
+    assert len(spaced.stdout.splitlines()) == 1 + 2 * arms
 
 
 def test_script_layers_presets_file_and_flags(tmp_path):

@@ -24,7 +24,6 @@ from .core import (
     real_stack,
 )
 from .detector import compute_app, compute_llrs, ml_decode, wmd_decode
-from .errors import ConfigurationError
 from .ldpc import construct_code
 from .partition import (
     PartitionParams,
@@ -34,7 +33,7 @@ from .partition import (
     preprocess,
     validate_params,
 )
-from .sim import render_csv, run_coded, run_partition_sweep, run_uncoded, write_results
+from .sim import render_csv, run_coded, run_partition_sweep, run_uncoded
 from .spatial_code import build_code, exact_likelihood, subcode
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "SWEEP_CSV_HEADER",
     "PartitionParams",
     "SimConfig",
-    "ConfigurationError",
     "bit_table",
     "qam_constellation",
     "modulate",
@@ -71,5 +69,4 @@ __all__ = [
     "run_coded",
     "run_partition_sweep",
     "render_csv",
-    "write_results",
 ]

@@ -5,9 +5,9 @@ config from its flags and makes one call on it.
 
 Every run can start from a JSON config file whose keys mirror the SimConfig
 fields, and every field has a same-name flag, typed by its annotation, that
-overrides the file value; the scripts share them through ``add_config_flags``,
-``build_config`` and ``guarded``.  Exit codes: 0 success, 2 configuration
-problems (unreadable or unwritable files included), 3 numerical failures.
+overrides the file value; each experiment script is its presets, its arms
+and one ``compare`` call, which takes the same flags.  Exit codes: 0 success,
+2 configuration problems (unreadable or unwritable files included), 3 numerical failures.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .config import FIELD_TYPES, SimConfig, complexity_csv
 from .errors import CodeConstructionError, ConfigurationError
 from .sim import (
     partition_report,
+    run_arms,
     run_coded,
     run_partition_sweep,
     run_uncoded,
@@ -58,8 +59,8 @@ def add_config_flags(p: argparse.ArgumentParser) -> None:
 def build_config(args: argparse.Namespace, presets: dict | None = None) -> SimConfig:
     """The config of presets, overlaid by the ``--config`` file, overlaid by the flags given.
 
-    An ``output`` that cannot be written is rejected here, before any run;
-    the file itself is opened only once the run is done.
+    An ``output`` that cannot be written, or whose sidecar path is a directory,
+    is rejected here, before any run; the files are opened once the run is done.
     """
     data = dict(presets or {})
     if args.config:
@@ -71,8 +72,9 @@ def build_config(args: argparse.Namespace, presets: dict | None = None) -> SimCo
     cfg = SimConfig.from_dict(data)
     if cfg.output:
         folder = os.path.dirname(cfg.output) or "."
-        if os.path.isdir(cfg.output):
-            raise ConfigurationError(f"output {cfg.output} is a directory")
+        for path in (cfg.output, cfg.output + ".meta.json"):  # the file and its sidecar
+            if os.path.isdir(path):
+                raise ConfigurationError(f"output {path} is a directory")
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
             raise ConfigurationError(f"output {cfg.output}: no writable directory {folder}")
     return cfg
@@ -152,6 +154,30 @@ def guarded(handler, args: argparse.Namespace) -> int:
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+
+
+def compare(doc: str, presets: dict, detectors, metric: str, argv=None) -> int:
+    """A script's run: one arm per detector over ``presets``, paired by the seed, as one CSV.
+
+    Each arm sets its detector, so ``--detector`` and a config file's
+    ``detector`` are refused; ZF searches no codebook, so it stays unpruned.
+    """
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
+    add_config_flags(parser)
+
+    def run(args: argparse.Namespace) -> int:
+        if args.detector is not None or (
+            args.config and "detector" in SimConfig.from_json(args.config)
+        ):
+            raise ConfigurationError(f"the arms are {', '.join(detectors)}: --detector and a "
+                                     "config file's detector are not taken")
+        base = build_config(args, presets)
+        arms = [{"detector": d, "partition": None if d == "zf" else base.partition}
+                for d in detectors]
+        write_results([row for _, rows in run_arms(base, arms, metric) for row in rows], base)
+        return 0
+
+    return guarded(run, parser.parse_args(argv))
 
 
 def main(argv=None) -> int:

@@ -23,12 +23,18 @@ APP_MODES = ("exact-sum", "wh-sum", "wh-max")
 
 
 def _candidate_array(candidates, sort: bool = True):
-    """Candidate indices, sorted unless ``sort`` is False, or None for the whole codebook."""
+    """Candidate indices, sorted unless ``sort`` is False, or None for the whole codebook.
+
+    A bool mask or float array is refused, not read as indices; the range is
+    not checked, to save a min and a max per call: a negative index counts from the end.
+    """
     if candidates is None:
         return None
-    candidates = np.asarray(candidates, dtype=np.int64)
-    if candidates.size == 0:
+    candidates = np.asarray(candidates)
+    if candidates.size == 0:  # first: an empty list is float64
         raise ValueError("candidate set must be nonempty")
+    if candidates.dtype.kind not in "iu":
+        raise ValueError(f"candidates must be integer indices, not {candidates.dtype}")
     return np.sort(candidates) if sort else candidates
 
 

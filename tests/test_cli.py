@@ -535,6 +535,24 @@ def test_unwritable_output_exits_2_before_any_block(capsys, tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+def test_output_whose_sidecar_is_a_directory_exits_2_before_any_block(
+    capsys, tmp_path, monkeypatch, command
+):
+    # a run would write the CSV, then fail to open <output>.meta.json
+    def no_block(*args):
+        raise AssertionError("a block was simulated")
+
+    monkeypatch.setattr(sim, "_setup_block", no_block)
+    sidecar = tmp_path / "o.csv.meta.json"
+    sidecar.mkdir()
+    argv = [command, *SMALL, *SUBCOMMAND_ARGS[command], "--output", str(tmp_path / "o.csv")]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert f"output {sidecar} is a directory" in err
+    assert list(tmp_path.iterdir()) == [sidecar]
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
 def test_invalid_config_exits_2_from_every_subcommand(capsys, tmp_path, command):
     # one check, when the config is built, whether the value is a flag or in a file
     extra = SUBCOMMAND_ARGS[command]

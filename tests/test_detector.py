@@ -153,6 +153,21 @@ def test_empty_candidates_raise():
             fn(r, code, candidates=np.array([], dtype=int))
 
 
+@pytest.mark.parametrize(
+    "candidates",
+    [np.zeros(16, bool), np.ones(16, bool), [1.7], np.arange(16, dtype=float)],
+    ids=["all-false-mask", "all-true-mask", "float", "whole-floats"],
+)
+def test_non_integer_candidates_raise(candidates):
+    # a mask or float array was once read as codeword indices: an all-False
+    # mask as codeword 0, an all-True one as codeword 1, 1.7 as codeword 1
+    code = random_code(K=2, n_r=4, seed=0)  # 16 codewords
+    r = code.codewords[3]
+    for fn in (wmd_decode, md_decode, ml_decode, compute_llrs, compute_app):
+        with pytest.raises(ValueError, match="integer indices"):
+            fn(r, code, candidates)
+
+
 # ---------------------------------------------------------------------------
 # zero forcing
 

@@ -5,6 +5,7 @@ success, 2 with a one-line message on a bad request.
 """
 
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import onebit_mimo
+from onebit_mimo.cli import main
 from onebit_mimo.config import CSV_HEADER
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -25,7 +27,7 @@ TINY = ["--n_users", "1", "--n_rx", "4", "--snr_db", "0", "--trials", "1"]
 ENDLESS = ["--trials", "100000000", "--target_errors", "1000000000"]
 # each script's argv and its arm count: an arm gives one row at TINY's one SNR point
 RUNS = {
-    "uncoded_ber_sweep": ([*TINY, "--t_c", "10", "--t_d", "10", "--detectors", "wmd,zf"], 2),
+    "uncoded_ber_sweep": ([*TINY, "--t_c", "10", "--t_d", "10"], 4),  # wmd, md, ml and zf
     "coded_fer_comparison": (TINY, 3),  # soft-wmd, wmd and zf
 }
 
@@ -127,7 +129,7 @@ def test_script_layers_presets_file_and_flags(tmp_path):
     out = tmp_path / "ber.csv"
     proc = run_script(
         "uncoded_ber_sweep", "--config", str(cfg), "--n_users", "1", "--snr_db", "0",
-        "--detectors", "wmd", "--trials", "10", "--output", str(out),
+        "--trials", "10", "--output", str(out),
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
     meta = json.loads((tmp_path / "ber.csv.meta.json").read_text())["config"]
@@ -137,14 +139,34 @@ def test_script_layers_presets_file_and_flags(tmp_path):
     assert meta["output"] == str(out)
 
 
-def test_uncoded_script_checks_every_arm_before_the_first_runs(tmp_path):
-    out = tmp_path / "ber.csv"
+def test_coded_script_checks_every_arm_before_the_first_runs(tmp_path):
+    # every arm refuses an odd LDPC blocklength, so none of the hours-long runs starts
+    out = tmp_path / "fer.csv"
     start = time.monotonic()
     proc = run_script(
-        "uncoded_ber_sweep", "--seed", "1", "--detectors", "wmd,md,soft-wmd",
-        *ENDLESS, "--output", str(out),
+        "coded_fer_comparison", "--seed", "1", "--ldpc_n", "127", *ENDLESS, "--output", str(out),
     )
     assert time.monotonic() - start < 20
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert "soft-wmd produces LLRs and needs a coded run" in proc.stderr
+    assert "blocklength must be even" in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_reproduces_a_script_arm(capsys):
+    # one arm alone is the CLI's run at the script's presets, seed and budget
+    path = SCRIPTS / "uncoded_ber_sweep.py"
+    spec = importlib.util.spec_from_file_location("uncoded_ber_sweep", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    presets = []
+    for name, value in script.PRESETS.items():
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        presets += [f"--{name}={text}"]
+    budget = ["--t_c", "10", "--t_d", "10", "--trials", "40", "--seed", "1"]
+    proc = run_script("uncoded_ber_sweep", *budget)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    md = [line for line, row in zip(lines[1:], csv.DictReader(lines)) if row["detector"] == "md"]
+    assert len(md) == len(script.PRESETS["snr_db"])
+    assert main(["uncoded", *presets, "--detector", "md", *budget]) == 0
+    assert capsys.readouterr().out.splitlines() == [lines[0], *md]

@@ -53,9 +53,10 @@ def generate_pilots(K: int, t_t: int, snr: float) -> np.ndarray:
     if t_t % K != 0:
         raise ConfigurationError(f"t_t={t_t} must be a multiple of K={K}")
     if K & (K - 1) == 0:
-        from scipy.linalg import hadamard
-
-        base = hadamard(K).astype(complex) * (1 + 1j) / np.sqrt(2.0)
+        base = np.ones((1, 1), dtype=int)
+        while len(base) < K:  # Sylvester's doubling [[H, H], [H, -H]]
+            base = np.block([[base, base], [base, -base]])
+        base = base.astype(complex) * (1 + 1j) / np.sqrt(2.0)
     else:
         k = np.arange(K)
         base = np.exp(-2j * np.pi * np.outer(k, k) / K)

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .config import FIELD_TYPES, SimConfig, complexity_csv
+from .config import DETECTORS, FIELD_TYPES, SimConfig, complexity_csv
 from .errors import CodeConstructionError, ConfigurationError
 from .sim import (
     partition_report,
@@ -160,19 +160,21 @@ def compare(doc: str, presets: dict, detectors, metric: str, argv=None) -> int:
     """A script's run: one arm per detector over ``presets``, paired by the seed, as one CSV.
 
     Each arm sets its detector, so ``--detector`` and a config file's
-    ``detector`` are refused; ZF searches no codebook, so it stays unpruned.
+    ``detector`` are refused; an arm keeps ``--partition`` unless its
+    detector searches no codebook (its kind in ``config.DETECTORS``).
     """
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     add_config_flags(parser)
 
     def run(args: argparse.Namespace) -> int:
-        if args.detector is not None or (
-            args.config and "detector" in SimConfig.from_json(args.config)
-        ):
+        from_file = SimConfig.from_json(args.config) if args.config else {}
+        if args.detector is not None or "detector" in from_file:
             raise ConfigurationError(f"the arms are {', '.join(detectors)}: --detector and a "
                                      "config file's detector are not taken")
-        base = build_config(args, presets)
-        arms = [{"detector": d, "partition": None if d == "zf" else base.partition}
+        args.config = None  # read once, above: build_config lays the flags over presets and file
+        base = build_config(args, {**presets, **from_file})
+        arms = [{"detector": d,
+                 "partition": None if DETECTORS.get(d) == "linear" else base.partition}
                 for d in detectors]
         write_results([row for _, rows in run_arms(base, arms, metric) for row in rows], base)
         return 0

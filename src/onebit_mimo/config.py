@@ -35,7 +35,11 @@ from .errors import ConfigurationError
 from .ldpc import MAX_LDPC_N
 from .partition import PartitionParams, estimate_complexity, is_int, require_valid_params
 
-DETECTORS = ("wmd", "soft-wmd", "md", "ml", "zf")
+# Each detector by its kind, the one place a detector's name says what it
+# does.  A "hard" or "soft" detector searches the spatial code, so it takes a
+# partition; a soft one's slot output is MSB-first LLRs, which only a coded run
+# takes and BP decodes.  A "linear" detector (ZF) searches no codebook.
+DETECTORS = {"wmd": "hard", "soft-wmd": "soft", "md": "hard", "ml": "hard", "zf": "linear"}
 CSIR_MODES = ("perfect", "estimated")
 
 # Largest codebook, in codewords times bits (m**n_users * 2*n_rx): the code
@@ -143,7 +147,7 @@ FIELD_RULES = {
     "t_t": (0, math.inf),
     "t_d": (1, math.inf),
     "csir": CSIR_MODES,
-    "detector": DETECTORS,
+    "detector": tuple(DETECTORS),
     "ldpc_n": (1, MAX_LDPC_N),
     "ldpc_seed": (0, math.inf),
     "ldpc_max_iter": (1, math.inf),
@@ -251,8 +255,9 @@ class SimConfig:
                 f"coherence block of t_c={self.t_c} slots x {slot_entries} entries "
                 f"exceeds {MAX_BLOCK_ENTRIES} entries"
             )
-        if self.partition is not None and self.detector == "zf":
-            raise ConfigurationError("zf detection searches no codebook, so it takes no partition")
+        if self.partition is not None and DETECTORS[self.detector] == "linear":
+            raise ConfigurationError(f"{self.detector} detection searches no codebook, so it "
+                                     "takes no partition")
 
     def require_seed(self) -> None:
         if self.seed is None:

@@ -17,11 +17,11 @@ ZF, or pruning (when a tree exists) and a hard decoder or the soft LLRs.
 Every run goes through one runner, ``run_arms``, of arms (dicts of fields
 laid over one config).  Each run kind of ``_RUN_KINDS`` pairs its block
 simulator with one arm check, and the runner checks each arm's seed and then
-that check, all before the first runs: "ber" refuses soft-wmd, "fer" needs
-an LDPC code that fits.  One resolver, ``_ldpc_layout``, gives a coded run
-that code and its frames per block: an alist overrides ldpc_n, ldpc_rate and
-ldpc_seed, and a constructed code is checked, against t_d too, before it is
-built.  The runner, each coded block and the sidecar call it; the code is
+that check, all before the first runs: "ber" refuses a soft detector, "fer"
+needs an LDPC code that fits.  One resolver, ``_ldpc_layout``, gives a coded
+run that code and its frames per block: an alist overrides ldpc_n, ldpc_rate
+and ldpc_seed, and a constructed code is checked, against t_d too, before it
+is built.  The runner, each coded block and the sidecar call it; the code is
 built once per process for its alist path or its parameters.
 
 Blocks are scheduled in fixed-size waves: a whole wave is simulated and
@@ -52,7 +52,8 @@ from .channel import (
     transmit,
     transmit_pilots,
 )
-from .config import ResultRow, SimConfig, SweepRow, arm_cells, require_ldpc_fit, snr_linear
+from .config import (DETECTORS, ResultRow, SimConfig, SweepRow, arm_cells, require_ldpc_fit,
+                     snr_linear)
 from .core import Constellation, bit_table, bits_per_symbol, qam_constellation, real_channel_matrix
 from .detector import compute_llrs, md_decode, ml_decode, wmd_decode, zf_detect
 from .errors import CodeConstructionError, ConfigurationError
@@ -100,7 +101,10 @@ def _ldpc_layout(cfg: SimConfig):
     if cfg.ldpc_alist:
         code = _ldpc_code(cfg.ldpc_alist)
         return code, require_ldpc_fit(code.n, cfg.m, cfg.t_d, cfg.frames_per_block)
-    require_constructible(cfg.ldpc_n, cfg.ldpc_rate)
+    try:
+        require_constructible(cfg.ldpc_n, cfg.ldpc_rate)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"ldpc_n={cfg.ldpc_n}, ldpc_rate={cfg.ldpc_rate}: {exc}") from exc
     frames = require_ldpc_fit(cfg.ldpc_n, cfg.m, cfg.t_d, cfg.frames_per_block)
     return _ldpc_code((cfg.ldpc_n, cfg.ldpc_rate, cfg.ldpc_seed)), frames
 
@@ -135,7 +139,7 @@ def _setup_block(cfg: SimConfig, snr_idx: int, block: int) -> Block:
     else:
         h_est = h_true
     rng_data = _block_rng(cfg, snr_idx, block, 2)
-    if cfg.detector == "zf":  # searches no codebook, so takes no partition either
+    if DETECTORS[cfg.detector] == "linear":  # searches no codebook, so takes no partition either
         return Block(const, h_true, np.linalg.pinv(h_est), None, None, rng_data)
     code = build_code(h_est, const)
     tree = None
@@ -165,16 +169,16 @@ class BlockStats:
 
 
 def _detect(cfg: SimConfig, blk: Block, r: np.ndarray, stats: BlockStats) -> np.ndarray:
-    """Observation r's decided digits (K,), or with soft-wmd its MSB-first LLRs (K, q).
+    """Observation r's decided digits (K,), or a soft detector's MSB-first LLRs (K, q).
 
-    Every candidate count reaches the stats here; ZF searches no codebook and counts none.
+    Every candidate count reaches the stats here; ZF's block holds no code, so it counts none.
     """
-    if cfg.detector == "zf":
-        return zf_detect(r, blk.h_pinv, blk.const)
     code = blk.code
+    if code is None:
+        return zf_detect(r, blk.h_pinv, blk.const)
     cand = None if blk.tree is None else preprocess(r, blk.tree)
     stats.cand_sum += code.size if cand is None else cand.size
-    if cfg.detector == "soft-wmd":
+    if DETECTORS[cfg.detector] == "soft":
         return compute_llrs(r, code, cand)
     return code.digits[_HARD_DECODERS[cfg.detector](r, code, cand)]
 
@@ -212,7 +216,7 @@ def _raw_digits(raw, shift: int, K: int):
 def _detect_slots(cfg: SimConfig, blk: Block, digits, slots: int, stats: BlockStats):
     """Send slots data slots, each the next digits from the iterator digits, and detect each.
 
-    Returns the sent digits (slots, K) and soft-wmd's LLRs or every other
+    Returns the sent digits (slots, K) and a soft detector's LLRs or any other
     detector's decided bits, (slots, K, q) MSB first.
     """
     sent = np.empty((slots, cfg.n_users), dtype=np.int64)
@@ -223,7 +227,7 @@ def _detect_slots(cfg: SimConfig, blk: Block, digits, slots: int, stats: BlockSt
         out.append(_detect(cfg, blk, r, stats))
     stats.cand_slots += slots
     out = np.array(out)
-    return sent, out if cfg.detector == "soft-wmd" else bit_table(cfg.m)[out]
+    return sent, out if DETECTORS[cfg.detector] == "soft" else bit_table(cfg.m)[out]
 
 
 def _uncoded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
@@ -248,7 +252,7 @@ def _coded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
     ldpc, frames = _ldpc_layout(cfg)
     q = bits_per_symbol(cfg.m)
     slots_per_frame = ldpc.n // q
-    decoder = decode_bp if cfg.detector == "soft-wmd" else decode_bit_flipping
+    decoder = decode_bp if DETECTORS[cfg.detector] == "soft" else decode_bit_flipping
     stats = BlockStats(trials=frames * cfg.n_users, denominator=frames * cfg.n_users)
     for _ in range(frames):
         msgs = blk.rng_data.integers(0, 2, size=(cfg.n_users, ldpc.k))
@@ -304,8 +308,8 @@ def _run(cfg: SimConfig, worker, metric: str) -> list:
 
 
 def _hard_output(cfg: SimConfig) -> None:
-    if cfg.detector == "soft-wmd":
-        raise ConfigurationError("soft-wmd produces LLRs and needs a coded run")
+    if DETECTORS[cfg.detector] == "soft":
+        raise ConfigurationError(f"{cfg.detector} produces LLRs and needs a coded run")
 
 
 # Each run kind by its metric: block simulator and the check each arm needs

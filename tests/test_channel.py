@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.linalg import hadamard
 
+import onebit_mimo
 from onebit_mimo.channel import (
     NOISE_STD,
     estimate_channel_zf,
@@ -137,6 +144,35 @@ class TestPilots:
     def test_non_multiple_rejected(self):
         with pytest.raises(ConfigurationError):
             generate_pilots(4, 10, snr=1.0)
+
+    @pytest.mark.parametrize("K", [1, 2, 4, 8, 16])
+    def test_power_of_two_users_get_sylvester_hadamard_rows(self, K):
+        # scipy's Sylvester construction is the oracle, scaled and tiled as the pilots are
+        base = hadamard(K).astype(complex) * (1 + 1j) / np.sqrt(2.0)
+        expected = np.sqrt(3.0) * np.tile(base, (1, 2))
+        pilots = generate_pilots(K, 2 * K, snr=3.0)
+        assert pilots.dtype == expected.dtype and pilots.shape == expected.shape
+        assert pilots.tobytes() == expected.tobytes()
+
+    def test_estimated_csir_run_imports_no_scipy_linalg(self):
+        # a fresh interpreter, since this one has imported scipy.linalg for the oracle
+        src = str(Path(onebit_mimo.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        program = (
+            "import sys\n"
+            "from onebit_mimo import SimConfig, run_uncoded\n"
+            "run_uncoded(SimConfig(n_users=2, n_rx=4, csir='estimated', t_t=4, t_d=10,"
+            " t_c=14, trials=10, seed=1))\n"
+            "print('scipy.linalg' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", program],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\n")
 
 
 class TestChannelEstimate:

@@ -18,7 +18,7 @@ from conftest import write_alist
 
 import onebit_mimo
 from onebit_mimo import sim
-from onebit_mimo.cli import build_parser, main
+from onebit_mimo.cli import build_parser, compare, main
 from onebit_mimo.config import (
     ARM_COLUMNS,
     CSV_HEADER,
@@ -473,6 +473,32 @@ def test_field_rule_accepts_each_bound(capsys, name):
         code, out, err = run_cli(capsys, complexity_with(name, value))
         assert (code, err) == (0, "")
         assert out.startswith("partition,")
+
+
+def test_odd_ldpc_n_is_config_error_naming_the_field(capsys):
+    code, out, err = run_cli(capsys, ["coded", *CODED, "--ldpc_n", "127"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "configuration error: ldpc_n=127, ldpc_rate=0.5: "
+        "blocklength must be even and >= 12, got 127\n"
+    )
+
+
+def test_unconstructible_ldpc_rate_is_config_error_naming_the_field(capsys):
+    code, out, err = run_cli(capsys, ["coded", *CODED, "--ldpc_rate", "0.4"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "configuration error: ldpc_n=128, ldpc_rate=0.4: "
+        "(3,6)-regular construction fixes rate=0.5, got 0.4\n"
+    )
+
+
+def test_script_arm_of_an_unknown_detector_is_config_error(capsys):
+    # an arm's detector is checked like the field, before any arm runs
+    assert compare("A script.", {}, ("wmd", "wdm"), "ber", ["--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: detector must be one of ")
 
 
 def test_unfit_constructed_code_exits_2_before_it_is_built(capsys, monkeypatch, tmp_path):

@@ -11,6 +11,7 @@ import onebit_mimo
 import onebit_mimo.core
 import onebit_mimo.ldpc
 import onebit_mimo.partition
+from onebit_mimo.config import DETECTORS
 from onebit_mimo.core import (
     all_message_digits,
     bit_table,
@@ -73,6 +74,36 @@ def test_oracles_are_not_public():
             imported |= names
     assert len(onebit_mimo.__all__) == len(set(onebit_mimo.__all__))
     assert set(onebit_mimo.__all__) == imported
+
+
+def detector_name_comparisons(source: str) -> list:
+    """Sorted (line, name) of each comparison or match case against a detector's name literal."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.MatchValue):
+            operands = [node.value]
+        else:
+            continue
+        for operand in operands:
+            many = isinstance(operand, (ast.Tuple, ast.List, ast.Set))
+            found += [
+                (node.lineno, leaf.value)
+                for leaf in (operand.elts if many else [operand])
+                if isinstance(leaf, ast.Constant) and leaf.value in DETECTORS
+            ]
+    return sorted(found)
+
+
+def test_no_detector_name_is_compared_outside_the_declaration():
+    # each detector's kind is declared once, in config.DETECTORS, and every site reads the kind
+    sample = 'd == "zf"\nif "ml" != d or d not in ("wmd", "x"): pass\nmatch d:\n case "md": pass\n'
+    assert detector_name_comparisons(sample) == [(1, "zf"), (2, "ml"), (2, "wmd"), (4, "md")]
+    package = Path(onebit_mimo.__file__).parent
+    found = {path.name: detector_name_comparisons(path.read_text("utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 def unused_imports(source: str) -> list:

@@ -8,6 +8,7 @@ import csv
 import importlib.util
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -17,7 +18,7 @@ import pytest
 
 import onebit_mimo
 from onebit_mimo.cli import main
-from onebit_mimo.config import CSV_HEADER
+from onebit_mimo.config import CSV_HEADER, SimConfig
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SRC = str(Path(onebit_mimo.__file__).parents[1])
@@ -120,6 +121,29 @@ def test_script_reads_a_negative_snr_list_after_a_space(name):
     assert (spaced.returncode, spaced.stderr) == (0, "")
     assert spaced.stdout == joined.stdout
     assert len(spaced.stdout.splitlines()) == 1 + 2 * arms
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_script_reads_its_config_file_once(name, tmp_path, monkeypatch, capsys):
+    # the detector refusal and the config come from one read of the file
+    reads = []
+    read = SimConfig.from_json
+    monkeypatch.setattr(
+        SimConfig, "from_json", staticmethod(lambda path: reads.append(path) or read(path))
+    )
+    seeded, zf = tmp_path / "seed.json", tmp_path / "zf.json"
+    seeded.write_text(json.dumps({"seed": 1}))
+    zf.write_text(json.dumps({"seed": 1, "detector": "zf"}))
+    results = []
+    for extra in (["--config", str(seeded)], ["--seed", "1"], ["--config", str(zf)]):
+        monkeypatch.setattr(sys, "argv", [f"{name}.py", *RUNS[name][0], *extra])
+        with pytest.raises(SystemExit) as exit:
+            runpy.run_path(str(SCRIPTS / f"{name}.py"), run_name="__main__")
+        results.append((exit.value.code, *capsys.readouterr()))
+    assert reads == [str(seeded), str(zf)]
+    # the file's seed gives the CSV the flag gives, and the file's detector is refused
+    assert results[0] == results[1] and results[0][0] == 0
+    assert results[2][:2] == (2, "") and "config file's detector" in results[2][2]
 
 
 def test_script_layers_presets_file_and_flags(tmp_path):

@@ -14,9 +14,10 @@ import pytest
 from conftest import write_alist
 
 import onebit_mimo
-from onebit_mimo import sim
+from onebit_mimo import cli, sim
 from onebit_mimo.config import (
     CSV_HEADER,
+    DETECTORS,
     MAX_BLOCK_ENTRIES,
     MAX_CODEBOOK_ENTRIES,
     MAX_LDPC_N,
@@ -309,6 +310,53 @@ def test_paired_arms_keep_the_seed_and_lay_their_fields_over_the_config(monkeypa
     ]
     with pytest.raises(ConfigurationError, match="at least one arm"):
         sim.run_arms(small_uncoded(), [], "ber")
+
+
+# Each detector's kind as every site it feeds reads it: a hard or soft detector
+# searches the code, so it takes a partition; a soft one's LLRs need a coded run
+# and BP; a linear one (ZF) searches no codebook.
+KINDS = {"wmd": "hard", "soft-wmd": "soft", "md": "hard", "ml": "hard", "zf": "linear"}
+
+
+@pytest.mark.parametrize("name", DETECTORS)
+def test_each_site_reads_the_detectors_kind(name, monkeypatch):
+    kind = KINDS[name]
+    spec = {"k": [4], "q": [2]}
+    # a partition is refused exactly when the detector searches no code
+    if kind == "linear":
+        with pytest.raises(ConfigurationError, match=f"^{name} detection searches no codebook"):
+            small_uncoded(detector=name, partition=spec)
+    else:
+        assert small_uncoded(detector=name, partition=spec).partition == parse_partition(spec)
+    # an uncoded run refuses exactly the soft detectors
+    uncoded = small_uncoded(detector=name, t_c=10, t_d=10, trials=10)
+    if kind == "soft":
+        with pytest.raises(ConfigurationError, match=f"^{name} produces LLRs and needs a coded"):
+            sim.run_arms(uncoded, [{}], "ber")
+    else:
+        assert sim.run_arms(uncoded, [{}], "ber")[0][1][0].trials == 20
+    # a coded run decodes a soft detector's LLRs by BP, any other's decisions by bit flipping
+    calls = Counter()
+    for decoder in ("decode_bp", "decode_bit_flipping"):
+        spied = getattr(sim, decoder)
+        monkeypatch.setattr(
+            sim, decoder, lambda *a, d=decoder, f=spied: calls.update([d]) or f(*a)
+        )
+    run_coded(small_coded(detector=name, frames_per_block=1, trials=2))
+    assert calls == {"decode_bp" if kind == "soft" else "decode_bit_flipping": 2}
+    # a script's arm keeps --partition exactly when its detector searches the code
+    arms = []
+    monkeypatch.setattr(cli, "run_arms", lambda cfg, given, metric: arms.extend(given) or [])
+    monkeypatch.setattr(cli, "write_results", lambda rows, cfg: None)
+    argv = ["--seed", "1", "--partition", json.dumps(spec)]
+    assert cli.compare("A script.", {}, (name,), "fer", argv) == 0
+    pruned = None if kind == "linear" else parse_partition(spec)
+    assert arms == [{"detector": name, "partition": pruned}]
+
+
+def test_hard_decoders_are_the_hard_detectors():
+    # bench/tracer.py hooks the "wmd" entry, so the table stays keyed by name
+    assert set(sim._HARD_DECODERS) == {name for name in DETECTORS if KINDS[name] == "hard"}
 
 
 def test_config_requires_seed():

@@ -12,7 +12,6 @@ L = log(P(bit=0) / P(bit=1)), clamped to +-LLR_CLAMP for a channel decoder.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import Constellation
 from .spatial_code import MismatchScore, SpatialCode
@@ -104,6 +103,8 @@ def compute_app(
     or logsumexp per row give every subcode's mass, and a fully pruned
     subcode gets none.
     """
+    from scipy.special import logsumexp  # here: no run kind computes APPs, so runs import no scipy
+
     if mode not in APP_MODES:
         raise ValueError(f"unknown APP mode {mode!r}")
     log_p = -_masked_scores(r, code.nll if mode == "exact-sum" else code.wh, candidates)

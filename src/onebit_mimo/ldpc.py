@@ -143,7 +143,9 @@ def code_from_parity_check(h: np.ndarray) -> LdpcCode:
         raise CodeConstructionError("parity-check matrix must be a nonzero 2-D binary array")
     hw, pivots = _gf2_systematic(h)
     n_checks, n = h.shape
-    free = np.setdiff1d(np.arange(n), pivots)
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)  # not np.setdiff1d, which imports numpy.ma
     k = n - n_checks
     gen = np.zeros((k, n), dtype=np.uint8)
     gen[np.arange(k), free] = 1

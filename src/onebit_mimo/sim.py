@@ -37,7 +37,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -268,6 +267,9 @@ def _coded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
 
 def _make_executor(cfg: SimConfig):
     if cfg.workers > 1:
+        # imported here, so a one-worker run loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         return ProcessPoolExecutor(max_workers=cfg.workers)
     return nullcontext(None)
 

@@ -29,6 +29,24 @@ from onebit_mimo.errors import ConfigurationError
 from onebit_mimo.spatial_code import build_code
 
 
+def run_fresh(program: str) -> str:
+    """Stdout of ``program`` run in a fresh interpreter that imports this checkout's package.
+
+    Fails unless it exits 0 with nothing on stderr.
+    """
+    src = str(Path(onebit_mimo.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", program],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout
+
+
 class TestRayleigh:
     def test_moments(self):
         rng = np.random.default_rng(0)
@@ -156,8 +174,6 @@ class TestPilots:
 
     def test_estimated_csir_run_imports_no_scipy_linalg(self):
         # a fresh interpreter, since this one has imported scipy.linalg for the oracle
-        src = str(Path(onebit_mimo.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         program = (
             "import sys\n"
             "from onebit_mimo import SimConfig, run_uncoded\n"
@@ -165,14 +181,31 @@ class TestPilots:
             " t_c=14, trials=10, seed=1))\n"
             "print('scipy.linalg' in sys.modules)\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", program],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env=dict(os.environ, PYTHONPATH=path),
+        assert run_fresh(program) == "False\n"
+
+    def test_runs_import_no_scipy_numpy_ma_or_process_pool(self):
+        # every run kind in one fresh interpreter; only compute_app's sum modes reach scipy
+        program = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from onebit_mimo import SimConfig, run_coded, run_uncoded\n"
+            "small = dict(n_users=2, n_rx=4, seed=1)\n"
+            "run_uncoded(SimConfig(**small, trials=40, partition={'k': [4], 'q': [2]}))\n"
+            "run_coded(SimConfig(**small, detector='soft-wmd', ldpc_n=64, trials=1))\n"
+            "run_uncoded(SimConfig(**small, detector='zf', trials=40))\n"
+            "run_uncoded(SimConfig(**small, csir='estimated', t_t=4, t_d=10, t_c=14, trials=10))\n"
+            "print(sorted(name for name in sys.modules if name.startswith('scipy')"
+            " or name == 'numpy.ma' or name.startswith('numpy.ma.')"
+            " or name == 'concurrent.futures.process'))\n"
+            "from onebit_mimo import build_code, qam_constellation, real_channel_matrix,"
+            " sample_rayleigh\n"
+            "from onebit_mimo.detector import compute_app\n"
+            "h = real_channel_matrix(sample_rayleigh(2, 4, np.random.default_rng(0)))\n"
+            "code = build_code(h, qam_constellation(4, 10.0))\n"
+            "table = compute_app(code.codewords[5], code, mode='exact-sum')\n"
+            "print(table.shape, bool(np.all(table >= 0) and np.allclose(table.sum(axis=1), 1.0)))\n"
         )
-        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\n")
+        assert run_fresh(program) == "[]\n(2, 4) True\n"
 
 
 class TestChannelEstimate:

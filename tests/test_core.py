@@ -1,11 +1,14 @@
 import ast
+import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erfc
 
 import onebit_mimo
 import onebit_mimo.core
@@ -306,3 +309,75 @@ class TestQFunction:
         xs = np.linspace(-6, 6, 200)
         vals = q_function(xs)
         assert np.all(np.diff(vals) < 0)
+
+
+def scipy_q(x):
+    """Oracle: the Q-function through scipy's erfc, which evaluates the same Cephes pieces."""
+    return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+
+
+def assert_close_to(q, ref, rtol):
+    """|q - ref| <= rtol * ref, or two of the smallest subnormal steps where ref is subnormal.
+
+    Below the smallest normal double the spacing of doubles is fixed, so one
+    rounding of a subnormal result differs by more than any relative bound.
+    """
+    assert np.all(np.abs(q - ref) <= np.maximum(rtol * ref, 2 * 2.0**-1074))
+
+
+# step 1e-4 from the bulk to past the point where Q underflows to 0 (near 37.68)
+Q_GRID = np.linspace(-38.0, 38.0, 760_001)
+
+
+class TestQFunctionMatchesCephes:
+    def test_bitwise_equal_to_scipy_on_the_erf_piece(self):
+        x = Q_GRID[np.abs(Q_GRID) / np.sqrt(2.0) < 1.0]
+        assert x.size > onebit_mimo.core._ERFC_CHUNK  # spans two chunks
+        assert q_function(x).tobytes() == scipy_q(x).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-np.sqrt(2.0), np.sqrt(2.0), exclude_min=True, exclude_max=True))
+    def test_bitwise_equal_to_scipy_on_the_erf_piece_at_any_float(self, x):
+        assert q_function(x).tobytes() == scipy_q(x).tobytes()
+
+    def test_within_1e_14_of_scipy_on_the_tail_pieces(self):
+        # the tails differ from scipy's only through numpy's exp against libm's
+        assert_close_to(q_function(Q_GRID), scipy_q(Q_GRID), 1e-14)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-38.0, 38.0))
+    def test_within_1e_14_of_scipy_at_any_float(self, x):
+        assert_close_to(q_function(x), scipy_q(x), 1e-14)
+
+    def test_zero_at_the_same_inputs_as_scipy(self):
+        q, ref = q_function(Q_GRID), scipy_q(Q_GRID)
+        assert np.array_equal(q == 0.0, ref == 0.0)
+        assert (ref == 0.0).any() and not (q[Q_GRID < 37.0] == 0.0).any()
+
+    def test_within_1e_13_of_libm(self):
+        x = Q_GRID[::20]
+        libm = np.array([0.5 * math.erfc(v / math.sqrt(2.0)) for v in x])
+        normal = libm >= np.finfo(float).tiny  # Cephes returns 0 once exp(-x*x/2) underflows
+        assert_close_to(q_function(x[normal]), libm[normal], 1e-13)
+
+    def test_special_values_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert q_function(0.0) == 0.5 and q_function(-0.0) == 0.5
+            got = q_function(np.array([np.inf, -np.inf, 1e300, -1e300, np.nan, 8.0, -8.0]))
+        assert got[:4].tolist() == [0.0, 1.0, 0.0, 1.0]
+        assert np.isnan(got[4])
+        assert got[5:].tobytes() == scipy_q([8.0, -8.0]).tobytes()
+
+    def test_scalar_in_scalar_out_and_shape_kept(self):
+        assert isinstance(q_function(1.5), np.float64)
+        assert q_function(np.ones((3, 0))).shape == (3, 0)
+        x = Q_GRID[::1000].reshape(-1, 1, 1)
+        assert q_function(x).shape == x.shape
+
+    def test_value_does_not_depend_on_position(self):
+        # build_code's antipodal symmetry needs each entry computed alone, chunks included
+        x = np.random.default_rng(3).normal(scale=8.0, size=40_000)
+        q = q_function(x)
+        assert q_function(x[::-1])[::-1].tobytes() == q.tobytes()
+        assert q_function(x[::-1][:777])[::-1].tobytes() == q[-777:].tobytes()

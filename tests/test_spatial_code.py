@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erfc
 
 from onebit_mimo.channel import NOISE_STD, sample_rayleigh
 from onebit_mimo.core import (
@@ -97,6 +98,35 @@ class TestBuildCode:
         code = build_code(h, const)
         assert np.all(code.crossover >= EPS_FLOOR)
         assert np.all(np.isfinite(code.weights))
+
+    @pytest.mark.parametrize(
+        "K, n_r, m, snr_db, seed",
+        [(2, 4, 4, 10.0, 0), (3, 16, 4, -2.0, 1), (4, 32, 4, 5.0, 2), (3, 16, 16, 20.0, 3),
+         (2, 8, 4, 60.0, 4)],
+    )
+    def test_matches_a_scipy_built_oracle(self, K, n_r, m, snr_db, seed):
+        rng = np.random.default_rng(seed)
+        const = qam_constellation(m, 10.0 ** (snr_db / 10.0))
+        h = real_channel_matrix(sample_rayleigh(K, n_r, rng))
+        code = build_code(h, const)
+        # oracle: build_code's arithmetic with scipy's erfc for the crossover
+        v = np.hstack(const.xy[:, all_message_digits(m, K)]) @ h.T
+        eps = np.maximum(0.5 * erfc(np.abs(v) / NOISE_STD / np.sqrt(2.0)), EPS_FLOOR)
+        assert np.array_equal(code.codewords, (v < 0).astype(np.uint8))
+        for got, want in ((code.crossover, eps), (code.weights, -np.log(eps))):
+            assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+    @pytest.mark.parametrize("K, n_r, m, seed", [(2, 4, 4, 0), (4, 32, 4, 1), (3, 16, 16, 2)])
+    def test_antipodal_messages_have_bitwise_equal_weights(self, K, n_r, m, seed):
+        # -x(ell) is the message ell' of each symbol's negated point: its codeword is
+        # ell's complemented, and its crossovers and weights are bitwise ell's
+        code = random_code(K=K, n_r=n_r, m=m, seed=seed)
+        points = qam_constellation(m, 10.0).points
+        negated = np.array([np.flatnonzero(points == -p)[0] for p in points])
+        partner = negated[all_message_digits(m, K)] @ m ** np.arange(K)
+        assert np.array_equal(code.codewords[partner], 1 - code.codewords)
+        assert code.crossover[partner].tobytes() == code.crossover.tobytes()
+        assert code.weights[partner].tobytes() == code.weights.tobytes()
 
 
 class TestExactLikelihood:

@@ -80,6 +80,17 @@ def build_config(args: argparse.Namespace, presets: dict | None = None) -> SimCo
     return cfg
 
 
+def _arms_config(args: argparse.Namespace, presets: dict, field: str, arms: str) -> SimConfig:
+    """``build_config``'s config, reading the file once and refusing ``field``, which every
+    arm sets, from the flags or the file: the arms would drop it."""
+    from_file = SimConfig.from_json(args.config) if args.config else {}
+    if getattr(args, field) is not None or field in from_file:
+        raise ConfigurationError(f"the arms are {arms}: --{field} and a config file's {field} "
+                                 "are not taken")
+    args.config = None  # read once, above: build_config lays the flags over presets and file
+    return build_config(args, {**presets, **from_file})
+
+
 def _sweep_specs(args: argparse.Namespace) -> list:
     try:
         sweep = json.loads(args.sweep)
@@ -117,7 +128,11 @@ _COMMANDS = {
 
 
 def _run(args: argparse.Namespace) -> int:
-    _COMMANDS[args.command][1](build_config(args), args)
+    if args.command == "partition-sweep":
+        cfg = _arms_config(args, {}, "partition", "the --sweep specs")
+    else:
+        cfg = build_config(args)
+    _COMMANDS[args.command][1](cfg, args)
     return 0
 
 
@@ -167,12 +182,7 @@ def compare(doc: str, presets: dict, detectors, metric: str, argv=None) -> int:
     add_config_flags(parser)
 
     def run(args: argparse.Namespace) -> int:
-        from_file = SimConfig.from_json(args.config) if args.config else {}
-        if args.detector is not None or "detector" in from_file:
-            raise ConfigurationError(f"the arms are {', '.join(detectors)}: --detector and a "
-                                     "config file's detector are not taken")
-        args.config = None  # read once, above: build_config lays the flags over presets and file
-        base = build_config(args, {**presets, **from_file})
+        base = _arms_config(args, presets, "detector", ", ".join(detectors))
         arms = [{"detector": d,
                  "partition": None if DETECTORS.get(d) == "linear" else base.partition}
                 for d in detectors]

@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import bits_per_symbol
 from .errors import ConfigurationError
-from .ldpc import MAX_LDPC_N
+from .ldpc import DESIGN_RATE, MAX_LDPC_N
 from .partition import PartitionParams, estimate_complexity, is_int, require_valid_params
 
 # Each detector by its kind, the one place a detector's name says what it
@@ -124,17 +124,8 @@ def _is_real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
-def _is_finite(value) -> bool:
-    """A real number whose float is finite: not nan, inf or an int beyond float range."""
-    try:
-        return _is_real(value) and math.isfinite(float(value))
-    except OverflowError:
-        return False
-
-
 _KINDS = {
     int: ("an integer", is_int),
-    float: ("a finite number", _is_finite),
     str: ("a string", lambda v: isinstance(v, str)),
 }
 
@@ -171,7 +162,7 @@ def _describe(noun: str, rule) -> str:
 
 def require_field_types(cfg) -> None:
     """Reject a scalar field of the wrong type or outside its FIELD_RULES entry, e.g. a float
-    m or trials=0, and store each field as a plain Python int, float or str."""
+    m or trials=0, and store each field as a plain Python int or str."""
     for name, (kind, optional) in FIELD_TYPES.items():
         value = getattr(cfg, name)
         if value is None and optional:
@@ -200,7 +191,6 @@ class SimConfig:
     detector: str = "wmd"
     partition: PartitionParams | None = None
     ldpc_n: int = 672
-    ldpc_rate: float = 0.5
     ldpc_seed: int = 7
     ldpc_max_iter: int = 50
     ldpc_alist: str | None = None
@@ -259,6 +249,12 @@ class SimConfig:
             raise ConfigurationError(f"{self.detector} detection searches no codebook, so it "
                                      "takes no partition")
 
+    # read only by bench/workloads.py; ROADMAP item 1 (benchmark v2) drops it with CSV_HEADER
+    @property
+    def ldpc_rate(self) -> float:
+        """The design rate of every constructed LDPC code, ``ldpc.DESIGN_RATE``."""
+        return DESIGN_RATE
+
     def require_seed(self) -> None:
         if self.seed is None:
             raise ConfigurationError("result-producing runs require an explicit seed")
@@ -287,7 +283,7 @@ class SimConfig:
 
 
 def _scalar_field_types(cls) -> dict:
-    """{name: (kind, optional)} for each int, float or str field, from its annotation."""
+    """{name: (kind, optional)} for each int or str field, from its annotation."""
     out = {}
     for name, hint in typing.get_type_hints(cls).items():
         kinds = set(typing.get_args(hint)) or {hint}
@@ -300,9 +296,9 @@ def _scalar_field_types(cls) -> dict:
 
 # The one typing of the scalar fields: SimConfig checks them when it is built
 # and the CLI types its same-name flags by them.  An integer field takes any
-# integer, numpy's too (not a bool), a float field any finite real number, a
-# str field a str; an optional field also takes None.  Read once here, since
-# get_type_hints costs far more than building a config.
+# integer, numpy's too (not a bool), a str field a str; an optional field
+# also takes None.  Read once here, since get_type_hints costs far more than
+# building a config.
 FIELD_TYPES = _scalar_field_types(SimConfig)
 
 

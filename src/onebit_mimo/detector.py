@@ -38,13 +38,14 @@ def _candidate_array(candidates, sort: bool = True):
 
 
 def _nearest(r: np.ndarray, score: MismatchScore, candidates) -> int:
-    """Candidate index of the smallest score, ties to the lowest index.
+    """Codeword index in [0, M) of the smallest score, ties to the lowest index.
 
-    ``smallest`` breaks ties by codeword index, so the candidates need no sort.
+    ``smallest`` breaks ties by codeword index, so the candidates need no sort;
+    a negative candidate names the same codeword as its wrapped index.
     """
     cand = _candidate_array(candidates, sort=False)
     pos = score.smallest(r, score(r, cand), 1, cand).argmax()
-    return int(pos if cand is None else cand[pos])
+    return int(pos) if cand is None else int(cand[pos]) % score.base.size
 
 
 def wmd_decode(r: np.ndarray, code: SpatialCode, candidates=None) -> int:

@@ -1,10 +1,10 @@
 """Regular LDPC code construction and decoding.
 
-Codes are (3,6)-regular by default, built by random stub pairing followed by
-edge swaps that remove parallel edges and 4-cycles, so the Tanner graph has
-girth at least 6.  The parity-check matrix is reduced over GF(2) to obtain a
-systematic-form generator; constructions that come out rank deficient are
-retried with a fresh pairing.
+Constructed codes are (3,6)-regular, so of rate DESIGN_RATE = 1/2, built by
+random stub pairing followed by edge swaps that remove parallel edges and
+4-cycles, so the Tanner graph has girth at least 6.  The parity-check matrix
+is reduced over GF(2) to obtain a systematic-form generator; constructions
+that come out rank deficient are retried with a fresh pairing.
 
 Decoders: sum-product belief propagation on log-likelihood ratios (positive
 LLR favors bit 0) and hard-input majority bit flipping.  Both are iteration
@@ -21,6 +21,7 @@ from .errors import CodeConstructionError, ConfigurationError
 
 VAR_DEGREE = 3
 CHECK_DEGREE = 6
+DESIGN_RATE = 1 - VAR_DEGREE / CHECK_DEGREE  # of every constructed code: 1/2
 MAX_CONSTRUCTION_ATTEMPTS = 30
 MAX_REPAIR_ROUNDS = 2000  # bad edges swapped away per attempt
 _TANH_LIM = 1.0 - 1e-12
@@ -166,19 +167,20 @@ def code_from_parity_check(h: np.ndarray) -> LdpcCode:
     )
 
 
-def require_constructible(n: int, rate: float) -> None:
+def require_constructible(n: int, rate: float = DESIGN_RATE) -> None:
     """Reject a rate or blocklength that no (3,6)-regular code has.
 
-    The degree pair fixes the design rate at 1/2, and the construction needs
-    an even n of at least 2 * CHECK_DEGREE.
+    The degree pair fixes the rate at DESIGN_RATE, and the construction
+    needs an even n of at least 2 * CHECK_DEGREE.
     """
-    if not abs(rate - 0.5) <= 1e-12:  # true for nan too
-        raise ConfigurationError(f"(3,6)-regular construction fixes rate=0.5, got {rate}")
+    if rate != DESIGN_RATE:  # true for nan too
+        raise ConfigurationError(f"(3,6)-regular construction fixes rate={DESIGN_RATE}, got {rate}")
     if n < 2 * CHECK_DEGREE or n % 2:
         raise ConfigurationError(f"blocklength must be even and >= {2 * CHECK_DEGREE}, got {n}")
 
 
-def construct_code(n: int, rate: float = 0.5, seed: int = 0) -> LdpcCode:
+# rate takes only DESIGN_RATE; ROADMAP item 1 (benchmark v2) drops it with the CSV_HEADER aliases
+def construct_code(n: int, rate: float = DESIGN_RATE, seed: int = 0) -> LdpcCode:
     """Random (3,6)-regular code of blocklength n with girth >= 6 (see require_constructible)."""
     require_constructible(n, rate)
     n_checks = n * VAR_DEGREE // CHECK_DEGREE

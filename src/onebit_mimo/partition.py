@@ -167,6 +167,8 @@ def kmeans_hamming(
     members = np.asarray(members, dtype=np.int64)
     if members.size == 0:
         raise ValueError("members must be nonempty")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     bits = code.codewords[members]
     pw = _pack_rows(bits)
     n = len(members)

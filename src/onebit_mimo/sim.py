@@ -19,9 +19,9 @@ laid over one config).  Each run kind of ``_RUN_KINDS`` pairs its block
 simulator with one arm check, and the runner checks each arm's seed and then
 that check, all before the first runs: "ber" refuses a soft detector, "fer"
 needs an LDPC code that fits.  One resolver, ``_ldpc_layout``, gives a coded
-run that code and its frames per block: an alist overrides ldpc_n, ldpc_rate
-and ldpc_seed, and a constructed code is checked, against t_d too, before it
-is built.  The runner, each coded block and the sidecar call it; the code is
+run that code and its frames per block: an alist overrides ldpc_n and
+ldpc_seed, and a constructed code is checked, against t_d too, before it is
+built.  The runner, each coded block and the sidecar call it; the code is
 built once per process for its alist path or its parameters.
 
 Blocks are scheduled in fixed-size waves: a whole wave is simulated and
@@ -57,6 +57,7 @@ from .core import Constellation, bit_table, bits_per_symbol, qam_constellation, 
 from .detector import compute_llrs, md_decode, ml_decode, wmd_decode, zf_detect
 from .errors import CodeConstructionError, ConfigurationError
 from .ldpc import (
+    DESIGN_RATE,
     LdpcCode,
     code_from_parity_check,
     construct_code,
@@ -95,17 +96,17 @@ def _ldpc_code(source) -> LdpcCode:
 
 
 def _ldpc_layout(cfg: SimConfig):
-    """(code, frames per block): an alist overrides ldpc_n/rate/seed, and a
-    constructed code's parameters and fit are checked before it is built."""
+    """(code, frames per block): an alist overrides ldpc_n/seed, and a
+    constructed code's blocklength and fit are checked before it is built."""
     if cfg.ldpc_alist:
         code = _ldpc_code(cfg.ldpc_alist)
         return code, require_ldpc_fit(code.n, cfg.m, cfg.t_d, cfg.frames_per_block)
     try:
-        require_constructible(cfg.ldpc_n, cfg.ldpc_rate)
+        require_constructible(cfg.ldpc_n)
     except ConfigurationError as exc:
-        raise ConfigurationError(f"ldpc_n={cfg.ldpc_n}, ldpc_rate={cfg.ldpc_rate}: {exc}") from exc
+        raise ConfigurationError(f"ldpc_n={cfg.ldpc_n}: {exc}") from exc
     frames = require_ldpc_fit(cfg.ldpc_n, cfg.m, cfg.t_d, cfg.frames_per_block)
-    return _ldpc_code((cfg.ldpc_n, cfg.ldpc_rate, cfg.ldpc_seed)), frames
+    return _ldpc_code((cfg.ldpc_n, DESIGN_RATE, cfg.ldpc_seed)), frames
 
 
 @dataclass(frozen=True)

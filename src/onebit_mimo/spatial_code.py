@@ -16,7 +16,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .channel import NOISE_STD
+from .channel import NOISE_STD, quantize
 from .core import Constellation, all_message_digits, bit_table, q_function
 
 EPS_FLOOR = 1e-300  # keeps -log(eps) finite when Q underflows
@@ -103,8 +103,9 @@ class MismatchScore:
         for entries outside the race.  Entries farther than ``tol`` from the
         q-th smallest score c are decided by f alone (see the class
         docstring); when the band within tol of c holds more entries than
-        places left, the band is ranked by the reference and then by row id,
-        so exact ties go to the lowest row whatever the order of ``rows``.
+        places left, the band is ranked by the reference and then by row id
+        (a negative id wrapped into [0, n)), so exact ties go to the lowest
+        row whatever the order of ``rows``.
         """
         # an argmin costs less than a partial sort (or ``min``) for the hard decoders' q = 1
         if q == 1:
@@ -118,7 +119,7 @@ class MismatchScore:
             band = np.flatnonzero(keep & (f >= c - self.tol))
             keep[band] = False
             need = q - np.count_nonzero(keep)
-            at = band if rows is None else rows[band]
+            at = band if rows is None else rows[band] % self.base.size
             exact = [self.reference(r, j) for j in at]
             keep[band[np.lexsort((at, exact))[:need]]] = True
         return keep
@@ -199,10 +200,10 @@ class SpatialCode:
 def build_code(h_real: np.ndarray, constellation: Constellation) -> SpatialCode:
     """Construct the spatial code of a real channel matrix.
 
-    For every message index ell: codeword bits sign(h_i^T x), crossover
+    For every message index ell: codeword bits quantize(h_i^T x), crossover
     eps = Q(|h_i^T x| / NOISE_STD) clamped below at ``EPS_FLOOR``, and
-    weights -log(eps).  The noise scale is the channel's own, so the code
-    matches the observations ``transmit`` draws.
+    weights -log(eps).  The quantizer and the noise scale are the channel's
+    own, so the code matches the observations ``transmit`` draws.
     """
     if not np.all(np.isfinite(h_real)):
         raise ValueError("channel matrix must be finite")
@@ -211,7 +212,7 @@ def build_code(h_real: np.ndarray, constellation: Constellation) -> SpatialCode:
     K = two_k // 2
     x = np.hstack(constellation.xy[:, _digits(m, K)])  # (M, 2K): [Re; Im] of each message
     v = x @ h_real.T  # (M, N)
-    codewords = (v < 0).astype(np.uint8)
+    codewords = quantize(v)
     eps = np.maximum(q_function(np.abs(v) / NOISE_STD), EPS_FLOOR)
     return SpatialCode(m=m, K=K, codewords=codewords, crossover=eps, weights=-np.log(eps))
 

@@ -43,3 +43,9 @@ def test_traced_runs_meet_the_call_contract(name):
         assert not [key for key in trace.arms if key[1] == "unattributed"]
         counts.append(trace.exact_counts())
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_setup_runs(name):
+    # bench/run.py times setup() as setup_s; it reads config attributes such as ldpc_rate
+    workloads.WORKLOADS[name].setup()

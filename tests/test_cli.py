@@ -31,6 +31,7 @@ from onebit_mimo.config import (
     SweepRow,
 )
 from onebit_mimo.errors import ConfigurationError
+from onebit_mimo.ldpc import DESIGN_RATE
 from onebit_mimo.sim import write_results
 
 SMALL = [
@@ -478,19 +479,24 @@ def test_field_rule_accepts_each_bound(capsys, name):
 def test_odd_ldpc_n_is_config_error_naming_the_field(capsys):
     code, out, err = run_cli(capsys, ["coded", *CODED, "--ldpc_n", "127"])
     assert (code, out) == (2, "")
-    assert err == (
-        "configuration error: ldpc_n=127, ldpc_rate=0.5: "
-        "blocklength must be even and >= 12, got 127\n"
-    )
+    assert err == "configuration error: ldpc_n=127: blocklength must be even and >= 12, got 127\n"
 
 
-def test_unconstructible_ldpc_rate_is_config_error_naming_the_field(capsys):
-    code, out, err = run_cli(capsys, ["coded", *CODED, "--ldpc_rate", "0.4"])
+def test_ldpc_rate_is_a_constant_not_a_setting(capsys, tmp_path):
+    # the (3,6) degrees fix the design rate, so neither a flag nor a file key sets it
+    with pytest.raises(SystemExit) as excinfo:
+        main(["coded", *CODED, "--ldpc_rate", "0.5"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --ldpc_rate 0.5" in capsys.readouterr().err
+    config = tmp_path / "rate.json"
+    config.write_text(json.dumps({"ldpc_rate": 0.5}))
+    code, out, err = run_cli(capsys, ["coded", *CODED, "--config", str(config)])
     assert (code, out) == (2, "")
-    assert err == (
-        "configuration error: ldpc_n=128, ldpc_rate=0.4: "
-        "(3,6)-regular construction fixes rate=0.5, got 0.4\n"
-    )
+    assert err == "configuration error: unknown config keys: ['ldpc_rate']\n"
+    cfg = SimConfig()
+    assert cfg.ldpc_rate == DESIGN_RATE == 0.5
+    with pytest.raises(AttributeError):
+        cfg.ldpc_rate = 0.5
 
 
 def test_script_arm_of_an_unknown_detector_is_config_error(capsys):
@@ -622,6 +628,22 @@ def test_readme_library_example_runs():
     assert scope["llrs"].shape == (4, 2)
 
 
+@pytest.mark.parametrize("source", ["flag", "config file"])
+def test_partition_sweep_refuses_a_partition_its_arms_would_drop(capsys, tmp_path, source):
+    # each arm sets the partition; the given one used to be dropped but still recorded
+    config = tmp_path / "part.json"
+    config.write_text(json.dumps({"partition": {"k": [4], "q": [1]}}))
+    given = (["--partition", '{"k":[4],"q":[1]}'] if source == "flag"
+             else ["--config", str(config)])
+    output = tmp_path / "ps.csv"
+    code, out, err = run_cli(capsys, ["partition-sweep", *SMALL, *given, "--sweep", '["full"]',
+                                      "--output", str(output)])
+    assert (code, out) == (2, "")
+    assert err == ("configuration error: the arms are the --sweep specs: --partition and a "
+                   "config file's partition are not taken\n")
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_bad_sweep_is_config_error(capsys):
     code, _, _ = run_cli(capsys, ["partition-sweep", *SMALL, "--sweep", "not json"])
     assert code == 2
@@ -674,15 +696,13 @@ def test_subcommands_keep_their_names_help_and_sweep_flag():
 
 
 def test_flags_are_typed_by_the_annotations(capsys):
-    assert FIELD_TYPES["m"] == (int, False) and FIELD_TYPES["ldpc_rate"] == (float, False)
+    assert FIELD_TYPES["m"] == (int, False) and {k for k, _ in FIELD_TYPES.values()} == {int, str}
     assert FIELD_TYPES["seed"] == (int, True) and FIELD_TYPES["output"] == (str, True)
     assert "snr_db" not in FIELD_TYPES and "partition" not in FIELD_TYPES
     with pytest.raises(SystemExit) as excinfo:
         main(["complexity", "--m", "4.5"])
     assert excinfo.value.code == 2
     assert "invalid int value: '4.5'" in capsys.readouterr().err
-    code, _, err = run_cli(capsys, ["complexity", "--ldpc_rate", "0.5"])
-    assert (code, err) == (0, "")
 
 
 def readme_bounds(rule) -> str:

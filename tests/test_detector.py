@@ -581,6 +581,28 @@ def test_hard_decisions_ignore_candidate_order_and_duplicates(case, order_seed):
         assert decode(r, code, shuffled[::-1]) == want, decode.__name__
 
 
+@settings(max_examples=150, deadline=None)
+@given(case=scoring_cases(), neg_seed=st.integers(0, 2**16))
+def test_hard_decisions_on_negative_candidates_are_their_wrapped_indices(case, neg_seed):
+    code, r, cand = case
+    if cand is None:
+        cand = np.arange(code.size)
+    # a negative index names the codeword it counts to from the end
+    neg = np.where(np.random.default_rng(neg_seed).random(len(cand)) < 0.5, cand - code.size, cand)
+    for decode in (wmd_decode, md_decode, ml_decode):
+        got = decode(r, code, neg)
+        assert got == decode(r, code, neg % code.size) and 0 <= got < code.size, decode.__name__
+
+
+def test_hard_tie_over_negative_candidates_goes_to_the_lowest_wrapped_index():
+    # every one of the 16 codewords ties, so the wrapped index alone decides
+    code = manual_code(np.zeros((16, 4)), np.ones((16, 4)), m=4, K=2)
+    r = np.zeros(4, dtype=np.uint8)
+    for cand, want in (([-1], 15), ([3, -1], 3), ([3, 15], 3), ([-13, 15], 3), ([-16, -2], 0)):
+        for decode in (wmd_decode, md_decode, ml_decode):
+            assert decode(r, code, np.array(cand)) == want, (decode.__name__, cand)
+
+
 def test_hard_tie_between_twins_goes_to_lowest_index_in_any_order():
     # codewords 1, 2 and 3 are exact twins with equal weights; 0 is farther
     cw = np.array([[1, 1, 1, 1], [0, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1]])

@@ -174,6 +174,14 @@ def test_kmeans_rejects_empty_members():
         kmeans_hamming(np.array([], dtype=int), code, 2, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_kmeans_rejects_fewer_than_one_cluster(k):
+    # k = 0 used to fail deep inside with an IndexError
+    code = random_code(K=2, n_r=4, seed=0)
+    with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+        kmeans_hamming(np.arange(code.size), code, k, np.random.default_rng(0))
+
+
 def oracle_pairwise_hamming(points, centroids):
     p = points.astype(np.float64)
     c = centroids.astype(np.float64)

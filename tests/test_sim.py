@@ -233,11 +233,7 @@ def test_config_bounds_block_wave_and_ldpc_sizes():
 
 @pytest.mark.parametrize(
     "field, value",
-    [
-        ("m", 4.0), ("n_users", "2"), ("trials", True), ("ldpc_rate", "0.5"), ("detector", None),
-        pytest.param("ldpc_rate", 10**400, id="ldpc_rate-10**400"),  # no float holds it
-        ("ldpc_rate", float("nan")), ("ldpc_rate", float("inf")),  # a JSON sidecar holds neither
-    ],
+    [("m", 4.0), ("n_users", "2"), ("trials", True), ("detector", None)],
 )
 def test_config_rejects_wrongly_typed_fields(field, value):
     with pytest.raises(ConfigurationError, match=field):
@@ -256,9 +252,8 @@ def test_config_accepts_snr_sequences():
     assert SimConfig(snr_db=np.array([1.0, 3.0])).snr_db == (1.0, 3.0)
 
 
-def test_config_accepts_optional_fields_unset_and_integer_rate():
+def test_config_accepts_optional_fields_unset():
     small_uncoded(frames_per_block=None, ldpc_alist=None, output=None)
-    small_coded(ldpc_rate=1)  # an int is a real number
 
 
 def test_config_rejects_zf_with_partition():
@@ -757,11 +752,10 @@ def test_numpy_partition_entries_are_stored_as_python_ints():
             PartitionParams((np.int64(4),), (np.int64(2),)),
             {"k": [4], "q": [2]},
         ),
-        (small_coded, run_coded, "ldpc_rate", np.float32(0.5), 0.5),
         # one integer rule for fields and partition entries: a numpy int field was refused
         (small_uncoded, run_uncoded, "n_users", np.int64(2), 2),
     ],
-    ids=["partition", "ldpc_rate", "n_users"],
+    ids=["partition", "n_users"],
 )
 def test_numpy_scalars_give_a_readable_sidecar(tmp_path, make, run, field, value, expected):
     # a numpy scalar the config took used to stop json.dump half way through the sidecar
@@ -797,10 +791,10 @@ def test_write_results_without_path_prints_the_csv(tmp_path, monkeypatch, capsys
 def test_coded_checks_its_ldpc_code_before_any_block(monkeypatch):
     blocks = []
     monkeypatch.setattr(sim, "_coded_block", lambda *args: blocks.append(args))
-    with pytest.raises(ConfigurationError, match="rate"):
-        run_coded(small_coded(ldpc_rate=0.4))
-    with pytest.raises(ConfigurationError, match="even"):
+    with pytest.raises(ConfigurationError, match="ldpc_n=127: blocklength must be even"):
         run_coded(small_coded(ldpc_n=127))
+    with pytest.raises(ConfigurationError, match="ldpc_n=10: blocklength must be even and >= 12"):
+        run_coded(small_coded(ldpc_n=10))
     assert blocks == []
 
 

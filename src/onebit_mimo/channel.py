@@ -36,8 +36,11 @@ def transmit(
     constellation: Constellation,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One noisy slot: sign(H x(w) + z) as a length-N bit vector."""
-    v = h_real @ constellation.xy.take(w, axis=1).reshape(-1)
+    """One noisy slot: sign(H x(w) + z) as a length-N bit vector.
+
+    ``ndarray.dot`` reaches the same BLAS GEMV as ``@`` at less cost per call.
+    """
+    v = h_real.dot(constellation.xy.take(w, axis=1).reshape(-1))
     v += rng.normal(0.0, NOISE_STD, size=v.shape)
     return quantize(v)
 

@@ -255,9 +255,21 @@ class SimConfig:
         """The design rate of every constructed LDPC code, ``ldpc.DESIGN_RATE``."""
         return DESIGN_RATE
 
-    def require_seed(self) -> None:
+    def require_runnable(self) -> None:
+        """What a run that draws blocks needs beyond the config's own checks: an explicit
+        seed, and no more partition leaves (the product of k) than codewords.
+
+        The ``complexity`` counts draw no block, so they take any partition.
+        """
         if self.seed is None:
             raise ConfigurationError("result-producing runs require an explicit seed")
+        if self.partition is not None:
+            leaves, codewords = math.prod(self.partition.k), self.m**self.n_users
+            if leaves > codewords:
+                raise ConfigurationError(
+                    f"partition {self.partition.label()} has {leaves} leaves (the product of "
+                    f"k), more than the {self.m}**{self.n_users} = {codewords} codewords"
+                )
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":

@@ -21,11 +21,12 @@ LLR_CLAMP = 60.0
 APP_MODES = ("exact-sum", "wh-sum", "wh-max")
 
 
-def _candidate_array(candidates, sort: bool = True):
-    """Candidate indices, sorted unless ``sort`` is False, or None for the whole codebook.
+def _candidate_array(candidates):
+    """Candidate indices as given, or None for the whole codebook.
 
     A bool mask or float array is refused, not read as indices; the range is
-    not checked, to save a min and a max per call: a negative index counts from the end.
+    not checked, to save a min and a max per call: a negative index counts from
+    the end, and one outside [-M, M) fails the gather.
     """
     if candidates is None:
         return None
@@ -34,7 +35,7 @@ def _candidate_array(candidates, sort: bool = True):
         raise ValueError("candidate set must be nonempty")
     if candidates.dtype.kind not in "iu":
         raise ValueError(f"candidates must be integer indices, not {candidates.dtype}")
-    return np.sort(candidates) if sort else candidates
+    return candidates
 
 
 def _nearest(r: np.ndarray, score: MismatchScore, candidates) -> int:
@@ -43,7 +44,7 @@ def _nearest(r: np.ndarray, score: MismatchScore, candidates) -> int:
     ``smallest`` breaks ties by codeword index, so the candidates need no sort;
     a negative candidate names the same codeword as its wrapped index.
     """
-    cand = _candidate_array(candidates, sort=False)
+    cand = _candidate_array(candidates)
     pos = score.smallest(r, score(r, cand), 1, cand).argmax()
     return int(pos) if cand is None else int(cand[pos]) % score.base.size
 
@@ -70,7 +71,7 @@ def zf_detect(r: np.ndarray, h_pinv: np.ndarray, constellation: Constellation) -
     rescaled to the constellation's mean power before nearest-point slicing.
     """
     y = 1.0 - 2.0 * np.asarray(r, dtype=float)
-    x_hat = h_pinv @ y
+    x_hat = h_pinv.dot(y)
     K = x_hat.shape[0] // 2
     s = x_hat[:K] + 1j * x_hat[K:]
     rms = np.sqrt(np.mean(np.abs(s) ** 2))
@@ -81,11 +82,13 @@ def zf_detect(r: np.ndarray, h_pinv: np.ndarray, constellation: Constellation) -
 
 
 def _masked_scores(r: np.ndarray, score: MismatchScore, candidates) -> np.ndarray:
-    """(M,) scores of every row, gathered for the sorted candidates, +inf elsewhere."""
-    # sorted: a gathered GEMV's result for a row depends on the row's position in the gather
+    """(M,) scores of every row, gathered for the candidates in wrapped order, +inf elsewhere."""
     cand = _candidate_array(candidates)
     if cand is None:
         return score(r)
+    # ascending by wrapped id, so a negative id sits where its wrapped index would: a
+    # gathered GEMV's result for a row depends on the row's position in the gather
+    cand = cand[np.argsort(cand % score.base.size)]
     d = np.full(score.base.size, np.inf)
     d[cand] = score(r, cand)
     return d
@@ -121,12 +124,15 @@ def compute_llrs(r: np.ndarray, code: SpatialCode, candidates=None) -> np.ndarra
     Entry (k, i) is the LLR of label bit i (MSB first) of user k+1's symbol:
     min weighted distance over the bit=1 subcode union minus the bit=0 one.
     Codewords outside the candidate set score +inf, so one gather through
-    ``code.bit_sides`` and one min give both sides of every bit; a side
-    emptied by pruning saturates the LLR at the clamp.
+    ``code.bit_sides`` and one min per side give both sides of every bit; a
+    side emptied by pruning saturates the LLR at the clamp.
     """
     d = _masked_scores(r, code.wh, candidates)
-    side_min = np.minimum.reduce(d[code.bit_sides], axis=2)  # (2, K*q)
-    llr = side_min[1] - side_min[0]
+    sides = code.bit_sides  # (2, K*q, M/2): side 0 of every bit first
+    # one reduceat over the flat gather, a side every M/2 entries; a min is exact.  Fancy
+    # indexing, since ``take`` copies a read-only index array such as this one on every call
+    side_min = np.minimum.reduceat(d[sides.reshape(-1)], np.arange(0, sides.size, sides.shape[2]))
+    llr = side_min[sides.shape[1]:] - side_min[: sides.shape[1]]
     np.maximum(llr, -LLR_CLAMP, out=llr)
     np.minimum(llr, LLR_CLAMP, out=llr)
     return llr.reshape(code.K, -1)

@@ -263,11 +263,6 @@ def build_partition_tree(
     return PartitionTree(params=params, levels=levels, arrays=arrays, leaf_of=leaf_of)
 
 
-# the root is alive for every observation; each level gathers a new mask from it
-_ROOT = np.ones(1, dtype=bool)
-_ROOT.setflags(write=False)
-
-
 def preprocess(r: np.ndarray, tree: PartitionTree, q=None) -> np.ndarray:
     """Sorted candidate indices surviving the per-level centroid pruning.
 
@@ -278,7 +273,9 @@ def preprocess(r: np.ndarray, tree: PartitionTree, q=None) -> np.ndarray:
     per-level survivor counts, so one tree serves several pruning budgets.
 
     A level's row order is path order, so ``MismatchScore.smallest``
-    resolves ties exactly, by the reference score and then path.
+    resolves ties exactly, by the reference score and then path.  The
+    observation reaches every product uncast: a 0/1 r of any dtype casts to
+    float64 exactly inside it.
     """
     if q is None:
         q = tree.params.q
@@ -288,16 +285,17 @@ def preprocess(r: np.ndarray, tree: PartitionTree, q=None) -> np.ndarray:
     length = tree.arrays[0][1].rows.shape[1]
     if r.shape != (length,):
         raise ValueError(f"observation has shape {r.shape}, but the code has length {length}")
-    # one cast serves every level: each product would otherwise cast r again
-    rf = r.astype(np.float64)
-    alive = _ROOT
-    for (parent, score), q_l in zip(tree.arrays, q):
+    levels = zip(tree.arrays, q)
+    (_, score), q_l = next(levels)
+    n = score.base.size  # every child of the root races
+    alive = score.smallest(r, score(r), q_l) if q_l < n else np.ones(n, dtype=bool)
+    for (parent, score), q_l in levels:
         racing = alive[parent]
         n_racing = np.count_nonzero(racing)
         if q_l >= n_racing:
             alive = racing
             continue
-        f = score(rf)
+        f = score(r)
         if n_racing < racing.size:
             f[~racing] = np.inf
         alive = score.smallest(r, f, q_l)

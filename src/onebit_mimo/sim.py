@@ -12,17 +12,19 @@ order: an uncoded slot draws its K digits and then its N noise samples
 samples per slot.  A slot's digits are the values
 ``integers(0, m, size=K)`` gives, read as the 32-bit halves of the
 stream's raw words (``_slot_digits``).  One slot loop, ``_detect_slots``,
-sends every data slot of every run kind and detects it with ``_detect``:
-ZF, or pruning (when a tree exists) and a hard decoder or the soft LLRs.
+sends every data slot of every run kind (``_send``) and detects it with
+``_decide``, which chooses the detector once per block: ZF, or pruning
+(when a tree exists) and a hard decoder or the soft LLRs.
 Every run goes through one runner, ``run_arms``, of arms (dicts of fields
 laid over one config).  Each run kind of ``_RUN_KINDS`` pairs its block
-simulator with one arm check, and the runner checks each arm's seed and then
-that check, all before the first runs: "ber" refuses a soft detector, "fer"
-needs an LDPC code that fits.  One resolver, ``_ldpc_layout``, gives a coded
-run that code and its frames per block: an alist overrides ldpc_n and
-ldpc_seed, and a constructed code is checked, against t_d too, before it is
-built.  The runner, each coded block and the sidecar call it; the code is
-built once per process for its alist path or its parameters.
+simulator with one arm check, and the runner checks each arm's seed and
+partition size (``SimConfig.require_runnable``) and then that check, all
+before the first runs: "ber" refuses a soft detector, "fer" needs an LDPC
+code that fits.  One resolver, ``_ldpc_layout``, gives a coded run that
+code and its frames per block: an alist overrides ldpc_n and ldpc_seed, and
+a constructed code is checked, against t_d too, before it is built.  The
+runner, each coded block and the sidecar call it; the code is built once
+per process for its alist path or its parameters.
 
 Blocks are scheduled in fixed-size waves: a whole wave is simulated and
 merged before the stopping rule (trial budget or error target) is evaluated,
@@ -168,19 +170,35 @@ class BlockStats:
         return self.cand_sum / self.cand_slots if self.cand_slots else 0.0
 
 
-def _detect(cfg: SimConfig, blk: Block, r: np.ndarray, stats: BlockStats) -> np.ndarray:
-    """Observation r's decided digits (K,), or a soft detector's MSB-first LLRs (K, q).
+def _decide(cfg: SimConfig, blk: Block, observations, stats: BlockStats) -> np.ndarray:
+    """A soft detector's LLRs, or any other detector's decided bits, of each of an iterable
+    of observations: (observations, K, q), MSB first.
 
-    Every candidate count reaches the stats here; ZF's block holds no code, so it counts none.
+    The detector is chosen once per block: ZF, or a hard decoder or the soft
+    LLRs, each after pruning when a tree exists.  The layer functions are
+    looked up in this module while the block runs, never bound at import,
+    since a traced run rebinds them; each takes ``(r, code, candidates)``
+    positionally.  Hard indices become digits
+    in one gather.  Every candidate count reaches the stats here, summed over
+    the block; ZF's block holds no code, so it counts none.
     """
-    code = blk.code
+    code, tree = blk.code, blk.tree
     if code is None:
-        return zf_detect(r, blk.h_pinv, blk.const)
-    cand = None if blk.tree is None else preprocess(r, blk.tree)
-    stats.cand_sum += code.size if cand is None else cand.size
-    if DETECTORS[cfg.detector] == "soft":
-        return compute_llrs(r, code, cand)
-    return code.digits[_HARD_DECODERS[cfg.detector](r, code, cand)]
+        digits = [zf_detect(r, blk.h_pinv, blk.const) for r in observations]
+        return bit_table(cfg.m)[np.array(digits)]
+    soft = DETECTORS[cfg.detector] == "soft"
+    decide = compute_llrs if soft else _HARD_DECODERS[cfg.detector]
+    if tree is None:
+        out = [decide(r, code, None) for r in observations]
+        stats.cand_sum += code.size * len(out)
+    else:
+        out, n_cand = [], 0
+        for r in observations:
+            cand = preprocess(r, tree)
+            n_cand += cand.size
+            out.append(decide(r, code, cand))
+        stats.cand_sum += n_cand
+    return np.array(out) if soft else bit_table(cfg.m)[code.digits[out]]
 
 
 def _slot_digits(rng: np.random.Generator, m: int, K: int):
@@ -213,21 +231,25 @@ def _raw_digits(raw, shift: int, K: int):
         yield digits[:K]
 
 
+def _send(blk: Block, digits, slots: int, sent: list):
+    """Yield the observation of each of slots data slots, each sending the next digits
+    from the iterator digits, which it appends to sent."""
+    for _ in range(slots):
+        w = next(digits)
+        sent.append(w)
+        yield transmit(blk.h_true, w, blk.const, blk.rng_data)
+
+
 def _detect_slots(cfg: SimConfig, blk: Block, digits, slots: int, stats: BlockStats):
     """Send slots data slots, each the next digits from the iterator digits, and detect each.
 
-    Returns the sent digits (slots, K) and a soft detector's LLRs or any other
-    detector's decided bits, (slots, K, q) MSB first.
+    Returns the sent digits (slots, K) and ``_decide``'s (slots, K, q) output.
+    Each slot is sent as detection asks for it, so no block of observations is held.
     """
-    sent = np.empty((slots, cfg.n_users), dtype=np.int64)
-    out = []
-    for t in range(slots):
-        sent[t] = next(digits)
-        r = transmit(blk.h_true, sent[t], blk.const, blk.rng_data)
-        out.append(_detect(cfg, blk, r, stats))
+    sent = []
+    out = _decide(cfg, blk, _send(blk, digits, slots, sent), stats)
     stats.cand_slots += slots
-    out = np.array(out)
-    return sent, out if DETECTORS[cfg.detector] == "soft" else bit_table(cfg.m)[out]
+    return np.array(sent), out
 
 
 def _uncoded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
@@ -331,7 +353,7 @@ def run_arms(cfg: SimConfig, arms, metric: str) -> list:
     worker, check = _RUN_KINDS[metric]
     configs = [dataclasses.replace(cfg, **arm) for arm in arms]
     for arm in configs:
-        arm.require_seed()
+        arm.require_runnable()
         check(arm)
     return [(arm, _run(arm, worker, metric)) for arm in configs]
 
@@ -363,7 +385,7 @@ def run_partition_sweep(cfg: SimConfig, sweep) -> list:
 def partition_report(cfg: SimConfig) -> str:
     """Tree shape and complexity summary for one sampled coherence block."""
     cfg = dataclasses.replace(cfg)
-    cfg.require_seed()
+    cfg.require_runnable()
     if cfg.partition is None:
         raise ConfigurationError("partition-stats needs a partition spec")
     blk = _setup_block(cfg, 0, 0)

@@ -80,15 +80,17 @@ class MismatchScore:
         """Linear scores of ``rows`` (every row when None) against r.
 
         A 0/1 r of any dtype casts to float64 exactly inside the product.
-        ``take`` gathers a row subset: the same bytes as fancy indexing, at
-        less cost.
+        ``ndarray.dot`` calls the same BLAS GEMV as ``@``, which as a
+        generalized ufunc costs more per call.  A row subset is gathered by
+        ``take`` from ``gain`` and by fancy indexing from ``base``: the same
+        bytes either way, each at the lower cost for its shape.
         """
         if rows is None:
-            d = self.gain @ r
+            d = self.gain.dot(r)
             d += self.base
         else:
-            d = self.gain.take(rows, axis=0) @ r
-            d += self.base.take(rows)
+            d = self.gain.take(rows, axis=0).dot(r)
+            d += self.base[rows]
         return d
 
     def reference(self, r: np.ndarray, row: int) -> float:

@@ -275,6 +275,36 @@ def test_partition_stats_output(capsys):
 # exit codes
 
 
+TOO_MANY_LEAVES = '{"k":[300],"q":[2]}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["partition-sweep", *SMALL, "--sweep",
+         f'["full", {TOO_MANY_LEAVES}, {{"k":[8,8],"q":[2,2]}}]'],
+        ["partition-stats", *SMALL, "--partition", TOO_MANY_LEAVES],
+        ["uncoded", *SMALL, "--partition", TOO_MANY_LEAVES],
+        ["coded", *CODED, "--partition", TOO_MANY_LEAVES],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_more_partition_leaves_than_codewords_is_config_error(capsys, argv):
+    # 300 leaves over the 4**2 = 16 codewords: the sweep used to exit 0 with counts
+    # for a tree that was never built
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "k300-q2 has 300 leaves (the product of k), more than the 4**2 = 16 codewords" in err
+
+
+def test_complexity_counts_take_more_leaves_than_codewords(capsys):
+    # closed-form counts build no tree
+    argv = ["complexity", "--n_users", "2", "--partition", TOO_MANY_LEAVES]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith("k300-q2,300,")
+
+
 def test_missing_seed_is_config_error(capsys):
     code, _, err = run_cli(capsys, ["uncoded", "--n_users", "2", "--n_rx", "8"])
     assert code == 2

@@ -594,6 +594,39 @@ def test_hard_decisions_on_negative_candidates_are_their_wrapped_indices(case, n
         assert got == decode(r, code, neg % code.size) and 0 <= got < code.size, decode.__name__
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n_rx=st.sampled_from((6, 16)),
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(APP_MODES),
+)
+def test_soft_outputs_on_negative_candidates_are_their_wrapped_indices(n_rx, seed, mode):
+    # a gathered score depends on its row's place in the gather, so a negative id must
+    # take the place of its wrapped index (it used to differ in the last bit)
+    rng = np.random.default_rng(seed)
+    code = build_code(
+        real_channel_matrix(sample_rayleigh(3, n_rx, rng)), qam_constellation(4, 10.0)
+    )
+    cand = rng.permutation(code.size)[: int(rng.integers(code.size // 4, code.size + 1))]
+    neg = np.where(rng.random(cand.size) < 0.5, cand - code.size, cand)
+    for r in (code.codewords[cand[0]], rng.integers(0, 2, code.length).astype(np.uint8)):
+        wrapped = neg % code.size
+        want = compute_llrs(r, code, wrapped)
+        assert compute_llrs(r, code, neg).tobytes() == want.tobytes()
+        want = compute_app(r, code, wrapped, mode)
+        assert compute_app(r, code, neg, mode).tobytes() == want.tobytes()
+
+
+def test_soft_outputs_refuse_candidates_outside_the_codebook():
+    code = random_code(K=2, n_r=3, seed=1)
+    r = code.codewords[0]
+    for cand in ([0, code.size], [0, -code.size - 1]):
+        with pytest.raises(IndexError):
+            compute_llrs(r, code, np.array(cand))
+        with pytest.raises(IndexError):
+            compute_app(r, code, np.array(cand))
+
+
 def test_hard_tie_over_negative_candidates_goes_to_the_lowest_wrapped_index():
     # every one of the 16 codewords ties, so the wrapped index alone decides
     code = manual_code(np.zeros((16, 4)), np.ones((16, 4)), m=4, K=2)

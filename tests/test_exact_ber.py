@@ -4,7 +4,7 @@ Given one block's channel, the bit errors of one slot under a deterministic
 hard detector are a finite sum over the M sent messages and the 2**N one-bit
 observations r: P(r | ell) is a product of per-bit flip probabilities
 Q(|h_i^T x(ell)| / NOISE_STD), taken from the true channel with no floor, and
-the decision on r is the simulator's own (``sim._detect``).  Slots are
+the decision on r is the simulator's own (``sim._decide``).  Slots are
 independent given the block, so the errors pooled over ``sim._uncoded_block``
 runs have a known mean and variance: this checks ``transmit``, the slot
 digits, detection (estimated CSIR and pruning included) and the error count
@@ -36,9 +36,8 @@ def exact_slot_errors(cfg: SimConfig, blk: sim.Block):
     differs = obs[None] != (v < 0)[:, None]  # (M, 2**N, N)
     p = np.where(differs, flip[:, None], 1.0 - flip[:, None]).prod(axis=2)
     np.testing.assert_allclose(p.sum(axis=1), 1.0)
-    lut = bit_table(cfg.m)
-    decided = np.array([sim._detect(cfg, blk, r, sim.BlockStats()) for r in obs])  # (2**N, K)
-    errors = (lut[digits][:, None] != lut[decided][None]).sum(axis=(2, 3))  # (M, 2**N)
+    decided = sim._decide(cfg, blk, obs, sim.BlockStats())  # (2**N, K, q) bits
+    errors = (bit_table(cfg.m)[digits][:, None] != decided[None]).sum(axis=(2, 3))  # (M, 2**N)
     mean = (p * errors).sum() / len(digits)
     return mean, (p * errors**2).sum() / len(digits) - mean**2
 

@@ -42,7 +42,15 @@ from onebit_mimo.core import (
     real_channel_matrix,
     real_stack,
 )
-from onebit_mimo.detector import LLR_CLAMP, _nearest, compute_llrs, zf_detect
+from onebit_mimo.detector import (
+    LLR_CLAMP,
+    _nearest,
+    compute_llrs,
+    md_decode,
+    ml_decode,
+    wmd_decode,
+    zf_detect,
+)
 from onebit_mimo.errors import CodeConstructionError
 from onebit_mimo.ldpc import (
     _TANH_LIM,
@@ -457,6 +465,30 @@ def test_preprocess_matches_reference(m, K, n_r, k, seed):
         got = preprocess(r, tree, q=override)
         assert np.array_equal(got, ref_preprocess(r, tree, q=override))
         assert got.dtype == np.intp
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=slot_cases(), k=st.lists(st.integers(1, 9), min_size=1, max_size=2))
+def test_slot_path_output_does_not_depend_on_the_observation_dtype(case, k):
+    # preprocess and the scores pass r to ndarray.dot uncast: a 0/1 r of any dtype
+    # must give the uint8 observation's candidates, indices and LLR bytes
+    code, cand, seed = case
+    rng = np.random.default_rng(seed)
+    q = tuple(max(1, k_l // 2) for k_l in k)
+    tree = build_partition_tree(code, PartitionParams(k=tuple(k), q=q), rng)
+
+    def outputs(r):
+        pruned = preprocess(r, tree)
+        out = [pruned.tobytes()]
+        for c in (None, cand, pruned):
+            out += [decode(r, code, c) for decode in (wmd_decode, md_decode, ml_decode)]
+            out.append(compute_llrs(r, code, c).tobytes())
+        return out
+
+    for r in (code.codewords[rng.integers(code.size)], rng.integers(0, 2, code.length)):
+        want = outputs(r.astype(np.uint8))
+        for dtype in (bool, np.int64, np.float64):
+            assert outputs(r.astype(dtype)) == want, dtype
 
 
 # ---------------------------------------------------------------------------

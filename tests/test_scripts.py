@@ -80,6 +80,11 @@ BAD_REQUESTS = [
     (["--seed", "1", "--detector", "wmd"], "--detector"),
     (["--seed", "1", "--output", "/nonexistent-dir/x.csv", *ENDLESS], "/nonexistent-dir/x.csv"),
 ]
+# a tree over 4**2 = 16 codewords has at most 16 leaves
+TOO_MANY_LEAVES = (
+    ["--seed", "1", "--n_users", "2", "--partition", '{"k":[300],"q":[2]}', *ENDLESS],
+    "300 leaves (the product of k), more than the 4**2 = 16 codewords",
+)
 
 # each arm sets its detector, so a --config file's is refused like the flag, partition or
 # not; ZF_CONFIG stands for such a file, which the test writes
@@ -95,7 +100,8 @@ CONFIG_DETECTOR_REQUESTS = [
     [(name, *bad) for name in sorted(RUNS) for bad in BAD_REQUESTS]
     # only the coded script reads the LDPC code
     + [("coded_fer_comparison", ["--seed", "1", "--ldpc_alist", "/no.alist"], "/no.alist")]
-    + [(name, *bad) for name in sorted(RUNS) for bad in CONFIG_DETECTOR_REQUESTS],
+    + [(name, *bad) for name in sorted(RUNS) for bad in CONFIG_DETECTOR_REQUESTS]
+    + [(name, *TOO_MANY_LEAVES) for name in sorted(RUNS)],
 )
 def test_script_bad_request_exits_2(name, argv, message, tmp_path):
     zf_config = tmp_path / "zf.json"

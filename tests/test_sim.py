@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+import re
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -356,7 +357,7 @@ def test_hard_decoders_are_the_hard_detectors():
 
 def test_config_requires_seed():
     with pytest.raises(ConfigurationError):
-        small_uncoded(seed=None).require_seed()
+        small_uncoded(seed=None).require_runnable()
     with pytest.raises(ConfigurationError):
         run_uncoded(small_uncoded(seed=None))
     # every arm's seed is checked before its run kind's own check
@@ -675,6 +676,36 @@ def test_partition_report_mentions_complexity():
     assert "n_total=16" in text
     with pytest.raises(ConfigurationError):
         partition_report(small_uncoded())  # no partition spec
+
+
+@pytest.mark.parametrize(
+    "spec, leaves",
+    [({"k": [17], "q": [2]}, 17), ({"k": [8, 8], "q": [2, 2]}, 64), ({"k": [300], "q": [2]}, 300)],
+)
+def test_runs_refuse_more_partition_leaves_than_codewords(monkeypatch, spec, leaves):
+    # a tree over 4**2 = 16 codewords has at most 16 leaves; such an arm used to run
+    # and report comparison counts for a tree that was never built
+    def no_block(*args):
+        raise AssertionError("a block ran")
+
+    monkeypatch.setattr(sim, "_setup_block", no_block)
+    message = f"has {leaves} leaves (the product of k), more than the 4**2 = 16 codewords"
+    calls = [
+        lambda: run_partition_sweep(small_uncoded(), ["full", spec]),
+        lambda: run_uncoded(small_uncoded(partition=spec)),
+        lambda: run_coded(small_coded(partition=spec)),
+        lambda: partition_report(small_uncoded(partition=spec)),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            call()
+    # the analytic counts draw no block: they take the partition
+    assert estimate_complexity(parse_partition(spec), 4, 2)[0] > 0
+
+
+def test_runs_take_as_many_partition_leaves_as_codewords():
+    rows = run_partition_sweep(small_uncoded(trials=100), [{"k": [16], "q": [16]}])
+    assert rows[0].mean_candidates == 16
 
 
 def test_write_results_csv_and_sidecar(tmp_path):

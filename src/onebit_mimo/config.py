@@ -49,9 +49,10 @@ MAX_CODEBOOK_ENTRIES = 2**24
 
 # Largest coherence block, in slots times entries per slot
 # (t_c * max(n_users * log2(m), 2*n_rx)): a block holds its (t_d, n_users)
-# sent and decided digits and their (t_d, n_users, log2 m) bit tables, the
-# (n_users, t_t) pilot matrix and the (t_t, 2*n_rx) pilot observations with
-# their float copies, 128 MiB each at the bound.
+# sent and decided digits and their (t_d, n_users, log2 m) bit tables, its
+# (t_d, 2*n_rx) uint8 data observations, the (n_users, t_t) pilot matrix and
+# the (t_t, 2*n_rx) pilot observations with their float copies, 128 MiB each
+# at the bound (16 MiB for the uint8 observations).
 MAX_BLOCK_ENTRIES = 2**24
 
 # Most worker processes: under the fork start method a ProcessPoolExecutor
@@ -204,7 +205,10 @@ class SimConfig:
 
     def __post_init__(self):
         """Normalise snr_db and the partition, then reject a config no run kind accepts."""
-        values = (self.snr_db,) if _is_real(self.snr_db) else self.snr_db
+        snr = self.snr_db
+        if isinstance(snr, np.ndarray) and snr.ndim == 0:  # one operating point, as a number
+            snr = snr.item()
+        values = (snr,) if _is_real(snr) else snr
         if not isinstance(values, (list, tuple, np.ndarray)) or not all(map(_is_real, values)):
             raise ConfigurationError(
                 f"snr_db must be a number or a list of them, got {self.snr_db!r}"

@@ -24,9 +24,9 @@ APP_MODES = ("exact-sum", "wh-sum", "wh-max")
 def _candidate_array(candidates):
     """Candidate indices as given, or None for the whole codebook.
 
-    A bool mask or float array is refused, not read as indices; the range is
-    not checked, to save a min and a max per call: a negative index counts from
-    the end, and one outside [-M, M) fails the gather.
+    A bool mask, a float array or an array that is not 1-D is refused, not read
+    as indices; the range is not checked, to save a min and a max per call: a
+    negative index counts from the end, and one outside [-M, M) fails the gather.
     """
     if candidates is None:
         return None
@@ -35,6 +35,8 @@ def _candidate_array(candidates):
         raise ValueError("candidate set must be nonempty")
     if candidates.dtype.kind not in "iu":
         raise ValueError(f"candidates must be integer indices, not {candidates.dtype}")
+    if candidates.ndim != 1:
+        raise ValueError(f"candidates must be a 1-D index array, not {candidates.ndim}-D")
     return candidates
 
 

@@ -11,10 +11,10 @@ order: an uncoded slot draws its K digits and then its N noise samples
 (``normal``); a coded frame draws its K message rows once, then N noise
 samples per slot.  A slot's digits are the values
 ``integers(0, m, size=K)`` gives, read as the 32-bit halves of the
-stream's raw words (``_slot_digits``).  One slot loop, ``_detect_slots``,
-sends every data slot of every run kind (``_send``) and detects it with
-``_decide``, which chooses the detector once per block: ZF, or pruning
-(when a tree exists) and a hard decoder or the soft LLRs.
+stream's raw words (``_slot_digits``).  Every run kind sends its data slots
+into arrays (``_send``: digits (slots, K), uint8 observations (slots, N)),
+then ``_decide`` detects them with the detector it chooses once per block:
+ZF, or pruning (when a tree exists) and a hard decoder or the soft LLRs.
 Every run goes through one runner, ``run_arms``, of arms (dicts of fields
 laid over one config).  Each run kind of ``_RUN_KINDS`` pairs its block
 simulator with one arm check, and the runner checks each arm's seed and
@@ -36,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -170,35 +171,39 @@ class BlockStats:
         return self.cand_sum / self.cand_slots if self.cand_slots else 0.0
 
 
-def _decide(cfg: SimConfig, blk: Block, observations, stats: BlockStats) -> np.ndarray:
-    """A soft detector's LLRs, or any other detector's decided bits, of each of an iterable
-    of observations: (observations, K, q), MSB first.
+def _decide(cfg: SimConfig, blk: Block, obs: np.ndarray, stats: BlockStats) -> np.ndarray:
+    """A soft detector's LLRs, or any other detector's decided bits, of each row of the
+    (n, N) observations obs: (n, K, q), MSB first, one array filled row by row.
 
     The detector is chosen once per block: ZF, or a hard decoder or the soft
-    LLRs, each after pruning when a tree exists.  The layer functions are
-    looked up in this module while the block runs, never bound at import,
-    since a traced run rebinds them; each takes ``(r, code, candidates)``
-    positionally.  Hard indices become digits
-    in one gather.  Every candidate count reaches the stats here, summed over
-    the block; ZF's block holds no code, so it counts none.
+    LLRs, each after pruning when a tree exists.  Layer functions are looked up
+    in this module while the block runs, since a traced run rebinds them, and
+    each takes ``(r, code, candidates)`` positionally.  The n slots and their
+    candidate counts reach the stats here; ZF's block holds no code, so it counts none.
     """
     code, tree = blk.code, blk.tree
+    stats.cand_slots += len(obs)
     if code is None:
-        digits = [zf_detect(r, blk.h_pinv, blk.const) for r in observations]
-        return bit_table(cfg.m)[np.array(digits)]
-    soft = DETECTORS[cfg.detector] == "soft"
-    decide = compute_llrs if soft else _HARD_DECODERS[cfg.detector]
-    if tree is None:
-        out = [decide(r, code, None) for r in observations]
-        stats.cand_sum += code.size * len(out)
+        digits = np.empty((len(obs), cfg.n_users), dtype=np.int64)
+        for t, r in enumerate(obs):
+            digits[t] = zf_detect(r, blk.h_pinv, blk.const)
+        return bit_table(cfg.m)[digits]
+    if DETECTORS[cfg.detector] == "soft":
+        decide, out = compute_llrs, np.empty((len(obs), cfg.n_users, bits_per_symbol(cfg.m)))
     else:
-        out, n_cand = [], 0
-        for r in observations:
+        decide, out = _HARD_DECODERS[cfg.detector], np.empty(len(obs), dtype=np.intp)
+    if tree is None:
+        for t, r in enumerate(obs):
+            out[t] = decide(r, code, None)
+        stats.cand_sum += code.size * len(obs)
+    else:
+        n_cand = 0
+        for t, r in enumerate(obs):
             cand = preprocess(r, tree)
             n_cand += cand.size
-            out.append(decide(r, code, cand))
+            out[t] = decide(r, code, cand)
         stats.cand_sum += n_cand
-    return np.array(out) if soft else bit_table(cfg.m)[code.digits[out]]
+    return out if out.ndim == 3 else bit_table(cfg.m)[code.digits[out]]
 
 
 def _slot_digits(rng: np.random.Generator, m: int, K: int):
@@ -231,25 +236,18 @@ def _raw_digits(raw, shift: int, K: int):
         yield digits[:K]
 
 
-def _send(blk: Block, digits, slots: int, sent: list):
-    """Yield the observation of each of slots data slots, each sending the next digits
-    from the iterator digits, which it appends to sent."""
-    for _ in range(slots):
-        w = next(digits)
-        sent.append(w)
-        yield transmit(blk.h_true, w, blk.const, blk.rng_data)
-
-
-def _detect_slots(cfg: SimConfig, blk: Block, digits, slots: int, stats: BlockStats):
-    """Send slots data slots, each the next digits from the iterator digits, and detect each.
-
-    Returns the sent digits (slots, K) and ``_decide``'s (slots, K, q) output.
-    Each slot is sent as detection asks for it, so no block of observations is held.
-    """
-    sent = []
-    out = _decide(cfg, blk, _send(blk, digits, slots, sent), stats)
-    stats.cand_slots += slots
-    return np.array(sent), out
+def _send(blk: Block, digits, slots: int):
+    """The sent digits (slots, K) and observations (slots, N) uint8 of slots data slots, sent
+    in stream order, each the next K digits of the iterable digits; raises if it runs out."""
+    sent = np.empty((slots, blk.h_true.shape[1] // 2), dtype=np.int64)
+    obs = np.empty((slots, len(blk.h_true)), dtype=np.uint8)
+    t = -1
+    for t, w in enumerate(itertools.islice(digits, slots)):
+        sent[t] = w
+        obs[t] = transmit(blk.h_true, sent[t], blk.const, blk.rng_data)
+    if t + 1 < slots:
+        raise ValueError(f"digits ran out after {t + 1} of {slots} slots")
+    return sent, obs
 
 
 def _uncoded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
@@ -257,8 +255,9 @@ def _uncoded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
     blk = _setup_block(cfg, snr_idx, block)
     digits = _slot_digits(blk.rng_data, cfg.m, cfg.n_users)
     stats = BlockStats(trials=cfg.t_d)
-    sent, bits = _detect_slots(cfg, blk, digits, cfg.t_d, stats)
-    stats.errors = int((bit_table(cfg.m)[sent] ^ bits).sum())
+    sent, obs = _send(blk, digits, cfg.t_d)
+    bits = _decide(cfg, blk, obs, stats)
+    stats.errors = int(np.bitwise_xor(bits, bit_table(cfg.m)[sent], out=bits).sum())
     stats.denominator = bits.size
     return stats
 
@@ -280,7 +279,7 @@ def _coded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
         msgs = blk.rng_data.integers(0, 2, size=(cfg.n_users, ldpc.k))
         cws = encode(ldpc, msgs)
         symbols = (cws.reshape(cfg.n_users, slots_per_frame, q) @ 2 ** np.arange(q)).T
-        _, rows = _detect_slots(cfg, blk, iter(symbols), slots_per_frame, stats)
+        rows = _decide(cfg, blk, _send(blk, symbols, slots_per_frame)[1], stats)
         frame = rows[:, :, ::-1].transpose(1, 0, 2).reshape(cfg.n_users, ldpc.n)
         for u in range(cfg.n_users):
             decoded, _ = decoder(frame[u], ldpc, cfg.ldpc_max_iter)

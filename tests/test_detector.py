@@ -154,17 +154,26 @@ def test_empty_candidates_raise():
 
 
 @pytest.mark.parametrize(
-    "candidates",
-    [np.zeros(16, bool), np.ones(16, bool), [1.7], np.arange(16, dtype=float)],
-    ids=["all-false-mask", "all-true-mask", "float", "whole-floats"],
+    "candidates, message",
+    [
+        (np.zeros(16, bool), "integer indices"),
+        (np.ones(16, bool), "integer indices"),
+        ([1.7], "integer indices"),
+        (np.arange(16, dtype=float), "integer indices"),
+        (np.array([[0, 1], [2, 3]]), "1-D"),
+        ([[5, 1], [2, 9]], "1-D"),
+        (np.array(3), "1-D"),
+    ],
+    ids=["all-false-mask", "all-true-mask", "float", "whole-floats", "2d", "2d-list", "0d"],
 )
-def test_non_integer_candidates_raise(candidates):
+def test_non_integer_candidates_raise(candidates, message):
     # a mask or float array was once read as codeword indices: an all-False
-    # mask as codeword 0, an all-True one as codeword 1, 1.7 as codeword 1
+    # mask as codeword 0, an all-True one as codeword 1, 1.7 as codeword 1;
+    # a 2-D set was read row by row and a 0-d one failed with a scalar-index error
     code = random_code(K=2, n_r=4, seed=0)  # 16 codewords
     r = code.codewords[3]
     for fn in (wmd_decode, md_decode, ml_decode, compute_llrs, compute_app):
-        with pytest.raises(ValueError, match="integer indices"):
+        with pytest.raises(ValueError, match=message):
             fn(r, code, candidates)
 
 

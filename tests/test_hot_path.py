@@ -12,8 +12,9 @@ iteration cap, the same
 k-means distances from the packed popcount form, the same slot digits and
 stream position as ``Generator.integers``, the same k-means seeds as
 ``Generator.choice``, and the same stats and data-stream state from each block
-simulator's one slot loop (``sim._detect_slots``) as from a loop of its own
-that sends and detects one slot per call.
+simulator, which sends a block (or a frame) into arrays with ``sim._send``
+and then decides it with ``sim._decide``, as from a loop of its own that
+sends and detects one slot per call.
 """
 
 import dataclasses
@@ -206,7 +207,8 @@ def ref_uncoded_block(cfg, snr_idx, block):
     m, K, draw = cfg.m, cfg.n_users, blk.rng_data.integers
     stats = sim.BlockStats(trials=cfg.t_d)
     digits = (draw(0, m, size=K) for _ in range(cfg.t_d))
-    sent, bits = sim._detect_slots(cfg, blk, digits, cfg.t_d, stats)
+    sent, obs = sim._send(blk, digits, cfg.t_d)
+    bits = sim._decide(cfg, blk, obs, stats)
     stats.errors = int((bit_table(m)[sent] ^ bits).sum())
     stats.denominator = bits.size
     return stats
@@ -609,6 +611,15 @@ def test_slot_digits_reject_other_bit_generators():
     # MT19937 draws 32 bits natively, so its digits are not the halves of raw words
     with pytest.raises(TypeError, match="PCG64"):
         sim._slot_digits(np.random.Generator(np.random.MT19937(1)), 4, 2)
+
+
+def test_send_refuses_digits_that_run_out():
+    # no slot of the block is left unsent (an uninitialised row) when the digits end early
+    blk = sim._setup_block(SimConfig(n_users=2, n_rx=4, t_c=8, t_d=8, seed=1), 0, 0)
+    sent, obs = sim._send(blk, np.ones((4, 2), dtype=np.int64), 4)
+    assert sent.tolist() == [[1, 1]] * 4 and obs.shape == (4, 8) and obs.dtype == np.uint8
+    with pytest.raises(ValueError, match="after 3 of 4 slots"):
+        sim._send(blk, np.ones((3, 2), dtype=np.int64), 4)
 
 
 @pytest.mark.parametrize("K", (3, 5))

@@ -5,6 +5,7 @@ import hashlib
 import json
 import multiprocessing
 import re
+import tracemalloc
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -29,6 +30,7 @@ from onebit_mimo.config import (
     parse_partition,
     require_ldpc_fit,
 )
+from onebit_mimo.core import bits_per_symbol
 from onebit_mimo.errors import ConfigurationError
 from onebit_mimo.ldpc import construct_code
 from onebit_mimo.partition import PartitionParams, estimate_complexity
@@ -232,6 +234,30 @@ def test_config_bounds_block_wave_and_ldpc_sizes():
         small_coded(ldpc_n=MAX_LDPC_N + 2)
 
 
+BLOCK_MEMORY_ARMS = {
+    "wmd": {},
+    "zf": {"detector": "zf"},
+    "wmd-k2-q1": {"partition": {"k": [2], "q": [1]}},
+}
+
+
+@pytest.mark.parametrize("arm", BLOCK_MEMORY_ARMS.values(), ids=BLOCK_MEMORY_ARMS.keys())
+def test_block_memory_is_bounded_by_its_arrays(arm):
+    # a block's data lives in arrays of its entries, so MAX_BLOCK_ENTRIES bounds it: a slot
+    # loop that kept Python objects per slot (its digits, ZF's decisions) peaked at 64-121 B
+    # per entry here, which at the bound is gigabytes
+    cfg = small_uncoded(n_users=1, n_rx=1, m=4, t_c=16384, t_d=16384, **arm)
+    entries = cfg.t_d * max(cfg.n_users * bits_per_symbol(cfg.m), 2 * cfg.n_rx)
+    sim._uncoded_block(cfg, 0, 0)  # first, so the per-process caches and imports are filled
+    tracemalloc.start()
+    try:
+        sim._uncoded_block(cfg, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * entries, f"{peak / entries:.1f} bytes per block entry"
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("m", 4.0), ("n_users", "2"), ("trials", True), ("detector", None)],
@@ -241,7 +267,9 @@ def test_config_rejects_wrongly_typed_fields(field, value):
         SimConfig.from_dict({**dataclasses.asdict(small_uncoded()), field: value})
 
 
-@pytest.mark.parametrize("value", ["10", None, [True], ["5"], [[1.0]]])
+@pytest.mark.parametrize(
+    "value", ["10", None, [True], ["5"], [[1.0]], np.array(True), np.array("10")]
+)
 def test_config_rejects_wrongly_typed_snr(value):
     # a string used to be split into characters: "10" ran at 1 and 0 dB
     with pytest.raises(ConfigurationError, match="snr_db"):
@@ -251,6 +279,9 @@ def test_config_rejects_wrongly_typed_snr(value):
 def test_config_accepts_snr_sequences():
     assert SimConfig(snr_db=[0, 2.5]).snr_db == (0.0, 2.5)
     assert SimConfig(snr_db=np.array([1.0, 3.0])).snr_db == (1.0, 3.0)
+    # a 0-d array is one operating point; iterating it used to raise a bare TypeError
+    assert SimConfig(snr_db=np.array(5.0)).snr_db == (5.0,)
+    assert SimConfig(snr_db=np.array(2)).snr_db == (2.0,)
 
 
 def test_config_accepts_optional_fields_unset():

@@ -1,11 +1,13 @@
 """Hard and soft detection over a (possibly reduced) candidate set.
 
 Every decoder and soft output scores codewords through one cached
-``MismatchScore`` of the code (``code.wh``, ``.hamming`` or ``.nll``); the
-hard decoders take the smallest score, ties to the lowest codeword index;
-the soft outputs reduce every codeword's score, +inf outside the candidates,
-over each side of a label bit (LLRs, a per-(m, K) index table) or each
-user's subcode (APPs, masks of ``code.digits``).  LLRs follow the convention
+``MismatchScore`` of the code (``code.wh``, ``.hamming`` or ``.nll``), whose
+scores are exact (``spatial_code._on_grid``), so no result depends on the
+order or the form in which they are summed.  The hard decoders take the
+smallest score, an exact tie to the lowest codeword index; the soft outputs
+reduce every codeword's score, +inf outside the candidates, over each side
+of a label bit (LLRs, per-(m, K) index tables) or each user's subcode
+(APPs, masks of ``code.digits``).  LLRs follow the convention
 L = log(P(bit=0) / P(bit=1)), clamped to +-LLR_CLAMP for a channel decoder.
 """
 
@@ -43,12 +45,20 @@ def _candidate_array(candidates):
 def _nearest(r: np.ndarray, score: MismatchScore, candidates) -> int:
     """Codeword index in [0, M) of the smallest score, ties to the lowest index.
 
-    ``smallest`` breaks ties by codeword index, so the candidates need no sort;
-    a negative candidate names the same codeword as its wrapped index.
+    A code score is exact, so the first minimum is the answer over the whole
+    codebook or sorted candidates (as ``preprocess`` returns them).  An exact
+    tie among several candidates goes to the lowest wrapped index, so any
+    candidate order, duplicates or negative ids give the same codeword.
     """
     cand = _candidate_array(candidates)
-    pos = score.smallest(r, score(r, cand), 1, cand).argmax()
-    return int(pos) if cand is None else int(cand[pos]) % score.base.size
+    f = score(r, cand)
+    pos = f.argmin()
+    if cand is None:
+        return int(pos)
+    tied = f == f[pos]
+    if np.count_nonzero(tied) > 1:
+        return int((cand[tied] % score.base.size).min())
+    return int(cand[pos]) % score.base.size
 
 
 def wmd_decode(r: np.ndarray, code: SpatialCode, candidates=None) -> int:
@@ -84,13 +94,15 @@ def zf_detect(r: np.ndarray, h_pinv: np.ndarray, constellation: Constellation) -
 
 
 def _masked_scores(r: np.ndarray, score: MismatchScore, candidates) -> np.ndarray:
-    """(M,) scores of every row, gathered for the candidates in wrapped order, +inf elsewhere."""
+    """(M,) scores of every row, gathered for the candidates, +inf elsewhere.
+
+    A code score is exact, so a row's score does not depend on its place in
+    the gather: the candidates need no order, and a negative id writes the
+    same score at its wrapped index.
+    """
     cand = _candidate_array(candidates)
     if cand is None:
         return score(r)
-    # ascending by wrapped id, so a negative id sits where its wrapped index would: a
-    # gathered GEMV's result for a row depends on the row's position in the gather
-    cand = cand[np.argsort(cand % score.base.size)]
     d = np.full(score.base.size, np.inf)
     d[cand] = score(r, cand)
     return d
@@ -130,11 +142,12 @@ def compute_llrs(r: np.ndarray, code: SpatialCode, candidates=None) -> np.ndarra
     side emptied by pruning saturates the LLR at the clamp.
     """
     d = _masked_scores(r, code.wh, candidates)
-    sides = code.bit_sides  # (2, K*q, M/2): side 0 of every bit first
-    # one reduceat over the flat gather, a side every M/2 entries; a min is exact.  Fancy
-    # indexing, since ``take`` copies a read-only index array such as this one on every call
-    side_min = np.minimum.reduceat(d[sides.reshape(-1)], np.arange(0, sides.size, sides.shape[2]))
-    llr = side_min[sides.shape[1]:] - side_min[: sides.shape[1]]
+    flat, starts = code.side_runs  # bit_sides flat, a side every M/2 entries, side 0 first
+    # one reduceat over the flat gather; a min is exact.  Fancy indexing, since ``take``
+    # copies a read-only index array such as this one on every call
+    side_min = np.minimum.reduceat(d[flat], starts)
+    bits = starts.size // 2
+    llr = side_min[bits:] - side_min[:bits]
     np.maximum(llr, -LLR_CLAMP, out=llr)
     np.minimum(llr, LLR_CLAMP, out=llr)
     return llr.reshape(code.K, -1)

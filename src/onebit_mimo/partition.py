@@ -272,8 +272,9 @@ def preprocess(r: np.ndarray, tree: PartitionTree, q=None) -> np.ndarray:
     the lexicographically smallest path.  ``q`` optionally overrides the
     per-level survivor counts, so one tree serves several pruning budgets.
 
-    A level's row order is path order, so ``MismatchScore.smallest``
-    resolves ties exactly, by the reference score and then path.  The
+    Centroid scores are not on the code scores' grid, so they keep their
+    rounding: ``MismatchScore.smallest`` resolves the band within ``tol``
+    by the reference score and then by row, which is path order.  The
     observation reaches every product uncast: a 0/1 r of any dtype casts to
     float64 exactly inside it.
     """

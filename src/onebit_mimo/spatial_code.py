@@ -1,6 +1,7 @@
 """Spatial-domain code: quantized noiseless channel responses of every
 message vector, with per-bit crossover probabilities, decoding weights and
-the scores ``wh``, ``hamming`` and ``nll``, each built on first access.
+the scores ``wh``, ``hamming`` and ``nll``, each built on first access with
+its weights on a dyadic grid (``_on_grid``), so every code score is exact.
 
 Codeword ell is the sign pattern of H x(g(ell)) where g(ell) is the m-ary
 expansion of ell (user 1 = least significant digit).  Distinct messages may
@@ -11,13 +12,14 @@ lowest index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
 
 from .channel import NOISE_STD, quantize
-from .core import Constellation, all_message_digits, bit_table, q_function
+from .core import Constellation, all_message_digits, bit_table, q_function, qam_constellation
 
 EPS_FLOOR = 1e-300  # keeps -log(eps) finite when Q underflows
 
@@ -42,6 +44,13 @@ class MismatchScore:
     row scores ``base + gain @ r`` with base = const + sum_i v_i c_i and
     gain = v * (1-2c); every product is exact since c_i and r_i are 0 or 1.
     The exact reference of a row is ``const + weighted_hamming(r, c, v)``.
+
+    A code's scores (``SpatialCode.wh``, ``.hamming`` and ``.nll``) take
+    weights and constants on the grid of ``_on_grid``, so each of their
+    scores is exact: it equals the reference and ``math.fsum`` of its terms
+    bit for bit, in any row order, gather or block form, and a hard decision
+    is one argmin.  A partition tree's centroid scores are not on a grid;
+    ``tol`` bounds their rounding, and ``smallest`` ranks them.
 
     Rounding bound: for one row let B = sum_i |v_i|, A = |const| + B,
     u = eps/2 and g = (N-1)u/(1-(N-1)u).  Any summation order of n <= N
@@ -98,18 +107,16 @@ class MismatchScore:
         d = weighted_hamming(r, self.rows[row], self.weights[row])
         return d if self.const is None else float(self.const[row] + d)
 
-    def smallest(self, r: np.ndarray, f: np.ndarray, q: int, rows=None) -> np.ndarray:
-        """Boolean mask of the q entries of f ranked first by (reference, row id).
+    def smallest(self, r: np.ndarray, f: np.ndarray, q: int) -> np.ndarray:
+        """Boolean mask of the q entries of f ranked first by (reference, row).
 
-        ``f`` holds the linear scores of ``rows`` (every row when None), +inf
-        for entries outside the race.  Entries farther than ``tol`` from the
-        q-th smallest score c are decided by f alone (see the class
-        docstring); when the band within tol of c holds more entries than
-        places left, the band is ranked by the reference and then by row id
-        (a negative id wrapped into [0, n)), so exact ties go to the lowest
-        row whatever the order of ``rows``.
+        ``f`` holds the linear scores of every row, +inf for rows outside the
+        race.  Entries farther than ``tol`` from the q-th smallest score c are
+        decided by f alone (see the class docstring); when the band within tol
+        of c holds more entries than places left, the band is ranked by the
+        reference and then by row, so exact ties go to the lowest row.
         """
-        # an argmin costs less than a partial sort (or ``min``) for the hard decoders' q = 1
+        # an argmin costs less than a partial sort (or ``min``) for q = 1
         if q == 1:
             c = f[f.argmin()]
         else:
@@ -121,10 +128,42 @@ class MismatchScore:
             band = np.flatnonzero(keep & (f >= c - self.tol))
             keep[band] = False
             need = q - np.count_nonzero(keep)
-            at = band if rows is None else rows[band] % self.base.size
-            exact = [self.reference(r, j) for j in at]
-            keep[band[np.lexsort((at, exact))[:need]]] = True
+            exact = [self.reference(r, j) for j in band]
+            keep[band[np.lexsort((band, exact))[:need]]] = True
         return keep
+
+
+def _on_grid(weights: np.ndarray, const: np.ndarray | None = None):
+    """``(weights, const)`` rounded to the multiples of one dyadic step, so every score is exact.
+
+    step = 2^(ceil(log2 A) + 2 - 52), where A is the largest row's
+    sum_i |v_i| + |const|; each value moves by at most step/2 <= 4*eps*A
+    (eps = 2^-52).
+
+    Proof.  Once rounded, every v_i and the constant are integer multiples of
+    step.  For a 0/1 r and c, each term of base = const + sum_i v_i c_i and
+    of gain @ r (gain_i = +-v_i) is 0, +-v_i or the constant, so every
+    product is exact, and every partial sum of base, of gain @ r and of
+    their total, in any order, is an integer multiple of step of magnitude
+    at most 2A'.  Here A' is the bound of the rounded rows: A was summed in
+    floating point and each of a row's N values moved by at most step/2, so
+    A' <= (1 + 3*N*eps)*A < 2A for any practical N.  Every integer multiple of step up to
+    2^53 * step = 2^(ceil(log2 A) + 3) >= 8A in magnitude is a double, so
+    each addition, and each fused multiply-add, returns its exact result.
+    A score is thus the exact sum of its terms: it equals ``math.fsum`` of
+    them whatever the row order, the gather or the kernel (a per-slot GEMV
+    or a block's GEMM), and equal scores are exact ties.
+    """
+    scale = np.abs(weights).sum(axis=1)
+    if const is not None:
+        scale += np.abs(const)
+    mant, exp = math.frexp(float(scale.max(initial=0.0)))
+    step = math.ldexp(1.0, exp - (mant == 0.5) + 2 - 52)  # A = mant 2^exp: ceil(log2 A) first
+
+    def snap(a):
+        return np.rint(a / step) * step  # both exact: step is a power of two
+
+    return snap(weights), None if const is None else snap(const)
 
 
 @cache
@@ -153,6 +192,35 @@ def _bit_sides(m: int, K: int) -> np.ndarray:
     return table
 
 
+@cache
+def _side_runs(m: int, K: int) -> tuple:
+    """``_bit_sides(m, K)`` flat, and the start of each side's run of M/2 entries in it.
+
+    Both read-only: one gather through the first and one ``reduceat`` at the
+    second give every side's minimum, side 0 of every bit first.
+    """
+    sides = _bit_sides(m, K)
+    starts = np.arange(0, sides.size, sides.shape[2])
+    starts.setflags(write=False)
+    return sides.reshape(-1), starts
+
+
+@cache
+def _antipodes(m: int, K: int) -> np.ndarray:
+    """(m**K / 2,) read-only: entry ell is the message of -x(ell), for each ell < m**K / 2.
+
+    A label's leading bit is its real part's sign (0 -> positive, see
+    ``core.Constellation``), so the messages ell < m**K / 2, whose user-K
+    digit has that bit 0, are the ones whose user-K point has a positive
+    real part; negating every user's point maps them onto the other half.
+    """
+    points = qam_constellation(m, 1.0).points
+    negated = (points[:, None] == -points).argmax(axis=1)  # symbol of each point's negation
+    table = negated[_digits(m, K)[: m**K // 2]] @ m ** np.arange(K)
+    table.setflags(write=False)
+    return table
+
+
 @dataclass(frozen=True, eq=False)  # frozen: no field changes under a cached score
 class SpatialCode:
     m: int
@@ -172,6 +240,11 @@ class SpatialCode:
         return _bit_sides(self.m, self.K)
 
     @property
+    def side_runs(self) -> tuple:
+        """(K*q*M,) flat ``bit_sides`` and (2*K*q,) run starts in it, built once per (m, K)."""
+        return _side_runs(self.m, self.K)
+
+    @property
     def size(self) -> int:
         return self.codewords.shape[0]
 
@@ -181,22 +254,25 @@ class SpatialCode:
 
     @cached_property
     def wh(self) -> MismatchScore:
-        """Weighted Hamming distance of every codeword under the weights alpha."""
-        return MismatchScore(self.codewords, self.weights)
+        """Weighted Hamming distance of every codeword under the weights alpha, on the grid."""
+        return MismatchScore(self.codewords, *_on_grid(self.weights))
 
     @cached_property
     def hamming(self) -> MismatchScore:
         """Plain Hamming distance of every codeword."""
-        return MismatchScore(self.codewords, np.ones_like(self.weights))
+        return MismatchScore(self.codewords, *_on_grid(np.ones_like(self.weights)))
 
     @cached_property
     def nll(self) -> MismatchScore:
         """-log P(r | ell), whose min is the ML decision: -sum_i log(1-eps_i) plus
-        sum_i 1{r_i != c_i} log((1-eps_i)/eps_i), each term the exact negation
-        of the log-likelihood's, so -nll(r) is log P(r | ell) bit for bit.
+        sum_i 1{r_i != c_i} log((1-eps_i)/eps_i), with the weights and the
+        constant on the grid, so each score is exact and lies within the
+        grid's rounding (a few eps of its size) of the unrounded -log P(r | ell).
         """
         log_keep = np.log1p(-self.crossover)
-        return MismatchScore(self.codewords, log_keep - np.log(self.crossover), -log_keep.sum(axis=1))
+        return MismatchScore(
+            self.codewords, *_on_grid(log_keep - np.log(self.crossover), -log_keep.sum(axis=1))
+        )
 
 
 def build_code(h_real: np.ndarray, constellation: Constellation) -> SpatialCode:
@@ -206,17 +282,35 @@ def build_code(h_real: np.ndarray, constellation: Constellation) -> SpatialCode:
     eps = Q(|h_i^T x| / NOISE_STD) clamped below at ``EPS_FLOOR``, and
     weights -log(eps).  The quantizer and the noise scale are the channel's
     own, so the code matches the observations ``transmit`` draws.
+
+    The codebook is antipodal: -x(ell) is a message, and its responses are
+    ell's negated bit for bit.  So the responses, Q and log are computed for
+    the first half only and copied to each partner (``_antipodes``), whose
+    bits are quantize(-v): a zero response is bit 0 on both sides.
     """
     if not np.all(np.isfinite(h_real)):
         raise ValueError("channel matrix must be finite")
     n, two_k = h_real.shape
     m = constellation.m
     K = two_k // 2
-    x = np.hstack(constellation.xy[:, _digits(m, K)])  # (M, 2K): [Re; Im] of each message
-    v = x @ h_real.T  # (M, N)
-    codewords = quantize(v)
-    eps = np.maximum(q_function(np.abs(v) / NOISE_STD), EPS_FLOOR)
-    return SpatialCode(m=m, K=K, codewords=codewords, crossover=eps, weights=-np.log(eps))
+    half = m**K // 2
+    x = np.hstack(constellation.xy[:, _digits(m, K)[:half]])  # (M/2, 2K): [Re; Im] of each message
+    v = x @ h_real.T  # (M/2, N)
+    partner = _antipodes(m, K)
+    codewords = np.empty((2 * half, n), dtype=np.uint8)
+    crossover = np.empty((2 * half, n))
+    weights = np.empty((2 * half, n))
+    codewords[:half] = quantize(v)
+    codewords[partner] = quantize(-v)
+    # in place from here: each fresh (M/2, N) temporary can cost page faults per block
+    np.abs(v, out=v)
+    v /= NOISE_STD
+    eps = np.maximum(q_function(v), EPS_FLOOR, out=crossover[:half])
+    np.log(eps, out=weights[:half])
+    np.negative(weights[:half], out=weights[:half])
+    crossover[partner] = eps
+    weights[partner] = weights[:half]
+    return SpatialCode(m=m, K=K, codewords=codewords, crossover=crossover, weights=weights)
 
 
 def exact_likelihood(code: SpatialCode, r: np.ndarray, ell: int) -> float:

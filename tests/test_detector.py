@@ -27,6 +27,7 @@ from onebit_mimo.detector import (
 from onebit_mimo.partition import PartitionParams, build_partition_tree, preprocess
 from onebit_mimo.spatial_code import (
     SpatialCode,
+    _on_grid,
     build_code,
     exact_likelihood,
     subcode,
@@ -476,23 +477,25 @@ def test_llr_bit_to_message_consistency(seed):
 
 
 def reference_forms(code):
-    """Per-metric (weights, constant) whose mismatch sum is the reference."""
+    """Per-metric (weights, constant) whose mismatch sum is the reference, on the grid."""
     log_keep = np.log1p(-code.crossover)
     return {
-        wmd_decode: (code.weights, None),
-        md_decode: (np.ones_like(code.weights), None),
-        ml_decode: (log_keep - np.log(code.crossover), -log_keep.sum(axis=1)),
+        wmd_decode: _on_grid(code.weights),
+        md_decode: _on_grid(np.ones_like(code.weights)),
+        ml_decode: _on_grid(log_keep - np.log(code.crossover), -log_keep.sum(axis=1)),
     }
 
 
 def linear_form_oracle(code, metric):
-    """(base, gain) of the wh distances or log-likelihoods, built per metric."""
+    """(base, gain) of the wh distances or log-likelihoods, built per metric on the grid."""
     c = code.codewords.astype(np.float64)
     if metric == "wh":
-        v, const = code.weights, np.zeros(code.size)
+        v, const = _on_grid(code.weights)[0], np.zeros(code.size)
     else:  # log P(r | ell)
-        v = np.log(code.crossover) - np.log1p(-code.crossover)
-        const = np.log1p(-code.crossover).sum(axis=1)
+        v, const = _on_grid(
+            np.log(code.crossover) - np.log1p(-code.crossover),
+            np.log1p(-code.crossover).sum(axis=1),
+        )
     return const + (v * c).sum(axis=1), v * (1.0 - 2.0 * c)
 
 

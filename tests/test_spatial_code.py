@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
-from onebit_mimo.channel import NOISE_STD, sample_rayleigh
+from onebit_mimo.channel import NOISE_STD, quantize, sample_rayleigh
 from onebit_mimo.core import (
     all_message_digits,
     bit_table,
@@ -16,11 +17,15 @@ from onebit_mimo.core import (
     real_channel_matrix,
     real_stack,
 )
+from onebit_mimo.detector import md_decode, ml_decode, wmd_decode
 from onebit_mimo.spatial_code import (
     EPS_FLOOR,
     MismatchScore,
+    _antipodes,
     _bit_sides,
     _digits,
+    _on_grid,
+    _side_runs,
     build_code,
     exact_likelihood,
     subcode,
@@ -201,6 +206,18 @@ class TestBitSides:
         b = random_code(K=2, n_r=6, seed=2)
         assert a.bit_sides is b.bit_sides
 
+    @pytest.mark.parametrize("m,K", [(4, 1), (4, 3), (16, 2)])
+    def test_llr_runs_are_read_only_and_shared_per_m_and_K(self, m, K):
+        a = random_code(K=K, n_r=4, m=m, seed=1)
+        b = random_code(K=K, n_r=6, m=m, seed=2)
+        assert a.side_runs is b.side_runs is _side_runs(m, K)
+        flat, starts = a.side_runs
+        assert not flat.flags.writeable and not starts.flags.writeable
+        np.testing.assert_array_equal(flat, a.bit_sides.reshape(-1))
+        np.testing.assert_array_equal(starts, np.arange(0, flat.size, m**K // 2))
+        with pytest.raises(AttributeError):
+            a.side_runs = (flat, starts)
+
 
 class TestDigitSides:
     """A user's digit splits the codebook into m subcodes: the masks ``compute_app`` takes."""
@@ -232,13 +249,14 @@ class TestScores:
 
     @staticmethod
     def direct(code):
-        """Each score built directly from the code's fields."""
+        """Each score built directly from the code's fields, its weights on the grid."""
         log_keep = np.log1p(-code.crossover)
         return {
-            "wh": MismatchScore(code.codewords, code.weights),
-            "hamming": MismatchScore(code.codewords, np.ones_like(code.weights)),
+            "wh": MismatchScore(code.codewords, *_on_grid(code.weights)),
+            "hamming": MismatchScore(code.codewords, *_on_grid(np.ones_like(code.weights))),
             "nll": MismatchScore(
-                code.codewords, log_keep - np.log(code.crossover), -log_keep.sum(axis=1)
+                code.codewords,
+                *_on_grid(log_keep - np.log(code.crossover), -log_keep.sum(axis=1)),
             ),
         }
 
@@ -268,3 +286,127 @@ class TestScores:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(code, f.name, getattr(code, f.name))
         assert code.wh is wh
+
+
+def ref_build_code(h_real, constellation):
+    """``build_code`` as one GEMM, Q-function and log over every message (no antipodal copy)."""
+    m = constellation.m
+    K = h_real.shape[1] // 2
+    v = np.hstack(constellation.xy[:, all_message_digits(m, K)]) @ h_real.T
+    eps = np.maximum(q_function(np.abs(v) / NOISE_STD), EPS_FLOOR)
+    return quantize(v), eps, -np.log(eps)
+
+
+class TestHalfBuild:
+    """``build_code`` computes half the messages and copies each to its antipodal partner."""
+
+    @pytest.mark.parametrize(
+        "K, n_r, m, snr_db, seed",
+        [(1, 1, 4, 0.0, 0), (2, 4, 4, 10.0, 1), (3, 16, 4, -2.0, 2), (4, 32, 4, 5.0, 3),
+         (5, 8, 4, 47.0, 4), (1, 3, 16, 10.0, 5), (2, 16, 16, 20.0, 6), (3, 4, 16, 37.0, 7)],
+    )
+    def test_bitwise_equal_to_a_full_build(self, K, n_r, m, snr_db, seed):
+        const = qam_constellation(m, 10.0 ** (snr_db / 10.0))
+        h = real_channel_matrix(sample_rayleigh(K, n_r, np.random.default_rng(seed)))
+        code = build_code(h, const)
+        built = (code.codewords, code.crossover, code.weights)
+        for got, want in zip(built, ref_build_code(h, const)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [4, 16])
+    def test_zero_responses_are_bit_zero_on_both_sides(self, m):
+        # a zero row gives v = 0 for every message, and the row (1, 1) gives v = 0
+        # wherever the two users' real parts cancel, in both halves of the codebook
+        const = qam_constellation(m, 10.0)
+        h = real_channel_matrix(np.array([[1, 1], [0, 0], [1 + 1j, 1 - 1j]]))
+        code = build_code(h, const)
+        want = ref_build_code(h, const)
+        v = np.hstack(const.xy[:, all_message_digits(m, 2)]) @ h.T
+        zero = v == 0
+        assert zero[: code.size // 2].any() and zero[code.size // 2 :].any()
+        assert np.all(code.codewords[zero] == 0) and np.all(code.crossover[zero] == 0.5)
+        for got, ref in zip((code.codewords, code.crossover, code.weights), want):
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("m,K", [(4, 1), (4, 3), (16, 1), (16, 2)])
+    def test_partners_are_the_negated_messages_of_the_first_half(self, m, K):
+        partner = _antipodes(m, K)
+        assert partner is _antipodes(m, K) and not partner.flags.writeable
+        half = m**K // 2
+        np.testing.assert_array_equal(np.sort(partner), np.arange(half, 2 * half))
+        points = qam_constellation(m, 3.0).points
+        x = points[all_message_digits(m, K)]
+        np.testing.assert_array_equal(x[partner], -x[:half])
+
+
+def fsum_score(score, r, row):
+    """The exactly rounded sum of one row's terms: its constant and its mismatched weights."""
+    terms = score.weights[row][r != score.rows[row]].tolist()
+    return math.fsum(terms if score.const is None else [score.const[row], *terms])
+
+
+@st.composite
+def exact_cases(draw):
+    """(code, observations, rng) over random codes; SNR 5e4 puts weights on EPS_FLOOR."""
+    m = draw(st.sampled_from((4, 16)))
+    K = draw(st.integers(1, 4 if m == 4 else 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = real_channel_matrix(sample_rayleigh(K, draw(st.integers(1, 8)), rng))
+    code = build_code(h, qam_constellation(m, draw(st.sampled_from((10.0, 5e4)))))
+    ell = int(rng.integers(code.size))
+    noisy = code.codewords[ell] ^ (rng.random(code.length) < code.crossover[ell])
+    obs = np.stack([code.codewords[ell], noisy, rng.integers(0, 2, code.length)]).astype(np.uint8)
+    return code, obs, rng
+
+
+class TestExactScores:
+    """Every code score is exact: the correctly rounded sum of its terms, in any order or form."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=exact_cases())
+    def test_scores_equal_fsum_in_any_order_and_in_block_form(self, case):
+        code, obs, rng = case
+        rows = rng.permutation(code.size)
+        # every row, then half of them again as negative ids
+        shuffled = np.concatenate([rows, rows[: code.size // 2] - code.size])
+        for score in (code.wh, code.hamming, code.nll):
+            block = obs @ score.gain.T + score.base
+            for r, f_block in zip(obs, block):
+                f = score(r)
+                assert f.tobytes() == f_block.tobytes()
+                assert score(r, shuffled).tobytes() == f[shuffled].tobytes()
+                for row in rows[:64]:
+                    assert f[row] == fsum_score(score, r, row)
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=exact_cases())
+    def test_hard_decisions_are_the_fsum_minimum_then_the_lowest_index(self, case):
+        code, obs, rng = case
+        cand = rng.permutation(code.size)[: int(rng.integers(1, code.size + 1))]
+        cand = np.concatenate([cand, rng.choice(cand, size=cand.size // 2)])
+        cand = np.where(rng.random(cand.size) < 0.3, cand - code.size, cand)
+        order = np.unique(cand % code.size)
+        pairs = ((wmd_decode, code.wh), (md_decode, code.hamming), (ml_decode, code.nll))
+        for decode, score in pairs:
+            for r in obs:
+                want = min(order.tolist(), key=lambda j: (fsum_score(score, r, j), j))
+                assert decode(r, code, cand) == want, decode.__name__
+                full = min(range(code.size), key=lambda j: (fsum_score(score, r, j), j))
+                assert decode(r, code) == full, decode.__name__
+
+    @pytest.mark.parametrize("K,n_r,m,snr", [(2, 3, 4, 10.0), (4, 32, 4, 5e4), (2, 16, 16, 10.0)])
+    def test_grid_moves_each_weight_by_at_most_half_a_step(self, K, n_r, m, snr):
+        h = real_channel_matrix(sample_rayleigh(K, n_r, np.random.default_rng(K)))
+        code = build_code(h, qam_constellation(m, snr))
+        log_keep = np.log1p(-code.crossover)
+        raw = {"wh": (code.weights, None),
+               "nll": (log_keep - np.log(code.crossover), -log_keep.sum(axis=1))}
+        for name, (v, const) in raw.items():
+            score = getattr(code, name)
+            scale = np.abs(v).sum(axis=1) + (0.0 if const is None else np.abs(const))
+            step = 2.0 ** (math.ceil(math.log2(scale.max())) + 2 - 52)
+            for got, want in ((score.weights, v), (score.const, const)):
+                if want is not None:
+                    assert np.all(np.abs(got - want) <= step / 2)
+                    assert np.all(got / step == np.rint(got / step))
+        assert code.hamming.weights.tobytes() == np.ones_like(code.weights).tobytes()

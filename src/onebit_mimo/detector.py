@@ -3,11 +3,12 @@
 Every decoder and soft output scores codewords through one cached
 ``MismatchScore`` of the code (``code.wh``, ``.hamming`` or ``.nll``), whose
 scores are exact (``spatial_code._on_grid``), so no result depends on the
-order or the form in which they are summed.  The hard decoders take the
-smallest score, an exact tie to the lowest codeword index; the soft outputs
-reduce every codeword's score, +inf outside the candidates, over each side
-of a label bit (LLRs, per-(m, K) index tables) or each user's subcode
-(APPs, masks of ``code.digits``).  LLRs follow the convention
+order or the form in which they are summed.  Every detector reduces one
+vector: every codeword's score, +inf outside the candidates.  The hard
+decoders take its argmin, an exact tie to the lowest codeword index; the
+soft outputs take its minimum over each side of a label bit (LLRs, one
+per-(m, K) index table, ``code.side_runs``) or its mass over each user's
+subcode (APPs, masks of ``code.digits``).  LLRs follow the convention
 L = log(P(bit=0) / P(bit=1)), clamped to +-LLR_CLAMP for a channel decoder.
 """
 
@@ -42,23 +43,30 @@ def _candidate_array(candidates):
     return candidates
 
 
+def _masked_scores(r: np.ndarray, score: MismatchScore, candidates) -> np.ndarray:
+    """(M,) scores of every row, gathered for the candidates, +inf elsewhere.
+
+    A code score is exact, so a row's score does not depend on its place in
+    the gather: the candidates need no order, and a negative id writes the
+    same score at its wrapped index.
+    """
+    cand = _candidate_array(candidates)
+    if cand is None:
+        return score(r)
+    d = np.empty(score.base.size)
+    d.fill(np.inf)  # about half the per-call cost of ``np.full``, a Python-level wrapper
+    d[cand] = score(r, cand)
+    return d
+
+
 def _nearest(r: np.ndarray, score: MismatchScore, candidates) -> int:
     """Codeword index in [0, M) of the smallest score, ties to the lowest index.
 
-    A code score is exact, so the first minimum is the answer over the whole
-    codebook or sorted candidates (as ``preprocess`` returns them).  An exact
-    tie among several candidates goes to the lowest wrapped index, so any
-    candidate order, duplicates or negative ids give the same codeword.
+    The argmin of the +inf-masked scores that the soft outputs reduce too: a
+    code score is exact, so its first minimum is the lowest index of an exact
+    tie whatever the candidates' order, duplicates or negative ids.
     """
-    cand = _candidate_array(candidates)
-    f = score(r, cand)
-    pos = f.argmin()
-    if cand is None:
-        return int(pos)
-    tied = f == f[pos]
-    if np.count_nonzero(tied) > 1:
-        return int((cand[tied] % score.base.size).min())
-    return int(cand[pos]) % score.base.size
+    return int(_masked_scores(r, score, candidates).argmin())
 
 
 def wmd_decode(r: np.ndarray, code: SpatialCode, candidates=None) -> int:
@@ -93,21 +101,6 @@ def zf_detect(r: np.ndarray, h_pinv: np.ndarray, constellation: Constellation) -
     return np.argmin(dist, axis=1)
 
 
-def _masked_scores(r: np.ndarray, score: MismatchScore, candidates) -> np.ndarray:
-    """(M,) scores of every row, gathered for the candidates, +inf elsewhere.
-
-    A code score is exact, so a row's score does not depend on its place in
-    the gather: the candidates need no order, and a negative id writes the
-    same score at its wrapped index.
-    """
-    cand = _candidate_array(candidates)
-    if cand is None:
-        return score(r)
-    d = np.full(score.base.size, np.inf)
-    d[cand] = score(r, cand)
-    return d
-
-
 def compute_app(
     r: np.ndarray, code: SpatialCode, candidates=None, mode: str = "wh-max"
 ) -> np.ndarray:
@@ -138,11 +131,11 @@ def compute_llrs(r: np.ndarray, code: SpatialCode, candidates=None) -> np.ndarra
     Entry (k, i) is the LLR of label bit i (MSB first) of user k+1's symbol:
     min weighted distance over the bit=1 subcode union minus the bit=0 one.
     Codewords outside the candidate set score +inf, so one gather through
-    ``code.bit_sides`` and one min per side give both sides of every bit; a
+    ``code.side_runs`` and one min per side give both sides of every bit; a
     side emptied by pruning saturates the LLR at the clamp.
     """
     d = _masked_scores(r, code.wh, candidates)
-    flat, starts = code.side_runs  # bit_sides flat, a side every M/2 entries, side 0 first
+    flat, starts = code.side_runs  # a side every M/2 entries, side 0 of every bit first
     # one reduceat over the flat gather; a min is exact.  Fancy indexing, since ``take``
     # copies a read-only index array such as this one on every call
     side_min = np.minimum.reduceat(d[flat], starts)

@@ -4,12 +4,13 @@ analytic complexity model.
 
 The tree is built once per coherence block from the active spatial code and
 is immutable afterwards.  It is one set of per-level arrays in path order:
-each level holds its clusters' member codewords, a parent index array and
-one ``MismatchScore`` over the clusters' centroids and weights.  A
-codeword-to-leaf map completes it.  Pruning one observation thus costs one
-matrix-vector product per level: it keeps the q_l best-scoring nodes per
-level and returns the codewords of the surviving leaves as a sorted
-candidate index array.
+each level holds its clusters' member codewords, a parent index array, one
+``MismatchScore`` over the clusters' centroids and weights, and the bound
+``tol`` on that score's rounding.  A codeword-to-leaf map completes it.
+Pruning one observation thus costs one matrix-vector product per level: it
+keeps the q_l best-scoring nodes per level (``_smallest``, which resolves
+the rounding band within ``tol`` exactly) and returns the codewords of the
+surviving leaves as a sorted candidate index array.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from numbers import Integral
 import numpy as np
 
 from .errors import ConfigurationError
-from .spatial_code import MismatchScore, SpatialCode
+from .spatial_code import MismatchScore, SpatialCode, weighted_hamming
 
 KMEANS_MAX_ITER = 100
+EPS = np.finfo(np.float64).eps
 
 
 def is_int(value) -> bool:
@@ -232,9 +234,9 @@ class Cluster:
 class PartitionTree:
     params: PartitionParams
     # levels[l][j] is the cluster of path rank j at depth l+1, and arrays[l]
-    # = (parent, score) the same level: parent[j] is row j's row in the
-    # previous level (0 under the root), and score the MismatchScore of the
-    # centroids under their weights
+    # = (parent, score, tol) the same level: parent[j] is row j's row in the
+    # previous level (0 under the root), score the MismatchScore of the
+    # centroids under their weights, and tol the bound of ``_smallest``
     levels: list
     arrays: list
     leaf_of: np.ndarray  # (M,) row in arrays[-1] of each codeword's leaf
@@ -251,16 +253,61 @@ def build_partition_tree(
         results = [kmeans_hamming(members, code, k_l, rng) for members in frontier]
         frontier = [cluster for res in results for cluster in res.clusters]
         parent = np.repeat(np.arange(len(results)), [len(res.clusters) for res in results])
-        score = MismatchScore(
-            np.concatenate([res.centroids for res in results]),
-            np.concatenate([res.weights for res in results]),
-        )
+        weights = np.concatenate([res.weights for res in results])
+        score = MismatchScore(np.concatenate([res.centroids for res in results]), weights)
+        tol = 8.0 * weights.shape[1] * EPS * float(np.abs(weights).sum(axis=1).max(initial=0.0))
         levels.append([Cluster(members) for members in frontier])
-        arrays.append((parent, score))
+        arrays.append((parent, score, tol))
     leaf_of = np.empty(code.size, dtype=np.int64)
     for row, members in enumerate(frontier):
         leaf_of[members] = row
     return PartitionTree(params=params, levels=levels, arrays=arrays, leaf_of=leaf_of)
+
+
+def _smallest(
+    r: np.ndarray, f: np.ndarray, q: int, score: MismatchScore, tol: float
+) -> np.ndarray:
+    """Boolean mask of the q entries of f ranked first by (reference, row).
+
+    ``f`` holds the linear scores of every row of a tree level, +inf for rows
+    outside the race.  Entries farther than ``tol`` from the q-th smallest
+    score c are decided by f alone; when the band within tol of c holds more
+    entries than places left, the band is ranked by the reference and then
+    by row, so exact ties go to the lowest row, which is path order.
+
+    The reference of row j is ``weighted_hamming(r, g < 0, |g|)`` over its
+    gain g = w * (1-2c): every centroid weight w is at least log 2 > 0 (a
+    centroid is its members' majority, so a position's mismatch fraction,
+    and its floor 1/(2*size), are at most 1/2), so |g| is w and g < 0 is c,
+    bit for bit, and the reference is ``weighted_hamming(r, c, w)``.
+
+    Rounding bound: for one row let A = sum_i |w_i|, u = eps/2 and
+    G = (N-1)u/(1-(N-1)u).  Any summation order of n <= N terms errs by at
+    most G times the sum of their magnitudes.  So base errs from its exact
+    value by at most G*A + u*(A + G*A), gain @ r by at most G*A, and the
+    final addition by at most u*(A + 2G*A) + u^2*(A + G*A); the reference
+    errs from the exact score by at most G*A + u*(A + G*A).  A linear score
+    and the reference thus differ by at most (3G + 3u)(1 + 2u)*A <= e =
+    2*N*eps*A when N*u <= 0.01.  The q-th smallest linear score c is then
+    within max e of the q-th smallest reference s_q, so with
+    ``tol = 8*N*eps*max A >= 2 max e`` a row scoring below c - tol has a
+    reference below s_q and one scoring above c + tol a reference above s_q.
+    """
+    # an argmin costs less than a partial sort (or ``min``) for q = 1
+    if q == 1:
+        c = f[f.argmin()]
+    else:
+        part = f.copy()
+        part.partition(q - 1)
+        c = part[q - 1]
+    keep = f <= c + tol
+    if np.count_nonzero(keep) > q:
+        band = np.flatnonzero(keep & (f >= c - tol))
+        keep[band] = False
+        need = q - np.count_nonzero(keep)
+        exact = [weighted_hamming(r, g < 0, np.abs(g)) for g in score.gain[band]]
+        keep[band[np.lexsort((band, exact))[:need]]] = True
+    return keep
 
 
 def preprocess(r: np.ndarray, tree: PartitionTree, q=None) -> np.ndarray:
@@ -273,7 +320,7 @@ def preprocess(r: np.ndarray, tree: PartitionTree, q=None) -> np.ndarray:
     per-level survivor counts, so one tree serves several pruning budgets.
 
     Centroid scores are not on the code scores' grid, so they keep their
-    rounding: ``MismatchScore.smallest`` resolves the band within ``tol``
+    rounding: ``_smallest`` resolves the band within each level's ``tol``
     by the reference score and then by row, which is path order.  The
     observation reaches every product uncast: a 0/1 r of any dtype casts to
     float64 exactly inside it.
@@ -283,14 +330,14 @@ def preprocess(r: np.ndarray, tree: PartitionTree, q=None) -> np.ndarray:
     else:
         require_valid_params(PartitionParams(k=tree.params.k, q=q))
     r = np.asarray(r)
-    length = tree.arrays[0][1].rows.shape[1]
+    length = tree.arrays[0][1].gain.shape[1]
     if r.shape != (length,):
         raise ValueError(f"observation has shape {r.shape}, but the code has length {length}")
     levels = zip(tree.arrays, q)
-    (_, score), q_l = next(levels)
+    (_, score, tol), q_l = next(levels)
     n = score.base.size  # every child of the root races
-    alive = score.smallest(r, score(r), q_l) if q_l < n else np.ones(n, dtype=bool)
-    for (parent, score), q_l in levels:
+    alive = _smallest(r, score(r), q_l, score, tol) if q_l < n else np.ones(n, dtype=bool)
+    for (parent, score, tol), q_l in levels:
         racing = alive[parent]
         n_racing = np.count_nonzero(racing)
         if q_l >= n_racing:
@@ -299,7 +346,7 @@ def preprocess(r: np.ndarray, tree: PartitionTree, q=None) -> np.ndarray:
         f = score(r)
         if n_racing < racing.size:
             f[~racing] = np.inf
-        alive = score.smallest(r, f, q_l)
+        alive = _smallest(r, f, q_l, score, tol)
     return alive[tree.leaf_of].nonzero()[0]
 
 

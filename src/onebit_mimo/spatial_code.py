@@ -2,6 +2,10 @@
 message vector, with per-bit crossover probabilities, decoding weights and
 the scores ``wh``, ``hamming`` and ``nll``, each built on first access with
 its weights on a dyadic grid (``_on_grid``), so every code score is exact.
+Every score, a partition tree's too, is the one linear form of
+``MismatchScore``: ``base + gain @ r``.  The per-(m, K) tables of message
+digits (``_digits``) and of label bit sides (``_side_runs``, for LLRs) are
+built once and shared by every code.
 
 Codeword ell is the sign pattern of H x(g(ell)) where g(ell) is the m-ary
 expansion of ell (user 1 = least significant digit).  Distinct messages may
@@ -13,7 +17,7 @@ lowest index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -34,7 +38,7 @@ def weighted_hamming(x: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
     return float(alpha[x != y].sum())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MismatchScore:
     """Scores ``const + sum_i v_i 1{r_i != c_i}`` of rows c against a 0/1 observation r.
 
@@ -43,47 +47,27 @@ class MismatchScore:
     mismatch indicator expands as 1{r_i != c_i} = c_i + (1-2c_i) r_i, so every
     row scores ``base + gain @ r`` with base = const + sum_i v_i c_i and
     gain = v * (1-2c); every product is exact since c_i and r_i are 0 or 1.
-    The exact reference of a row is ``const + weighted_hamming(r, c, v)``.
+    Only ``base`` and ``gain`` are kept.
 
     A code's scores (``SpatialCode.wh``, ``.hamming`` and ``.nll``) take
     weights and constants on the grid of ``_on_grid``, so each of their
-    scores is exact: it equals the reference and ``math.fsum`` of its terms
-    bit for bit, in any row order, gather or block form, and a hard decision
-    is one argmin.  A partition tree's centroid scores are not on a grid;
-    ``tol`` bounds their rounding, and ``smallest`` ranks them.
-
-    Rounding bound: for one row let B = sum_i |v_i|, A = |const| + B,
-    u = eps/2 and g = (N-1)u/(1-(N-1)u).  Any summation order of n <= N
-    terms errs by at most g times the sum of their magnitudes.  So base errs
-    from its exact value by at most g*B + u*(A + g*B), gain @ r by at most
-    g*B, and the final addition by at most u*(A + 2g*B) + u^2*(A + g*B);
-    the reference errs from the exact score by at most g*B + u*(A + g*B).
-    A linear score and the reference thus differ by at most
-    (3g + 3u)(1 + 2u)*A <= e = 2*N*eps*A when N*u <= 0.01.  The q-th
-    smallest linear score c is then within max e of the q-th smallest
-    reference s_q, so with ``tol = 8*N*eps*max A >= 2 max e`` a row scoring
-    below c - tol has a reference below s_q and one scoring above c + tol
-    a reference above s_q.
+    scores is exact: it equals ``math.fsum`` of its terms bit for bit, in any
+    row order, gather or block form, and a hard decision is one argmin.  A
+    partition tree's centroid scores are not on a grid; ``partition`` bounds
+    and resolves their rounding.
     """
 
-    rows: np.ndarray  # (n, N) 0/1 patterns c
-    weights: np.ndarray  # (n, N) v >= 0
-    const: np.ndarray | None = None  # (n,) per-row constant
-    base: np.ndarray = field(init=False, repr=False)
-    gain: np.ndarray = field(init=False, repr=False)
-    tol: float = field(init=False)
+    base: np.ndarray  # (n,) const + sum_i v_i c_i
+    gain: np.ndarray  # (n, N) v * (1-2c)
 
-    def __post_init__(self):
-        c = self.rows.astype(np.float64)
-        base = (self.weights * c).sum(axis=1)
-        scale = np.abs(self.weights).sum(axis=1)
-        if self.const is not None:
-            base = self.const + base
-            scale = scale + np.abs(self.const)
-        eps = np.finfo(np.float64).eps
+    def __init__(self, rows: np.ndarray, weights: np.ndarray, const: np.ndarray | None = None):
+        """From (n, N) 0/1 rows c, (n, N) weights v >= 0 and an optional (n,) constant."""
+        c = rows.astype(np.float64)
+        base = (weights * c).sum(axis=1)
+        if const is not None:
+            base = const + base
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "gain", self.weights * (1.0 - 2.0 * c))
-        object.__setattr__(self, "tol", 8.0 * c.shape[1] * eps * float(scale.max(initial=0.0)))
+        object.__setattr__(self, "gain", weights * (1.0 - 2.0 * c))
 
     def __call__(self, r: np.ndarray, rows=None) -> np.ndarray:
         """Linear scores of ``rows`` (every row when None) against r.
@@ -101,36 +85,6 @@ class MismatchScore:
             d = self.gain.take(rows, axis=0).dot(r)
             d += self.base[rows]
         return d
-
-    def reference(self, r: np.ndarray, row: int) -> float:
-        """The exact reference score of one row."""
-        d = weighted_hamming(r, self.rows[row], self.weights[row])
-        return d if self.const is None else float(self.const[row] + d)
-
-    def smallest(self, r: np.ndarray, f: np.ndarray, q: int) -> np.ndarray:
-        """Boolean mask of the q entries of f ranked first by (reference, row).
-
-        ``f`` holds the linear scores of every row, +inf for rows outside the
-        race.  Entries farther than ``tol`` from the q-th smallest score c are
-        decided by f alone (see the class docstring); when the band within tol
-        of c holds more entries than places left, the band is ranked by the
-        reference and then by row, so exact ties go to the lowest row.
-        """
-        # an argmin costs less than a partial sort (or ``min``) for q = 1
-        if q == 1:
-            c = f[f.argmin()]
-        else:
-            part = f.copy()
-            part.partition(q - 1)
-            c = part[q - 1]
-        keep = f <= c + self.tol
-        if np.count_nonzero(keep) > q:
-            band = np.flatnonzero(keep & (f >= c - self.tol))
-            keep[band] = False
-            need = q - np.count_nonzero(keep)
-            exact = [self.reference(r, j) for j in band]
-            keep[band[np.lexsort((band, exact))[:need]]] = True
-        return keep
 
 
 def _on_grid(weights: np.ndarray, const: np.ndarray | None = None):
@@ -175,34 +129,25 @@ def _digits(m: int, K: int) -> np.ndarray:
 
 
 @cache
-def _bit_sides(m: int, K: int) -> np.ndarray:
-    """(2, K*q, m**K / 2) read-only table of codeword indices.
+def _side_runs(m: int, K: int) -> tuple:
+    """Read-only flat table of codeword indices, and the start of each side's run in it.
 
-    Row ``[b, k*q + i]`` lists, ascending, the codewords whose user-(k+1)
-    label bit i (MSB first) equals b.  A stable sort of each bit's column
-    lists the codewords of bit 0, then of bit 1, each in index order; every
-    bit splits the m symbols in half, so each side holds exactly half of the
-    codebook.  Indices are intp: numpy converts any other index type on
-    every gather.
+    The table holds (2, K*q, m**K / 2) entries in C order: run ``[b, k*q + i]``
+    lists, ascending, the codewords whose user-(k+1) label bit i (MSB first)
+    equals b.  A stable sort of each bit's column lists the codewords of bit
+    0, then of bit 1, each in index order; every bit splits the m symbols in
+    half, so each side holds exactly half of the codebook.  One gather
+    through the table and one ``reduceat`` at the starts give every side's
+    minimum, side 0 of every bit first.  Indices are intp: numpy converts any
+    other index type on every gather.
     """
     bits = bit_table(m)[_digits(m, K)].reshape(m**K, -1)
     order = np.argsort(bits.T, axis=1, kind="stable").reshape(bits.shape[1], 2, -1)
-    table = np.ascontiguousarray(order.transpose(1, 0, 2))
-    table.setflags(write=False)
-    return table
-
-
-@cache
-def _side_runs(m: int, K: int) -> tuple:
-    """``_bit_sides(m, K)`` flat, and the start of each side's run of M/2 entries in it.
-
-    Both read-only: one gather through the first and one ``reduceat`` at the
-    second give every side's minimum, side 0 of every bit first.
-    """
-    sides = _bit_sides(m, K)
-    starts = np.arange(0, sides.size, sides.shape[2])
+    flat = order.transpose(1, 0, 2).reshape(-1)
+    starts = np.arange(0, flat.size, m**K // 2)
+    flat.setflags(write=False)
     starts.setflags(write=False)
-    return sides.reshape(-1), starts
+    return flat, starts
 
 
 @cache
@@ -235,13 +180,8 @@ class SpatialCode:
         return _digits(self.m, self.K)
 
     @property
-    def bit_sides(self) -> np.ndarray:
-        """(2, K*q, M/2) codeword indices per label bit value, built once per (m, K)."""
-        return _bit_sides(self.m, self.K)
-
-    @property
     def side_runs(self) -> tuple:
-        """(K*q*M,) flat ``bit_sides`` and (2*K*q,) run starts in it, built once per (m, K)."""
+        """(K*q*M,) codeword indices per label bit side and (2*K*q,) run starts, per (m, K)."""
         return _side_runs(self.m, self.K)
 
     @property

@@ -5,7 +5,7 @@ import pytest
 
 from onebit_mimo.channel import sample_rayleigh
 from onebit_mimo.core import qam_constellation, real_channel_matrix
-from onebit_mimo.spatial_code import build_code
+from onebit_mimo.spatial_code import SpatialCode, build_code
 
 
 def random_code(K, n_r, m=4, snr_db=10.0, seed=0):
@@ -14,6 +14,38 @@ def random_code(K, n_r, m=4, snr_db=10.0, seed=0):
     const = qam_constellation(m, 10.0 ** (snr_db / 10.0))
     h = real_channel_matrix(sample_rayleigh(K, n_r, rng))
     return build_code(h, const)
+
+
+def centroid_weights(members: np.ndarray, centroid: np.ndarray, code: SpatialCode) -> np.ndarray:
+    """Oracle: per-position -log of the members' disagreement fraction with the centroid.
+
+    Unanimous positions are clamped at half the smallest observable nonzero
+    fraction, so the weight stays finite and the ordering holds.
+    """
+    members = np.asarray(members)
+    if members.size == 0:
+        raise ValueError("cluster must be nonempty")
+    frac = (code.codewords[members] != centroid).mean(axis=0)
+    floor = 1.0 / (2.0 * len(members))
+    return -np.log(np.maximum(frac, floor))
+
+
+def oracle_node_levels(code: SpatialCode, tree) -> list:
+    """Per tree level, (centroids, weights) of its nodes from their members alone.
+
+    A node's centroid is its members' bitwise majority, a tie going to 0, and
+    its weights are ``centroid_weights``: what k-means leaves at convergence,
+    read without the level's score.
+    """
+    levels = []
+    for nodes in tree.levels:
+        bits = [code.codewords[node.members] for node in nodes]
+        centroids = np.array([2 * b.sum(axis=0) > len(b) for b in bits], dtype=np.uint8)
+        weights = np.array(
+            [centroid_weights(node.members, c, code) for node, c in zip(nodes, centroids)]
+        )
+        levels.append((centroids, weights))
+    return levels
 
 
 def write_alist(h: np.ndarray) -> str:

@@ -21,7 +21,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import random_code, write_alist
+from conftest import oracle_node_levels, random_code, write_alist
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -118,28 +118,35 @@ def ref_compute_llrs(r, code, candidates=None):
         cand = np.sort(np.asarray(candidates, dtype=np.int64))
         d = np.full(code.size, np.inf)
         d[cand] = ref_score(score, r, cand)
-    side_min = d[code.bit_sides].min(axis=2)
+    flat, _ = code.side_runs
+    side_min = d[flat.reshape(2, -1, code.size // 2)].min(axis=2)
     return (side_min[1] - side_min[0]).clip(-LLR_CLAMP, LLR_CLAMP).reshape(code.K, -1)
 
 
-def ref_smallest(score, r, f, q, rows=None):
+def ref_smallest(r, f, q, centroids, weights):
+    """The q rows ranked first by (exact distance, row), resolving only the band near the q-th.
+
+    The band's distances and its width come from the oracle's centroids and
+    weights, not from the level's score.
+    """
+    eps = np.finfo(np.float64).eps
+    tol = 8.0 * weights.shape[1] * eps * float(np.abs(weights).sum(axis=1).max())
     c = f.min() if q == 1 else np.partition(f, q - 1)[q - 1]
-    keep = f <= c + score.tol
+    keep = f <= c + tol
     if np.count_nonzero(keep) > q:
-        band = np.flatnonzero(keep & (f >= c - score.tol))
+        band = np.flatnonzero(keep & (f >= c - tol))
         keep[band] = False
         need = q - np.count_nonzero(keep)
-        at = band if rows is None else rows[band]
-        exact = [score.reference(r, j) for j in at]
-        keep[band[np.lexsort((at, exact))[:need]]] = True
+        exact = [float(weights[j][centroids[j] != r].sum()) for j in band]
+        keep[band[np.lexsort((band, exact))[:need]]] = True
     return keep
 
 
 def ref_nearest(r, code, candidates, metric):
-    cand = None if candidates is None else np.asarray(candidates, dtype=np.int64)
-    score = getattr(code, metric)
-    pos = int(ref_smallest(score, r, ref_score(score, r, cand), 1, cand).argmax())
-    return pos if cand is None else int(cand[pos])
+    """The smallest exact score, then the lowest wrapped index."""
+    rows = np.arange(code.size) if candidates is None else np.asarray(candidates) % code.size
+    f = ref_score(getattr(code, metric), r, rows)
+    return int(rows[np.lexsort((rows, f))[0]])
 
 
 def ref_zf_detect(r, h_real, constellation):
@@ -155,7 +162,7 @@ def ref_zf_detect(r, h_real, constellation):
     return np.argmin(dist, axis=1)
 
 
-def ref_preprocess(r, tree, q=None):
+def ref_preprocess(r, code, tree, q=None):
     if q is None:
         q = tree.params.q
     else:
@@ -163,7 +170,8 @@ def ref_preprocess(r, tree, q=None):
     r = np.asarray(r)
     rf = r.astype(np.float64)
     alive = np.ones(1, dtype=bool)
-    for (parent, score), q_l in zip(tree.arrays, q):
+    oracle = oracle_node_levels(code, tree)
+    for (parent, score, _), (centroids, weights), q_l in zip(tree.arrays, oracle, q):
         racing = alive[parent]
         n_racing = np.count_nonzero(racing)
         if q_l >= n_racing:
@@ -172,7 +180,7 @@ def ref_preprocess(r, tree, q=None):
         f = ref_score(score, rf)
         if n_racing < racing.size:
             f[~racing] = np.inf
-        alive = ref_smallest(score, r, f, q_l)
+        alive = ref_smallest(r, f, q_l, centroids, weights)
     return np.flatnonzero(alive[tree.leaf_of])
 
 
@@ -462,10 +470,10 @@ def test_preprocess_matches_reference(m, K, n_r, k, seed):
     tree = build_partition_tree(code, PartitionParams(k=tuple(k), q=tuple(q)), rng)
     for r in (code.codewords[rng.integers(code.size)], rng.integers(0, 2, code.length)):
         r = r.astype(np.uint8)
-        assert np.array_equal(preprocess(r, tree), ref_preprocess(r, tree))
+        assert np.array_equal(preprocess(r, tree), ref_preprocess(r, code, tree))
         override = tuple(min(q_l, 1 + q_l // 2) for q_l in q)
         got = preprocess(r, tree, q=override)
-        assert np.array_equal(got, ref_preprocess(r, tree, q=override))
+        assert np.array_equal(got, ref_preprocess(r, code, tree, q=override))
         assert got.dtype == np.intp
 
 
@@ -545,10 +553,11 @@ def test_seed_centroids_match_choice(pw, data, seed):
 
 def _assert_same_tree(a, b):
     assert len(a.arrays) == len(b.arrays)
-    for (parent, score), (o_parent, o_score) in zip(a.arrays, b.arrays):
+    for (parent, score, tol), (o_parent, o_score, o_tol) in zip(a.arrays, b.arrays):
         np.testing.assert_array_equal(parent, o_parent)
-        np.testing.assert_array_equal(score.rows, o_score.rows)
-        np.testing.assert_array_equal(score.weights, o_score.weights)
+        assert score.base.tobytes() == o_score.base.tobytes()
+        assert score.gain.tobytes() == o_score.gain.tobytes()
+        assert tol == o_tol
     np.testing.assert_array_equal(a.leaf_of, b.leaf_of)
 
 

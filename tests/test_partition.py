@@ -18,23 +18,9 @@ from onebit_mimo.partition import (
     tree_stats,
     validate_params,
 )
-from onebit_mimo.spatial_code import SpatialCode
+from onebit_mimo.spatial_code import MismatchScore, SpatialCode
 
-from conftest import random_code
-
-
-def centroid_weights(members: np.ndarray, centroid: np.ndarray, code: SpatialCode) -> np.ndarray:
-    """Oracle: per-position -log of the members' disagreement fraction with the centroid.
-
-    Unanimous positions are clamped at half the smallest observable nonzero
-    fraction, so the weight stays finite and the ordering holds.
-    """
-    members = np.asarray(members)
-    if members.size == 0:
-        raise ValueError("cluster must be nonempty")
-    frac = (code.codewords[members] != centroid).mean(axis=0)
-    floor = 1.0 / (2.0 * len(members))
-    return -np.log(np.maximum(frac, floor))
+from conftest import centroid_weights, oracle_node_levels, random_code
 
 
 def pattern_code(codewords, m, K):
@@ -366,7 +352,7 @@ def test_tree_levels_partition_the_codebook():
     assert len(tree.levels) == 2
     check_level_partitions(tree, code.size)
     # children split exactly their parent's member set
-    parent, _ = tree.arrays[1]
+    parent = tree.arrays[1][0]
     for row, node in enumerate(tree.levels[0]):
         children = [tree.levels[1][j].members for j in np.flatnonzero(parent == row)]
         np.testing.assert_array_equal(np.sort(np.concatenate(children)), np.sort(node.members))
@@ -378,10 +364,17 @@ def test_tree_nodes_have_weights_and_paths():
         code, PartitionParams((4, 2), (2, 4)), np.random.default_rng(1)
     )
     n_prev = 1  # the root
-    for nodes, (parent, score) in zip(tree.levels, tree.arrays):
+    assert any(node.members.size == 1 for node in tree.levels[-1])
+    oracle = oracle_node_levels(code, tree)
+    for nodes, (parent, score, tol), (centroids, weights) in zip(tree.levels, tree.arrays, oracle):
         n = len(nodes)
-        assert score.rows.shape == score.weights.shape == (n, code.length)
-        assert np.all(np.isfinite(score.weights)) and np.all(score.weights >= 0)
+        assert score.base.shape == (n,) and score.gain.shape == (n, code.length)
+        # |gain| is each node's weights and its sign the centroid: what ``_smallest``
+        # reads as the reference, which holds since every weight is at least log 2
+        assert np.abs(score.gain).tobytes() == weights.tobytes()
+        assert np.all(weights >= np.log(2.0))
+        np.testing.assert_array_equal(score.gain < 0, centroids == 1)
+        assert np.isfinite(tol) and tol > 0
         # rows in path order: every node of the previous level has children,
         # and siblings are contiguous in their parent's order
         np.testing.assert_array_equal(np.unique(parent), np.arange(n_prev))
@@ -433,10 +426,17 @@ def test_tree_arrays_match_oracle_build(m, K, n_r, k, seed):
     tree = build_partition_tree(code, params, np.random.default_rng(seed))
     levels, leaf_of = oracle_tree_arrays(code, params, np.random.default_rng(seed))
     assert len(tree.arrays) == len(levels)
-    for (parent, score), (o_parent, o_centroids, o_weights) in zip(tree.arrays, levels):
+    eps = np.finfo(np.float64).eps
+    for (parent, score, tol), (o_parent, o_centroids, o_weights) in zip(tree.arrays, levels):
         np.testing.assert_array_equal(parent, o_parent)
-        np.testing.assert_array_equal(score.rows, o_centroids)
-        np.testing.assert_array_equal(score.weights, o_weights)
+        assert np.abs(score.gain).tobytes() == o_weights.tobytes()
+        assert np.all(o_weights >= np.log(2.0))
+        np.testing.assert_array_equal(score.gain < 0, o_centroids == 1)
+        want = MismatchScore(o_centroids, o_weights)
+        assert score.base.tobytes() == want.base.tobytes()
+        assert score.gain.tobytes() == want.gain.tobytes()
+        scale = np.abs(o_weights).sum(axis=1).max()
+        assert tol == 8.0 * o_weights.shape[1] * eps * float(scale)
     np.testing.assert_array_equal(tree.leaf_of, leaf_of)
 
 
@@ -532,18 +532,22 @@ def test_preprocess_override_validation():
         preprocess(r, tree, q=(2, 2.9))  # not truncated to 2
 
 
-def node_walk(r, tree, survivors_q):
+def node_walk(r, code, tree, survivors_q):
     """Reference pruning: sort each level's racing rows by (score, row).
 
-    A level's rows are in path order (``test_tree_arrays_match_oracle_build``
-    pins that), so the row breaks ties toward the smaller path.
+    Each score is the weighted Hamming distance to the node's centroid under
+    its weights, both from the oracle (``oracle_node_levels``), not from the
+    level's score.  A level's rows are in path order
+    (``test_tree_arrays_match_oracle_build`` pins that), so the row breaks
+    ties toward the smaller path.
     """
     survivors = {0}  # the root
-    for (parent, score), q_l in zip(tree.arrays, survivors_q):
+    oracle = oracle_node_levels(code, tree)
+    for (parent, _, _), (centroids, weights), q_l in zip(tree.arrays, oracle, survivors_q):
         racing = [j for j in range(len(parent)) if parent[j] in survivors]
         ranked = sorted(
             racing,
-            key=lambda j: (float(score.weights[j][score.rows[j] != r].sum()), j),
+            key=lambda j: (float(weights[j][centroids[j] != r].sum()), j),
         )
         survivors = set(ranked[:q_l])
     return np.sort(np.concatenate([tree.levels[-1][j].members for j in survivors]))
@@ -594,7 +598,7 @@ def test_preprocess_matches_node_walk(case, obs_seed):
     clean = [code.codewords[ell] for ell in rng.integers(0, code.size, 8)]
     for r in noisy + clean:
         np.testing.assert_array_equal(
-            preprocess(r, tree, q=override), node_walk(r, tree, survivors_q)
+            preprocess(r, tree, q=override), node_walk(r, code, tree, survivors_q)
         )
 
 
@@ -608,8 +612,8 @@ def test_preprocess_exact_tie_goes_to_smaller_path():
     b = np.array([1, 1, 0, 0, 1, 0, 1, 1], dtype=np.uint8)
     code = pattern_code([r, a, b, 1 - r], m=4, K=1)
     tree = build_partition_tree(code, PartitionParams((4,), (2,)), np.random.default_rng(0))
-    _, level_score = tree.arrays[0]
-    rows, weights = level_score.rows, level_score.weights
+    _, level_score, _ = tree.arrays[0]
+    [(rows, weights)] = oracle_node_levels(code, tree)
     leaf = {int(nd.members[0]): row for row, nd in enumerate(tree.levels[0])}
     score = {i: float(weights[leaf[i]][rows[leaf[i]] != r].sum()) for i in (1, 2)}
     assert score[1] == score[2]

@@ -22,7 +22,6 @@ from onebit_mimo.spatial_code import (
     EPS_FLOOR,
     MismatchScore,
     _antipodes,
-    _bit_sides,
     _digits,
     _on_grid,
     _side_runs,
@@ -189,11 +188,12 @@ class TestSubcode:
 class TestBitSides:
     @pytest.mark.parametrize("m,K", [(m, K) for m in (4, 16) for K in range(1, 5)])
     def test_rows_split_codebook_by_label_bit(self, m, K):
-        sides = _bit_sides(m, K)
         q = m.bit_length() - 1
         M = m**K
-        assert sides.shape == (2, K * q, M // 2)
-        assert not sides.flags.writeable
+        flat, _ = _side_runs(m, K)
+        assert flat.shape == (K * q * M,) and flat.dtype == np.intp
+        assert not flat.flags.writeable
+        sides = flat.reshape(2, K * q, M // 2)
         labels = bit_table(m)[all_message_digits(m, K)].reshape(M, K * q)
         for j in range(K * q):
             for b in (0, 1):
@@ -204,7 +204,7 @@ class TestBitSides:
     def test_shared_per_m_and_K(self):
         a = random_code(K=2, n_r=4, seed=1)
         b = random_code(K=2, n_r=6, seed=2)
-        assert a.bit_sides is b.bit_sides
+        assert a.side_runs[0] is b.side_runs[0]
 
     @pytest.mark.parametrize("m,K", [(4, 1), (4, 3), (16, 2)])
     def test_llr_runs_are_read_only_and_shared_per_m_and_K(self, m, K):
@@ -213,7 +213,7 @@ class TestBitSides:
         assert a.side_runs is b.side_runs is _side_runs(m, K)
         flat, starts = a.side_runs
         assert not flat.flags.writeable and not starts.flags.writeable
-        np.testing.assert_array_equal(flat, a.bit_sides.reshape(-1))
+        assert flat.size == 2 * (m.bit_length() - 1) * K * (m**K // 2)
         np.testing.assert_array_equal(starts, np.arange(0, flat.size, m**K // 2))
         with pytest.raises(AttributeError):
             a.side_runs = (flat, starts)
@@ -250,14 +250,8 @@ class TestScores:
     @staticmethod
     def direct(code):
         """Each score built directly from the code's fields, its weights on the grid."""
-        log_keep = np.log1p(-code.crossover)
         return {
-            "wh": MismatchScore(code.codewords, *_on_grid(code.weights)),
-            "hamming": MismatchScore(code.codewords, *_on_grid(np.ones_like(code.weights))),
-            "nll": MismatchScore(
-                code.codewords,
-                *_on_grid(log_keep - np.log(code.crossover), -log_keep.sum(axis=1)),
-            ),
+            name: MismatchScore(code.codewords, *terms) for name, terms in grid_terms(code).items()
         }
 
     @pytest.mark.parametrize("K,n_r,m,seed", CODES)
@@ -271,13 +265,11 @@ class TestScores:
     @pytest.mark.parametrize("K,n_r,m,seed", CODES)
     def test_bitwise_equal_to_direct_build(self, K, n_r, m, seed):
         code = random_code(K=K, n_r=n_r, m=m, seed=seed)
-        def raw(value):
-            return None if value is None else np.asarray(value).tobytes()
-
         for name, want in self.direct(code).items():
             got = getattr(code, name)
-            for attr in ("rows", "weights", "const", "base", "gain", "tol"):
-                assert raw(getattr(got, attr)) == raw(getattr(want, attr)), (name, attr)
+            assert [f.name for f in dataclasses.fields(got)] == ["base", "gain"]
+            for attr in ("base", "gain"):
+                assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), (name, attr)
 
     def test_fields_cannot_be_reassigned(self):
         code = random_code(K=2, n_r=3)
@@ -339,10 +331,21 @@ class TestHalfBuild:
         np.testing.assert_array_equal(x[partner], -x[:half])
 
 
-def fsum_score(score, r, row):
+def grid_terms(code):
+    """Per score name, ``(weights, const)`` on the grid, from the code's own fields."""
+    log_keep = np.log1p(-code.crossover)
+    return {
+        "wh": _on_grid(code.weights),
+        "hamming": _on_grid(np.ones_like(code.weights)),
+        "nll": _on_grid(log_keep - np.log(code.crossover), -log_keep.sum(axis=1)),
+    }
+
+
+def fsum_score(code, terms, r, row):
     """The exactly rounded sum of one row's terms: its constant and its mismatched weights."""
-    terms = score.weights[row][r != score.rows[row]].tolist()
-    return math.fsum(terms if score.const is None else [score.const[row], *terms])
+    weights, const = terms
+    mismatched = weights[row][r != code.codewords[row]].tolist()
+    return math.fsum(mismatched if const is None else [const[row], *mismatched])
 
 
 @st.composite
@@ -369,14 +372,15 @@ class TestExactScores:
         rows = rng.permutation(code.size)
         # every row, then half of them again as negative ids
         shuffled = np.concatenate([rows, rows[: code.size // 2] - code.size])
-        for score in (code.wh, code.hamming, code.nll):
+        for name, terms in grid_terms(code).items():
+            score = getattr(code, name)
             block = obs @ score.gain.T + score.base
             for r, f_block in zip(obs, block):
                 f = score(r)
                 assert f.tobytes() == f_block.tobytes()
                 assert score(r, shuffled).tobytes() == f[shuffled].tobytes()
                 for row in rows[:64]:
-                    assert f[row] == fsum_score(score, r, row)
+                    assert f[row] == fsum_score(code, terms, r, row)
 
     @settings(max_examples=120, deadline=None)
     @given(case=exact_cases())
@@ -386,12 +390,13 @@ class TestExactScores:
         cand = np.concatenate([cand, rng.choice(cand, size=cand.size // 2)])
         cand = np.where(rng.random(cand.size) < 0.3, cand - code.size, cand)
         order = np.unique(cand % code.size)
-        pairs = ((wmd_decode, code.wh), (md_decode, code.hamming), (ml_decode, code.nll))
-        for decode, score in pairs:
+        terms = grid_terms(code)
+        for decode, name in ((wmd_decode, "wh"), (md_decode, "hamming"), (ml_decode, "nll")):
+            t = terms[name]
             for r in obs:
-                want = min(order.tolist(), key=lambda j: (fsum_score(score, r, j), j))
+                want = min(order.tolist(), key=lambda j: (fsum_score(code, t, r, j), j))
                 assert decode(r, code, cand) == want, decode.__name__
-                full = min(range(code.size), key=lambda j: (fsum_score(score, r, j), j))
+                full = min(range(code.size), key=lambda j: (fsum_score(code, t, r, j), j))
                 assert decode(r, code) == full, decode.__name__
 
     @pytest.mark.parametrize("K,n_r,m,snr", [(2, 3, 4, 10.0), (4, 32, 4, 5e4), (2, 16, 16, 10.0)])
@@ -401,12 +406,14 @@ class TestExactScores:
         log_keep = np.log1p(-code.crossover)
         raw = {"wh": (code.weights, None),
                "nll": (log_keep - np.log(code.crossover), -log_keep.sum(axis=1))}
+        terms = grid_terms(code)
         for name, (v, const) in raw.items():
-            score = getattr(code, name)
             scale = np.abs(v).sum(axis=1) + (0.0 if const is None else np.abs(const))
             step = 2.0 ** (math.ceil(math.log2(scale.max())) + 2 - 52)
-            for got, want in ((score.weights, v), (score.const, const)):
+            for got, want in zip(terms[name], (v, const)):
                 if want is not None:
                     assert np.all(np.abs(got - want) <= step / 2)
                     assert np.all(got / step == np.rint(got / step))
-        assert code.hamming.weights.tobytes() == np.ones_like(code.weights).tobytes()
+            # the score's gain is the grid weights, signed by the codeword bits
+            assert np.abs(getattr(code, name).gain).tobytes() == np.abs(terms[name][0]).tobytes()
+        assert np.abs(code.hamming.gain).tobytes() == np.ones_like(code.weights).tobytes()

@@ -13,7 +13,7 @@ from onebit_mimo.cli import compare
 
 PRESETS = {  # trials counts user-frames per SNR point
     "n_users": 3, "n_rx": 16, "snr_db": (-6.0, -4.0, -2.0, 0.0, 2.0),
-    "t_c": 128, "t_d": 128, "ldpc_n": 128, "trials": 600, "target_errors": 10**9,
+    "t_d": 128, "ldpc_n": 128, "trials": 600, "target_errors": 10**9,
 }
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from onebit_mimo.cli import compare
 
 PRESETS = {
     "n_users": 2, "n_rx": 16, "snr_db": (-5.0, 0.0, 5.0, 10.0, 15.0),
-    "t_c": 500, "t_d": 500, "trials": 4000, "target_errors": 200, "wave": 4,
+    "t_d": 500, "trials": 4000, "target_errors": 200, "wave": 4,
 }
 
 if __name__ == "__main__":

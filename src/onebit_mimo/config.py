@@ -5,7 +5,9 @@ mirror the dataclass fields one-for-one, and every field can be overridden
 from the command line.  A SimConfig is checked as it is built (by
 ``__post_init__``, so ``dataclasses.replace`` re-checks too): each scalar
 field against its type and its ``FIELD_RULES`` entry, then the rules that
-tie fields together.  It holds only plain Python values that some run kind
+tie fields together.  No field restates others: the coherence block is
+``t_t + t_d`` slots, and ``t_c`` may be omitted (None) or must equal that
+sum.  It holds only plain Python values that some run kind
 accepts; the analytic subcommands therefore take every detector, and the
 runners in ``sim`` add what their run kind needs (a detector of that kind,
 an LDPC code that fits the block).
@@ -47,8 +49,8 @@ CSIR_MODES = ("perfect", "estimated")
 # the bound.
 MAX_CODEBOOK_ENTRIES = 2**24
 
-# Largest coherence block, in slots times entries per slot
-# (t_c * max(n_users * log2(m), 2*n_rx)): a block holds its (t_d, n_users)
+# Largest coherence block, in its t_t + t_d slots times entries per slot
+# (max(n_users * log2(m), 2*n_rx)): a block holds its (t_d, n_users)
 # sent and decided digits and their (t_d, n_users, log2 m) bit tables, its
 # (t_d, 2*n_rx) uint8 data observations, the (n_users, t_t) pilot matrix and
 # the (t_t, 2*n_rx) pilot observations with their float copies, 128 MiB each
@@ -142,7 +144,6 @@ FIELD_RULES = {
     "detector": tuple(DETECTORS),
     "ldpc_n": (1, MAX_LDPC_N),
     "ldpc_seed": (0, math.inf),
-    "ldpc_max_iter": (1, math.inf),
     "frames_per_block": (1, math.inf),
     "trials": (1, math.inf),
     "target_errors": (1, math.inf),
@@ -185,7 +186,7 @@ class SimConfig:
     n_rx: int = 32
     m: int = 4
     snr_db: tuple = (10.0,)
-    t_c: int = 1000
+    t_c: int | None = None  # the block is t_t + t_d slots; a given t_c must equal it
     t_t: int = 0
     t_d: int = 1000
     csir: str = "perfect"
@@ -193,7 +194,6 @@ class SimConfig:
     partition: PartitionParams | None = None
     ldpc_n: int = 672
     ldpc_seed: int = 7
-    ldpc_max_iter: int = 50
     ldpc_alist: str | None = None
     frames_per_block: int | None = None  # default: fill t_d with whole frames
     trials: int = 10000
@@ -238,15 +238,16 @@ class SimConfig:
                 f"estimated CSIR needs t_t to be a positive multiple of n_users={self.n_users} "
                 f"pilot slots, got t_t={self.t_t}"
             )
-        if self.t_c != self.t_t + self.t_d:
+        t_c = self.t_t + self.t_d
+        if self.t_c not in (None, t_c):
             raise ConfigurationError(
                 f"coherence block must split exactly: t_c={self.t_c} != "
                 f"t_t={self.t_t} + t_d={self.t_d}"
             )
         slot_entries = max(self.n_users * bits_per_symbol(self.m), 2 * self.n_rx)
-        if self.t_c * slot_entries > MAX_BLOCK_ENTRIES:
+        if t_c * slot_entries > MAX_BLOCK_ENTRIES:
             raise ConfigurationError(
-                f"coherence block of t_c={self.t_c} slots x {slot_entries} entries "
+                f"coherence block of t_c={t_c} slots x {slot_entries} entries "
                 f"exceeds {MAX_BLOCK_ENTRIES} entries"
             )
         if self.partition is not None and DETECTORS[self.detector] == "linear":

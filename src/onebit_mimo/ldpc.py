@@ -7,8 +7,9 @@ is reduced over GF(2) to obtain a systematic-form generator; constructions
 that come out rank deficient are retried with a fresh pairing.
 
 Decoders: sum-product belief propagation on log-likelihood ratios (positive
-LLR favors bit 0) and hard-input majority bit flipping.  Both are iteration
-capped and report whether they converged to a valid codeword.
+LLR favors bit 0) and hard-input majority bit flipping.  Both stop after at
+most DECODE_MAX_ITER iterations and report whether they converged to a valid
+codeword.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ CHECK_DEGREE = 6
 DESIGN_RATE = 1 - VAR_DEGREE / CHECK_DEGREE  # of every constructed code: 1/2
 MAX_CONSTRUCTION_ATTEMPTS = 30
 MAX_REPAIR_ROUNDS = 2000  # bad edges swapped away per attempt
+DECODE_MAX_ITER = 50  # iteration cap of both decoders
 _TANH_LIM = 1.0 - 1e-12
 
 # Largest LDPC code dimension, constructed (ldpc_n) or loaded (an alist's n
@@ -216,7 +218,7 @@ def syndrome(code: LdpcCode, bits: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduceat(np.asarray(bits)[code.edge_var], code.check_start)
 
 
-def decode_bp(llrs: np.ndarray, code: LdpcCode, max_iter: int = 50):
+def decode_bp(llrs: np.ndarray, code: LdpcCode, max_iter: int = DECODE_MAX_ITER):
     """Sum-product decoding; returns (hard_bits, converged).
 
     An all-zero LLR vector carries no channel information, so it is rejected
@@ -273,7 +275,7 @@ def decode_bp(llrs: np.ndarray, code: LdpcCode, max_iter: int = 50):
     return hard.view(np.uint8), False
 
 
-def decode_bit_flipping(bits: np.ndarray, code: LdpcCode, max_iter: int = 50):
+def decode_bit_flipping(bits: np.ndarray, code: LdpcCode, max_iter: int = DECODE_MAX_ITER):
     """Majority bit flipping on hard decisions; returns (bits, converged).
 
     Each round flips every bit whose unsatisfied-check count strictly exceeds

@@ -293,13 +293,7 @@ def _smallest(
     ``tol = 8*N*eps*max A >= 2 max e`` a row scoring below c - tol has a
     reference below s_q and one scoring above c + tol a reference above s_q.
     """
-    # an argmin costs less than a partial sort (or ``min``) for q = 1
-    if q == 1:
-        c = f[f.argmin()]
-    else:
-        part = f.copy()
-        part.partition(q - 1)
-        c = part[q - 1]
+    c = np.partition(f, q - 1)[q - 1]
     keep = f <= c + tol
     if np.count_nonzero(keep) > q:
         band = np.flatnonzero(keep & (f >= c - tol))

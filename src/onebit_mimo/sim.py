@@ -60,7 +60,6 @@ from .core import Constellation, bit_table, bits_per_symbol, qam_constellation, 
 from .detector import compute_llrs, md_decode, ml_decode, wmd_decode, zf_detect
 from .errors import CodeConstructionError, ConfigurationError
 from .ldpc import (
-    DESIGN_RATE,
     LdpcCode,
     code_from_parity_check,
     construct_code,
@@ -84,14 +83,15 @@ _HARD_DECODERS = {"wmd": wmd_decode, "md": md_decode, "ml": ml_decode}
 
 @functools.cache
 def _ldpc_code(source) -> LdpcCode:
-    """The code of an alist path or of an (n, rate, seed) tuple, built once per process.
+    """The code of an alist path or of an (ldpc_n, ldpc_seed) pair, built once per process.
 
     An alist that is not ASCII, is malformed or oversize, or whose matrix has
     no full-rank systematic form is a bad input file, so it is a
     configuration error naming the file.
     """
     if isinstance(source, tuple):
-        return construct_code(*source)
+        n, seed = source
+        return construct_code(n, seed=seed)
     try:
         return code_from_parity_check(load_alist(source))
     except (CodeConstructionError, ConfigurationError, UnicodeDecodeError) as exc:
@@ -109,7 +109,7 @@ def _ldpc_layout(cfg: SimConfig):
     except ConfigurationError as exc:
         raise ConfigurationError(f"ldpc_n={cfg.ldpc_n}: {exc}") from exc
     frames = require_ldpc_fit(cfg.ldpc_n, cfg.m, cfg.t_d, cfg.frames_per_block)
-    return _ldpc_code((cfg.ldpc_n, DESIGN_RATE, cfg.ldpc_seed)), frames
+    return _ldpc_code((cfg.ldpc_n, cfg.ldpc_seed)), frames
 
 
 @dataclass(frozen=True)
@@ -282,7 +282,7 @@ def _coded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
         rows = _decide(cfg, blk, _send(blk, symbols, slots_per_frame)[1], stats)
         frame = rows[:, :, ::-1].transpose(1, 0, 2).reshape(cfg.n_users, ldpc.n)
         for u in range(cfg.n_users):
-            decoded, _ = decoder(frame[u], ldpc, cfg.ldpc_max_iter)
+            decoded, _ = decoder(frame[u], ldpc)
             stats.errors += int(np.any(decoded != cws[u]))
     return stats
 

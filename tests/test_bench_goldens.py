@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+pytestmark = pytest.mark.byte_identity
+
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 

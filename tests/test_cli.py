@@ -35,11 +35,11 @@ from onebit_mimo.ldpc import DESIGN_RATE
 from onebit_mimo.sim import write_results
 
 SMALL = [
-    "--n_users", "2", "--n_rx", "8", "--t_c", "100", "--t_d", "100",
+    "--n_users", "2", "--n_rx", "8", "--t_d", "100",
     "--trials", "100", "--target_errors", "1000000", "--wave", "1", "--seed", "1",
 ]
 CODED = [
-    "--n_users", "2", "--n_rx", "8", "--t_c", "128", "--t_d", "128",
+    "--n_users", "2", "--n_rx", "8", "--t_d", "128",
     "--ldpc_n", "128", "--frames_per_block", "1", "--trials", "4",
     "--target_errors", "1000000", "--wave", "1", "--seed", "2",
     "--detector", "soft-wmd", "--snr_db", "30",
@@ -181,7 +181,7 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     cfg_path.write_text(
         json.dumps(
             {
-                "n_users": 2, "n_rx": 8, "t_c": 100, "t_d": 100,
+                "n_users": 2, "n_rx": 8, "t_d": 100,
                 "trials": 400, "target_errors": 10**6, "wave": 1, "seed": 1,
             }
         )
@@ -333,7 +333,7 @@ def test_frames_overrunning_block_is_config_error(capsys):
     code, _, err = run_cli(
         capsys,
         [
-            "coded", "--n_users", "2", "--n_rx", "8", "--t_c", "128", "--t_d", "128",
+            "coded", "--n_users", "2", "--n_rx", "8", "--t_d", "128",
             "--ldpc_n", "128", "--frames_per_block", "10", "--trials", "20",
             "--seed", "2", "--detector", "soft-wmd",
         ],
@@ -399,7 +399,7 @@ def test_coded_runs_zf(capsys):
 
 def test_uncoded_runs_at_m_1024(capsys):
     # the message digits of m >= 256 used to wrap in a uint8 copy
-    argv = ["--m", "1024", "--n_users", "1", "--n_rx", "4", "--t_c", "10", "--t_d", "10"]
+    argv = ["--m", "1024", "--n_users", "1", "--n_rx", "4", "--t_d", "10"]
     code, out, err = run_cli(capsys, ["uncoded", *argv, "--trials", "10", "--seed", "1"])
     assert (code, err) == (0, "")
     lines = out.splitlines()
@@ -433,25 +433,20 @@ def test_zf_with_partition_is_config_error(capsys):
             "seed",
         ),
         (["coded", *CODED, "--ldpc_seed", "-3"], "ldpc_seed"),
-        (["coded", *CODED, "--ldpc_max_iter", "-3"], "ldpc_max_iter"),
+        (["coded", *CODED, "--frames_per_block", "0"], "frames_per_block"),
         (
-            [
-                "complexity", "--n_users", "4", "--csir", "estimated",
-                "--t_t", "5", "--t_d", "20", "--t_c", "25",
-            ],
+            ["complexity", "--n_users", "4", "--csir", "estimated", "--t_t", "5", "--t_d", "20"],
             "t_t",
         ),
         # a file that cannot be read or written is named in the message
         (["coded", *CODED, "--ldpc_alist", "/nonexistent.alist"], "/nonexistent.alist"),
         (["uncoded", *SMALL, "--output", "/nonexistent-dir/run.csv"], "/nonexistent-dir/run.csv"),
         (["complexity", "--output", "/nonexistent-dir/run.csv"], "/nonexistent-dir/run.csv"),
-        # blocks no host can allocate are refused before any block runs
-        (["uncoded", *SMALL, "--t_d", "1000000000000", "--t_c", "1000000000000"], "t_c"),
+        # blocks no host can allocate are refused before any block runs; a block is
+        # t_t + t_d slots, and the message names it t_c
+        (["uncoded", *SMALL, "--t_d", "1000000000000"], "t_c"),
         (
-            [
-                "uncoded", *SMALL, "--csir", "estimated", "--t_t", "4000000000000",
-                "--t_d", "10", "--t_c", "4000000000010",
-            ],
+            ["uncoded", *SMALL, "--csir", "estimated", "--t_t", "4000000000000", "--t_d", "10"],
             "t_c",
         ),
         (["coded", *CODED, "--ldpc_n", "8000"], "ldpc_n"),
@@ -464,10 +459,9 @@ def test_out_of_range_value_is_config_error(capsys, argv, message):
 
 
 def complexity_with(name, value):
-    """``complexity`` argv setting one field; t_c matches, estimated CSIR gets pilots."""
+    """``complexity`` argv setting one field; estimated CSIR gets pilots."""
     fields = {"csir": "estimated", "t_t": 4} if value == "estimated" else {}
     fields[name] = value
-    fields["t_c"] = fields.get("t_t", 0) + fields.get("t_d", 1000)
     return ["complexity"] + [f"--{k}={v}" for k, v in fields.items()]
 
 
@@ -512,21 +506,44 @@ def test_odd_ldpc_n_is_config_error_naming_the_field(capsys):
     assert err == "configuration error: ldpc_n=127: blocklength must be even and >= 12, got 127\n"
 
 
-def test_ldpc_rate_is_a_constant_not_a_setting(capsys, tmp_path):
-    # the (3,6) degrees fix the design rate, so neither a flag nor a file key sets it
+def require_no_setting(capsys, tmp_path, name, value):
+    """A flag and a config file key that set ``name`` each exit 2 naming it."""
     with pytest.raises(SystemExit) as excinfo:
-        main(["coded", *CODED, "--ldpc_rate", "0.5"])
+        main(["coded", *CODED, f"--{name}", str(value)])
     assert excinfo.value.code == 2
-    assert "unrecognized arguments: --ldpc_rate 0.5" in capsys.readouterr().err
-    config = tmp_path / "rate.json"
-    config.write_text(json.dumps({"ldpc_rate": 0.5}))
+    assert f"unrecognized arguments: --{name} {value}" in capsys.readouterr().err
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps({name: value}))
     code, out, err = run_cli(capsys, ["coded", *CODED, "--config", str(config)])
     assert (code, out) == (2, "")
-    assert err == "configuration error: unknown config keys: ['ldpc_rate']\n"
+    assert err == f"configuration error: unknown config keys: [{name!r}]\n"
+
+
+def test_ldpc_rate_is_a_constant_not_a_setting(capsys, tmp_path):
+    # the (3,6) degrees fix the design rate, so neither a flag nor a file key sets it
+    require_no_setting(capsys, tmp_path, "ldpc_rate", 0.5)
     cfg = SimConfig()
     assert cfg.ldpc_rate == DESIGN_RATE == 0.5
     with pytest.raises(AttributeError):
         cfg.ldpc_rate = 0.5
+
+
+def test_decoder_cap_is_a_constant_not_a_setting(capsys, tmp_path):
+    # both LDPC decoders stop at ldpc.DECODE_MAX_ITER iterations, which nothing sets
+    require_no_setting(capsys, tmp_path, "ldpc_max_iter", 50)
+    assert "ldpc_max_iter" not in FIELD_TYPES
+
+
+def test_omitted_t_c_is_the_block_of_training_and_data(capsys):
+    # the block is t_t + t_d slots: setting t_t alone runs, as if t_c were given
+    argv = ["uncoded", *SMALL, "--csir", "estimated", "--t_t", "4", "--t_d", "50"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, [*argv, "--t_c", "54"]) == (0, out, "")
+    code, out, err = run_cli(capsys, [*argv, "--t_c", "50"])
+    assert (code, out) == (2, "")
+    assert err == ("configuration error: coherence block must split exactly: "
+                   "t_c=50 != t_t=4 + t_d=50\n")
 
 
 def test_script_arm_of_an_unknown_detector_is_config_error(capsys):
@@ -622,7 +639,7 @@ def test_invalid_config_exits_2_from_every_subcommand(capsys, tmp_path, command)
     assert (code, out) == (2, "")
     assert "seed" in err
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"n_users": 2, "n_rx": 8, "t_c": 100, "t_d": 100, "seed": -1}))
+    path.write_text(json.dumps({"n_users": 2, "n_rx": 8, "t_d": 100, "seed": -1}))
     code, out, err = run_cli(capsys, [command, "--config", str(path), *extra])
     assert (code, out) == (2, "")
     assert "seed" in err
@@ -772,7 +789,7 @@ def test_rank_deficient_alist_is_config_error_naming_the_file(capsys, tmp_path):
     code, _, err = run_cli(
         capsys,
         [
-            "coded", "--n_users", "2", "--n_rx", "8", "--t_c", "100", "--t_d", "100",
+            "coded", "--n_users", "2", "--n_rx", "8", "--t_d", "100",
             "--trials", "4", "--wave", "1", "--seed", "3",
             "--detector", "soft-wmd", "--ldpc_alist", str(path),
         ],
@@ -821,7 +838,7 @@ def test_cancelled_pilots_give_a_run_not_an_error(capsys, monkeypatch):
             capsys,
             [
                 "uncoded", "--csir", "estimated", "--n_users", "1", "--n_rx", "1", "--t_t", "2",
-                "--t_d", "10", "--t_c", "12", "--trials", "200", "--snr_db=-20", "--seed", "1",
+                "--t_d", "10", "--trials", "200", "--snr_db=-20", "--seed", "1",
                 "--detector", detector,
             ],
         )

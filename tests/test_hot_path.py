@@ -55,6 +55,7 @@ from onebit_mimo.detector import (
 from onebit_mimo.errors import CodeConstructionError
 from onebit_mimo.ldpc import (
     _TANH_LIM,
+    DECODE_MAX_ITER,
     code_from_parity_check,
     construct_code,
     decode_bit_flipping,
@@ -74,6 +75,7 @@ from onebit_mimo.partition import (
 )
 from onebit_mimo.sim import run_uncoded
 
+pytestmark = pytest.mark.byte_identity
 # ---------------------------------------------------------------------------
 # reference forms
 
@@ -279,7 +281,7 @@ def ref_slot_loop_coded_block(cfg, snr_idx, block):
         frame = rows if soft else lut[rows]
         frame = frame[:, :, ::-1].transpose(1, 0, 2).reshape(cfg.n_users, ldpc.n)
         for u in range(cfg.n_users):
-            decoded, _ = decoder(frame[u], ldpc, cfg.ldpc_max_iter)
+            decoded, _ = decoder(frame[u], ldpc, DECODE_MAX_ITER)
             stats.errors += int(np.any(decoded != cws[u]))
     return stats
 

@@ -345,6 +345,7 @@ def check_level_partitions(tree, size):
         np.testing.assert_array_equal(merged, np.arange(size))
 
 
+@pytest.mark.byte_identity
 def test_tree_levels_partition_the_codebook():
     code = random_code(K=3, n_r=8, seed=2)
     params = PartitionParams((8, 8), (4, 8))
@@ -358,6 +359,7 @@ def test_tree_levels_partition_the_codebook():
         np.testing.assert_array_equal(np.sort(np.concatenate(children)), np.sort(node.members))
 
 
+@pytest.mark.byte_identity
 def test_tree_nodes_have_weights_and_paths():
     code = random_code(K=2, n_r=6, seed=5)
     tree = build_partition_tree(
@@ -382,6 +384,7 @@ def test_tree_nodes_have_weights_and_paths():
         n_prev = n
 
 
+@pytest.mark.byte_identity
 def test_tree_invariants_over_many_random_codes():
     for seed in range(20):
         code = random_code(K=2, n_r=5, seed=seed)
@@ -412,6 +415,7 @@ def oracle_tree_arrays(code, params, rng):
     return levels, leaf_of
 
 
+@pytest.mark.byte_identity
 @settings(max_examples=60, deadline=None)
 @given(
     m=st.sampled_from((4, 16)),
@@ -440,12 +444,14 @@ def test_tree_arrays_match_oracle_build(m, K, n_r, k, seed):
     np.testing.assert_array_equal(tree.leaf_of, leaf_of)
 
 
+@pytest.mark.byte_identity
 def test_tree_rejects_invalid_params():
     code = random_code(K=2, n_r=4, seed=0)
     with pytest.raises(ConfigurationError):
         build_partition_tree(code, PartitionParams((4,), (8,)), np.random.default_rng(0))
 
 
+@pytest.mark.byte_identity
 def test_tree_stats_mentions_every_level():
     code = random_code(K=2, n_r=4, seed=0)
     tree = build_partition_tree(
@@ -460,6 +466,7 @@ def test_tree_stats_mentions_every_level():
 # pre-processing (candidate pruning)
 
 
+@pytest.mark.byte_identity
 def test_preprocess_without_pruning_returns_everything():
     code = random_code(K=2, n_r=6, seed=6)
     params = PartitionParams((4, 4), (4, 16))  # q_l = q_{l-1} * k_l everywhere
@@ -468,6 +475,7 @@ def test_preprocess_without_pruning_returns_everything():
     np.testing.assert_array_equal(preprocess(r, tree), np.arange(code.size))
 
 
+@pytest.mark.byte_identity
 def test_preprocess_output_is_sorted_unique_subset():
     code = random_code(K=3, n_r=8, seed=7)
     tree = build_partition_tree(
@@ -482,6 +490,7 @@ def test_preprocess_output_is_sorted_unique_subset():
         assert cand[0] >= 0 and cand[-1] < code.size
 
 
+@pytest.mark.byte_identity
 def test_preprocess_keeps_clean_codewords():
     # a noiseless observation's own index survives pruning on this fixture
     code = random_code(K=3, n_r=8, seed=1)
@@ -492,6 +501,7 @@ def test_preprocess_keeps_clean_codewords():
         assert ell in preprocess(code.codewords[ell], tree)
 
 
+@pytest.mark.byte_identity
 def test_preprocess_mean_candidates_tracks_prediction():
     code = random_code(K=3, n_r=8, seed=0)
     params = PartitionParams((8, 8), (4, 8))
@@ -505,6 +515,7 @@ def test_preprocess_mean_candidates_tracks_prediction():
     assert n_wmd / 2 <= np.mean(sizes) <= 2 * n_wmd
 
 
+@pytest.mark.byte_identity
 def test_preprocess_last_level_budget_nests():
     code = random_code(K=3, n_r=8, seed=8)
     tree = build_partition_tree(
@@ -518,6 +529,7 @@ def test_preprocess_last_level_budget_nests():
         assert set(small) <= set(large)
 
 
+@pytest.mark.byte_identity
 def test_preprocess_override_validation():
     code = random_code(K=2, n_r=4, seed=0)
     tree = build_partition_tree(
@@ -589,6 +601,7 @@ def pruning_cases(draw):
     return code, tree, q, q
 
 
+@pytest.mark.byte_identity
 @settings(max_examples=150, deadline=None)
 @given(case=pruning_cases(), obs_seed=st.integers(0, 2**16))
 def test_preprocess_matches_node_walk(case, obs_seed):
@@ -602,6 +615,7 @@ def test_preprocess_matches_node_walk(case, obs_seed):
         )
 
 
+@pytest.mark.byte_identity
 def test_preprocess_exact_tie_goes_to_smaller_path():
     # Singleton clusters all weigh log 2 per bit, so leaves a and b, both at
     # Hamming distance 4 from r, tie exactly; q=2 keeps r's own leaf and one
@@ -623,6 +637,7 @@ def test_preprocess_exact_tie_goes_to_smaller_path():
     np.testing.assert_array_equal(preprocess(r, tree), sorted([0, winner]))
 
 
+@pytest.mark.byte_identity
 def test_preprocess_rejects_wrong_observation_length():
     code = random_code(K=2, n_r=8, seed=0)
     tree = build_partition_tree(

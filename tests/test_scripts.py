@@ -28,7 +28,7 @@ TINY = ["--n_users", "1", "--n_rx", "4", "--snr_db", "0", "--trials", "1"]
 ENDLESS = ["--trials", "100000000", "--target_errors", "1000000000"]
 # each script's argv and its arm count: an arm gives one row at TINY's one SNR point
 RUNS = {
-    "uncoded_ber_sweep": ([*TINY, "--t_c", "10", "--t_d", "10"], 4),  # wmd, md, ml and zf
+    "uncoded_ber_sweep": ([*TINY, "--t_d", "10"], 4),  # wmd, md, ml and zf
     "coded_fer_comparison": (TINY, 3),  # soft-wmd, wmd and zf
 }
 
@@ -56,7 +56,7 @@ def test_script_prints_csv(name):
 
 # each script's extra argv and its default arms, on the 16 codewords of two users
 PARTITIONED = {
-    "uncoded_ber_sweep": (["--t_c", "10", "--t_d", "10"], ["wmd", "md", "ml", "zf"]),
+    "uncoded_ber_sweep": (["--t_d", "10"], ["wmd", "md", "ml", "zf"]),
     "coded_fer_comparison": ([], ["soft-wmd", "wmd", "zf"]),
 }
 
@@ -155,7 +155,7 @@ def test_script_reads_its_config_file_once(name, tmp_path, monkeypatch, capsys):
 def test_script_layers_presets_file_and_flags(tmp_path):
     # the file overrides the presets, a flag overrides the file
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n_rx": 4, "t_c": 10, "t_d": 10, "trials": 20, "seed": 1}))
+    cfg.write_text(json.dumps({"n_rx": 4, "t_d": 10, "trials": 20, "seed": 1}))
     out = tmp_path / "ber.csv"
     proc = run_script(
         "uncoded_ber_sweep", "--config", str(cfg), "--n_users", "1", "--snr_db", "0",
@@ -192,7 +192,7 @@ def test_cli_reproduces_a_script_arm(capsys):
     for name, value in script.PRESETS.items():
         text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
         presets += [f"--{name}={text}"]
-    budget = ["--t_c", "10", "--t_d", "10", "--trials", "40", "--seed", "1"]
+    budget = ["--t_d", "10", "--trials", "40", "--seed", "1"]
     proc = run_script("uncoded_ber_sweep", *budget)
     assert (proc.returncode, proc.stderr) == (0, "")
     lines = proc.stdout.splitlines()

@@ -16,7 +16,7 @@ import pytest
 from conftest import write_alist
 
 import onebit_mimo
-from onebit_mimo import cli, sim
+from onebit_mimo import cli, ldpc, sim
 from onebit_mimo.config import (
     CSV_HEADER,
     DETECTORS,
@@ -49,7 +49,6 @@ def small_uncoded(**kw):
         n_users=2,
         n_rx=8,
         snr_db=(10.0,),
-        t_c=100,
         t_d=100,
         trials=400,
         target_errors=10**9,
@@ -66,7 +65,6 @@ def small_coded(**kw):
         n_rx=8,
         detector="soft-wmd",
         snr_db=(30.0,),
-        t_c=128,
         t_d=128,
         ldpc_n=128,
         frames_per_block=2,
@@ -171,20 +169,32 @@ def test_entry_points_check_a_config_changed_after_it_was_built(entry, make, fie
 def test_runners_check_their_own_run_kind():
     # the config alone takes every detector; each runner checks its own kind
     small_uncoded(detector="soft-wmd")
-    small_coded(ldpc_n=130, t_d=64, t_c=64)
+    small_coded(ldpc_n=130, t_d=64)
     with pytest.raises(ConfigurationError, match="soft-wmd"):
         run_uncoded(small_uncoded(detector="soft-wmd"))
     # zf decides digits like the hard decoders, so a coded run takes it
     rows = run_coded(small_coded(detector="zf"))
     assert [(r.detector, r.metric) for r in rows] == [("zf", "fer")]
     with pytest.raises(ConfigurationError, match="t_d=64"):
-        run_coded(small_coded(ldpc_n=130, t_d=64, t_c=64))  # 65 slots > t_d
+        run_coded(small_coded(ldpc_n=130, t_d=64))  # 65 slots > t_d
 
 
 def test_config_rejects_unsplit_frame():
     with pytest.raises(ConfigurationError):
         small_uncoded(t_c=1000, t_t=30, t_d=975)  # 30 + 975 != 1000
     small_uncoded(t_c=1000, t_t=25, t_d=975)
+
+
+def test_block_length_is_worked_out_from_training_and_data():
+    # the block is t_t + t_d slots, so estimated CSIR sets t_t alone and a replaced t_d
+    # still splits it; a t_c that is given must equal the sum, under the same message
+    cfg = small_uncoded(csir="estimated", t_t=32)
+    assert cfg.t_c is None
+    assert run_uncoded(cfg)[0].trials == 400
+    assert dataclasses.replace(cfg, t_d=50).t_d == 50
+    assert small_uncoded(csir="estimated", t_t=32, t_c=132).t_c == 132
+    with pytest.raises(ConfigurationError, match=re.escape("t_c=100 != t_t=32 + t_d=100")):
+        dataclasses.replace(cfg, t_c=100)
 
 
 def test_config_rejects_negative_frame_lengths():
@@ -246,7 +256,7 @@ def test_block_memory_is_bounded_by_its_arrays(arm):
     # a block's data lives in arrays of its entries, so MAX_BLOCK_ENTRIES bounds it: a slot
     # loop that kept Python objects per slot (its digits, ZF's decisions) peaked at 64-121 B
     # per entry here, which at the bound is gigabytes
-    cfg = small_uncoded(n_users=1, n_rx=1, m=4, t_c=16384, t_d=16384, **arm)
+    cfg = small_uncoded(n_users=1, n_rx=1, m=4, t_d=16384, **arm)
     entries = cfg.t_d * max(cfg.n_users * bits_per_symbol(cfg.m), 2 * cfg.n_rx)
     sim._uncoded_block(cfg, 0, 0)  # first, so the per-process caches and imports are filled
     tracemalloc.start()
@@ -356,7 +366,7 @@ def test_each_site_reads_the_detectors_kind(name, monkeypatch):
     else:
         assert small_uncoded(detector=name, partition=spec).partition == parse_partition(spec)
     # an uncoded run refuses exactly the soft detectors
-    uncoded = small_uncoded(detector=name, t_c=10, t_d=10, trials=10)
+    uncoded = small_uncoded(detector=name, t_d=10, trials=10)
     if kind == "soft":
         with pytest.raises(ConfigurationError, match=f"^{name} produces LLRs and needs a coded"):
             sim.run_arms(uncoded, [{}], "ber")
@@ -464,7 +474,7 @@ def test_uncoded_partitioned_run_reports_reduced_candidates():
 
 
 def test_uncoded_estimated_csir_runs():
-    cfg = small_uncoded(csir="estimated", t_t=8, t_c=108, snr_db=(15.0,), trials=100)
+    cfg = small_uncoded(csir="estimated", t_t=8, snr_db=(15.0,), trials=100)
     rows = run_uncoded(cfg)
     assert rows[0].denominator > 0
 
@@ -482,6 +492,7 @@ PINNED_UNCODED = {
 }
 
 
+@pytest.mark.byte_identity
 @pytest.mark.parametrize("detector, partition", sorted(PINNED_UNCODED, key=str))
 def test_uncoded_csv_pinned(detector, partition):
     cfg = SimConfig(
@@ -513,6 +524,7 @@ PINNED_CODED = {
 }
 
 
+@pytest.mark.byte_identity
 @pytest.mark.parametrize("detector, partition", sorted(PINNED_CODED, key=str))
 def test_coded_csv_pinned(detector, partition):
     cfg = small_coded(
@@ -553,7 +565,7 @@ def test_coded_hard_path_error_free_at_high_snr():
 
 def test_coded_frames_per_block_honored():
     # 3 frames of 64 slots fill t_d = 192
-    row = run_coded(small_coded(frames_per_block=3, trials=6, t_c=192, t_d=192))[0]
+    row = run_coded(small_coded(frames_per_block=3, trials=6, t_d=192))[0]
     # one block of 3 frames x 2 users crosses the 6-trial budget exactly
     assert row.trials == 6
 
@@ -576,13 +588,34 @@ def test_ldpc_fit_gives_the_frame_count():
 def test_ldpc_code_built_once_per_parameter_set(monkeypatch):
     built = []
     construct = sim.construct_code
-    monkeypatch.setattr(sim, "construct_code", lambda *args: built.append(args) or construct(*args))
+    monkeypatch.setattr(
+        sim, "construct_code", lambda n, seed: built.append((n, seed)) or construct(n, seed=seed)
+    )
     sim._ldpc_code.cache_clear()
     first = render_csv(run_coded(small_coded(trials=4)), CSV_HEADER)
     assert render_csv(run_coded(small_coded(trials=4)), CSV_HEADER) == first
-    assert built == [(128, 0.5, 7)]
+    assert built == [(128, 7)]
     run_coded(small_coded(trials=4, ldpc_seed=3))
-    assert built == [(128, 0.5, 7), (128, 0.5, 3)]
+    assert built == [(128, 7), (128, 3)]
+
+
+def test_coded_block_decodes_at_the_decoder_cap(monkeypatch):
+    # BP checks the channel's hard decisions, then each iteration's, so a frame it cannot
+    # decode takes ldpc.DECODE_MAX_ITER + 1 syndromes
+    checks, runs = [], []
+    syndrome, decode = ldpc.syndrome, sim.decode_bp
+    monkeypatch.setattr(ldpc, "syndrome", lambda *args: checks.append(1) or syndrome(*args))
+
+    def spy(*args):
+        checks.clear()
+        bits, converged = decode(*args)
+        runs.append((len(checks), converged))
+        return bits, converged
+
+    monkeypatch.setattr(sim, "decode_bp", spy)
+    sim._coded_block(small_coded(snr_db=(-20.0,)), 0, 0)
+    assert (ldpc.DECODE_MAX_ITER + 1, False) in runs
+    assert max(runs)[0] == ldpc.DECODE_MAX_ITER + 1
 
 
 def test_tree_stream_is_built_only_for_a_partitioned_block(monkeypatch):
@@ -607,7 +640,7 @@ def test_tree_stream_is_built_only_for_a_partitioned_block(monkeypatch):
 
 
 def test_coded_rejects_misaligned_blocklength():
-    cfg = small_coded(m=16, n_rx=4, ldpc_n=126, t_c=256, t_d=256)
+    cfg = small_coded(m=16, n_rx=4, ldpc_n=126, t_d=256)
     with pytest.raises(ConfigurationError):
         run_coded(cfg)
 
@@ -616,7 +649,7 @@ def test_coded_rejects_misaligned_alist_blocklength(tmp_path):
     # the blocklength of a loaded matrix is checked once it is known
     path = tmp_path / "n126.alist"
     path.write_text(write_alist(construct_code(126, 0.5, 3).h), encoding="ascii")
-    cfg = small_coded(m=16, n_rx=4, ldpc_alist=str(path), t_c=256, t_d=256)
+    cfg = small_coded(m=16, n_rx=4, ldpc_alist=str(path), t_d=256)
     with pytest.raises(ConfigurationError, match="multiple of the 4 bits"):
         run_coded(cfg)
 
@@ -749,6 +782,9 @@ def test_write_results_csv_and_sidecar(tmp_path):
     assert len(text.splitlines()) == 2
     meta = json.loads((tmp_path / "res.csv.meta.json").read_text())
     assert meta["config"]["n_users"] == 2
+    # the config as given: an omitted t_c stays null, and the decoder cap is no field
+    assert meta["config"]["t_c"] is None
+    assert "ldpc_max_iter" not in meta["config"]
     # the config's output is the one destination, so the sidecar names its CSV
     assert meta["config"]["output"] == str(out)
     assert len(meta["row_wall_time_s"]) == 1

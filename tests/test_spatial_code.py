@@ -289,6 +289,7 @@ def ref_build_code(h_real, constellation):
     return quantize(v), eps, -np.log(eps)
 
 
+@pytest.mark.byte_identity
 class TestHalfBuild:
     """``build_code`` computes half the messages and copies each to its antipodal partner."""
 
@@ -362,6 +363,7 @@ def exact_cases(draw):
     return code, obs, rng
 
 
+@pytest.mark.byte_identity
 class TestExactScores:
     """Every code score is exact: the correctly rounded sum of its terms, in any order or form."""
 

@@ -20,15 +20,25 @@ laid over one config).  Each run kind of ``_RUN_KINDS`` pairs its block
 simulator with one arm check, and the runner checks each arm's seed and
 partition size (``SimConfig.require_runnable``) and then that check, all
 before the first runs: "ber" refuses a soft detector, "fer" needs an LDPC
-code that fits.  One resolver, ``_ldpc_layout``, gives a coded run that
-code and its frames per block: an alist overrides ldpc_n and ldpc_seed, and
-a constructed code is checked, against t_d too, before it is built.  The
-runner, each coded block and the sidecar call it; the code is built once
-per process for its alist path or its parameters.
+code that fits.  The arms run block by block: one task takes one block and
+runs every arm still going on it, in arm order.  Each arm draws its own
+channel and data and keeps its own stopping rule, and a ``_SharedSetup``
+that lives for the task alone supplies what depends only on an equal
+channel: the code, keyed by the channel estimate's bytes and the
+constellation (so its cached scores are shared too), and one tree per
+``partition.k`` and tree stream, which each arm gets with its own
+partition parameters, so pruning applies the arm's ``q``.  A task holds
+one code and its trees at a time.  One resolver, ``_ldpc_layout``, gives a
+coded run that code and its frames per block: an alist overrides ldpc_n and
+ldpc_seed, and a constructed code is checked, against t_d too, before it is
+built.  The runner, each coded block and the sidecar call it; the code is
+built once per process for its alist path or its parameters.
 
 Blocks are scheduled in fixed-size waves: a whole wave is simulated and
-merged before the stopping rule (trial budget or error target) is evaluated,
-so the set of simulated blocks is a pure function of the config and seed.
+merged before each arm's stopping rule (trial budget or error target) is
+evaluated, so the set of blocks an arm simulates is a pure function of its
+config and seed.  So ``snr_db``, ``wave`` and ``workers`` are common to all
+arms, and an arm may not set them.
 """
 
 from __future__ import annotations
@@ -129,8 +139,39 @@ def _block_rng(cfg: SimConfig, snr_idx: int, block: int, purpose: int) -> np.ran
     return np.random.default_rng([cfg.seed, snr_idx, block, purpose])
 
 
-def _setup_block(cfg: SimConfig, snr_idx: int, block: int) -> Block:
-    """Channel draw, optional pilot-based estimation, then ZF's pseudo-inverse or code and tree."""
+class _SharedSetup:
+    """The code and trees one task's arms share on its block (see the module docstring).
+
+    It keeps the last code asked for and that code's trees; a new code drops both.
+    """
+
+    def __init__(self):
+        self._key = None
+        self._code = None
+        self._trees = {}
+
+    def code(self, h_est: np.ndarray, const: Constellation) -> SpatialCode:
+        key = (h_est.shape, h_est.tobytes(), const.m, const.snr)
+        if key != self._key:
+            self._key, self._code, self._trees = key, build_code(h_est, const), {}
+        return self._code
+
+    def tree(self, cfg: SimConfig, snr_idx: int, block: int) -> PartitionTree:
+        """The current code's tree for the arm cfg, built once per k and tree stream."""
+        key = (cfg.partition.k, cfg.seed, snr_idx, block)
+        tree = self._trees.get(key)
+        if tree is None:
+            rng = _block_rng(cfg, snr_idx, block, 1)
+            tree = self._trees[key] = build_partition_tree(self._code, cfg.partition, rng)
+        return dataclasses.replace(tree, params=cfg.partition)
+
+
+def _setup_block(cfg: SimConfig, snr_idx: int, block: int, shared=None) -> Block:
+    """Channel draw, optional pilot-based estimation, then ZF's pseudo-inverse or code and tree.
+
+    The code and tree come from ``shared`` (a ``_SharedSetup``), or are built
+    for this block alone when none is given.
+    """
     rng_channel = _block_rng(cfg, snr_idx, block, 0)
     snr = snr_linear(cfg.snr_db[snr_idx])
     const = qam_constellation(cfg.m, snr)
@@ -144,10 +185,9 @@ def _setup_block(cfg: SimConfig, snr_idx: int, block: int) -> Block:
     rng_data = _block_rng(cfg, snr_idx, block, 2)
     if DETECTORS[cfg.detector] == "linear":  # searches no codebook, so takes no partition either
         return Block(const, h_true, np.linalg.pinv(h_est), None, None, rng_data)
-    code = build_code(h_est, const)
-    tree = None
-    if cfg.partition is not None:
-        tree = build_partition_tree(code, cfg.partition, _block_rng(cfg, snr_idx, block, 1))
+    shared = shared or _SharedSetup()
+    code = shared.code(h_est, const)
+    tree = None if cfg.partition is None else shared.tree(cfg, snr_idx, block)
     return Block(const, h_true, None, code, tree, rng_data)
 
 
@@ -158,6 +198,7 @@ class BlockStats:
     denominator: int = 0  # transmitted bits (uncoded) or user-frames (coded)
     cand_sum: int = 0
     cand_slots: int = 0
+    seconds: float = 0.0  # the arm's time on its blocks, set-up it built included
 
     def merge(self, other: "BlockStats") -> None:
         self.trials += other.trials
@@ -165,6 +206,7 @@ class BlockStats:
         self.denominator += other.denominator
         self.cand_sum += other.cand_sum
         self.cand_slots += other.cand_slots
+        self.seconds += other.seconds
 
     @property
     def mean_candidates(self) -> float:
@@ -250,9 +292,9 @@ def _send(blk: Block, digits, slots: int):
     return sent, obs
 
 
-def _uncoded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
+def _uncoded_block(cfg: SimConfig, snr_idx: int, block: int, shared=None) -> BlockStats:
     """Simulate one coherence block of t_d uncoded slots; count bit errors."""
-    blk = _setup_block(cfg, snr_idx, block)
+    blk = _setup_block(cfg, snr_idx, block, shared)
     digits = _slot_digits(blk.rng_data, cfg.m, cfg.n_users)
     stats = BlockStats(trials=cfg.t_d)
     sent, obs = _send(blk, digits, cfg.t_d)
@@ -262,14 +304,14 @@ def _uncoded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
     return stats
 
 
-def _coded_block(cfg: SimConfig, snr_idx: int, block: int) -> BlockStats:
+def _coded_block(cfg: SimConfig, snr_idx: int, block: int, shared=None) -> BlockStats:
     """Simulate LDPC frames within one coherence block; count frame errors.
 
     Within each symbol's group of coded bits the last bit is the label MSB,
     so the symbol value is the group dotted with ascending powers of two, and
     the slots' MSB-first LLRs or decided bits are reversed into frame order.
     """
-    blk = _setup_block(cfg, snr_idx, block)
+    blk = _setup_block(cfg, snr_idx, block, shared)
     ldpc, frames = _ldpc_layout(cfg)
     q = bits_per_symbol(cfg.m)
     slots_per_frame = ldpc.n // q
@@ -296,38 +338,64 @@ def _make_executor(cfg: SimConfig):
     return nullcontext(None)
 
 
-def _accumulate(cfg: SimConfig, snr_idx: int, worker, executor) -> BlockStats:
-    """Run whole waves of blocks until the trial budget or error target hits."""
-    run_blocks = map if executor is None else executor.map
-    stats = BlockStats()
-    block = 0
-    while True:
-        for res in run_blocks(partial(worker, cfg, snr_idx), range(block, block + cfg.wave)):
-            stats.merge(res)
-        block += cfg.wave
-        if stats.trials >= cfg.trials or stats.errors >= cfg.target_errors:
-            return stats
+def _arms_on_block(worker, configs, snr_idx: int, block: int) -> list:
+    """Each arm's stats on one block, in arm order, sharing one ``_SharedSetup``."""
+    shared = _SharedSetup()
+    out = []
+    for cfg in configs:
+        start = time.perf_counter()
+        stats = worker(cfg, snr_idx, block, shared)
+        stats.seconds = time.perf_counter() - start
+        out.append(stats)
+    return out
 
 
-def _run(cfg: SimConfig, worker, metric: str) -> list:
-    rows = []
-    with _make_executor(cfg) as executor:
-        for snr_idx, snr_db in enumerate(cfg.snr_db):
-            start = time.perf_counter()
-            stats = _accumulate(cfg, snr_idx, worker, executor)
-            rows.append(
-                ResultRow(
-                    snr_db=snr_db,
-                    detector=cfg.detector,
-                    metric=metric,
-                    rate=stats.errors / stats.denominator,
-                    errors=stats.errors,
-                    trials=stats.trials,
-                    denominator=stats.denominator,
-                    mean_candidates=stats.mean_candidates,
-                    wall_time_s=time.perf_counter() - start,
+def _run_lockstep(configs, worker, metric: str) -> list:
+    """Each arm's rows, one ResultRow per SNR point, for the arm configs run block by block.
+
+    At each SNR point every arm still going runs on each block of a wave;
+    after the wave each arm checks its own trial budget and error target.
+    A row's wall time is its arm's share of its waves' wall, split by the
+    seconds its blocks took, so the rows' walls sum to the waves' wall at
+    any ``workers``.
+    """
+    base = configs[0]
+    rows = [[] for _ in configs]
+    with _make_executor(base) as executor:
+        run_blocks = map if executor is None else executor.map
+        for snr_idx, snr_db in enumerate(base.snr_db):
+            totals = [BlockStats() for _ in configs]
+            going = list(range(len(configs)))
+            block = 0
+            while going:
+                task = partial(_arms_on_block, worker, [configs[a] for a in going], snr_idx)
+                wave = [BlockStats() for _ in going]
+                start = time.perf_counter()
+                for stats in run_blocks(task, range(block, block + base.wave)):
+                    for acc, got in zip(wave, stats):
+                        acc.merge(got)
+                wall = time.perf_counter() - start
+                busy = sum(acc.seconds for acc in wave)
+                for a, acc in zip(going, wave):
+                    acc.seconds = wall * acc.seconds / busy if busy else 0.0
+                    totals[a].merge(acc)
+                block += base.wave
+                going = [a for a in going if totals[a].trials < configs[a].trials
+                         and totals[a].errors < configs[a].target_errors]
+            for cfg, stats, arm_rows in zip(configs, totals, rows):
+                arm_rows.append(
+                    ResultRow(
+                        snr_db=snr_db,
+                        detector=cfg.detector,
+                        metric=metric,
+                        rate=stats.errors / stats.denominator,
+                        errors=stats.errors,
+                        trials=stats.trials,
+                        denominator=stats.denominator,
+                        mean_candidates=stats.mean_candidates,
+                        wall_time_s=stats.seconds,
+                    )
                 )
-            )
     return rows
 
 
@@ -342,19 +410,29 @@ def _hard_output(cfg: SimConfig) -> None:
 _RUN_KINDS = {"ber": (_uncoded_block, _hard_output), "fer": (_coded_block, _ldpc_layout)}
 
 
+# Fields every arm takes from the config: the arms run the same SNR points in the
+# same waves on one executor.
+_COMMON_FIELDS = ("snr_db", "wave", "workers")
+
+
 def run_arms(cfg: SimConfig, arms, metric: str) -> list:
     """[(arm config, rows)] per arm, a dict of fields laid over cfg, so paired by cfg's seed.
 
-    Every arm is built (so checked) and checked against the run kind before the first runs.
+    Every arm is built (so checked) and checked against the run kind before the
+    first runs; an arm may not set a field of ``_COMMON_FIELDS``.
     """
     if not arms:
         raise ConfigurationError("a paired run needs at least one arm")
+    for arm in arms:
+        for field in _COMMON_FIELDS:
+            if field in arm:
+                raise ConfigurationError(f"an arm may not set {field}, which all arms share")
     worker, check = _RUN_KINDS[metric]
     configs = [dataclasses.replace(cfg, **arm) for arm in arms]
     for arm in configs:
         arm.require_runnable()
         check(arm)
-    return [(arm, _run(arm, worker, metric)) for arm in configs]
+    return list(zip(configs, _run_lockstep(configs, worker, metric)))
 
 
 def run_uncoded(cfg: SimConfig) -> list:

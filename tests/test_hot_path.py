@@ -211,9 +211,9 @@ def ref_seed_centroids(pw, k, rng):
     return seeds
 
 
-def ref_uncoded_block(cfg, snr_idx, block):
+def ref_uncoded_block(cfg, snr_idx, block, shared):
     """The uncoded block whose slots draw their digits with ``Generator.integers``."""
-    blk = sim._setup_block(cfg, snr_idx, block)
+    blk = sim._setup_block(cfg, snr_idx, block, shared)
     m, K, draw = cfg.m, cfg.n_users, blk.rng_data.integers
     stats = sim.BlockStats(trials=cfg.t_d)
     digits = (draw(0, m, size=K) for _ in range(cfg.t_d))
@@ -653,7 +653,7 @@ def test_run_uncoded_matches_the_integers_slot_loop(K, detector, partition_spec)
         seed=K,
     )
     got = run_uncoded(cfg)
-    want = sim._run(cfg, ref_uncoded_block, "ber")
+    want = sim._run_lockstep([cfg], ref_uncoded_block, "ber")[0]
     assert [r.to_csv() for r in got] == [r.to_csv() for r in want]
     assert all(r.errors for r in got)
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import multiprocessing
 import re
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -305,9 +306,14 @@ def test_config_rejects_zf_with_partition():
 
 
 def _no_run(monkeypatch):
-    """The list of arms ``sim._run`` was called with, which the patch stops from running."""
+    """The arms ``sim._run_lockstep`` was called with, which the patch stops from running."""
     calls = []
-    monkeypatch.setattr(sim, "_run", lambda cfg, worker, metric: calls.append(cfg) or [])
+
+    def no_run(configs, worker, metric):
+        calls.extend(configs)
+        return [[] for _ in configs]
+
+    monkeypatch.setattr(sim, "_run_lockstep", no_run)
     return calls
 
 
@@ -347,6 +353,114 @@ def test_paired_arms_keep_the_seed_and_lay_their_fields_over_the_config(monkeypa
     ]
     with pytest.raises(ConfigurationError, match="at least one arm"):
         sim.run_arms(small_uncoded(), [], "ber")
+
+
+@pytest.mark.parametrize("field, value", [("snr_db", (0.0,)), ("wave", 1), ("workers", 1)])
+def test_paired_arms_may_not_set_a_common_field(monkeypatch, field, value):
+    # every arm runs the same SNR points in the same waves on one executor
+    calls = _no_run(monkeypatch)
+    with pytest.raises(ConfigurationError, match=f"may not set {field}"):
+        sim.run_arms(small_uncoded(), [{"detector": "md"}, {field: value}], "ber")
+    assert calls == []
+
+
+def test_an_arm_setting_a_common_field_exits_2(monkeypatch, capsys):
+    calls = _no_run(monkeypatch)
+    args = cli.build_parser().parse_args(["uncoded", "--seed", "1"])
+    code = cli.guarded(lambda a: sim.run_arms(cli.build_config(a), [{"wave": 2}], "ber"), args)
+    assert code == 2 and calls == []
+    assert "an arm may not set wave" in capsys.readouterr().err
+
+
+# (base config, arms, metric, whether the arms stop after different waves)
+PAIRED_RUNS = {
+    "sweep-equal-k": (
+        lambda **kw: small_uncoded(
+            n_rx=4, snr_db=(0.0, 8.0), t_d=20, trials=300, target_errors=25, wave=1, **kw
+        ),
+        [{"partition": spec} for spec in ("full", [[4], [2]], [[4], [1]], [[2, 2], [1, 2]])],
+        "ber",
+        True,
+    ),
+    "detectors": (
+        lambda **kw: small_uncoded(n_rx=4, snr_db=(0.0, 6.0), t_d=20, trials=80, **kw),
+        [{"detector": d} for d in ("wmd", "md", "ml", "zf")],
+        "ber",
+        False,
+    ),
+    # a perfect-CSIR arm between the estimated ones: its code replaces theirs in the task
+    "estimated-csir": (
+        lambda **kw: small_uncoded(
+            csir="estimated", t_t=4, snr_db=(0.0, 6.0), t_d=20, trials=60, **kw
+        ),
+        [{}, {"csir": "perfect"}, {"partition": [[4], [2]]}],
+        "ber",
+        False,
+    ),
+    "coded": (
+        lambda **kw: small_coded(snr_db=(-4.0, 4.0), n_rx=4, trials=12, wave=2, **kw),
+        [{"detector": d} for d in ("soft-wmd", "wmd", "zf")],
+        "fer",
+        False,
+    ),
+}
+
+
+@pytest.mark.byte_identity
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("case", PAIRED_RUNS)
+def test_each_paired_arm_runs_as_it_runs_alone(case, workers):
+    # arms share a block's code and trees, never its draws, stopping rule or rows
+    make, arms, metric, stops_differ = PAIRED_RUNS[case]
+    cfg = make(workers=workers)
+    paired = sim.run_arms(cfg, arms, metric)
+    for arm, (_, rows) in zip(arms, paired):
+        alone = sim.run_arms(cfg, [arm], metric)[0][1]
+        assert [r.to_csv() for r in rows] == [r.to_csv() for r in alone]
+    trials = {tuple(r.trials for r in rows) for _, rows in paired}
+    assert (len(trials) > 1) == stops_differ
+
+
+def test_paired_arms_share_each_blocks_code_and_trees(monkeypatch):
+    calls, built, pruned = Counter(), [], []
+    for name in ("build_code", "sample_rayleigh"):
+        fn = getattr(sim, name)
+        monkeypatch.setattr(sim, name, lambda *a, n=name, f=fn: calls.update([n]) or f(*a))
+    build_tree, prune = sim.build_partition_tree, sim.preprocess
+    monkeypatch.setattr(
+        sim, "build_partition_tree", lambda *a: built.append(build_tree(*a)) or built[-1]
+    )
+    monkeypatch.setattr(sim, "preprocess", lambda r, tree: pruned.append(tree) or prune(r, tree))
+    specs = ["full", [[4], [2]], [[4], [1]], [[2, 2], [1, 2]]]
+    rows = run_partition_sweep(small_uncoded(t_d=10, trials=30, wave=1), specs)
+    assert [r.trials for r in rows] == [30] * 4  # three blocks per arm
+    # one code per block; one tree per distinct k per block; a channel per arm and block
+    assert calls == {"build_code": 3, "sample_rayleigh": 4 * 3}
+    assert [tree.params.k for tree in built] == [(4,), (2, 2)] * 3
+    # each arm prunes with its own params on the arrays of the tree built for its k
+    params = [parse_partition(spec) for spec in specs[1:]]
+    assert Counter(tree.params for tree in pruned) == {p: 30 for p in params}
+    for tree in pruned:
+        assert sum(tree.arrays is b.arrays and tree.params.k == b.params.k for b in built) == 1
+    q2, q1 = (
+        {id(tree.arrays) for tree in pruned if tree.params == p} for p in params[:2]
+    )
+    assert q2 == q1 and len(q2) == 3
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_paired_row_walls_are_each_arms_share_of_the_run(tmp_path, workers):
+    # a row's wall is the time its own arm's blocks took, so the rows never sum past the run
+    cfg = small_uncoded(trials=400, workers=workers, output=str(tmp_path / "s.csv"))
+    start = time.perf_counter()
+    rows = run_partition_sweep(cfg, ["full", [[4], [2]], [[4], [1]]])
+    wall = time.perf_counter() - start
+    write_results(rows, cfg)
+    meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
+    walls = meta["row_wall_time_s"]
+    assert len(walls) == 3 and all(w > 0 for w in walls)
+    assert sum(walls) <= wall
+    assert meta["total_wall_time_s"] == sum(walls)
 
 
 # Each detector's kind as every site it feeds reads it: a hard or soft detector

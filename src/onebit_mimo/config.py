@@ -70,7 +70,7 @@ MAX_WAVE = 4096
 
 
 def parse_partition(value) -> PartitionParams | None:
-    """Accept and check None/"full", PartitionParams, {"k":…,"q":…}, [k_list, q_list] or JSON."""
+    """Accept and check None/"full", PartitionParams, a {"k": […], "q": […]} mapping or JSON."""
     if isinstance(value, str) and value != "full":
         try:
             value = json.loads(value)
@@ -81,12 +81,11 @@ def parse_partition(value) -> PartitionParams | None:
     if isinstance(value, dict):
         if unknown := set(value) - {"k", "q"}:
             raise ConfigurationError(f"unknown partition keys: {sorted(unknown, key=str)}")
-        value = value.get("k"), value.get("q")
+        k, q = value.get("k"), value.get("q")
+        if isinstance(k, (list, tuple)) and isinstance(q, (list, tuple)):
+            value = PartitionParams(k, q)
     if not isinstance(value, PartitionParams):
-        pair = isinstance(value, (list, tuple)) and len(value) == 2
-        if not (pair and all(isinstance(v, (list, tuple)) for v in value)):
-            raise ConfigurationError(f"partition spec must give k and q as lists, got {value!r}")
-        value = PartitionParams(*value)
+        raise ConfigurationError(f"partition spec must give k and q as lists, got {value!r}")
     require_valid_params(value)
     return value
 

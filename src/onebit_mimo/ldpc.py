@@ -218,7 +218,7 @@ def syndrome(code: LdpcCode, bits: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduceat(np.asarray(bits)[code.edge_var], code.check_start)
 
 
-def decode_bp(llrs: np.ndarray, code: LdpcCode, max_iter: int = DECODE_MAX_ITER):
+def decode_bp(llrs: np.ndarray, code: LdpcCode):
     """Sum-product decoding; returns (hard_bits, converged).
 
     An all-zero LLR vector carries no channel information, so it is rejected
@@ -238,7 +238,7 @@ def decode_bp(llrs: np.ndarray, code: LdpcCode, max_iter: int = DECODE_MAX_ITER)
         return hard.view(np.uint8), True
 
     total = llrs
-    for _ in range(max_iter):
+    for _ in range(DECODE_MAX_ITER):
         t = total[ev]
         t -= msg_cv
         t *= 0.5
@@ -275,7 +275,7 @@ def decode_bp(llrs: np.ndarray, code: LdpcCode, max_iter: int = DECODE_MAX_ITER)
     return hard.view(np.uint8), False
 
 
-def decode_bit_flipping(bits: np.ndarray, code: LdpcCode, max_iter: int = DECODE_MAX_ITER):
+def decode_bit_flipping(bits: np.ndarray, code: LdpcCode):
     """Majority bit flipping on hard decisions; returns (bits, converged).
 
     Each round flips every bit whose unsatisfied-check count strictly exceeds
@@ -284,7 +284,7 @@ def decode_bit_flipping(bits: np.ndarray, code: LdpcCode, max_iter: int = DECODE
     bits = np.array(bits, dtype=np.uint8)
     if bits.shape != (code.n,):
         raise ValueError(f"bits must have shape ({code.n},), got {bits.shape}")
-    for _ in range(max_iter):
+    for _ in range(DECODE_MAX_ITER):
         synd = syndrome(code, bits)
         if not synd.any():
             return bits, True

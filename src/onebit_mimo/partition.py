@@ -149,9 +149,8 @@ def kmeans_hamming(
     code: SpatialCode,
     k: int,
     rng: np.random.Generator,
-    max_iter: int = KMEANS_MAX_ITER,
 ) -> KmeansResult:
-    """Lloyd iterations with Hamming assignment and majority-vote centroids.
+    """At most KMEANS_MAX_ITER Lloyd iterations with Hamming assignment and majority-vote centroids.
 
     Deterministic given the rng: assignment ties go to the lowest centroid
     index, coordinate majority ties resolve to 0, and empty clusters are
@@ -186,7 +185,7 @@ def kmeans_hamming(
     sizes = np.zeros(k_eff, dtype=np.int64)
     ones = np.zeros(centroids.shape)
     objective = []
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         new_assign = dist.argmin(axis=1)
         own = dist[rows, new_assign]
         counts = np.bincount(new_assign, minlength=k_eff).tolist()
@@ -304,14 +303,15 @@ def _smallest(
     return keep
 
 
-def preprocess(r: np.ndarray, tree: PartitionTree, q=None) -> np.ndarray:
+def preprocess(r: np.ndarray, tree: PartitionTree) -> np.ndarray:
     """Sorted candidate indices surviving the per-level centroid pruning.
 
     At each level the children of surviving nodes are scored by the weighted
     Hamming distance between their centroid and the 0/1 observation (each
-    with its own weight vector); the q_l best survive, ties resolved toward
-    the lexicographically smallest path.  ``q`` optionally overrides the
-    per-level survivor counts, so one tree serves several pruning budgets.
+    with its own weight vector); the q_l best of ``tree.params.q`` survive,
+    ties resolved toward the lexicographically smallest path.  A tree's
+    arrays depend on ``params.k`` alone, so one tree serves several pruning
+    budgets as ``dataclasses.replace(tree, params=...)``.
 
     Centroid scores are not on the code scores' grid, so they keep their
     rounding: ``_smallest`` resolves the band within each level's ``tol``
@@ -319,15 +319,11 @@ def preprocess(r: np.ndarray, tree: PartitionTree, q=None) -> np.ndarray:
     observation reaches every product uncast: a 0/1 r of any dtype casts to
     float64 exactly inside it.
     """
-    if q is None:
-        q = tree.params.q
-    else:
-        require_valid_params(PartitionParams(k=tree.params.k, q=q))
     r = np.asarray(r)
     length = tree.arrays[0][1].gain.shape[1]
     if r.shape != (length,):
         raise ValueError(f"observation has shape {r.shape}, but the code has length {length}")
-    levels = zip(tree.arrays, q)
+    levels = zip(tree.arrays, tree.params.q)
     (_, score, tol), q_l = next(levels)
     n = score.base.size  # every child of the root races
     alive = _smallest(r, score(r), q_l, score, tol) if q_l < n else np.ones(n, dtype=bool)

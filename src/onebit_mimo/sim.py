@@ -21,14 +21,16 @@ simulator with one arm check, and the runner checks each arm's seed and
 partition size (``SimConfig.require_runnable``) and then that check, all
 before the first runs: "ber" refuses a soft detector, "fer" needs an LDPC
 code that fits.  The arms run block by block: one task takes one block and
-runs every arm still going on it, in arm order.  Each arm draws its own
-channel and data and keeps its own stopping rule, and a ``_SharedSetup``
-that lives for the task alone supplies what depends only on an equal
-channel: the code, keyed by the channel estimate's bytes and the
-constellation (so its cached scores are shared too), and one tree per
-``partition.k`` and tree stream, which each arm gets with its own
-partition parameters, so pruning applies the arm's ``q``.  A task holds
-one code and its trees at a time.  One resolver, ``_ldpc_layout``, gives a
+runs every arm still going on it, in arm order, setting up each arm's block
+itself (``_setup_block``), so a block simulator sees no stream or sharing.
+Each arm draws its own channel and data and keeps its own stopping rule,
+and a ``_SharedSetup`` that lives for the task alone supplies what depends
+only on an equal channel: the code, keyed by the channel estimate's bytes
+and the constellation, as one view per detector (so a cached score lives
+only while its detector's arms run), and one tree per ``partition.k`` and
+tree stream, which each arm gets with its own partition parameters, so
+pruning applies the arm's ``q``.  A task holds one code, its trees and one
+view at a time.  One resolver, ``_ldpc_layout``, gives a
 coded run that code and its frames per block: an alist overrides ldpc_n and
 ldpc_seed, and a constructed code is checked, against t_d too, before it is
 built.  The runner, each coded block and the sidecar call it; the code is
@@ -142,19 +144,26 @@ def _block_rng(cfg: SimConfig, snr_idx: int, block: int, purpose: int) -> np.ran
 class _SharedSetup:
     """The code and trees one task's arms share on its block (see the module docstring).
 
-    It keeps the last code asked for and that code's trees; a new code drops both.
+    It keeps the last code asked for, that code's trees and the last detector's
+    view of it; a new code drops all three.
     """
 
     def __init__(self):
-        self._key = None
-        self._code = None
+        self._key = self._code = self._view = None
         self._trees = {}
 
-    def code(self, h_est: np.ndarray, const: Constellation) -> SpatialCode:
+    def code(self, h_est: np.ndarray, const: Constellation, detector: str) -> SpatialCode:
+        """The current code as seen by detector: a ``dataclasses.replace`` view of its arrays.
+
+        A view caches only the scores its detector reads, and the next
+        detector's view replaces it, so no score outlives its detector's arms.
+        """
         key = (h_est.shape, h_est.tobytes(), const.m, const.snr)
         if key != self._key:
-            self._key, self._code, self._trees = key, build_code(h_est, const), {}
-        return self._code
+            self._key, self._code, self._trees, self._view = key, build_code(h_est, const), {}, None
+        if self._view is None or self._view[0] != detector:
+            self._view = detector, dataclasses.replace(self._code)
+        return self._view[1]
 
     def tree(self, cfg: SimConfig, snr_idx: int, block: int) -> PartitionTree:
         """The current code's tree for the arm cfg, built once per k and tree stream."""
@@ -166,11 +175,10 @@ class _SharedSetup:
         return dataclasses.replace(tree, params=cfg.partition)
 
 
-def _setup_block(cfg: SimConfig, snr_idx: int, block: int, shared=None) -> Block:
+def _setup_block(cfg: SimConfig, snr_idx: int, block: int, shared: _SharedSetup) -> Block:
     """Channel draw, optional pilot-based estimation, then ZF's pseudo-inverse or code and tree.
 
-    The code and tree come from ``shared`` (a ``_SharedSetup``), or are built
-    for this block alone when none is given.
+    The code and tree come from ``shared``, the task's ``_SharedSetup``.
     """
     rng_channel = _block_rng(cfg, snr_idx, block, 0)
     snr = snr_linear(cfg.snr_db[snr_idx])
@@ -185,8 +193,7 @@ def _setup_block(cfg: SimConfig, snr_idx: int, block: int, shared=None) -> Block
     rng_data = _block_rng(cfg, snr_idx, block, 2)
     if DETECTORS[cfg.detector] == "linear":  # searches no codebook, so takes no partition either
         return Block(const, h_true, np.linalg.pinv(h_est), None, None, rng_data)
-    shared = shared or _SharedSetup()
-    code = shared.code(h_est, const)
+    code = shared.code(h_est, const, cfg.detector)
     tree = None if cfg.partition is None else shared.tree(cfg, snr_idx, block)
     return Block(const, h_true, None, code, tree, rng_data)
 
@@ -234,17 +241,12 @@ def _decide(cfg: SimConfig, blk: Block, obs: np.ndarray, stats: BlockStats) -> n
         decide, out = compute_llrs, np.empty((len(obs), cfg.n_users, bits_per_symbol(cfg.m)))
     else:
         decide, out = _HARD_DECODERS[cfg.detector], np.empty(len(obs), dtype=np.intp)
-    if tree is None:
-        for t, r in enumerate(obs):
-            out[t] = decide(r, code, None)
-        stats.cand_sum += code.size * len(obs)
-    else:
-        n_cand = 0
-        for t, r in enumerate(obs):
-            cand = preprocess(r, tree)
-            n_cand += cand.size
-            out[t] = decide(r, code, cand)
-        stats.cand_sum += n_cand
+    size, n_cand = code.size, 0
+    for t, r in enumerate(obs):
+        cand = None if tree is None else preprocess(r, tree)
+        n_cand += size if cand is None else cand.size
+        out[t] = decide(r, code, cand)
+    stats.cand_sum += n_cand
     return out if out.ndim == 3 else bit_table(cfg.m)[code.digits[out]]
 
 
@@ -292,9 +294,8 @@ def _send(blk: Block, digits, slots: int):
     return sent, obs
 
 
-def _uncoded_block(cfg: SimConfig, snr_idx: int, block: int, shared=None) -> BlockStats:
-    """Simulate one coherence block of t_d uncoded slots; count bit errors."""
-    blk = _setup_block(cfg, snr_idx, block, shared)
+def _uncoded_block(cfg: SimConfig, blk: Block) -> BlockStats:
+    """Simulate the t_d uncoded slots of one coherence block; count bit errors."""
     digits = _slot_digits(blk.rng_data, cfg.m, cfg.n_users)
     stats = BlockStats(trials=cfg.t_d)
     sent, obs = _send(blk, digits, cfg.t_d)
@@ -304,14 +305,13 @@ def _uncoded_block(cfg: SimConfig, snr_idx: int, block: int, shared=None) -> Blo
     return stats
 
 
-def _coded_block(cfg: SimConfig, snr_idx: int, block: int, shared=None) -> BlockStats:
+def _coded_block(cfg: SimConfig, blk: Block) -> BlockStats:
     """Simulate LDPC frames within one coherence block; count frame errors.
 
     Within each symbol's group of coded bits the last bit is the label MSB,
     so the symbol value is the group dotted with ascending powers of two, and
     the slots' MSB-first LLRs or decided bits are reversed into frame order.
     """
-    blk = _setup_block(cfg, snr_idx, block, shared)
     ldpc, frames = _ldpc_layout(cfg)
     q = bits_per_symbol(cfg.m)
     slots_per_frame = ldpc.n // q
@@ -339,12 +339,12 @@ def _make_executor(cfg: SimConfig):
 
 
 def _arms_on_block(worker, configs, snr_idx: int, block: int) -> list:
-    """Each arm's stats on one block, in arm order, sharing one ``_SharedSetup``."""
+    """Each arm's stats on one block, in arm order, each set up from one ``_SharedSetup``."""
     shared = _SharedSetup()
     out = []
     for cfg in configs:
         start = time.perf_counter()
-        stats = worker(cfg, snr_idx, block, shared)
+        stats = worker(cfg, _setup_block(cfg, snr_idx, block, shared))
         stats.seconds = time.perf_counter() - start
         out.append(stats)
     return out
@@ -448,9 +448,9 @@ def run_coded(cfg: SimConfig) -> list:
 def run_partition_sweep(cfg: SimConfig, sweep) -> list:
     """Uncoded BER for each partition spec in sweep, one arm per spec.
 
-    Specs use the config syntax (None/'full', mapping, or [k, q] pair); the
-    arms are paired by cfg's seed, so differences isolate the partition
-    choice.  Each row is led by its arm's ``arm_cells``.
+    Specs use the config syntax, None/'full' or a {"k": ..., "q": ...}
+    mapping; the arms are paired by cfg's seed, so differences isolate the
+    partition choice.  Each row is led by its arm's ``arm_cells``.
     """
     rows = []
     for arm, arm_rows in run_arms(cfg, [{"partition": spec} for spec in sweep], "ber"):
@@ -465,7 +465,7 @@ def partition_report(cfg: SimConfig) -> str:
     cfg.require_runnable()
     if cfg.partition is None:
         raise ConfigurationError("partition-stats needs a partition spec")
-    blk = _setup_block(cfg, 0, 0)
+    blk = _setup_block(cfg, 0, 0, _SharedSetup())
     n_pre, n_wmd, n_total = estimate_complexity(cfg.partition, cfg.m, cfg.n_users)
     lines = [
         f"partition {cfg.partition.label()} over {blk.code.size} codewords",

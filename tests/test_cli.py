@@ -567,7 +567,7 @@ def test_unfit_constructed_code_exits_2_before_it_is_built(capsys, monkeypatch, 
     cfg = SimConfig(n_users=2, n_rx=4, detector="soft-wmd", ldpc_n=4000, seed=1)
     row = ResultRow(10.0, "soft-wmd", "fer", 0.0, 0, 1, 1, 16.0)
     for call in (
-        lambda: sim._coded_block(cfg, 0, 0),
+        lambda: sim._arms_on_block(sim._coded_block, [cfg], 0, 0),
         lambda: write_results([row], dataclasses.replace(cfg, output=str(tmp_path / "r.csv"))),
     ):
         with pytest.raises(ConfigurationError, match="t_d=1000"):

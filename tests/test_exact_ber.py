@@ -46,8 +46,8 @@ def pooled_z(cfg: SimConfig) -> float:
     """(sum of errors - t_d * sum of means) / sqrt(t_d * sum of variances) over BLOCKS blocks."""
     errors = mean = var = 0.0
     for b in range(BLOCKS):
-        errors += sim._uncoded_block(cfg, 0, b).errors
-        m, v = exact_slot_errors(cfg, sim._setup_block(cfg, 0, b))
+        errors += sim._arms_on_block(sim._uncoded_block, [cfg], 0, b)[0].errors
+        m, v = exact_slot_errors(cfg, sim._setup_block(cfg, 0, b, sim._SharedSetup()))
         mean += m
         var += v
     return (errors - cfg.t_d * mean) / np.sqrt(cfg.t_d * var)

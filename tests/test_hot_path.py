@@ -18,6 +18,7 @@ sends and detects one slot per call.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from conftest import oracle_node_levels, random_code, write_alist
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import onebit_mimo.ldpc
 from onebit_mimo import partition, sim
 from onebit_mimo.channel import (
     NOISE_STD,
@@ -55,7 +57,6 @@ from onebit_mimo.detector import (
 from onebit_mimo.errors import CodeConstructionError
 from onebit_mimo.ldpc import (
     _TANH_LIM,
-    DECODE_MAX_ITER,
     code_from_parity_check,
     construct_code,
     decode_bit_flipping,
@@ -71,7 +72,6 @@ from onebit_mimo.partition import (
     _seed_centroids,
     build_partition_tree,
     preprocess,
-    require_valid_params,
 )
 from onebit_mimo.sim import run_uncoded
 
@@ -164,16 +164,12 @@ def ref_zf_detect(r, h_real, constellation):
     return np.argmin(dist, axis=1)
 
 
-def ref_preprocess(r, code, tree, q=None):
-    if q is None:
-        q = tree.params.q
-    else:
-        require_valid_params(PartitionParams(k=tree.params.k, q=q))
+def ref_preprocess(r, code, tree):
     r = np.asarray(r)
     rf = r.astype(np.float64)
     alive = np.ones(1, dtype=bool)
     oracle = oracle_node_levels(code, tree)
-    for (parent, score, _), (centroids, weights), q_l in zip(tree.arrays, oracle, q):
+    for (parent, score, _), (centroids, weights), q_l in zip(tree.arrays, oracle, tree.params.q):
         racing = alive[parent]
         n_racing = np.count_nonzero(racing)
         if q_l >= n_racing:
@@ -211,9 +207,8 @@ def ref_seed_centroids(pw, k, rng):
     return seeds
 
 
-def ref_uncoded_block(cfg, snr_idx, block, shared):
+def ref_uncoded_block(cfg, blk):
     """The uncoded block whose slots draw their digits with ``Generator.integers``."""
-    blk = sim._setup_block(cfg, snr_idx, block, shared)
     m, K, draw = cfg.m, cfg.n_users, blk.rng_data.integers
     stats = sim.BlockStats(trials=cfg.t_d)
     digits = (draw(0, m, size=K) for _ in range(cfg.t_d))
@@ -242,9 +237,8 @@ def ref_detect_slot(cfg, blk, w, stats):
     return code.digits[sim._HARD_DECODERS[detector](r, code, cand)]
 
 
-def ref_slot_loop_uncoded_block(cfg, snr_idx, block):
+def ref_slot_loop_uncoded_block(cfg, blk):
     """The uncoded block with its own loop over ``ref_detect_slot``; digits become bits last."""
-    blk = sim._setup_block(cfg, snr_idx, block)
     digits = sim._slot_digits(blk.rng_data, cfg.m, cfg.n_users)
     sent = np.empty((cfg.t_d, cfg.n_users), dtype=np.int64)
     decided = np.empty_like(sent)
@@ -258,9 +252,8 @@ def ref_slot_loop_uncoded_block(cfg, snr_idx, block):
     return stats
 
 
-def ref_slot_loop_coded_block(cfg, snr_idx, block):
+def ref_slot_loop_coded_block(cfg, blk):
     """The coded block with its own loop over ``ref_detect_slot`` into one row buffer per block."""
-    blk = sim._setup_block(cfg, snr_idx, block)
     ldpc, frames = sim._ldpc_layout(cfg)
     q = bits_per_symbol(cfg.m)
     slots_per_frame = ldpc.n // q
@@ -281,7 +274,7 @@ def ref_slot_loop_coded_block(cfg, snr_idx, block):
         frame = rows if soft else lut[rows]
         frame = frame[:, :, ::-1].transpose(1, 0, 2).reshape(cfg.n_users, ldpc.n)
         for u in range(cfg.n_users):
-            decoded, _ = decoder(frame[u], ldpc, DECODE_MAX_ITER)
+            decoded, _ = decoder(frame[u], ldpc)
             stats.errors += int(np.any(decoded != cws[u]))
     return stats
 
@@ -474,8 +467,9 @@ def test_preprocess_matches_reference(m, K, n_r, k, seed):
         r = r.astype(np.uint8)
         assert np.array_equal(preprocess(r, tree), ref_preprocess(r, code, tree))
         override = tuple(min(q_l, 1 + q_l // 2) for q_l in q)
-        got = preprocess(r, tree, q=override)
-        assert np.array_equal(got, ref_preprocess(r, code, tree, q=override))
+        narrow = dataclasses.replace(tree, params=PartitionParams(tuple(k), override))
+        got = preprocess(r, narrow)
+        assert np.array_equal(got, ref_preprocess(r, code, narrow))
         assert got.dtype == np.intp
 
 
@@ -626,7 +620,8 @@ def test_slot_digits_reject_other_bit_generators():
 
 def test_send_refuses_digits_that_run_out():
     # no slot of the block is left unsent (an uninitialised row) when the digits end early
-    blk = sim._setup_block(SimConfig(n_users=2, n_rx=4, t_c=8, t_d=8, seed=1), 0, 0)
+    cfg = SimConfig(n_users=2, n_rx=4, t_c=8, t_d=8, seed=1)
+    blk = sim._setup_block(cfg, 0, 0, sim._SharedSetup())
     sent, obs = sim._send(blk, np.ones((4, 2), dtype=np.int64), 4)
     assert sent.tolist() == [[1, 1]] * 4 and obs.shape == (4, 8) and obs.dtype == np.uint8
     with pytest.raises(ValueError, match="after 3 of 4 slots"):
@@ -671,7 +666,7 @@ def _slot_loop_cases():
 
 @pytest.mark.parametrize("metric, detector, partition_spec, csir, frames", _slot_loop_cases())
 def test_block_simulators_match_their_own_slot_loops(
-    metric, detector, partition_spec, csir, frames, monkeypatch
+    metric, detector, partition_spec, csir, frames
 ):
     # the stats and the data stream's end state of each block, over both SNR points
     t_t = 4 if csir == "estimated" else 0
@@ -693,14 +688,12 @@ def test_block_simulators_match_their_own_slot_loops(
         "ber": (sim._uncoded_block, ref_slot_loop_uncoded_block),
         "fer": (sim._coded_block, ref_slot_loop_coded_block),
     }[metric]
-    blocks = []
-    setup = sim._setup_block
-    monkeypatch.setattr(sim, "_setup_block", lambda *key: blocks.append(setup(*key)) or blocks[-1])
     errors = 0
     for snr_idx, block in ((0, 0), (0, 1), (1, 0)):
-        got, want = new(cfg, snr_idx, block), ref(cfg, snr_idx, block)
+        blk, ref_blk = (sim._setup_block(cfg, snr_idx, block, sim._SharedSetup()) for _ in "ab")
+        got, want = new(cfg, blk), ref(cfg, ref_blk)
         assert dataclasses.asdict(got) == dataclasses.asdict(want)
-        assert blocks[-2].rng_data.bit_generator.state == blocks[-1].rng_data.bit_generator.state
+        assert blk.rng_data.bit_generator.state == ref_blk.rng_data.bit_generator.state
         errors += got.errors
     assert errors
 
@@ -734,7 +727,8 @@ def _assert_same_decoding(llrs, code):
     """Equal (bits, converged) at every cap, hence the same iteration count."""
     for cap in CAPS:
         expected = ref_decode_bp(llrs, code, cap)
-        got = decode_bp(llrs, code, cap)
+        with mock.patch.object(onebit_mimo.ldpc, "DECODE_MAX_ITER", cap):
+            got = decode_bp(llrs, code)
         assert got[0].dtype == np.uint8 and got[0].shape == (code.n,)
         assert got[0].tobytes() == expected[0].tobytes()
         assert bool(got[1]) is bool(expected[1])
@@ -794,7 +788,8 @@ def test_decode_bit_flipping_matches_reference(name, p, seed):
     word = encode(code, rng.integers(0, 2, code.k)) ^ (rng.random(code.n) < p)
     for cap in CAPS:
         expected = ref_decode_bit_flipping(word, code, cap)
-        got = decode_bit_flipping(word, code, cap)
+        with mock.patch.object(onebit_mimo.ldpc, "DECODE_MAX_ITER", cap):
+            got = decode_bit_flipping(word, code)
         assert got[0].dtype == np.uint8 and got[0].tobytes() == expected[0].tobytes()
         assert bool(got[1]) is bool(expected[1])
 

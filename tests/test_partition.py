@@ -1,10 +1,14 @@
 """Partition parameters, Hamming k-means, tree construction and pruning."""
 
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onebit_mimo import partition
 from onebit_mimo.config import SimConfig
 from onebit_mimo.errors import ConfigurationError
 from onebit_mimo.partition import (
@@ -252,7 +256,8 @@ def kmeans_cases(draw):
 @given(case=kmeans_cases())
 def test_kmeans_matches_per_cluster_oracle(case):
     code, members, k, max_iter, seed = case
-    got = kmeans_hamming(members, code, k, np.random.default_rng(seed), max_iter=max_iter)
+    with mock.patch.object(partition, "KMEANS_MAX_ITER", max_iter):
+        got = kmeans_hamming(members, code, k, np.random.default_rng(seed))
     clusters, centroids, objective = oracle_kmeans(
         members, code, k, np.random.default_rng(seed), max_iter
     )
@@ -452,6 +457,28 @@ def test_tree_rejects_invalid_params():
 
 
 @pytest.mark.byte_identity
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    seeds=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+    data=st.data(),
+)
+def test_tree_build_ignores_the_survivor_counts(k, seeds, data):
+    # paired arms of one k prune with their own q on the one tree built for that k
+    code = random_code(K=2, n_r=4, m=16, seed=seeds[0])
+    q1, q2 = data.draw(q_chains(k)), data.draw(q_chains(k))
+    one, two = (
+        build_partition_tree(code, PartitionParams(k, q), np.random.default_rng(seeds[1]))
+        for q in (q1, q2)
+    )
+    assert one.leaf_of.tobytes() == two.leaf_of.tobytes()
+    for (parent, score, tol), (parent2, score2, tol2) in zip(one.arrays, two.arrays, strict=True):
+        assert parent.tobytes() == parent2.tobytes() and tol == tol2
+        assert score.base.tobytes() == score2.base.tobytes()
+        assert score.gain.tobytes() == score2.gain.tobytes()
+
+
+@pytest.mark.byte_identity
 def test_tree_stats_mentions_every_level():
     code = random_code(K=2, n_r=4, seed=0)
     tree = build_partition_tree(
@@ -524,28 +551,14 @@ def test_preprocess_last_level_budget_nests():
     rng = np.random.default_rng(6)
     for _ in range(20):
         r = rng.integers(0, 2, code.length).astype(np.uint8)
-        small = preprocess(r, tree, q=(4, 4))
-        large = preprocess(r, tree, q=(4, 16))
+        small = preprocess(r, dataclasses.replace(tree, params=PartitionParams((8, 8), (4, 4))))
+        large = preprocess(r, dataclasses.replace(tree, params=PartitionParams((8, 8), (4, 16))))
         assert set(small) <= set(large)
 
 
-@pytest.mark.byte_identity
-def test_preprocess_override_validation():
-    code = random_code(K=2, n_r=4, seed=0)
-    tree = build_partition_tree(
-        code, PartitionParams((4, 4), (2, 4)), np.random.default_rng(0)
-    )
-    r = code.codewords[0]
-    with pytest.raises(ConfigurationError):
-        preprocess(r, tree, q=(2,))  # wrong number of levels
-    with pytest.raises(ConfigurationError):
-        preprocess(r, tree, q=(2, 64))  # violates the q-chain
-    with pytest.raises(ConfigurationError, match="integers"):
-        preprocess(r, tree, q=(2, 2.9))  # not truncated to 2
-
-
-def node_walk(r, code, tree, survivors_q):
-    """Reference pruning: sort each level's racing rows by (score, row).
+def node_walk(r, code, tree):
+    """Reference pruning: sort each level's racing rows by (score, row), keeping q_l of
+    ``tree.params.q``.
 
     Each score is the weighted Hamming distance to the node's centroid under
     its weights, both from the oracle (``oracle_node_levels``), not from the
@@ -555,7 +568,7 @@ def node_walk(r, code, tree, survivors_q):
     """
     survivors = {0}  # the root
     oracle = oracle_node_levels(code, tree)
-    for (parent, _, _), (centroids, weights), q_l in zip(tree.arrays, oracle, survivors_q):
+    for (parent, _, _), (centroids, weights), q_l in zip(tree.arrays, oracle, tree.params.q):
         racing = [j for j in range(len(parent)) if parent[j] in survivors]
         ranked = sorted(
             racing,
@@ -577,7 +590,7 @@ def q_chains(draw, k):
 
 @st.composite
 def pruning_cases(draw):
-    """(code, tree, survivor override or None, survivor counts it implies).
+    """(code, tree), the tree built with one survivor chain or pruning with another.
 
     Codebooks hold at most 4096 codewords (m=16 stops at K=3); k up to 9 on
     short codes leaves deep levels with fewer members than k, so k-means
@@ -596,23 +609,20 @@ def pruning_cases(draw):
     params = PartitionParams(k, draw(q_chains(k)))
     tree = build_partition_tree(code, params, np.random.default_rng(draw(st.integers(0, 2**16))))
     if draw(st.booleans()):
-        return code, tree, None, params.q
-    q = draw(q_chains(k))
-    return code, tree, q, q
+        return code, tree
+    return code, dataclasses.replace(tree, params=PartitionParams(k, draw(q_chains(k))))
 
 
 @pytest.mark.byte_identity
 @settings(max_examples=150, deadline=None)
 @given(case=pruning_cases(), obs_seed=st.integers(0, 2**16))
 def test_preprocess_matches_node_walk(case, obs_seed):
-    code, tree, override, survivors_q = case
+    code, tree = case
     rng = np.random.default_rng(obs_seed)
     noisy = [rng.integers(0, 2, code.length).astype(np.uint8) for _ in range(8)]
     clean = [code.codewords[ell] for ell in rng.integers(0, code.size, 8)]
     for r in noisy + clean:
-        np.testing.assert_array_equal(
-            preprocess(r, tree, q=override), node_walk(r, code, tree, survivors_q)
-        )
+        np.testing.assert_array_equal(preprocess(r, tree), node_walk(r, code, tree))
 
 
 @pytest.mark.byte_identity

@@ -8,6 +8,7 @@ import re
 import time
 import tracemalloc
 import warnings
+import weakref
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -93,8 +94,9 @@ def test_parse_partition_forms_agree():
     assert parse_partition("full") is None
     assert parse_partition(want) is want
     assert parse_partition({"k": [8, 8], "q": [4, 16]}) == want
-    assert parse_partition([[8, 8], [4, 16]]) == want
     assert parse_partition('{"k": [8, 8], "q": [4, 16]}') == want
+    # asdict's form, tuples in the mapping, round-trips
+    assert parse_partition(dataclasses.asdict(want)) == want
 
 
 def test_parse_partition_rejects_garbage():
@@ -105,15 +107,19 @@ def test_parse_partition_rejects_garbage():
     with pytest.raises(ConfigurationError):
         parse_partition(3.14)
     with pytest.raises(ConfigurationError):
-        parse_partition([[4], [8]])  # violates the q-chain
+        parse_partition({"k": [4], "q": [8]})  # violates the q-chain
     with pytest.raises(ConfigurationError, match="as lists"):
         parse_partition(np.array([[4], [2]]))  # was compared with "full" elementwise
+    # a spec is a mapping: every other shape, a [k, q] pair too, gets the one message
+    for spec in ([[8, 8], [4, 16]], ([4], [2]), "[[4], [2]]", {"k": 4, "q": 2}, {"k": [4]}):
+        with pytest.raises(ConfigurationError, match="must give k and q as lists"):
+            parse_partition(spec)
     with pytest.raises(ConfigurationError, match="unknown partition keys: \\['qq'\\]"):
         parse_partition('{"k": [4], "q": [2], "qq": [9]}')  # qq was ignored
 
 
 def test_config_dict_round_trip():
-    cfg = small_uncoded(partition=[[4, 4], [2, 4]], output="x.csv")
+    cfg = small_uncoded(partition={"k": [4, 4], "q": [2, 4]}, output="x.csv")
     clone = SimConfig.from_dict(dataclasses.asdict(cfg))
     assert clone == cfg
     json.dumps(dataclasses.asdict(cfg))  # must stay JSON-serializable
@@ -157,7 +163,7 @@ def test_config_is_checked_when_built_and_replaced():
     [
         (run_uncoded, small_uncoded),
         (run_coded, small_coded),
-        (partition_report, lambda: small_uncoded(partition=[[4], [2]])),
+        (partition_report, lambda: small_uncoded(partition={"k": [4], "q": [2]})),
     ],
 )
 def test_entry_points_check_a_config_changed_after_it_was_built(entry, make, field, value):
@@ -259,10 +265,10 @@ def test_block_memory_is_bounded_by_its_arrays(arm):
     # per entry here, which at the bound is gigabytes
     cfg = small_uncoded(n_users=1, n_rx=1, m=4, t_d=16384, **arm)
     entries = cfg.t_d * max(cfg.n_users * bits_per_symbol(cfg.m), 2 * cfg.n_rx)
-    sim._uncoded_block(cfg, 0, 0)  # first, so the per-process caches and imports are filled
+    sim._arms_on_block(sim._uncoded_block, [cfg], 0, 0)  # first, so the caches are filled
     tracemalloc.start()
     try:
-        sim._uncoded_block(cfg, 0, 1)
+        sim._arms_on_block(sim._uncoded_block, [cfg], 0, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -345,7 +351,8 @@ def test_coded_arms_are_all_checked_before_any_runs(monkeypatch, arm, match):
 
 def test_paired_arms_keep_the_seed_and_lay_their_fields_over_the_config(monkeypatch):
     calls = _no_run(monkeypatch)
-    arms = sim.run_arms(small_uncoded(), [{"detector": "md"}, {"partition": [[4], [2]]}], "ber")
+    given = [{"detector": "md"}, {"partition": {"k": [4], "q": [2]}}]
+    arms = sim.run_arms(small_uncoded(), given, "ber")
     assert [cfg for cfg, _ in arms] == calls
     assert [(c.detector, c.partition, c.seed) for c in calls] == [
         ("md", None, 1),
@@ -378,7 +385,11 @@ PAIRED_RUNS = {
         lambda **kw: small_uncoded(
             n_rx=4, snr_db=(0.0, 8.0), t_d=20, trials=300, target_errors=25, wave=1, **kw
         ),
-        [{"partition": spec} for spec in ("full", [[4], [2]], [[4], [1]], [[2, 2], [1, 2]])],
+        [
+            {"partition": spec}
+            for spec in ("full", {"k": [4], "q": [2]}, {"k": [4], "q": [1]},
+                         {"k": [2, 2], "q": [1, 2]})
+        ],
         "ber",
         True,
     ),
@@ -393,7 +404,7 @@ PAIRED_RUNS = {
         lambda **kw: small_uncoded(
             csir="estimated", t_t=4, snr_db=(0.0, 6.0), t_d=20, trials=60, **kw
         ),
-        [{}, {"csir": "perfect"}, {"partition": [[4], [2]]}],
+        [{}, {"csir": "perfect"}, {"partition": {"k": [4], "q": [2]}}],
         "ber",
         False,
     ),
@@ -421,6 +432,10 @@ def test_each_paired_arm_runs_as_it_runs_alone(case, workers):
     assert (len(trials) > 1) == stops_differ
 
 
+# a SpatialCode's cached scores, each an (M, N) gain and an (M,) base
+SCORES = {"wh", "hamming", "nll"}
+
+
 def test_paired_arms_share_each_blocks_code_and_trees(monkeypatch):
     calls, built, pruned = Counter(), [], []
     for name in ("build_code", "sample_rayleigh"):
@@ -431,9 +446,17 @@ def test_paired_arms_share_each_blocks_code_and_trees(monkeypatch):
         sim, "build_partition_tree", lambda *a: built.append(build_tree(*a)) or built[-1]
     )
     monkeypatch.setattr(sim, "preprocess", lambda r, tree: pruned.append(tree) or prune(r, tree))
-    specs = ["full", [[4], [2]], [[4], [1]], [[2, 2], [1, 2]]]
+    views, decide = [], sim._decide
+    monkeypatch.setattr(
+        sim, "_decide", lambda cfg, blk, *a: views.append(blk.code) or decide(cfg, blk, *a)
+    )
+    specs = ["full", {"k": [4], "q": [2]}, {"k": [4], "q": [1]}, {"k": [2, 2], "q": [1, 2]}]
     rows = run_partition_sweep(small_uncoded(t_d=10, trials=30, wave=1), specs)
     assert [r.trials for r in rows] == [30] * 4  # three blocks per arm
+    # every arm is wmd, so the four arms of a block decide on one view, which builds one score
+    assert len(views) == 12 and len({id(view) for view in views}) == 3
+    assert all(view is views[i - i % 4] for i, view in enumerate(views))
+    assert all(SCORES & set(vars(view)) == {"wh"} for view in views)
     # one code per block; one tree per distinct k per block; a channel per arm and block
     assert calls == {"build_code": 3, "sample_rayleigh": 4 * 3}
     assert [tree.params.k for tree in built] == [(4,), (2, 2)] * 3
@@ -448,12 +471,35 @@ def test_paired_arms_share_each_blocks_code_and_trees(monkeypatch):
     assert q2 == q1 and len(q2) == 3
 
 
+def test_each_detector_caches_its_score_on_a_view_of_its_own(monkeypatch):
+    # paired detectors share a block's code arrays but not its scores: each arm's view holds the
+    # one its detector reads, and the next detector's arm drops it, so one view is alive at a time
+    seen, decide = [], sim._decide
+
+    def spy(cfg, blk, obs, stats):
+        assert all(view() is None for _, view, _, _ in seen)
+        out = decide(cfg, blk, obs, stats)
+        scores = SCORES & set(vars(blk.code))
+        seen.append((cfg.detector, weakref.ref(blk.code), blk.code.codewords, scores))
+        return out
+
+    monkeypatch.setattr(sim, "_decide", spy)
+    detectors = ("wmd", "md", "ml", "wmd")
+    cfg = small_uncoded(n_rx=4, t_d=10, trials=20, wave=1)
+    sim.run_arms(cfg, [{"detector": d} for d in detectors], "ber")
+    read = {"wmd": {"wh"}, "md": {"hamming"}, "ml": {"nll"}}
+    assert [(d, scores) for d, _, _, scores in seen] == [(d, read[d]) for d in detectors] * 2
+    for block in (seen[:4], seen[4:]):  # one code per block, its arrays shared by every view
+        assert all(codewords is block[0][2] for _, _, codewords, _ in block)
+    assert seen[0][2] is not seen[4][2]
+
+
 @pytest.mark.parametrize("workers", (1, 2))
 def test_paired_row_walls_are_each_arms_share_of_the_run(tmp_path, workers):
     # a row's wall is the time its own arm's blocks took, so the rows never sum past the run
     cfg = small_uncoded(trials=400, workers=workers, output=str(tmp_path / "s.csv"))
     start = time.perf_counter()
-    rows = run_partition_sweep(cfg, ["full", [[4], [2]], [[4], [1]]])
+    rows = run_partition_sweep(cfg, ["full", {"k": [4], "q": [2]}, {"k": [4], "q": [1]}])
     wall = time.perf_counter() - start
     write_results(rows, cfg)
     meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
@@ -582,7 +628,7 @@ def test_each_block_sets_up_its_detector_once(monkeypatch, run, make, detector, 
 
 
 def test_uncoded_partitioned_run_reports_reduced_candidates():
-    cfg = small_uncoded(partition=[[4, 4], [2, 4]], trials=100)
+    cfg = small_uncoded(partition={"k": [4, 4], "q": [2, 4]}, trials=100)
     rows = run_uncoded(cfg)
     assert 0 < rows[0].mean_candidates < 16.0
 
@@ -727,7 +773,7 @@ def test_coded_block_decodes_at_the_decoder_cap(monkeypatch):
         return bits, converged
 
     monkeypatch.setattr(sim, "decode_bp", spy)
-    sim._coded_block(small_coded(snr_db=(-20.0,)), 0, 0)
+    sim._arms_on_block(sim._coded_block, [small_coded(snr_db=(-20.0,))], 0, 0)
     assert (ldpc.DECODE_MAX_ITER + 1, False) in runs
     assert max(runs)[0] == ldpc.DECODE_MAX_ITER + 1
 
@@ -749,7 +795,7 @@ def test_tree_stream_is_built_only_for_a_partitioned_block(monkeypatch):
         (sim._uncoded_block, small_uncoded(partition={"k": [4], "q": [2]}), [0, 1, 2]),
     ):
         purposes.clear()
-        block(cfg, 0, 0)
+        sim._arms_on_block(block, [cfg], 0, 0)
         assert sorted(purposes) == expected
 
 
@@ -829,7 +875,7 @@ def test_coded_workers_match_under_spawn(monkeypatch):
 
 def test_partition_sweep_pairs_and_predicts():
     cfg = small_uncoded(trials=200)
-    rows = run_partition_sweep(cfg, ["full", [[4, 4], [2, 4]]])
+    rows = run_partition_sweep(cfg, ["full", {"k": [4, 4], "q": [2, 4]}])
     assert len(rows) == 2
     full, pruned = rows
     assert full.partition == "full"
@@ -848,7 +894,7 @@ def test_partition_sweep_needs_specs():
 
 
 def test_partition_report_mentions_complexity():
-    cfg = small_uncoded(partition=[[4, 4], [2, 4]])
+    cfg = small_uncoded(partition={"k": [4, 4], "q": [2, 4]})
     text = partition_report(cfg)
     assert "k4x4-q2x4" in text
     assert "n_total=16" in text

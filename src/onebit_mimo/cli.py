@@ -183,8 +183,8 @@ def compare(doc: str, presets: dict, detectors, metric: str, argv=None) -> int:
 
     def run(args: argparse.Namespace) -> int:
         base = _arms_config(args, presets, "detector", ", ".join(detectors))
-        arms = [{"detector": d,
-                 "partition": None if DETECTORS.get(d) == "linear" else base.partition}
+        linear = {d for d, spec in DETECTORS.items() if spec.kind == "linear"}
+        arms = [{"detector": d, "partition": None if d in linear else base.partition}
                 for d in detectors]
         write_results([row for _, rows in run_arms(base, arms, metric) for row in rows], base)
         return 0

@@ -37,11 +37,14 @@ from .errors import ConfigurationError
 from .ldpc import DESIGN_RATE, MAX_LDPC_N
 from .partition import PartitionParams, estimate_complexity, is_int, require_valid_params
 
-# Each detector by its kind, the one place a detector's name says what it
-# does.  A "hard" or "soft" detector searches the spatial code, so it takes a
-# partition; a soft one's slot output is MSB-first LLRs, which only a coded run
-# takes and BP decodes.  A "linear" detector (ZF) searches no codebook.
-DETECTORS = {"wmd": "hard", "soft-wmd": "soft", "md": "hard", "ml": "hard", "zf": "linear"}
+# Each detector by its kind and the SpatialCode score it reads, the one place a
+# detector's name says what it does.  A "hard" or "soft" detector searches the code
+# by its score, so it takes a partition; a soft one's slot output is MSB-first LLRs,
+# which only a coded run takes and BP decodes.  A "linear" one (ZF) reads no score.
+Detector = typing.NamedTuple("Detector", [("kind", str), ("score", str | None)])
+DETECTORS = {"wmd": Detector("hard", "wh"), "soft-wmd": Detector("soft", "wh"),
+             "md": Detector("hard", "hamming"), "ml": Detector("hard", "nll"),
+             "zf": Detector("linear", None)}
 CSIR_MODES = ("perfect", "estimated")
 
 # Largest codebook, in codewords times bits (m**n_users * 2*n_rx): the code
@@ -249,7 +252,7 @@ class SimConfig:
                 f"coherence block of t_c={t_c} slots x {slot_entries} entries "
                 f"exceeds {MAX_BLOCK_ENTRIES} entries"
             )
-        if self.partition is not None and DETECTORS[self.detector] == "linear":
+        if self.partition is not None and DETECTORS[self.detector].kind == "linear":
             raise ConfigurationError(f"{self.detector} detection searches no codebook, so it "
                                      "takes no partition")
 

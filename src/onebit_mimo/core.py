@@ -72,8 +72,8 @@ def qam_constellation(m: int, snr: float) -> Constellation:
     q = bits_per_symbol(m)
     if 2**q != m or q % 2 != 0:
         raise ValueError(f"square QAM needs m a power of 4, got {m}")
-    if snr <= 0:
-        raise ValueError("snr must be positive")
+    if not 0 < snr < np.inf:  # false for nan too
+        raise ValueError(f"snr must be positive and finite, got {snr!r}")
     bits = bit_table(m)
     re = _pam_axis(bits[:, 0::2])
     im = _pam_axis(bits[:, 1::2])

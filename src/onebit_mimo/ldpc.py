@@ -301,8 +301,9 @@ def parse_alist(text: str) -> np.ndarray:
 
     The header's n and n_checks are bounded by MAX_LDPC_N before any matrix
     is allocated.  The line count is checked against the header, and both
-    degree lines and every row list against the matrix the column lists
-    build, so truncated or internally inconsistent files are rejected.
+    degree lines, every row list and the second line's largest column and
+    row degree against the matrix the column lists build, so truncated or
+    internally inconsistent files are rejected.
     """
     rows = [line.split() for line in text.splitlines() if line.strip()]
     try:
@@ -333,6 +334,9 @@ def parse_alist(text: str) -> np.ndarray:
                 raise ValueError(f"row {i} list disagrees with the column lists")
             if row_deg[i] != len(ones):
                 raise ValueError(f"row {i} degree disagrees with its list")
+        if [int(t) for t in rows[1]] != [max(col_deg), max(row_deg)]:
+            raise ValueError(f"largest degrees {' '.join(rows[1])!r} disagree with the degree "
+                             f"lines' {max(col_deg)} {max(row_deg)}")
     except (IndexError, ValueError) as exc:
         raise ConfigurationError(f"malformed alist data: {exc}") from exc
     return h

@@ -23,18 +23,17 @@ before the first runs: "ber" refuses a soft detector, "fer" needs an LDPC
 code that fits.  The arms run block by block: one task takes one block and
 runs every arm still going on it, in arm order, setting up each arm's block
 itself (``_setup_block``), so a block simulator sees no stream or sharing.
-Each arm draws its own channel and data and keeps its own stopping rule,
-and a ``_SharedSetup`` that lives for the task alone supplies what depends
-only on an equal channel: the code, keyed by the channel estimate's bytes
-and the constellation, as one view per detector (so a cached score lives
-only while its detector's arms run), and one tree per ``partition.k`` and
-tree stream, which each arm gets with its own partition parameters, so
-pruning applies the arm's ``q``.  A task holds one code, its trees and one
-view at a time.  One resolver, ``_ldpc_layout``, gives a
-coded run that code and its frames per block: an alist overrides ldpc_n and
-ldpc_seed, and a constructed code is checked, against t_d too, before it is
-built.  The runner, each coded block and the sidecar call it; the code is
-built once per process for its alist path or its parameters.
+Each arm draws its own channel and data and keeps its own stopping rule.
+A ``_SharedSetup``, alive for one task, supplies what depends only on an
+equal channel: the code, keyed by the channel estimate's bytes and the
+constellation, as one view per score that ``config.DETECTORS`` declares
+(soft-wmd and wmd arms share one ``wh``), and one tree per ``partition.k``
+and tree stream, which each arm gets with its own ``q``.  A task holds one
+code, its trees and one view, so one cached score, at a time.  One
+resolver, ``_ldpc_layout``, gives a coded run its LDPC code and frames per
+block: an alist overrides ldpc_n and ldpc_seed, and a constructed code is
+checked, against t_d too, before it is built; the runner, each coded block
+and the sidecar call it, and the code is built once per process.
 
 Blocks are scheduled in fixed-size waves: a whole wave is simulated and
 merged before each arm's stopping rule (trial budget or error target) is
@@ -144,7 +143,7 @@ def _block_rng(cfg: SimConfig, snr_idx: int, block: int, purpose: int) -> np.ran
 class _SharedSetup:
     """The code and trees one task's arms share on its block (see the module docstring).
 
-    It keeps the last code asked for, that code's trees and the last detector's
+    It keeps the last code asked for, that code's trees and the last score's
     view of it; a new code drops all three.
     """
 
@@ -152,17 +151,17 @@ class _SharedSetup:
         self._key = self._code = self._view = None
         self._trees = {}
 
-    def code(self, h_est: np.ndarray, const: Constellation, detector: str) -> SpatialCode:
-        """The current code as seen by detector: a ``dataclasses.replace`` view of its arrays.
+    def code(self, h_est: np.ndarray, const: Constellation, score: str) -> SpatialCode:
+        """The current code for the arms that read score: a ``dataclasses.replace`` view of it.
 
-        A view caches only the scores its detector reads, and the next
-        detector's view replaces it, so no score outlives its detector's arms.
+        A view caches only that score, which every arm reading it shares, and
+        the next score's view replaces it, so no score outlives its arms.
         """
         key = (h_est.shape, h_est.tobytes(), const.m, const.snr)
         if key != self._key:
             self._key, self._code, self._trees, self._view = key, build_code(h_est, const), {}, None
-        if self._view is None or self._view[0] != detector:
-            self._view = detector, dataclasses.replace(self._code)
+        if self._view is None or self._view[0] != score:
+            self._view = score, dataclasses.replace(self._code)
         return self._view[1]
 
     def tree(self, cfg: SimConfig, snr_idx: int, block: int) -> PartitionTree:
@@ -176,10 +175,7 @@ class _SharedSetup:
 
 
 def _setup_block(cfg: SimConfig, snr_idx: int, block: int, shared: _SharedSetup) -> Block:
-    """Channel draw, optional pilot-based estimation, then ZF's pseudo-inverse or code and tree.
-
-    The code and tree come from ``shared``, the task's ``_SharedSetup``.
-    """
+    """Channel draw, optional pilot estimate, then ZF's pseudo-inverse or shared's code and tree."""
     rng_channel = _block_rng(cfg, snr_idx, block, 0)
     snr = snr_linear(cfg.snr_db[snr_idx])
     const = qam_constellation(cfg.m, snr)
@@ -191,9 +187,9 @@ def _setup_block(cfg: SimConfig, snr_idx: int, block: int, shared: _SharedSetup)
     else:
         h_est = h_true
     rng_data = _block_rng(cfg, snr_idx, block, 2)
-    if DETECTORS[cfg.detector] == "linear":  # searches no codebook, so takes no partition either
+    if DETECTORS[cfg.detector].kind == "linear":  # searches no codebook, so takes no partition
         return Block(const, h_true, np.linalg.pinv(h_est), None, None, rng_data)
-    code = shared.code(h_est, const, cfg.detector)
+    code = shared.code(h_est, const, DETECTORS[cfg.detector].score)
     tree = None if cfg.partition is None else shared.tree(cfg, snr_idx, block)
     return Block(const, h_true, None, code, tree, rng_data)
 
@@ -237,7 +233,7 @@ def _decide(cfg: SimConfig, blk: Block, obs: np.ndarray, stats: BlockStats) -> n
         for t, r in enumerate(obs):
             digits[t] = zf_detect(r, blk.h_pinv, blk.const)
         return bit_table(cfg.m)[digits]
-    if DETECTORS[cfg.detector] == "soft":
+    if DETECTORS[cfg.detector].kind == "soft":
         decide, out = compute_llrs, np.empty((len(obs), cfg.n_users, bits_per_symbol(cfg.m)))
     else:
         decide, out = _HARD_DECODERS[cfg.detector], np.empty(len(obs), dtype=np.intp)
@@ -315,7 +311,7 @@ def _coded_block(cfg: SimConfig, blk: Block) -> BlockStats:
     ldpc, frames = _ldpc_layout(cfg)
     q = bits_per_symbol(cfg.m)
     slots_per_frame = ldpc.n // q
-    decoder = decode_bp if DETECTORS[cfg.detector] == "soft" else decode_bit_flipping
+    decoder = decode_bp if DETECTORS[cfg.detector].kind == "soft" else decode_bit_flipping
     stats = BlockStats(trials=frames * cfg.n_users, denominator=frames * cfg.n_users)
     for _ in range(frames):
         msgs = blk.rng_data.integers(0, 2, size=(cfg.n_users, ldpc.k))
@@ -400,7 +396,7 @@ def _run_lockstep(configs, worker, metric: str) -> list:
 
 
 def _hard_output(cfg: SimConfig) -> None:
-    if DETECTORS[cfg.detector] == "soft":
+    if DETECTORS[cfg.detector].kind == "soft":
         raise ConfigurationError(f"{cfg.detector} produces LLRs and needs a coded run")
 
 

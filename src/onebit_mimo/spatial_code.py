@@ -1,11 +1,11 @@
-"""Spatial-domain code: quantized noiseless channel responses of every
-message vector, with per-bit crossover probabilities, decoding weights and
-the scores ``wh``, ``hamming`` and ``nll``, each built on first access with
-its weights on a dyadic grid (``_on_grid``), so every code score is exact.
-Every score, a partition tree's too, is the one linear form of
-``MismatchScore``: ``base + gain @ r``.  The per-(m, K) tables of message
-digits (``_digits``) and of label bit sides (``_side_runs``, for LLRs) are
-built once and shared by every code.
+"""Spatial-domain code: quantized noiseless channel responses of every message
+vector and their per-bit crossover probabilities eps, its only arrays; the
+weights -log(eps) are worked out when read, and the scores ``wh``, ``hamming``
+and ``nll`` are built on first access with their weights on a dyadic grid
+(``_on_grid``), so every code score is exact.  Every score, a partition tree's
+too, is ``MismatchScore``'s ``base + gain @ r``.  The per-(m, K) tables of
+message digits (``_digits``) and of label bit sides (``_side_runs``, for LLRs)
+are built once and shared by every code.
 
 Codeword ell is the sign pattern of H x(g(ell)) where g(ell) is the m-ary
 expansion of ell (user 1 = least significant digit).  Distinct messages may
@@ -172,7 +172,6 @@ class SpatialCode:
     K: int
     codewords: np.ndarray  # (M, N) uint8
     crossover: np.ndarray  # (M, N) eps in (0, 0.5]
-    weights: np.ndarray  # (M, N) alpha = -log(eps)
 
     @property
     def digits(self) -> np.ndarray:
@@ -183,6 +182,11 @@ class SpatialCode:
     def side_runs(self) -> tuple:
         """(K*q*M,) codeword indices per label bit side and (2*K*q,) run starts, per (m, K)."""
         return _side_runs(self.m, self.K)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """(M, N) decoding weights alpha = -log(eps), worked out on every read."""
+        return -np.log(self.crossover)
 
     @property
     def size(self) -> int:
@@ -200,7 +204,7 @@ class SpatialCode:
     @cached_property
     def hamming(self) -> MismatchScore:
         """Plain Hamming distance of every codeword."""
-        return MismatchScore(self.codewords, *_on_grid(np.ones_like(self.weights)))
+        return MismatchScore(self.codewords, *_on_grid(np.ones(self.codewords.shape)))
 
     @cached_property
     def nll(self) -> MismatchScore:
@@ -219,13 +223,13 @@ def build_code(h_real: np.ndarray, constellation: Constellation) -> SpatialCode:
     """Construct the spatial code of a real channel matrix.
 
     For every message index ell: codeword bits quantize(h_i^T x), crossover
-    eps = Q(|h_i^T x| / NOISE_STD) clamped below at ``EPS_FLOOR``, and
-    weights -log(eps).  The quantizer and the noise scale are the channel's
-    own, so the code matches the observations ``transmit`` draws.
+    eps = Q(|h_i^T x| / NOISE_STD) clamped below at ``EPS_FLOOR``.  The
+    quantizer and the noise scale are the channel's own, so the code matches
+    the observations ``transmit`` draws.
 
     The codebook is antipodal: -x(ell) is a message, and its responses are
-    ell's negated bit for bit.  So the responses, Q and log are computed for
-    the first half only and copied to each partner (``_antipodes``), whose
+    ell's negated bit for bit.  So the responses and Q are computed for the
+    first half only and copied to each partner (``_antipodes``), whose
     bits are quantize(-v): a zero response is bit 0 on both sides.
     """
     if not np.all(np.isfinite(h_real)):
@@ -239,18 +243,13 @@ def build_code(h_real: np.ndarray, constellation: Constellation) -> SpatialCode:
     partner = _antipodes(m, K)
     codewords = np.empty((2 * half, n), dtype=np.uint8)
     crossover = np.empty((2 * half, n))
-    weights = np.empty((2 * half, n))
     codewords[:half] = quantize(v)
     codewords[partner] = quantize(-v)
     # in place from here: each fresh (M/2, N) temporary can cost page faults per block
     np.abs(v, out=v)
     v /= NOISE_STD
-    eps = np.maximum(q_function(v), EPS_FLOOR, out=crossover[:half])
-    np.log(eps, out=weights[:half])
-    np.negative(weights[:half], out=weights[:half])
-    crossover[partner] = eps
-    weights[partner] = weights[:half]
-    return SpatialCode(m=m, K=K, codewords=codewords, crossover=crossover, weights=weights)
+    crossover[partner] = np.maximum(q_function(v), EPS_FLOOR, out=crossover[:half])
+    return SpatialCode(m=m, K=K, codewords=codewords, crossover=crossover)
 
 
 def exact_likelihood(code: SpatialCode, r: np.ndarray, ell: int) -> float:

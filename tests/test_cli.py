@@ -804,6 +804,10 @@ def test_rank_deficient_alist_is_config_error_naming_the_file(capsys, tmp_path):
         (b"garbage\n", "malformed alist data: invalid literal"),
         (b"\xff\xfe 4 2\n", "'ascii' codec can't decode byte 0xff"),
         (b"64800 32400\n", "n=64800 and n_checks=32400 must be in 1..4096"),
+        pytest.param(
+            write_alist(np.eye(4, dtype=np.uint8)).replace("\n1 1\n", "\n2 1\n", 1).encode(),
+            "malformed alist data: largest degrees '2 1' disagree", id="largest-degrees",
+        ),
     ],
 )
 def test_unusable_alist_is_config_error_naming_the_file(capsys, tmp_path, data, message):

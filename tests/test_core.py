@@ -229,6 +229,12 @@ class TestConstellation:
         with pytest.raises(ValueError):
             qam_constellation(2, 1.0)
 
+    @pytest.mark.parametrize("snr", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_a_snr_that_is_not_positive_and_finite(self, snr):
+        # a nan or +inf SNR would scale every point to nan or inf
+        with pytest.raises(ValueError, match="snr must be positive and finite"):
+            qam_constellation(4, snr)
+
     def test_16qam_levels(self):
         const = qam_constellation(16, 10.0)
         re_levels = np.unique(np.round(const.points.real, 9))

@@ -38,10 +38,10 @@ from conftest import random_code
 
 
 def manual_code(codewords, weights, m, K):
-    """SpatialCode with hand-picked bit patterns and weights."""
+    """SpatialCode with hand-picked bit patterns, weighted through crossovers exp(-weights)."""
     cw = np.asarray(codewords, dtype=np.uint8)
     w = np.asarray(weights, dtype=np.float64)
-    return SpatialCode(m=m, K=K, codewords=cw, crossover=np.exp(-w), weights=w)
+    return SpatialCode(m=m, K=K, codewords=cw, crossover=np.exp(-w))
 
 
 # ---------------------------------------------------------------------------

@@ -387,6 +387,16 @@ def test_alist_row_side_checked_against_the_columns():
     np.testing.assert_array_equal(parse_alist("\n".join(padded)), [[1, 1, 0], [0, 1, 1]])
 
 
+def test_alist_largest_degrees_checked_against_the_degree_lines(code128):
+    # the second header line gives the largest column and row degree, and nothing else
+    lines = write_alist(code128.h).splitlines()
+    col_max, row_max = (max(map(int, lines[i].split())) for i in (2, 3))
+    assert lines[1] == f"{col_max} {row_max}"
+    for line in ("99 1", "x", str(col_max), f"{col_max} {row_max + 1}", f"{lines[1]} 0"):
+        with pytest.raises(ConfigurationError, match="^malformed alist data"):
+            parse_alist("\n".join([lines[0], line, *lines[2:]]))
+
+
 def test_loaded_alist_builds_working_code(code128, tmp_path):
     path = tmp_path / "c.alist"
     path.write_text(write_alist(code128.h), encoding="ascii")

@@ -30,8 +30,7 @@ from conftest import centroid_weights, oracle_node_levels, random_code
 def pattern_code(codewords, m, K):
     """SpatialCode wrapper around explicit bit patterns (unit weights)."""
     cw = np.asarray(codewords, dtype=np.uint8)
-    w = np.ones_like(cw, dtype=np.float64)
-    return SpatialCode(m=m, K=K, codewords=cw, crossover=np.exp(-w), weights=w)
+    return SpatialCode(m=m, K=K, codewords=cw, crossover=np.full(cw.shape, np.exp(-1.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import pytest
 from conftest import write_alist
 
 import onebit_mimo
-from onebit_mimo import cli, ldpc, sim
+from onebit_mimo import cli, ldpc, sim, spatial_code
 from onebit_mimo.config import (
     CSV_HEADER,
     DETECTORS,
@@ -473,7 +473,8 @@ def test_paired_arms_share_each_blocks_code_and_trees(monkeypatch):
 
 def test_each_detector_caches_its_score_on_a_view_of_its_own(monkeypatch):
     # paired detectors share a block's code arrays but not its scores: each arm's view holds the
-    # one its detector reads, and the next detector's arm drops it, so one view is alive at a time
+    # one config.DETECTORS declares for its detector, and the next score's arm drops it, so one
+    # view is alive at a time
     seen, decide = [], sim._decide
 
     def spy(cfg, blk, obs, stats):
@@ -487,11 +488,38 @@ def test_each_detector_caches_its_score_on_a_view_of_its_own(monkeypatch):
     detectors = ("wmd", "md", "ml", "wmd")
     cfg = small_uncoded(n_rx=4, t_d=10, trials=20, wave=1)
     sim.run_arms(cfg, [{"detector": d} for d in detectors], "ber")
-    read = {"wmd": {"wh"}, "md": {"hamming"}, "ml": {"nll"}}
-    assert [(d, scores) for d, _, _, scores in seen] == [(d, read[d]) for d in detectors] * 2
+    declared = [(d, {DETECTORS[d].score}) for d in detectors]
+    assert [(d, scores) for d, _, _, scores in seen] == declared * 2
     for block in (seen[:4], seen[4:]):  # one code per block, its arrays shared by every view
         assert all(codewords is block[0][2] for _, _, codewords, _ in block)
     assert seen[0][2] is not seen[4][2]
+
+
+def test_arms_that_read_one_score_share_it_on_each_block(monkeypatch):
+    # soft-wmd and wmd both read wh, so their arms decide on one view of a block, which builds
+    # wh once; zf between them reads no score and leaves the view in place
+    views, decide, grids, on_grid = [], sim._decide, [], spatial_code._on_grid
+
+    def spy(cfg, blk, *a):
+        views.append((cfg.detector, blk.code))
+        return decide(cfg, blk, *a)
+
+    monkeypatch.setattr(sim, "_decide", spy)
+    monkeypatch.setattr(spatial_code, "_on_grid", lambda *a: grids.append(a) or on_grid(*a))
+    cfg = small_coded(snr_db=(-4.0,), n_rx=4, trials=6, frames_per_block=1)
+    arms = [{"detector": d} for d in ("soft-wmd", "zf", "wmd")]
+    paired = sim.run_arms(cfg, arms, "fer")
+    assert [r.trials for _, rows in paired for r in rows] == [6] * 3  # three blocks per arm
+    codes = [(d, code) for d, code in views if code is not None]
+    assert [d for d, _ in codes] == ["soft-wmd", "wmd"] * 3
+    assert all(codes[i][1] is codes[i + 1][1] for i in range(0, 6, 2))
+    assert len({id(code) for _, code in codes}) == 3
+    assert all(SCORES & set(vars(code)) == {"wh"} for _, code in codes)
+    assert len(grids) == 3  # one wh per block
+    monkeypatch.undo()
+    for arm, (_, rows) in zip(arms, paired):
+        alone = sim.run_arms(cfg, [arm], "fer")[0][1]
+        assert [r.to_csv() for r in rows] == [r.to_csv() for r in alone]
 
 
 @pytest.mark.parametrize("workers", (1, 2))

@@ -64,12 +64,23 @@ class TestBuildCode:
         others2 = np.delete(code2.codewords, 1, axis=1)
         assert np.array_equal(others, others2)
 
-    def test_crossover_weight_consistency(self):
-        code = random_code(K=3, n_r=5, seed=9)
+    @pytest.mark.byte_identity
+    @pytest.mark.parametrize("K, n_r, m, seed", [(3, 5, 4, 9), (2, 16, 16, 4)])
+    def test_weights_are_worked_out_from_the_crossovers(self, K, n_r, m, seed):
+        # a code stores its codewords and crossovers only; its weights are read as -log(eps),
+        # bitwise what a build that took the log of the first half and copied it gave
+        code = random_code(K=K, n_r=n_r, m=m, seed=seed)
         assert np.all(code.crossover > 0)
         assert np.all(code.crossover <= 0.5)
-        assert np.array_equal(code.weights, -np.log(code.crossover))
-        assert np.all(code.weights >= np.log(2) - 1e-12)
+        weights = code.weights
+        assert set(vars(code)) == {"m", "K", "codewords", "crossover"}  # none kept on read either
+        half = code.size // 2
+        old = np.empty_like(code.crossover)
+        np.log(code.crossover[:half], out=old[:half])
+        np.negative(old[:half], out=old[:half])
+        old[_antipodes(m, K)] = old[:half]
+        assert weights.tobytes() == old.tobytes()
+        assert np.all(weights >= np.log(2) - 1e-12)
 
     def test_crossover_formula(self):
         rng = np.random.default_rng(6)
@@ -120,6 +131,7 @@ class TestBuildCode:
         for got, want in ((code.crossover, eps), (code.weights, -np.log(eps))):
             assert np.all(np.abs(got - want) <= 1e-14 * want)
 
+    @pytest.mark.byte_identity
     @pytest.mark.parametrize("K, n_r, m, seed", [(2, 4, 4, 0), (4, 32, 4, 1), (3, 16, 16, 2)])
     def test_antipodal_messages_have_bitwise_equal_weights(self, K, n_r, m, seed):
         # -x(ell) is the message ell' of each symbol's negated point: its codeword is

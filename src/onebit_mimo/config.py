@@ -7,10 +7,10 @@ from the command line.  A SimConfig is checked as it is built (by
 field against its type and its ``FIELD_RULES`` entry, then the rules that
 tie fields together.  No field restates others: the coherence block is
 ``t_t + t_d`` slots, and ``t_c`` may be omitted (None) or must equal that
-sum.  It holds only plain Python values that some run kind
-accepts; the analytic subcommands therefore take every detector, and the
-runners in ``sim`` add what their run kind needs (a detector of that kind,
-an LDPC code that fits the block).
+sum; a given ``frames_per_block`` must equal the LDPC frames that fit t_d.
+It holds only plain Python values that some run kind accepts; the analytic
+subcommands therefore take every detector, and the runners in ``sim`` add
+what their run kind needs (a detector of that kind, an LDPC code that fits).
 
 This is the one module that knows the CSV format.  Each row class declares
 its columns once, as ``COLUMNS``, and its ``HEADER`` joins them; a
@@ -94,20 +94,21 @@ def parse_partition(value) -> PartitionParams | None:
 
 
 def require_ldpc_fit(n: int, m: int, t_d: int, frames_per_block: int | None) -> int:
-    """Frames per block; reject a blocklength that is not whole symbols, or frames that overrun t_d.
-
-    ``frames_per_block`` None means the default, as many whole frames as fit
-    in t_d and at least one.
-    """
+    """The ``t_d // (n/q)`` whole frames that fit t_d; refuses a blocklength that is not whole
+    symbols, a t_d that holds no frame, or a given frames_per_block other than that count."""
     q = bits_per_symbol(m)
     if n % q:
         raise ConfigurationError(
             f"LDPC blocklength {n} is not a multiple of the {q} bits per symbol"
         )
-    frames = frames_per_block or max(1, t_d // (n // q))
-    if frames * (n // q) > t_d:
+    slots = n // q
+    frames = t_d // slots
+    if frames < 1:
+        raise ConfigurationError(f"a frame of {slots} slots does not fit t_d={t_d}")
+    if frames_per_block not in (None, frames):
         raise ConfigurationError(
-            f"{frames} frame(s) of {n // q} slots span {frames * (n // q)} slots but t_d={t_d}"
+            f"frames_per_block={frames_per_block} != the {frames} whole frame(s) of {slots} "
+            f"slots that fit t_d={t_d}"
         )
     return frames
 
@@ -197,7 +198,7 @@ class SimConfig:
     ldpc_n: int = 672
     ldpc_seed: int = 7
     ldpc_alist: str | None = None
-    frames_per_block: int | None = None  # default: fill t_d with whole frames
+    frames_per_block: int | None = None  # the frames that fit t_d; a given value must equal it
     trials: int = 10000
     target_errors: int = 100
     seed: int | None = None

@@ -299,15 +299,15 @@ def decode_bit_flipping(bits: np.ndarray, code: LdpcCode):
 def parse_alist(text: str) -> np.ndarray:
     """The parity-check matrix of standard alist text; zero padding entries are ignored.
 
-    The header's n and n_checks are bounded by MAX_LDPC_N before any matrix
-    is allocated.  The line count is checked against the header, and both
-    degree lines, every row list and the second line's largest column and
-    row degree against the matrix the column lists build, so truncated or
-    internally inconsistent files are rejected.
+    The first line holds n and n_checks only, bounded by MAX_LDPC_N before any
+    matrix is allocated.  The line count is checked against them, each column
+    list against its degree (that many distinct indices), and the other lines
+    against the matrix the column lists build, so truncated or internally
+    inconsistent files are rejected.
     """
     rows = [line.split() for line in text.splitlines() if line.strip()]
     try:
-        n, n_checks = int(rows[0][0]), int(rows[0][1])
+        n, n_checks = map(int, rows[0])
         if not (1 <= n <= MAX_LDPC_N and 1 <= n_checks <= MAX_LDPC_N):
             raise ValueError(f"n={n} and n_checks={n_checks} must be in 1..{MAX_LDPC_N}")
         if len(rows) != 4 + n + n_checks:
@@ -317,14 +317,13 @@ def parse_alist(text: str) -> np.ndarray:
             raise ValueError("column degree count disagrees with the header")
         h = np.zeros((n_checks, n), dtype=np.uint8)
         for j, line in enumerate(rows[4 : 4 + n]):
-            for tok in line:
-                i = int(tok)
+            ones = [i for i in map(int, line) if i]
+            for i in ones:
                 if i < 0 or i > n_checks:
                     raise ValueError(f"check index {i} out of range")
-                if i:
-                    h[i - 1, j] = 1
-            if int(h[:, j].sum()) != col_deg[j]:
-                raise ValueError(f"column {j} degree disagrees with the header")
+                h[i - 1, j] = 1
+            if len(ones) != col_deg[j] or int(h[:, j].sum()) != len(ones):
+                raise ValueError(f"column {j} list is not {col_deg[j]} distinct check indices")
         row_deg = [int(t) for t in rows[3]]
         if len(row_deg) != n_checks:
             raise ValueError("row degree count disagrees with the header")

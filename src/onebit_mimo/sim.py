@@ -15,31 +15,30 @@ stream's raw words (``_slot_digits``).  Every run kind sends its data slots
 into arrays (``_send``: digits (slots, K), uint8 observations (slots, N)),
 then ``_decide`` detects them with the detector it chooses once per block:
 ZF, or pruning (when a tree exists) and a hard decoder or the soft LLRs.
-Every run goes through one runner, ``run_arms``, of arms (dicts of fields
-laid over one config).  Each run kind of ``_RUN_KINDS`` pairs its block
-simulator with one arm check, and the runner checks each arm's seed and
-partition size (``SimConfig.require_runnable``) and then that check, all
-before the first runs: "ber" refuses a soft detector, "fer" needs an LDPC
-code that fits.  The arms run block by block: one task takes one block and
-runs every arm still going on it, in arm order, setting up each arm's block
-itself (``_setup_block``), so a block simulator sees no stream or sharing.
-Each arm draws its own channel and data and keeps its own stopping rule.
-A ``_SharedSetup``, alive for one task, supplies what depends only on an
-equal channel: the code, keyed by the channel estimate's bytes and the
-constellation, as one view per score that ``config.DETECTORS`` declares
-(soft-wmd and wmd arms share one ``wh``), and one tree per ``partition.k``
-and tree stream, which each arm gets with its own ``q``.  A task holds one
-code, its trees and one view, so one cached score, at a time.  One
-resolver, ``_ldpc_layout``, gives a coded run its LDPC code and frames per
-block: an alist overrides ldpc_n and ldpc_seed, and a constructed code is
-checked, against t_d too, before it is built; the runner, each coded block
-and the sidecar call it, and the code is built once per process.
+Every run goes through one runner, ``run_arms``, of arms, each a detector
+and a partition laid over one config (``_ARM_FIELDS``).  Each run kind of
+``_RUN_KINDS`` pairs its block simulator with one arm check, and the runner
+checks each arm's seed and partition size (``SimConfig.require_runnable``)
+and then that check, all before the first runs: "ber" refuses a soft
+detector, "fer" needs an LDPC code that fits.  The arms run block by block:
+one task takes one block and runs every arm still going on it, in arm
+order, setting up each arm's block itself (``_setup_block``), so a block
+simulator sees no stream or sharing.  Each arm draws its own channel and
+data, the same for every arm, and keeps its own stopping rule.  So a
+``_SharedSetup``, alive for one task, builds the block's code once, read
+through one view per score that ``config.DETECTORS`` declares (soft-wmd and
+wmd arms share one ``wh``), and one tree per ``partition.k``, which each
+arm gets with its own ``q``.  A task holds one code, its trees and one
+view, so one cached score, at a time.  One resolver, ``_ldpc_layout``,
+gives a coded run its LDPC code and the frames that fit t_d: an alist
+overrides ldpc_n and ldpc_seed, and a constructed code is checked, against
+t_d too, before it is built; the runner, each coded block and the sidecar
+call it, and the code is built once per process.
 
 Blocks are scheduled in fixed-size waves: a whole wave is simulated and
 merged before each arm's stopping rule (trial budget or error target) is
 evaluated, so the set of blocks an arm simulates is a pure function of its
-config and seed.  So ``snr_db``, ``wave`` and ``workers`` are common to all
-arms, and an arm may not set them.
+config and seed.
 """
 
 from __future__ import annotations
@@ -143,35 +142,33 @@ def _block_rng(cfg: SimConfig, snr_idx: int, block: int, purpose: int) -> np.ran
 class _SharedSetup:
     """The code and trees one task's arms share on its block (see the module docstring).
 
-    It keeps the last code asked for, that code's trees and the last score's
-    view of it; a new code drops all three.
+    The arms of a task draw one channel estimate and tree stream, so the code is
+    built on the first call and a tree once per ``partition.k``.
     """
 
     def __init__(self):
-        self._key = self._code = self._view = None
+        self._code = self._view = None
         self._trees = {}
 
     def code(self, h_est: np.ndarray, const: Constellation, score: str) -> SpatialCode:
-        """The current code for the arms that read score: a ``dataclasses.replace`` view of it.
+        """The block's code for the arms that read score: a ``dataclasses.replace`` view of it.
 
         A view caches only that score, which every arm reading it shares, and
         the next score's view replaces it, so no score outlives its arms.
         """
-        key = (h_est.shape, h_est.tobytes(), const.m, const.snr)
-        if key != self._key:
-            self._key, self._code, self._trees, self._view = key, build_code(h_est, const), {}, None
+        if self._code is None:
+            self._code = build_code(h_est, const)
         if self._view is None or self._view[0] != score:
             self._view = score, dataclasses.replace(self._code)
         return self._view[1]
 
     def tree(self, cfg: SimConfig, snr_idx: int, block: int) -> PartitionTree:
-        """The current code's tree for the arm cfg, built once per k and tree stream."""
-        key = (cfg.partition.k, cfg.seed, snr_idx, block)
-        tree = self._trees.get(key)
-        if tree is None:
+        """The code's tree for the arm cfg, built once per ``partition.k``."""
+        k = cfg.partition.k
+        if k not in self._trees:
             rng = _block_rng(cfg, snr_idx, block, 1)
-            tree = self._trees[key] = build_partition_tree(self._code, cfg.partition, rng)
-        return dataclasses.replace(tree, params=cfg.partition)
+            self._trees[k] = build_partition_tree(self._code, cfg.partition, rng)
+        return dataclasses.replace(self._trees[k], params=cfg.partition)
 
 
 def _setup_block(cfg: SimConfig, snr_idx: int, block: int, shared: _SharedSetup) -> Block:
@@ -350,7 +347,7 @@ def _run_lockstep(configs, worker, metric: str) -> list:
     """Each arm's rows, one ResultRow per SNR point, for the arm configs run block by block.
 
     At each SNR point every arm still going runs on each block of a wave;
-    after the wave each arm checks its own trial budget and error target.
+    after the wave each arm checks its own counts against the budget and target.
     A row's wall time is its arm's share of its waves' wall, split by the
     seconds its blocks took, so the rows' walls sum to the waves' wall at
     any ``workers``.
@@ -376,8 +373,8 @@ def _run_lockstep(configs, worker, metric: str) -> list:
                     acc.seconds = wall * acc.seconds / busy if busy else 0.0
                     totals[a].merge(acc)
                 block += base.wave
-                going = [a for a in going if totals[a].trials < configs[a].trials
-                         and totals[a].errors < configs[a].target_errors]
+                going = [a for a in going if totals[a].trials < base.trials
+                         and totals[a].errors < base.target_errors]
             for cfg, stats, arm_rows in zip(configs, totals, rows):
                 arm_rows.append(
                     ResultRow(
@@ -406,22 +403,22 @@ def _hard_output(cfg: SimConfig) -> None:
 _RUN_KINDS = {"ber": (_uncoded_block, _hard_output), "fer": (_coded_block, _ldpc_layout)}
 
 
-# Fields every arm takes from the config: the arms run the same SNR points in the
-# same waves on one executor.
-_COMMON_FIELDS = ("snr_db", "wave", "workers")
+# The fields an arm may set: it takes every other from the config, so the arms of a
+# block share its channel, code and tree stream, SNR points, waves and executor.
+_ARM_FIELDS = ("detector", "partition")
 
 
 def run_arms(cfg: SimConfig, arms, metric: str) -> list:
-    """[(arm config, rows)] per arm, a dict of fields laid over cfg, so paired by cfg's seed.
+    """[(arm config, rows)] per arm, a dict of ``_ARM_FIELDS`` laid over cfg, so paired.
 
     Every arm is built (so checked) and checked against the run kind before the
-    first runs; an arm may not set a field of ``_COMMON_FIELDS``.
+    first runs; an arm may set no other field.
     """
     if not arms:
         raise ConfigurationError("a paired run needs at least one arm")
     for arm in arms:
-        for field in _COMMON_FIELDS:
-            if field in arm:
+        for field in arm:
+            if field not in _ARM_FIELDS:
                 raise ConfigurationError(f"an arm may not set {field}, which all arms share")
     worker, check = _RUN_KINDS[metric]
     configs = [dataclasses.replace(cfg, **arm) for arm in arms]
@@ -508,7 +505,7 @@ def write_results(rows, cfg: SimConfig) -> None:
     }
     if any(r.metric == "fer" for r in rows):
         ldpc, _ = _ldpc_layout(cfg)
-        digest = hashlib.sha256(ldpc.h.tobytes()).hexdigest()
+        digest = hashlib.sha256(np.ascontiguousarray(ldpc.h)).hexdigest()
         meta["ldpc"] = {"n": ldpc.n, "k": ldpc.k, "h_sha256": digest}
     write_text(render_csv(rows, rows[0].HEADER), cfg)
     with open(cfg.output + ".meta.json", "w", encoding="ascii") as fh:

@@ -39,8 +39,8 @@ SMALL = [
     "--trials", "100", "--target_errors", "1000000", "--wave", "1", "--seed", "1",
 ]
 CODED = [
-    "--n_users", "2", "--n_rx", "8", "--t_d", "128",
-    "--ldpc_n", "128", "--frames_per_block", "1", "--trials", "4",
+    "--n_users", "2", "--n_rx", "8", "--t_d", "64",
+    "--ldpc_n", "128", "--trials", "4",
     "--target_errors", "1000000", "--wave", "1", "--seed", "2",
     "--detector", "soft-wmd", "--snr_db", "30",
 ]
@@ -340,6 +340,19 @@ def test_frames_overrunning_block_is_config_error(capsys):
     )
     assert code == 2
     assert "t_d=128" in err
+
+
+def test_frames_per_block_is_the_count_that_fits_t_d(capsys):
+    # frames of 128 / 2 = 64 slots: t_d=128 holds 2, so a given 2 runs as if left out
+    argv = ["coded", *CODED, "--t_d", "128"]
+    code, want, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert run_cli(capsys, [*argv, "--frames_per_block", "2"]) == (0, want, "")
+    for frames in (1, 3):
+        code, out, err = run_cli(capsys, [*argv, "--frames_per_block", str(frames)])
+        assert (code, out) == (2, "")
+        assert err == (f"configuration error: frames_per_block={frames} != the 2 whole "
+                       "frame(s) of 64 slots that fit t_d=128\n")
 
 
 def test_bad_config_file_is_config_error(capsys, tmp_path):
@@ -667,6 +680,22 @@ def test_readme_shows_the_sweep_example_output(capsys):
             assert "\n```\n" + out + "```\n" in text
 
 
+@pytest.mark.byte_identity
+def test_readme_csir_row_run_counts_the_bit_errors_it_quotes(capsys):
+    # the one run of estimated CSIR whose output is pinned: pilots, the channel estimate
+    # and the code built from it, for every SNR point
+    text = README.read_text(encoding="utf-8")
+    (row,) = [line for line in text.splitlines() if line.startswith("| `csir` |")]
+    command, *quoted = re.search(
+        r"`(uncoded [^`]+)` counts (\d+), (\d+) and (\d+) bit errors of (\d+) ", row
+    ).groups()
+    code, out, err = run_cli(capsys, shlex.split(command))
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [r[ResultRow.COLUMNS.index("errors")] for r in rows] == quoted[:3]
+    assert {r[ResultRow.COLUMNS.index("denominator")] for r in rows} == {quoted[3]}
+
+
 def test_readme_library_example_runs():
     (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     scope = {}
@@ -807,6 +836,10 @@ def test_rank_deficient_alist_is_config_error_naming_the_file(capsys, tmp_path):
         pytest.param(
             write_alist(np.eye(4, dtype=np.uint8)).replace("\n1 1\n", "\n2 1\n", 1).encode(),
             "malformed alist data: largest degrees '2 1' disagree", id="largest-degrees",
+        ),
+        pytest.param(
+            write_alist(np.eye(4, dtype=np.uint8)).replace("\n1\n2\n", "\n1 1\n2\n", 1).encode(),
+            "malformed alist data: column 0 list", id="repeated-check-index",
         ),
     ],
 )

@@ -654,7 +654,7 @@ def test_run_uncoded_matches_the_integers_slot_loop(K, detector, partition_spec)
 
 
 def _slot_loop_cases():
-    """(metric, detector, partition, csir, frames_per_block) for each block simulator."""
+    """(metric, detector, partition, csir, frames per block) for each block simulator."""
     arms = {"ber": ("wmd", "md", "ml", "zf"), "fer": ("soft-wmd", "wmd", "zf")}
     for metric, detectors in arms.items():
         for detector in detectors:
@@ -668,8 +668,10 @@ def _slot_loop_cases():
 def test_block_simulators_match_their_own_slot_loops(
     metric, detector, partition_spec, csir, frames
 ):
-    # the stats and the data stream's end state of each block, over both SNR points
+    # the stats and the data stream's end state of each block, over both SNR points; a
+    # coded block holds the frames of 48 / 2 = 24 slots that fit t_d
     t_t = 4 if csir == "estimated" else 0
+    t_d = 48 if frames is None else 24 * frames
     cfg = SimConfig(
         n_users=2,
         n_rx=4,
@@ -678,10 +680,9 @@ def test_block_simulators_match_their_own_slot_loops(
         csir=csir,
         snr_db=(-4.0, 4.0),
         t_t=t_t,
-        t_c=t_t + 48,
-        t_d=48,
+        t_c=t_t + t_d,
+        t_d=t_d,
         ldpc_n=48,
-        frames_per_block=frames,
         seed=13,
     )
     new, ref = {

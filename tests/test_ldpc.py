@@ -397,6 +397,27 @@ def test_alist_largest_degrees_checked_against_the_degree_lines(code128):
             parse_alist("\n".join([lines[0], line, *lines[2:]]))
 
 
+def test_alist_first_line_holds_n_and_n_checks_only(code128):
+    # only the first two tokens were read, so trailing ones loaded the same matrix
+    lines = write_alist(code128.h).splitlines()
+    assert lines[0] == "128 64"
+    for line in ("128 64 junk 7", "128 64 7", "128"):
+        with pytest.raises(ConfigurationError, match="^malformed alist data"):
+            parse_alist("\n".join([line, *lines[1:]]))
+
+
+def test_alist_column_lists_hold_their_degree_of_distinct_indices(code128):
+    # the degree was checked against the matrix's ones, so a repeated index went unseen
+    lines = write_alist(code128.h).splitlines()
+    assert (lines[2].split()[0], lines[4]) == ("3", "17 21 52")
+    for column in ("17 21 52 17", "21 17 52 17 0", "17 21 17", "17 21"):
+        with pytest.raises(ConfigurationError, match="^malformed alist data: column 0"):
+            parse_alist("\n".join([*lines[:4], column, *lines[5:]]))
+    # zero padding and the order within a column list do not matter
+    reordered = "\n".join([*lines[:4], "52 0 17 21", *lines[5:]])
+    np.testing.assert_array_equal(parse_alist(reordered), code128.h)
+
+
 def test_loaded_alist_builds_working_code(code128, tmp_path):
     path = tmp_path / "c.alist"
     path.write_text(write_alist(code128.h), encoding="ascii")

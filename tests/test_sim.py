@@ -69,7 +69,6 @@ def small_coded(**kw):
         snr_db=(30.0,),
         t_d=128,
         ldpc_n=128,
-        frames_per_block=2,
         trials=8,
         target_errors=10**9,
         wave=1,
@@ -339,8 +338,11 @@ def test_partition_sweep_rejects_soft_wmd_before_running_any_arm(monkeypatch):
 
 @pytest.mark.parametrize(
     "arm, match",
-    [({"seed": None}, "explicit seed"), ({"ldpc_n": 4000}, "t_d=128")],
-    ids=["seed-unset", "ldpc-overruns-t_d"],
+    [
+        ({"partition": {"k": [32], "q": [1]}}, "32 leaves"),
+        ({"detector": "zf", "partition": {"k": [4], "q": [2]}}, "zf detection searches no"),
+    ],
+    ids=["too-many-leaves", "zf-partition"],
 )
 def test_coded_arms_are_all_checked_before_any_runs(monkeypatch, arm, match):
     calls = _no_run(monkeypatch)
@@ -362,9 +364,24 @@ def test_paired_arms_keep_the_seed_and_lay_their_fields_over_the_config(monkeypa
         sim.run_arms(small_uncoded(), [], "ber")
 
 
-@pytest.mark.parametrize("field, value", [("snr_db", (0.0,)), ("wave", 1), ("workers", 1)])
+# A value of each field an arm may not set: the arms of a block share its channel, code
+# and tree stream, and run the same SNR points in the same waves on one executor.
+COMMON_FIELDS = {
+    "snr_db": (0.0,), "wave": 1, "workers": 1, "n_users": 3, "n_rx": 4, "m": 16, "t_c": 100,
+    "t_t": 2, "t_d": 50, "csir": "estimated", "ldpc_n": 4000, "ldpc_seed": 3,
+    "ldpc_alist": "h.alist", "frames_per_block": 1, "trials": 10, "target_errors": 5,
+    "seed": 2, "output": "x.csv",
+}
+
+
+def test_an_arm_sets_only_its_detector_and_partition():
+    assert sim._ARM_FIELDS == ("detector", "partition")
+    assert set(COMMON_FIELDS) == {f.name for f in dataclasses.fields(SimConfig)} - {
+        "detector", "partition"}
+
+
+@pytest.mark.parametrize("field, value", COMMON_FIELDS.items())
 def test_paired_arms_may_not_set_a_common_field(monkeypatch, field, value):
-    # every arm runs the same SNR points in the same waves on one executor
     calls = _no_run(monkeypatch)
     with pytest.raises(ConfigurationError, match=f"may not set {field}"):
         sim.run_arms(small_uncoded(), [{"detector": "md"}, {field: value}], "ber")
@@ -399,12 +416,13 @@ PAIRED_RUNS = {
         "ber",
         False,
     ),
-    # a perfect-CSIR arm between the estimated ones: its code replaces theirs in the task
+    # every arm decides on the block's one channel estimate, ZF through its pseudo-inverse
     "estimated-csir": (
         lambda **kw: small_uncoded(
             csir="estimated", t_t=4, snr_db=(0.0, 6.0), t_d=20, trials=60, **kw
         ),
-        [{}, {"csir": "perfect"}, {"partition": {"k": [4], "q": [2]}}],
+        [{}, {"detector": "md", "partition": {"k": [4], "q": [2]}}, {"detector": "zf"},
+         {"partition": {"k": [2, 2], "q": [1, 2]}}],
         "ber",
         False,
     ),
@@ -506,7 +524,7 @@ def test_arms_that_read_one_score_share_it_on_each_block(monkeypatch):
 
     monkeypatch.setattr(sim, "_decide", spy)
     monkeypatch.setattr(spatial_code, "_on_grid", lambda *a: grids.append(a) or on_grid(*a))
-    cfg = small_coded(snr_db=(-4.0,), n_rx=4, trials=6, frames_per_block=1)
+    cfg = small_coded(snr_db=(-4.0,), n_rx=4, trials=6, t_d=64)
     arms = [{"detector": d} for d in ("soft-wmd", "zf", "wmd")]
     paired = sim.run_arms(cfg, arms, "fer")
     assert [r.trials for _, rows in paired for r in rows] == [6] * 3  # three blocks per arm
@@ -567,7 +585,7 @@ def test_each_site_reads_the_detectors_kind(name, monkeypatch):
         monkeypatch.setattr(
             sim, decoder, lambda *a, d=decoder, f=spied: calls.update([d]) or f(*a)
         )
-    run_coded(small_coded(detector=name, frames_per_block=1, trials=2))
+    run_coded(small_coded(detector=name, t_d=64, trials=2))
     assert calls == {"decode_bp" if kind == "soft" else "decode_bit_flipping": 2}
     # a script's arm keeps --partition exactly when its detector searches the code
     arms = []
@@ -752,15 +770,17 @@ def test_coded_hard_path_error_free_at_high_snr():
 
 
 def test_coded_frames_per_block_honored():
-    # 3 frames of 64 slots fill t_d = 192
-    row = run_coded(small_coded(frames_per_block=3, trials=6, t_d=192))[0]
+    # 3 frames of 64 slots fill t_d = 192, whether or not frames_per_block gives the count
+    row = run_coded(small_coded(trials=6, t_d=192))[0]
     # one block of 3 frames x 2 users crosses the 6-trial budget exactly
     assert row.trials == 6
+    given = run_coded(small_coded(frames_per_block=3, trials=6, t_d=192))
+    assert [r.to_csv() for r in given] == [row.to_csv()]
 
 
 def test_coded_default_fills_coherence_block():
     # 128 coded bits / 2 bits per symbol = 64 slots; t_d=128 fits 2 frames
-    row = run_coded(small_coded(frames_per_block=None, trials=4, wave=1))[0]
+    row = run_coded(small_coded(trials=4, wave=1))[0]
     assert row.trials == 4  # 2 frames x 2 users from a single block
 
 
@@ -768,7 +788,11 @@ def test_ldpc_fit_gives_the_frame_count():
     # 128 coded bits in 64 two-bit slots
     assert require_ldpc_fit(128, 4, 128, None) == 2
     assert require_ldpc_fit(128, 4, 191, None) == 2
-    assert require_ldpc_fit(128, 4, 192, 1) == 1
+    assert require_ldpc_fit(128, 4, 192, 3) == 3
+    # a given frame count is the one t_d holds, not a setting of its own
+    for frames in (1, 2, 4):
+        with pytest.raises(ConfigurationError, match=f"frames_per_block={frames} != the 3 "):
+            require_ldpc_fit(128, 4, 192, frames)
     with pytest.raises(ConfigurationError, match="t_d=63"):
         require_ldpc_fit(128, 4, 63, None)
 
@@ -855,15 +879,15 @@ def test_coded_checks_a_constructed_code_fit_before_building_it(monkeypatch):
     monkeypatch.setattr(sim, "construct_code", no_build)
     sim._ldpc_code.cache_clear()
     # one 2048-slot frame cannot fit a 128-slot coherence block
-    with pytest.raises(ConfigurationError, match="span 2048 slots"):
-        run_coded(small_coded(ldpc_n=4096, frames_per_block=None))
+    with pytest.raises(ConfigurationError, match="frame of 2048 slots does not fit t_d=128"):
+        run_coded(small_coded(ldpc_n=4096))
 
 
 def test_coded_rejects_frames_overrunning_block_with_alist(tmp_path):
     path = tmp_path / "n128.alist"
     path.write_text(write_alist(construct_code(128, 0.5, 3).h), encoding="ascii")
     cfg = small_coded(ldpc_alist=str(path), frames_per_block=3)  # only run_coded reads it
-    with pytest.raises(ConfigurationError, match="span 192 slots"):
+    with pytest.raises(ConfigurationError, match="frames_per_block=3 != the 2 "):
         run_coded(cfg)
 
 
